@@ -6,7 +6,8 @@ with --json, a canonical JSON document (stable key order, deterministic
 element ordering, no timing) that validates against REPORT_SCHEMA.
 
 Exit codes: 0 success, 2 parse/input error, 3 degree-cap refusal,
-4 internal assertion failure (a soundness bug, never a user error).
+4 engine bug (a failed internal assertion or an internal arithmetic error,
+never a user error).
 """
 
 import argparse
@@ -410,6 +411,9 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, GaloisKitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except ArithmeticError as e:
+        print(f"internal arithmetic failure: {e}", file=sys.stderr)
+        return EXIT_SOUNDNESS
     elapsed = time.monotonic() - started
     report = {
         "command": args.command,

@@ -3,12 +3,16 @@
 The rational pipeline is classic Zassenhaus: content removal, Yun squarefree
 decomposition, reduction mod a good prime, Cantor-Zassenhaus factorization
 there, quadratic Hensel lifting to a Mignotte-style coefficient bound, and
-exhaustive subset recombination (input degrees are desk scale, so no LLL).
+subset recombination.  Recombination prunes subsets by the factor-degree
+sets of up to five primes and by the d-1, constant-term and coefficient-
+bound tests before any trial division; exact division alone accepts a
+factor.  There is no LLL (van Hoeij) recombination.
 
 Internally the hot kernels work on plain int lists (ascending coefficients)
 mod p or mod p**k; Polynomial objects appear only at the API boundary.
 """
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -400,9 +404,16 @@ def _hensel_lift_tree(f, factors, p, target):
 
 
 def _choose_prime(f_int, seed):
-    """Pick primes keeping f squarefree; prefer the one with fewest factors."""
+    """Pick primes keeping f squarefree; prefer the one with fewest factors.
+
+    Returns (p, factors mod p, degree set), where bit d of the degree set is
+    set when every prime tried has a subset of factors of total degree d
+    (Musser): the degree of any factor of f over Z lies in that set.
+    """
+    n = len(f_int) - 1
     lc = f_int[-1]
     best = None
+    degrees = (1 << (n + 1)) - 1
     tried = 0
     for p in _PRIME_POOL:
         if lc % p == 0:
@@ -414,14 +425,18 @@ def _choose_prime(f_int, seed):
             continue
         rng = random.Random(seed ^ p)
         factors = _zp_factor_squarefree(_zp_monic(fp, p), p, rng)
+        sums = 1
+        for g in factors:
+            sums |= sums << (len(g) - 1)
+        degrees &= sums
         tried += 1
         if best is None or len(factors) < len(best[1]):
             best = (p, factors)
-        if len(factors) == 1 or tried >= 5:
+        if degrees == 1 | 1 << n or tried >= 5:
             break
     if best is None:
         raise ArithmeticError("no usable prime found for factorization")
-    return best
+    return best + (degrees,)
 
 
 def _factor_squarefree_int(f_int, seed):
@@ -429,46 +444,67 @@ def _factor_squarefree_int(f_int, seed):
     n = len(f_int) - 1
     if n <= 1:
         return [list(f_int)]
-    p, mod_factors = _choose_prime(f_int, seed)
-    if len(mod_factors) == 1:
+    p, mod_factors, degrees = _choose_prime(f_int, seed)
+    if degrees == 1 | 1 << n:
         return [list(f_int)]
-    bound = 2 * _mignotte_bound(f_int)
-    lifted, pk = _hensel_lift_tree(f_int, mod_factors, p, bound)
+    bound = _mignotte_bound(f_int)
+    lifted, pk = _hensel_lift_tree(f_int, mod_factors, p, 2 * bound)
+    return _recombine(f_int, lifted, pk, bound, degrees)
 
+
+def _recombine(f, pool, pk, bound, degrees):
+    """Zassenhaus recombination of the monic factors of f lifted mod pk.
+
+    A true factor h of f appears mod pk as lc(f) * prod(subset), which is
+    (lc(f) / lc(h)) * h: it divides lc(f) * f, and its coefficients lie
+    within bound.  Subsets are tried smallest first.  Before a subset pays
+    for its product and for the exact division that alone accepts a factor,
+    it must pass these necessary conditions, cheapest first:
+
+    - its degree and its cofactor's lie in the degree set (Musser);
+    - its next-to-leading coefficient, lc(f) times the sum of the factors'
+      ones, lies within bound (the d-1 test of Abbott, Shoup and Zimmermann);
+    - its constant term is nonzero and divides lc(f) * f(0), unless f(0) = 0;
+    - every coefficient of the product lies within bound.
+    """
     result = []
-    f = list(f_int)
-    pool = list(lifted)
     size = 1
     while 2 * size <= len(pool):
-        found = True
-        while found:
-            found = False
-            for subset in _subsets_lex(len(pool), size):
-                lc = f[-1]
-                cand = [lc]
-                for idx in subset:
-                    cand = [c % pk for c in _zx_mul(cand, pool[idx])]
-                cand = [_symmetric(c, pk) for c in cand]
-                cand = _zx_primitive(cand)
-                quo = _zx_divide_exact(f, cand)
-                if quo is not None:
-                    result.append(cand)
-                    f = _zx_primitive(quo)
-                    pool = [g for i, g in enumerate(pool) if i not in set(subset)]
-                    found = True
-                    break
-            if 2 * size > len(pool):
+        lc, n = f[-1], len(f) - 1
+        degs = [len(g) - 1 for g in pool]
+        traces = [lc * g[-2] for g in pool]
+        for subset in itertools.combinations(range(len(pool)), size):
+            d = sum(map(degs.__getitem__, subset))
+            if not (degrees >> d) & 1 or not (degrees >> (n - d)) & 1:
+                continue
+            if abs(_symmetric(sum(map(traces.__getitem__, subset)), pk)) > bound:
+                continue
+            if f[0]:
+                const = lc
+                for i in subset:
+                    const = const * pool[i][0] % pk
+                const = _symmetric(const, pk)
+                if const == 0 or lc * f[0] % const:
+                    continue
+            cand = [lc]
+            for i in subset:
+                cand = [c % pk for c in _zx_mul(cand, pool[i])]
+            cand = [_symmetric(c, pk) for c in cand]
+            if any(abs(c) > bound for c in cand):
+                continue
+            cand = _zx_primitive(cand)
+            quo = _zx_divide_exact(f, cand)
+            if quo is not None:
+                result.append(cand)
+                f = _zx_primitive(quo)
+                chosen = set(subset)
+                pool = [g for i, g in enumerate(pool) if i not in chosen]
                 break
-        size += 1
+        else:
+            size += 1
     if len(f) > 1:
         result.append(f)
     return result
-
-
-def _subsets_lex(n, k):
-    import itertools
-
-    return itertools.combinations(range(n), k)
 
 
 # ---------------------------------------------------------------------------

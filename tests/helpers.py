@@ -71,3 +71,22 @@ def _det(rows):
                 f = rows[i][c] * inv
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
     return det
+
+
+def swinnerton_dyer(*radicands):
+    """prod (x ± √a1 ± ... ± √ak) as a rational polynomial.
+
+    Irreducible over Q for distinct primes a_i, yet it splits into linear
+    and quadratic factors mod every prime: the worst case for subset
+    recombination.  Each radicand a doubles the degree: Horner evaluation
+    of S at x + √a over Z[x][√a] gives S(x + √a) = A + √a·B, and
+    S(x + √a)·S(x - √a) = A² - a·B².
+    """
+    x = P(0, 1)
+    s = x
+    for a in radicands:
+        A, B = P(0), P(0)
+        for c in reversed(s.coeffs):
+            A, B = A * x + B * a + P(c), A + B * x
+        s = A * A - B * B * a
+    return s

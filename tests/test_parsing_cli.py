@@ -6,8 +6,15 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from galoiskit import ParseError
-from galoiskit.cli import EXIT_DEGREE_CAP, EXIT_INPUT, EXIT_OK, REPORT_SCHEMA, main
+from galoiskit import ParseError, qfactor
+from galoiskit.cli import (
+    EXIT_DEGREE_CAP,
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_SOUNDNESS,
+    REPORT_SCHEMA,
+    main,
+)
 from galoiskit.parsing import evaluate_in_field, parse_poly
 from galoiskit.poly import render_poly
 from galoiskit.splitting import splitting_field
@@ -112,6 +119,20 @@ class TestCliExitCodes:
         f = tmp_path / "chain.json"
         f.write_text(json.dumps({"stages": [{"k": 2, "radicand": 0}]}))
         assert run_cli("normalize", "--chain", str(f)) == EXIT_INPUT
+
+    @pytest.mark.parametrize("error, code", [
+        (ArithmeticError("no usable prime found for factorization"), EXIT_SOUNDNESS),
+        (ZeroDivisionError("division by zero polynomial"), EXIT_INPUT),
+    ])
+    def test_engine_arithmetic_error_exit_code(self, monkeypatch, capsys, error, code):
+        def failing(f_int, seed):
+            raise error
+
+        monkeypatch.setattr(qfactor, "_choose_prime", failing)
+        assert run_cli("factor", "x^4+1") == code
+        err = capsys.readouterr().err
+        assert str(error) in err
+        assert "Traceback" not in err
 
 
 def cli_json(capsys, *argv):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from galoiskit import QQ
+from galoiskit import QQ, qfactor
 from galoiskit.poly import Polynomial
 from galoiskit.qfactor import (
     factor_degrees_mod_p,
@@ -14,7 +14,7 @@ from galoiskit.qfactor import (
 )
 from galoiskit.scalars import PrimeField
 
-from helpers import P, PF
+from helpers import P, PF, swinnerton_dyer
 
 
 class TestFactorModP:
@@ -172,6 +172,78 @@ class TestFactorOverQ:
         a = [tuple(g.coeffs) for g, _ in factor_over_Q(p, seed=1).factors]
         b = [tuple(g.coeffs) for g, _ in factor_over_Q(p, seed=99).factors]
         assert a == b
+
+
+def _product(pieces):
+    prod = Polynomial.one(QQ)
+    for q in pieces:
+        prod = prod * q
+    return prod
+
+
+def _assert_recovers(pieces):
+    """The planted irreducible pieces are exactly the factors found."""
+    prod = _product(pieces)
+    fac = factor_over_Q(prod)
+    assert fac.expand(QQ) == prod
+    got = sorted(tuple(g.coeffs) for g, m in fac.factors for _ in range(m))
+    assert got == sorted(tuple(q.monic().coeffs) for q in pieces)
+
+
+# irreducible over Q: linear, Eisenstein at 5 (non-monic), cyclotomic, and
+# Swinnerton-Dyer factors, which split into degree <= 2 pieces mod every prime
+PIECES = [
+    P(0, 1), P(-1, 1), P(2, 1), P(3, 2), P(5, 0, 0, 3), P(1, 1, 1),
+    swinnerton_dyer(2, 3), swinnerton_dyer(2, 5), swinnerton_dyer(3, 7),
+]
+
+
+class TestRecombination:
+    def test_many_modular_factors(self):
+        pieces = [swinnerton_dyer(2, 3), swinnerton_dyer(2, 5), swinnerton_dyer(3, 7, 11)]
+        assert factor_degrees_mod_p(_product(pieces), 17) == [2] * 8
+        _assert_recovers(pieces)
+
+    def test_non_monic_factor(self):
+        # lc = 6 scales the d-1 and constant-term tests of every subset
+        _assert_recovers([P(5, 0, 0, 3), swinnerton_dyer(2, 3), P(-7, 2)])
+
+    def test_factor_x(self):
+        # f(0) = 0 switches the constant-term test off until x is removed
+        _assert_recovers([P(0, 1), swinnerton_dyer(2, 5), P(1, 1, 1)])
+
+    def test_linear_factors(self):
+        _assert_recovers([P(-1, 1), P(2, 1), P(3, 2), P(-5, 1), swinnerton_dyer(2, 3)])
+
+    def test_swinnerton_dyer_irreducible_without_trial_division(self, monkeypatch):
+        # degree 16, eight quadratics mod every prime: 162 trial divisions
+        # when every subset is divided blindly
+        calls = []
+        divide = qfactor._zx_divide_exact
+
+        def counting(a, b):
+            calls.append(b)
+            return divide(a, b)
+
+        monkeypatch.setattr(qfactor, "_zx_divide_exact", counting)
+        assert is_irreducible_over_Q(swinnerton_dyer(2, 3, 5, 7))
+        assert len(calls) < 10
+
+    def test_agrees_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(2)
+        for trial in range(20):
+            prod = _product(rng.choice(PIECES) for _ in range(rng.randint(2, 4)))
+            fac = factor_over_Q(prod, seed=trial)
+            got = sorted((tuple(g.coeffs), m) for g, m in fac.factors)
+            expr = sympy.Poly([int(c) for c in reversed(prod.coeffs)], x)
+            _, sym_factors = sympy.factor_list(expr)
+            want = []
+            for g, m in sym_factors:
+                ints = [int(c) for c in reversed(g.all_coeffs())]
+                want.append((tuple(P(*ints).monic().coeffs), m))
+            assert got == sorted(want)
 
 
 class TestHelpers:

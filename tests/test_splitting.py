@@ -41,6 +41,11 @@ class TestSplittingDegrees:
     def test_quintic_radical_degree_twenty(self):
         assert splitting_degree(P(-2, 0, 0, 0, 0, 1)) == 20
 
+    def test_tenth_root_of_two_degree_forty(self):
+        # the Trager norm here has degree 90 and 23 factors mod 13, so this
+        # stalls unless recombination prunes subsets before trial division
+        assert splitting_degree(P(-2, *[0] * 9, 1)) == 40
+
     def test_every_root_evaluates_to_zero(self):
         p = P(-2, 0, 0, 1)
         e = splitting_field(p)
