@@ -6,8 +6,8 @@ with --json, a canonical JSON document (stable key order, deterministic
 element ordering, no timing) that validates against REPORT_SCHEMA.
 
 Exit codes: 0 success, 2 parse/input error, 3 degree-cap refusal,
-4 engine bug (a failed internal assertion or an internal arithmetic error,
-never a user error).
+4 engine failure (a failed internal assertion, an internal arithmetic error
+or an exhausted primitive-element search; never a user error).
 """
 
 import argparse
@@ -22,6 +22,7 @@ from .errors import (
     DegreeCapError,
     GaloisKitError,
     ParseError,
+    PrimitiveSearchError,
     SoundnessError,
 )
 from .galois import fixed_field, galois_group, orbit_min_poly, subgroup_fixing
@@ -407,6 +408,9 @@ def main(argv=None) -> int:
         return EXIT_DEGREE_CAP
     except SoundnessError as e:
         print(f"internal soundness failure: {e}", file=sys.stderr)
+        return EXIT_SOUNDNESS
+    except PrimitiveSearchError as e:
+        print(f"engine limit reached: {e}", file=sys.stderr)
         return EXIT_SOUNDNESS
     except (ValueError, ZeroDivisionError, GaloisKitError) as e:
         print(f"error: {e}", file=sys.stderr)

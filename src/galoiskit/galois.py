@@ -7,16 +7,33 @@ construction and the induced root permutation is derived, never searched.
 The enumeration is complete because every automorphism sends each tower
 generator to a root of that generator's minimal polynomial, and theta is an
 integer combination of the generators.
+
+The correspondence runs on integers: each automorphism caches its action as
+one integer matrix over a common denominator, so applying it is one
+matrix-vector product; orbit polynomials are expanded on integer coefficient
+vectors over one running denominator with the field's integer reduction
+rows; and fixed fields are the nullspace of the integer rows d*(M - I),
+found by fraction-free elimination.  Rationals appear only in the results.
 """
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .checks import record_check
 from .errors import SoundnessError
 from .linalg import nullspace, solve_columns
-from .numfield import ExtElement, element_sort_key, minimal_polynomial, q_coords, roots_in_field
+from .numfield import (
+    ExtElement,
+    _clear_denominators,
+    element_sort_key,
+    minimal_polynomial,
+    q_coords,
+    roots_in_field,
+)
 from .permgroup import PermGroup, Permutation, closure, is_normal
 from .poly import Polynomial, poly_squarefree_part
 from .qfactor import DEFAULT_SEED, factor_over_Q
@@ -26,25 +43,44 @@ from . import modscreen
 
 
 class Automorphism:
-    """A field automorphism, stored as the image of the primitive element."""
+    """A field automorphism, stored as the image of the primitive element.
 
-    __slots__ = ("field", "theta_image", "root_permutation", "_powers")
+    Its action is cached as one integer matrix over a common denominator:
+    ``action_matrix`` is (M, d) with row i of M holding, in column j,
+    d times the i-th rational coordinate of theta_image**j.
+    """
+
+    __slots__ = ("field", "theta_image", "root_permutation", "_action")
 
     def __init__(self, field, theta_image, root_permutation=None):
         self.field = field  # AbsoluteField
         self.theta_image = theta_image
         self.root_permutation = root_permutation
-        self._powers = None
+        self._action = None
 
     @property
-    def powers(self):
-        if self._powers is None:
-            n = self.field.degree
-            powers = [self.field.ext.one]
-            for _ in range(n - 1):
-                powers.append(powers[-1] * self.theta_image)
-            self._powers = powers
-        return self._powers
+    def action_matrix(self):
+        if self._action is None:
+            ext = self.field.ext
+            n = ext.degree
+            t, dt = _clear_denominators(self.theta_image.coeffs)
+            scale = dt * ext._int_rows[1]
+            power, den = [1] + [0] * (n - 1), 1  # theta_image**0 as power/den
+            columns = []
+            for j in range(n):
+                columns.append((power, den))
+                if j < n - 1:
+                    power = ext._int_mul(power, t)
+                    den *= scale
+                    g = gcd(den, *power)
+                    den //= g
+                    power = [v // g for v in power]
+            d = 1
+            for _, den in columns:
+                d = lcm(d, den)
+            scaled = [[v * (d // den) for v in power] for power, den in columns]
+            self._action = (tuple(zip(*scaled)), d)
+        return self._action
 
     def apply(self, a):
         """Image of a field element: substitute theta -> theta_image."""
@@ -52,15 +88,11 @@ class Automorphism:
             return self.field.ext.coerce(a)
         if a.field != self.field.ext:
             raise ValueError("element does not belong to this automorphism's field")
-        acc = self.field.ext.zero
-        for c, p in zip(a.coeffs, self.powers):
-            if c:
-                acc = acc + p * c
-        return acc
-
-    def matrix_columns(self):
-        """Rational coordinate columns of theta_image**j (the action matrix)."""
-        return [q_coords(p) for p in self.powers]
+        ai, da = _clear_denominators(a.coeffs)
+        rows, d = self.action_matrix
+        den = d * da
+        return ExtElement(self.field.ext, tuple(
+            Fraction(sum(map(mul, row, ai)), den) for row in rows))
 
     @property
     def is_identity(self):
@@ -94,11 +126,15 @@ class GaloisGroup:
         perms = tuple(a.root_permutation for a in self.automorphisms)
         return PermGroup(len(self.splitting.roots), tuple(sorted(perms)), perms)
 
+    @cached_property
+    def _index_by_perm(self):
+        return {a.root_permutation: i for i, a in enumerate(self.automorphisms)}
+
     def index_of_perm(self, perm) -> int:
-        for i, a in enumerate(self.automorphisms):
-            if a.root_permutation == perm:
-                return i
-        raise KeyError(f"permutation {perm} is not induced by any automorphism")
+        try:
+            return self._index_by_perm[perm]
+        except KeyError:
+            raise KeyError(f"permutation {perm} is not induced by any automorphism") from None
 
     def compose(self, i, j) -> int:
         """Index of automorphism i applied after j."""
@@ -234,35 +270,45 @@ def _enumerate_galois_group(E: SplittingField, seed: int) -> GaloisGroup:
 def orbit(G: GaloisGroup, a):
     """The set {g(a) : g in G}, deduplicated, in canonical order."""
     a = G.field.ext.coerce(a) if not isinstance(a, ExtElement) else a
-    seen = []
-    for g in G.automorphisms:
-        v = g.apply(a)
-        if v not in seen:
-            seen.append(v)
+    seen = dict.fromkeys(g.apply(a) for g in G.automorphisms)
     return tuple(sorted(seen, key=element_sort_key))
 
 
 def orbit_min_poly(G: GaloisGroup, a) -> Polynomial:
     """prod (x - w) over the orbit of a, with rational coefficients asserted.
 
-    The product is expanded over E; the symmetric functions of the orbit are
-    fixed by every automorphism, so each coefficient must be rational.
+    The product is expanded over E on integer coefficient vectors that share
+    one running denominator; the symmetric functions of the orbit are fixed
+    by every automorphism, so each coefficient must be rational.
     """
     orb = orbit(G, a)
     ext = G.field.ext
-    x = Polynomial.x(ext)
-    acc = Polynomial.one(ext)
+    n = ext.degree
+    d_rows = ext._int_rows[1]
+    # acc / den is the product so far, acc[k] the coefficient of x**k
+    acc, den = [[1] + [0] * (n - 1)], 1
     for w in orb:
-        acc = acc * (x - Polynomial.constant(ext, w))
+        wi, dw = _clear_denominators(w.coeffs)
+        scale = dw * d_rows
+        shifted = [[0] * n] + [[v * scale for v in c] for c in acc]
+        for k, c in enumerate(acc):
+            shifted[k] = [s - p for s, p in zip(shifted[k], ext._int_mul(c, wi))]
+        den *= scale
+        g = den
+        for c in shifted:
+            g = gcd(g, *c)
+            if g == 1:
+                break
+        acc = [[v // g for v in c] for c in shifted] if g > 1 else shifted
+        den //= g
     rational_coeffs = []
-    for c in acc.coeffs:
-        coords = q_coords(c)
+    for c in acc:
         record_check(
             "orbit_min_poly.coefficients_rational",
-            not any(coords[1:]),
+            not any(c[1:]),
             "a symmetric function of an orbit escaped Q",
         )
-        rational_coeffs.append(coords[0])
+        rational_coeffs.append(Fraction(c[0], den))
     return Polynomial(QQ, rational_coeffs)
 
 
@@ -299,14 +345,14 @@ def fixed_field(G: GaloisGroup, subgroup_indices) -> IntermediateField:
     h_gens = _subgroup_generators(G, idx)
     rows = []
     for i in h_gens:
-        cols = G.automorphisms[i].matrix_columns()
-        # rows of (M - I): row r is [cols[j][r] - delta(r, j)]
-        for r in range(n):
-            row = [cols[j][r] for j in range(n)]
-            row[r] = row[r] - Fraction(1)
+        matrix, d = G.automorphisms[i].action_matrix
+        # rows of d * (M - I)
+        for r, row in enumerate(matrix):
+            row = list(row)
+            row[r] -= d
             rows.append(row)
     if rows:
-        basis = nullspace(rows, QQ)
+        basis = nullspace(rows)
     else:
         basis = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     dim = len(basis)

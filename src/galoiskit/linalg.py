@@ -1,10 +1,14 @@
 """Exact Gaussian elimination over an arbitrary field.
 
 Matrices are lists of row lists whose entries support field arithmetic
-(Fraction, prime-field or extension-field elements).  Everything here is
+(Fraction, prime-field or extension-field elements); ``nullspace`` takes
+integer matrices and eliminates without fractions.  Everything here is
 pure and deterministic; pivots are chosen first-nonzero so results are
 canonical for a given input.
 """
+
+from fractions import Fraction
+from math import gcd
 
 
 def rref(rows, field):
@@ -53,26 +57,55 @@ def solve_columns(cols, target, field):
     return x
 
 
-def nullspace(rows, field):
-    """Canonical basis of the right nullspace of the matrix."""
+def nullspace(rows):
+    """Canonical basis (rational vectors) of the right nullspace of an
+    integer matrix.
+
+    Fraction-free Gauss-Jordan that keeps every row primitive.  The reduced
+    row echelon form is unique, so the basis vector for free column fc has
+    -row[fc] / row[pc] at each pivot column pc: the basis elimination over
+    Q gives.
+    """
     if not rows:
         return []
     ncols = len(rows[0])
-    red, pivots = rref(rows, field)
+    m = [_primitive(r) for r in rows if any(r)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        p = m[r]
+        pc = p[c]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = _primitive([pc * a - f * b for a, b in zip(m[i], p)])
+        pivots.append(c)
+        r += 1
+        # rows below the pivots that became zero carry no constraint
+        m[r:] = [row for row in m[r:] if any(row)]
+        if r == len(m):
+            break
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(m, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
 
-def rank(rows, field):
-    return len(rref(rows, field)[1])
+def _primitive(row):
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g in (0, 1) else [v // g for v in row]
 
 
 def solve_many_columns(cols, targets, field):
@@ -151,8 +184,6 @@ class SpanSolver:
 
 
 def _inv(c):
-    from fractions import Fraction
-
     if isinstance(c, Fraction):
         return 1 / c
     return c.inverse()

@@ -8,6 +8,7 @@ device that remembers where each generator went.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .checks import record_check
 from .errors import DegreeCapError, FieldMismatchError, PrimitiveSearchError
@@ -175,8 +176,6 @@ class ExtensionField:
         # single common denominator
         self._int_rows = None
         if base is QQ or isinstance(base, type(QQ)):
-            from math import lcm
-
             d = 1
             for row in rows:
                 for c in row:
@@ -211,17 +210,17 @@ class ExtensionField:
 
     def _mul_qq(self, a, b):
         """Integer-kernel multiplication: one gcd per output coefficient."""
-        from math import lcm
+        ai, da = _clear_denominators(a)
+        bi, db = _clear_denominators(b)
+        den = da * db * self._int_rows[1]
+        return tuple(Fraction(num, den) for num in self._int_mul(ai, bi))
 
+    def _int_mul(self, ai, bi):
+        """Product of two integer coefficient vectors reduced modulo the
+        defining polynomial, scaled by the reduction rows' denominator d:
+        for a = ai/da and b = bi/db the result r satisfies a*b = r/(da*db*d).
+        """
         n = self.degree
-        da = 1
-        for c in a:
-            da = lcm(da, c.denominator)
-        db = 1
-        for c in b:
-            db = lcm(db, c.denominator)
-        ai = [c.numerator * (da // c.denominator) for c in a]
-        bi = [c.numerator * (db // c.denominator) for c in b]
         conv = [0] * (2 * n - 1)
         for i, x in enumerate(ai):
             if x:
@@ -237,8 +236,7 @@ class ExtensionField:
                 for i in range(n):
                     if row[i]:
                         out[i] += c * row[i]
-        den = da * db * d
-        return tuple(Fraction(num, den) for num in out)
+        return out
 
     @property
     def zero(self):
@@ -312,6 +310,15 @@ def q_coords(x):
     raise TypeError(f"no rational coordinates for {x!r}")
 
 
+def _clear_denominators(coeffs):
+    """(integers, d) with coeffs[i] == integers[i] / d and d the least
+    common denominator of the rational coefficients."""
+    d = 1
+    for c in coeffs:
+        d = lcm(d, c.denominator)
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
 def element_sort_key(x):
     """Canonical ordering key: ascending residue coefficient vector."""
     return q_coords(x)
@@ -358,9 +365,6 @@ class AbsoluteField:
             if c:
                 acc = acc + p * c
         return acc
-
-    def element_from_q_coords(self, coords):
-        return self.ext.from_rep([Fraction(c) for c in coords])
 
     def __repr__(self):
         return f"AbsoluteField(degree={self.degree}, generators={list(self.gen_names)})"

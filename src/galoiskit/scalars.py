@@ -161,8 +161,6 @@ class PrimeFieldElement:
 class PrimeField:
     """The field Z/p; p is verified prime at construction."""
 
-    characteristic_nonzero = True
-
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")

@@ -90,3 +90,36 @@ def swinnerton_dyer(*radicands):
             A, B = A * x + B * a + P(c), A + B * x
         s = A * A - B * B * a
     return s
+
+
+def rref_nullspace(rows):
+    """Right nullspace basis of a rational matrix by plain Fraction
+    Gauss-Jordan: for each free column fc of the reduced row echelon form R,
+    the vector with 1 at fc and -R[r][fc] at the pivot column of row r."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    if not m:
+        return []
+    ncols = len(m[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis

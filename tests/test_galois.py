@@ -13,12 +13,13 @@ from galoiskit.galois import (
     restriction_homomorphism,
     subgroup_fixing,
 )
-from galoiskit.numfield import minimal_polynomial
+from galoiskit.linalg import nullspace
+from galoiskit.numfield import ExtensionField, minimal_polynomial
 from galoiskit.permgroup import all_subgroups
 from galoiskit.qfactor import is_irreducible_over_Q
 from galoiskit.splitting import splitting_field
 
-from helpers import P
+from helpers import P, rref_nullspace
 
 
 @pytest.fixture(scope="module")
@@ -259,3 +260,82 @@ class TestRestriction:
         b = fixed_field(g_sqrt2, range(2))
         with pytest.raises(ValueError):
             restriction_homomorphism(g_sqrt2, b, P(-3, 0, 1))
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("name", ["x^3-2", "x^4+x+1", "x^5-2"])
+    def test_apply_matches_substitution(self, corpus_groups, name):
+        # oracle: evaluate the element's residue polynomial at theta_image
+        # with ordinary field arithmetic
+        G = corpus_groups[name]
+        ext = G.field.ext
+        rng = random.Random(11)
+        elements = [ext.zero, ext.coerce(Fraction(-7, 3))] + [
+            ext.from_rep([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                          for _ in range(ext.degree)])
+            for _ in range(3)
+        ]
+        for g in G.automorphisms:
+            assert g.apply(Fraction(5, 2)) == ext.coerce(Fraction(5, 2))
+            for a in elements:
+                substituted = a.rep_poly().map_coefficients(ext.coerce, ext)
+                assert g.apply(a) == substituted.evaluate(g.theta_image)
+
+    def test_apply_and_orbit_poly_skip_field_multiply(self, corpus_groups, monkeypatch):
+        G = corpus_groups["x^4+x+1"]
+        ext = G.field.ext
+        rng = random.Random(5)
+        a = ext.from_rep([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                          for _ in range(ext.degree)])
+        calls = []
+        original = ExtensionField._mul
+
+        def counting(self, x, y):
+            calls.append(1)
+            return original(self, x, y)
+
+        monkeypatch.setattr(ExtensionField, "_mul", counting)
+        a * a
+        assert calls  # the counter sees ordinary multiplication
+        calls.clear()
+        for g in G.automorphisms:
+            g.apply(a)
+        q = orbit_min_poly(G, a)
+        assert calls == []
+        assert q.degree == len(orbit(G, a))
+
+    @pytest.mark.parametrize("shape", [
+        (6, 6, 3),  # square, rank-deficient
+        (10, 4, 4),  # tall, full column rank: trivial nullspace
+        (10, 5, 2),  # tall, rank-deficient
+        (3, 7, 3),  # wide
+        (4, 8, 1),  # wide, rank one
+        (5, 5, 0),  # all zero
+    ])
+    def test_nullspace_matches_fraction_oracle(self, shape):
+        nrows, ncols, rank = shape
+        rng = random.Random(100 * nrows + 10 * ncols + rank)
+        for _ in range(4):
+            left = [[rng.randint(-9, 9) for _ in range(rank)] for _ in range(nrows)]
+            right = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(rank)]
+            rows = [[sum(l * r[j] for l, r in zip(lrow, right)) for j in range(ncols)]
+                    for lrow in left]
+            rows.insert(rng.randrange(nrows + 1), [0] * ncols)  # a zero row
+            expected = rref_nullspace(rows)
+            assert nullspace(rows) == expected
+            assert len(expected) >= ncols - rank
+            for v in expected:
+                assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+
+    def test_nullspace_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(3)
+        for nrows, ncols in [(4, 6), (7, 3), (5, 5), (6, 6)]:
+            rank = rng.randint(1, min(nrows, ncols))
+            left = [[rng.randint(-5, 5) for _ in range(rank)] for _ in range(nrows)]
+            right = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(rank)]
+            rows = [[sum(l * r[j] for l, r in zip(lrow, right)) for j in range(ncols)]
+                    for lrow in left]
+            expected = [[Fraction(int(v.p), int(v.q)) for v in vec]
+                        for vec in sympy.Matrix(rows).nullspace()]
+            assert nullspace(rows) == expected

@@ -6,7 +6,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from galoiskit import ParseError, qfactor
+from galoiskit import ParseError, numfield, qfactor
 from galoiskit.cli import (
     EXIT_DEGREE_CAP,
     EXIT_INPUT,
@@ -132,6 +132,14 @@ class TestCliExitCodes:
         assert run_cli("factor", "x^4+1") == code
         err = capsys.readouterr().err
         assert str(error) in err
+        assert "Traceback" not in err
+
+    def test_primitive_search_exhausted_exit_4(self, monkeypatch, capsys):
+        # an exhausted primitive-element search is an engine limit, not bad input
+        monkeypatch.setattr(numfield, "PRIMITIVE_SEARCH_RANGE", 0)
+        assert run_cli("split", "x^3-2") == EXIT_SOUNDNESS
+        err = capsys.readouterr().err
+        assert "no primitive element" in err
         assert "Traceback" not in err
 
 
