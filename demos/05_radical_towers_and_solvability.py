@@ -36,11 +36,14 @@ for label, order, target, emb in abelian_layer_embeddings(tower):
     print(f"  {label}: group of order {order} embeds into {target}: {emb is not None}")
 
 # the verdict: a solvable group is necessary for solvability by radicals
-for text in ("x^5 - 2", "x^5 - x - 1"):
+for text in ("x^5 - 2", "x^5 - x - 1", "x^6 + x + 1"):
     v = necessary_condition_verdict(parse_poly(text))
     print(f"\n{text}: {v.verdict}")
     print("  derived series orders:", v.derived_series_orders)
     if v.quintic_evidence:
         print("  cycle types mod p:", v.quintic_evidence.samples[:4])
+    if v.cycle_type_evidence:
+        # beyond quintics: Jordan's theorems on the Frobenius cycle types
+        print("  cycle-type witness:", v.cycle_type_evidence.detail)
     if v.certificate:
         print("  abelian-quotient certificate accepted:", v.certificate.accepted)

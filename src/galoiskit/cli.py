@@ -7,7 +7,8 @@ element ordering, no timing) that validates against REPORT_SCHEMA.
 
 Exit codes: 0 success, 2 parse/input error, 3 degree-cap refusal,
 4 engine failure (a failed internal assertion, an internal arithmetic error
-or an exhausted primitive-element search; never a user error).
+or an engine limit such as an exhausted primitive-element search or a group
+beyond the closure bound; never a user error).
 """
 
 import argparse
@@ -20,9 +21,9 @@ from .checks import collect_checks
 from .errors import (
     ChainFormatError,
     DegreeCapError,
+    EngineLimitError,
     GaloisKitError,
     ParseError,
-    PrimitiveSearchError,
     SoundnessError,
 )
 from .galois import fixed_field, galois_group, orbit_min_poly, subgroup_fixing
@@ -348,7 +349,7 @@ def _build_parser():
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"seed for the randomized factorization kernel (default {DEFAULT_SEED})")
         sp.add_argument("--primes", default=None,
-                        help="comma-separated primes for the quintic witness")
+                        help="comma-separated primes for the cycle-type witness (degree >= 5)")
     return parser
 
 
@@ -409,7 +410,7 @@ def main(argv=None) -> int:
     except SoundnessError as e:
         print(f"internal soundness failure: {e}", file=sys.stderr)
         return EXIT_SOUNDNESS
-    except PrimitiveSearchError as e:
+    except EngineLimitError as e:
         print(f"engine limit reached: {e}", file=sys.stderr)
         return EXIT_SOUNDNESS
     except (ValueError, ZeroDivisionError, GaloisKitError) as e:

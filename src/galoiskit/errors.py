@@ -18,8 +18,19 @@ class DegreeCapError(GaloisKitError):
         self.cap = cap
 
 
-class PrimitiveSearchError(GaloisKitError):
+class EngineLimitError(GaloisKitError):
+    """The engine reached one of its own fixed limits (never a user error)."""
+
+
+class PrimitiveSearchError(EngineLimitError):
     """Primitive-element search exhausted its integer coefficient range."""
+
+
+class GroupOrderLimitError(EngineLimitError, ValueError):
+    """Permutation-group enumeration passed its order bound.
+
+    Also a ValueError, which ``closure`` raised for this before.
+    """
 
 
 class SoundnessError(GaloisKitError):

@@ -393,16 +393,21 @@ def _primitive_of_subspace(G: GaloisGroup, basis, dim):
     """First element of the fixed subspace whose orbit has full size."""
     ext = G.field.ext
 
-    def element_from(vec):
-        return ext.from_rep([Fraction(c) for c in vec])
-
-    def orbit_size(e):
-        return len(orbit(G, e))
+    def orbit_size(vec):
+        # distinct images M v / d, each reduced to lowest terms; the
+        # element's own common denominator is shared by all and dropped
+        v, _ = _clear_denominators(vec)
+        images = set()
+        for a in G.automorphisms:
+            rows, d = a.action_matrix
+            image = [sum(map(mul, row, v)) for row in rows]
+            g = gcd(d, *image)
+            images.add((d // g, *(x // g for x in image)))
+        return len(images)
 
     for vec in basis:
-        e = element_from(vec)
-        if orbit_size(e) == dim:
-            return e
+        if orbit_size(vec) == dim:
+            return ext.from_rep([Fraction(c) for c in vec])
     for k in range(1, 40):
         vec = [Fraction(0)] * len(basis[0])
         w = 1
@@ -410,9 +415,8 @@ def _primitive_of_subspace(G: GaloisGroup, basis, dim):
             for i, c in enumerate(b):
                 vec[i] += w * c
             w *= k
-        e = element_from(vec)
-        if orbit_size(e) == dim:
-            return e
+        if orbit_size(vec) == dim:
+            return ext.from_rep(vec)
     raise SoundnessError("fixed_field.primitive_search", "no primitive element found for subfield")
 
 

@@ -9,16 +9,23 @@ Grammar (shared):
 
 Polynomials use the single variable ``x``; radicands use the names bound in
 the caller's environment (previously adjoined radicals ``r1``, ``r2``, ...).
-Division is exact and only by nonzero constants.  Errors carry a 1-based
-column.
+Division is exact and only by nonzero constants.  A power is refused
+before it is computed when its degree would exceed MAX_INPUT_DEGREE or a
+numeric power would exceed MAX_INPUT_BITS.  Errors carry a 1-based column.
 """
 
+import math
 import re
 from fractions import Fraction
 
 from .errors import ParseError
 from .poly import Polynomial
 from .scalars import QQ
+
+# far above any input the engine can split under its degree cap, and low
+# enough that building the parsed value stays cheap
+MAX_INPUT_DEGREE = 256
+MAX_INPUT_BITS = 4096
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
@@ -113,7 +120,7 @@ class _Parser:
             if etok.kind != "int":
                 self.error("exponent must be a nonnegative integer literal", etok)
             self.take()
-            v = self.alg.pow(v, int(etok.text))
+            v = self.alg.pow(v, int(etok.text), etok.pos + 1)
         return v
 
     def atom(self):
@@ -159,7 +166,11 @@ class _PolyAlgebra:
     def neg(self, a):
         return -a
 
-    def pow(self, a, k):
+    def pow(self, a, k, col):
+        if a.degree > 0:
+            _check_limit("degree", a.degree * k, MAX_INPUT_DEGREE, col)
+        else:
+            _check_numeric_power(a.coeff(0), k, col)
         return a ** k
 
     def div(self, a, b, col):
@@ -198,13 +209,32 @@ class _ElementAlgebra:
     def neg(self, a):
         return -a
 
-    def pow(self, a, k):
+    def pow(self, a, k, col):
+        coeffs = getattr(a, "coeffs", (a,))
+        if any(coeffs[1:]):
+            # a power of degree k in the adjoined radicals
+            _check_limit("degree", k, MAX_INPUT_DEGREE, col)
+        else:
+            _check_numeric_power(coeffs[0], k, col)
         return a ** k
 
     def div(self, a, b, col):
         if not b:
             raise ParseError("division by zero", col)
         return a / b
+
+
+def _check_limit(what, size, limit, col):
+    if size > limit:
+        raise ParseError(f"power of {what} {size} exceeds the input limit {limit}", col)
+
+
+def _check_numeric_power(c, k, col):
+    """Refuse c**k when its numerator or denominator would need more than
+    MAX_INPUT_BITS bits."""
+    c = Fraction(c)
+    bits = math.ceil(k * math.log2(max(abs(c.numerator), c.denominator)))
+    _check_limit("bit size", bits, MAX_INPUT_BITS, col)
 
 
 def parse_poly(text: str) -> Polynomial:

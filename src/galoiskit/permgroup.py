@@ -7,8 +7,10 @@ permutations act on the left.
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .checks import record_check
+from .errors import GroupOrderLimitError
 
 
 class Permutation:
@@ -26,6 +28,16 @@ class Permutation:
     def identity(cls, n):
         return cls(range(n))
 
+    @classmethod
+    def of_cycle_type(cls, lengths):
+        """Disjoint cycles of the given lengths on consecutive points."""
+        images = []
+        for length in lengths:
+            start = len(images)
+            images.extend(range(start + 1, start + length))
+            images.append(start)
+        return cls(images)
+
     @property
     def degree(self):
         return len(self.images)
@@ -36,6 +48,17 @@ class Permutation:
     def __mul__(self, other):
         # (self * other)(i) = self(other(i))
         return Permutation(tuple(self.images[j] for j in other.images))
+
+    def __pow__(self, k):
+        result = Permutation.identity(len(self.images))
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
 
     def inverse(self):
         out = [0] * len(self.images)
@@ -129,8 +152,14 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def closure(generators, degree=None, max_order=MAX_CLOSURE_ORDER) -> PermGroup:
-    """Full element enumeration by breadth-first products of the generators."""
+def closure(generators, degree=None, max_order=None) -> PermGroup:
+    """Full element enumeration by breadth-first products of the generators.
+
+    Raises GroupOrderLimitError past max_order elements (default
+    MAX_CLOSURE_ORDER).
+    """
+    if max_order is None:
+        max_order = MAX_CLOSURE_ORDER
     gens = list(generators)
     if degree is None:
         if not gens:
@@ -149,7 +178,7 @@ def closure(generators, degree=None, max_order=MAX_CLOSURE_ORDER) -> PermGroup:
                 q = g * p
                 if q not in seen:
                     if len(seen) >= max_order:
-                        raise ValueError(f"group order exceeds the bound {max_order}")
+                        raise GroupOrderLimitError(f"group order exceeds the bound {max_order}")
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
@@ -211,6 +240,84 @@ def is_abelian(G: PermGroup) -> bool:
             if g * h != h * g:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# cycle-type certificates (Jordan)
+
+
+@dataclass(frozen=True)
+class CycleTypeCertificate:
+    """Proof that a transitive group of degree n contains A_n, read off the
+    cycle types of elements it is known to contain.
+
+    ``group`` is "S_n" or "A_n or S_n".  ``primitivity`` is the (label,
+    cycle type) pair of a type (1, n-1), or None when n is prime.  ``power``
+    is (label, cycle type, exponent, p): that type raised to the exponent is
+    a single p-cycle.
+    """
+
+    group: str
+    primitivity: Optional[tuple]
+    power: tuple
+
+
+def _is_prime(m):
+    return m >= 2 and all(m % q for q in range(2, math.isqrt(m) + 1))
+
+
+def single_cycle_power(lengths):
+    """(exponent, p) such that a permutation with these cycle lengths,
+    raised to the exponent, is a single p-cycle for a prime p; the least
+    such p, or None.
+
+    It needs exactly one cycle of length p and no other length divisible by
+    p: the lcm of the other lengths then kills every other cycle and is
+    prime to p, so the p-cycle survives as a p-cycle.
+    """
+    for p in sorted(set(lengths)):
+        if not _is_prime(p) or lengths.count(p) != 1:
+            continue
+        others = [c for c in lengths if c != p]
+        if all(c % p for c in others):
+            return math.lcm(1, *others), p
+    return None
+
+
+def cycle_type_certificate(n, samples) -> Optional[CycleTypeCertificate]:
+    """Certify that a transitive group of degree n contains A_n, from a
+    sequence of (label, sorted cycle type) samples of its elements; None if
+    they do not.
+
+    The group is primitive when n is prime, or when some type is (1, n-1):
+    the point stabilizer then holds an (n-1)-cycle, so the group is
+    2-transitive.  Jordan (Wielandt, Finite Permutation Groups, section 13):
+    a primitive group containing a transposition is S_n, and one containing
+    a p-cycle with p prime and p <= n - 3 contains A_n.  At n = 5 a 3-cycle
+    also forces A_5 or S_5, the only transitive subgroups of S_5 with order
+    divisible by 3.
+    """
+    primitivity = None
+    if not _is_prime(n):
+        primitivity = next((s for s in samples if s[1] == (1, n - 1)), None)
+        if primitivity is None:
+            return None
+    transposition = None
+    small_cycle = None
+    for label, ctype in samples:
+        step = single_cycle_power(ctype)
+        if step is None:
+            continue
+        exponent, p = step
+        if p == 2 and transposition is None:
+            transposition = (label, ctype, exponent, p)
+        elif p > 2 and (p <= n - 3 or (n == 5 and p == 3)) and small_cycle is None:
+            small_cycle = (label, ctype, exponent, p)
+    if transposition is not None:
+        return CycleTypeCertificate("S_n", primitivity, transposition)
+    if small_cycle is not None:
+        return CycleTypeCertificate("A_n or S_n", primitivity, small_cycle)
+    return None
 
 
 # ---------------------------------------------------------------------------

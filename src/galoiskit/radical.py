@@ -8,6 +8,19 @@ then one Kummer layer per stage, splitting prod(x**k_i - w) over the orbit
 of the radicand.  Every layer is the splitting field of an explicit
 rational polynomial, so the whole tower is normal over Q and its associated
 group chain has abelian quotients.
+
+The verdict proves non-solvability without building a field when Frobenius
+cycle types certify that the group of an irreducible f of degree n >= 5
+contains A_n (``permgroup.cycle_type_certificate``).  Factor degrees of f
+mod a good prime are the cycle type of a Frobenius element, so the group
+holds an element of every observed type.  It is primitive when n is prime
+or when some type is (1, n-1).  A type with exactly one cycle of prime
+length p, and no other length divisible by p, raised to the lcm of the
+other lengths is a single p-cycle.  By Jordan's theorems a primitive group
+with a transposition is S_n, and one with a p-cycle, p <= n - 3, contains
+A_n; at n = 5 a 3-cycle already forces A_5 or S_5.  A_n is perfect for
+n >= 5, so the derived series stalls at it and no radical formula exists.
+A SOLVABLE verdict always comes from an enumerated group.
 """
 
 import math
@@ -32,7 +45,7 @@ from .permgroup import (
     PermGroup,
     Permutation,
     UnitGroup,
-    closure,
+    cycle_type_certificate,
     find_embedding,
     is_normal,
     is_solvable,
@@ -432,10 +445,10 @@ def abelian_layer_embeddings(t: NormalRadicalTower, seed: int = DEFAULT_SEED):
 
 @dataclass(frozen=True)
 class CycleTypeEvidence:
-    """Frobenius cycle types of an irreducible quintic, sampled mod primes."""
+    """Frobenius cycle types of an irreducible polynomial, sampled mod primes."""
 
     samples: tuple  # of (prime, cycle type tuple)
-    certified_group: Optional[str]  # "S5" or "A5" when forced
+    certified_group: Optional[str]  # "Sn" or "An" (An or Sn) when forced
     conclusion: str  # "NOT_SOLVABLE" or "INCONCLUSIVE"
     detail: str = ""
 
@@ -446,6 +459,25 @@ class CycleTypeEvidence:
             "conclusion": self.conclusion,
             "detail": self.detail,
         }
+
+
+def _scan_cycle_types(sq: Polynomial, primes, seed):
+    """Frobenius cycle types of sq mod each good prime, until they certify
+    S_n; returns (samples, certificate or None)."""
+    samples = []
+    certificate = None
+    for prime in tuple(primes) if primes else DEFAULT_WITNESS_PRIMES:
+        try:
+            degrees = factor_degrees_mod_p(sq, prime, seed=seed)
+        except ZeroDivisionError:
+            degrees = None
+        if degrees is None:
+            continue
+        samples.append((prime, tuple(degrees)))
+        certificate = cycle_type_certificate(sq.degree, samples)
+        if certificate is not None and certificate.group == "S_n":
+            break
+    return tuple(samples), certificate
 
 
 def quintic_group_witness(p: Polynomial, primes=None,
@@ -468,35 +500,53 @@ def quintic_group_witness(p: Polynomial, primes=None,
         raise ValueError("the quintic witness needs a squarefree quintic")
     if not is_irreducible_over_Q(sq, seed=seed):
         raise ValueError("the quintic witness needs an irreducible quintic")
-    primes = tuple(primes) if primes else DEFAULT_WITNESS_PRIMES
-    samples = []
-    certified = None
-    for prime in primes:
-        try:
-            degrees = factor_degrees_mod_p(sq, prime, seed=seed)
-        except ZeroDivisionError:
-            degrees = None
-        if degrees is None:
-            continue
-        ctype = tuple(degrees)
-        samples.append((prime, ctype))
-        if ctype in ((2, 3), (1, 1, 1, 2)):
-            certified = "S5"
-            break
-        if ctype == (1, 1, 3) and certified is None:
-            certified = "A5"
+    samples, certificate = _scan_cycle_types(sq, primes, seed)
     if not samples:
         return CycleTypeEvidence((), None, "INCONCLUSIVE", "no usable prime in the configured list")
-    if certified == "S5":
+    if certificate is None:
+        return CycleTypeEvidence(
+            samples, None, "INCONCLUSIVE",
+            "all observed cycle types fit the solvable transitive subgroups of S5",
+        )
+    if certificate.group == "S_n":
         detail = f"cycle type {samples[-1][1]} mod {samples[-1][0]} occurs only in S5"
-        return CycleTypeEvidence(tuple(samples), "S5", "NOT_SOLVABLE", detail)
-    if certified == "A5":
-        detail = "a 3-cycle restricts the group to A5 or S5; both are non-solvable"
-        return CycleTypeEvidence(tuple(samples), "A5", "NOT_SOLVABLE", detail)
-    return CycleTypeEvidence(
-        tuple(samples), None, "INCONCLUSIVE",
-        "all observed cycle types fit the solvable transitive subgroups of S5",
-    )
+        return CycleTypeEvidence(samples, "S5", "NOT_SOLVABLE", detail)
+    detail = "a 3-cycle restricts the group to A5 or S5; both are non-solvable"
+    return CycleTypeEvidence(samples, "A5", "NOT_SOLVABLE", detail)
+
+
+def _jordan_witness(sq: Polynomial, primes, seed) -> Optional[CycleTypeEvidence]:
+    """NOT_SOLVABLE evidence for a squarefree sq of degree n >= 6 whose
+    cycle types certify a group containing A_n, or None.
+
+    Irreducibility, which makes the group transitive, is checked only once
+    the cycle types already certify; the power step is re-checked on an
+    explicit permutation.
+    """
+    n = sq.degree
+    samples, certificate = _scan_cycle_types(sq, primes, seed)
+    if certificate is None or not is_irreducible_over_Q(sq, seed=seed):
+        return None
+    prime, ctype, exponent, p = certificate.power
+    cycles = (Permutation.of_cycle_type(ctype) ** exponent).cycles()
+    record_check("cycle_type_witness.power_is_single_cycle",
+                 [len(c) for c in cycles] == [p],
+                 f"type {ctype} mod {prime} to the power {exponent}")
+    if certificate.primitivity is None:
+        reasons = [f"degree {n} is prime, so the transitive group is primitive"]
+    else:
+        reasons = [f"type {certificate.primitivity[1]} mod {certificate.primitivity[0]} "
+                   "makes the group 2-transitive, hence primitive"]
+    if p == 2:
+        reasons.append(f"type {ctype} mod {prime} to the power {exponent} is a transposition")
+        reasons.append(f"a primitive group with a transposition is S{n} (Jordan)")
+        group = f"S{n}"
+    else:
+        reasons.append(f"type {ctype} mod {prime} to the power {exponent} is a {p}-cycle")
+        reasons.append(f"a primitive group with a {p}-cycle contains A{n} (Jordan); "
+                       f"A{n} and S{n} are both non-solvable")
+        group = f"A{n}"
+    return CycleTypeEvidence(samples, group, "NOT_SOLVABLE", "; ".join(reasons))
 
 
 @dataclass(frozen=True)
@@ -507,9 +557,10 @@ class SolvabilityVerdict:
     certificate: Optional[ChainCertificate]
     quintic_evidence: Optional[CycleTypeEvidence]
     note: str
+    cycle_type_evidence: Optional[CycleTypeEvidence] = None  # degree >= 6
 
     def to_dict(self):
-        return {
+        out = {
             "verdict": self.verdict,
             "group_order": self.group_order,
             "derived_series_orders": list(self.derived_series_orders),
@@ -517,6 +568,9 @@ class SolvabilityVerdict:
             "quintic_witness": self.quintic_evidence.to_dict() if self.quintic_evidence else None,
             "note": self.note,
         }
+        if self.cycle_type_evidence is not None:
+            out["cycle_type_witness"] = self.cycle_type_evidence.to_dict()
+        return out
 
 
 _NECESSARY_NOTE = (
@@ -542,15 +596,11 @@ def necessary_condition_verdict(p: Polynomial, degree_cap: int = DEFAULT_DEGREE_
     if sq.degree == 5 and is_irreducible_over_Q(sq, seed=seed):
         evidence = quintic_group_witness(sq, primes=primes, seed=seed)
         if evidence.conclusion == "NOT_SOLVABLE":
-            series_orders, stalled = _abstract_stalled_series(evidence.certified_group)
-            return SolvabilityVerdict(
-                verdict="NOT_SOLVABLE_BY_RADICALS",
-                group_order=120 if evidence.certified_group == "S5" else None,
-                derived_series_orders=series_orders,
-                certificate=None,
-                quintic_evidence=evidence,
-                note=f"derived series stalls at a perfect subgroup of order {stalled}",
-            )
+            return _certified_verdict(5, evidence)
+    if sq.degree >= 6:
+        witness = _jordan_witness(sq, primes, seed)
+        if witness is not None:
+            return _certified_verdict(sq.degree, witness)
     e = splitting_field(sq, degree_cap=degree_cap, seed=seed)
     g = galois_group(e, seed=seed)
     solvable, series = is_solvable(g.perm_group())
@@ -575,15 +625,21 @@ def necessary_condition_verdict(p: Polynomial, degree_cap: int = DEFAULT_DEGREE_
     )
 
 
-def _abstract_stalled_series(certified: str):
-    """Derived series orders for the certified quintic group, computed by
-    enumeration on 5 points."""
-    transposition = Permutation((1, 0, 2, 3, 4))
-    five_cycle = Permutation((1, 2, 3, 4, 0))
-    s5 = closure([transposition, five_cycle])
-    _, series = is_solvable(s5)
-    if certified == "S5":
-        return tuple(h.order for h in series), series[-1].order
-    a5 = series[1]
-    _, series_a5 = is_solvable(a5)
-    return tuple(h.order for h in series_a5), series_a5[-1].order
+def _certified_verdict(n, evidence):
+    """NOT_SOLVABLE_BY_RADICALS for a group certified to be S_n, or to
+    contain A_n, with the derived series in closed form: S_n > A_n = A_n'
+    (is_solvable's convention repeats the perfect group), since closure
+    cannot enumerate these groups beyond order 5040.  The evidence is
+    reported as the quintic witness at n = 5."""
+    half = math.factorial(n) // 2
+    symmetric = evidence.certified_group == f"S{n}"
+    series = (2 * half, half, half) if symmetric else (half, half)
+    return SolvabilityVerdict(
+        verdict="NOT_SOLVABLE_BY_RADICALS",
+        group_order=2 * half if symmetric else None,
+        derived_series_orders=series,
+        certificate=None,
+        quintic_evidence=evidence if n == 5 else None,
+        note=f"derived series stalls at a perfect subgroup of order {half}",
+        cycle_type_evidence=None if n == 5 else evidence,
+    )

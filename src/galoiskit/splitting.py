@@ -20,6 +20,7 @@ from .numfield import (
     element_sort_key,
     factor_over_number_field,
 )
+from .permgroup import cycle_type_certificate
 from .poly import Polynomial, poly_squarefree_part
 from .qfactor import DEFAULT_SEED, factor_degrees_mod_p, factor_over_Q
 from .scalars import QQ
@@ -78,7 +79,7 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
     provable = math.lcm(bound, already)
     if provable > degree_cap:
         raise DegreeCapError(
-            f"splitting degree is provably >= {provable} (Frobenius element orders), "
+            f"splitting degree is provably >= {provable} (Frobenius cycle types), "
             f"beyond the cap {degree_cap}",
             attempted=provable, cap=degree_cap)
 
@@ -199,8 +200,6 @@ def _add_root(roots, r):
 # provable lower bound for early degree-cap refusal
 
 _BOUND_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-_QUINTIC_S5_TYPES = {(2, 3), (1, 1, 1, 2)}  # order-6 element / lone transposition
-_QUINTIC_A5_TYPES = {(1, 1, 3)}  # 3-cycle: A5 or S5
 
 
 def _splitting_degree_lower_bound(sq: Polynomial, seed: int) -> int:
@@ -209,17 +208,16 @@ def _splitting_degree_lower_bound(sq: Polynomial, seed: int) -> int:
     Factor degrees mod a good prime are the cycle type of a Frobenius
     element; the order of that element divides the group order, which equals
     the splitting degree.  Each irreducible rational factor's splitting
-    field sits normally inside the full one, so its bound divides too.  For
-    an irreducible quintic, a 3-cycle or larger odd pattern pins the group
-    to A5 or S5 (order >= 60).
+    field sits normally inside the full one, so its bound divides too.  When
+    the cycle types certify that a factor of degree n has group S_n, or A_n
+    or S_n (``permgroup.cycle_type_certificate``), its bound is n! or n!/2.
     """
     bound = 1
     for h, _ in factor_over_Q(sq, seed=seed).factors:
         if h.degree < 2:
             continue
-        orders = 1
-        good = 0
-        types = []
+        h_bound = 1
+        samples = []
         for prime in _BOUND_PRIMES:
             try:
                 degrees = factor_degrees_mod_p(h, prime, seed=seed)
@@ -227,17 +225,14 @@ def _splitting_degree_lower_bound(sq: Polynomial, seed: int) -> int:
                 degrees = None
             if degrees is None:
                 continue
-            types.append(tuple(degrees))
-            orders = math.lcm(orders, *degrees)
-            good += 1
-            if good >= 8:
+            samples.append((prime, tuple(degrees)))
+            h_bound = math.lcm(h_bound, *degrees)
+            if len(samples) >= 8:
                 break
-        h_bound = orders
-        if h.degree == 5:
-            if any(t in _QUINTIC_S5_TYPES for t in types):
-                h_bound = max(h_bound, 120)
-            elif any(t in _QUINTIC_A5_TYPES for t in types):
-                h_bound = max(h_bound, 60)
+        certificate = cycle_type_certificate(h.degree, samples)
+        if certificate is not None:
+            order = math.factorial(h.degree)
+            h_bound = math.lcm(h_bound, order if certificate.group == "S_n" else order // 2)
         bound = math.lcm(bound, h_bound)
     return bound
 

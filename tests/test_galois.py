@@ -281,6 +281,26 @@ class TestIntegerKernel:
                 substituted = a.rep_poly().map_coefficients(ext.coerce, ext)
                 assert g.apply(a) == substituted.evaluate(g.theta_image)
 
+    @pytest.mark.parametrize("name", ["x^3-2", "x^4+x+1"])
+    def test_fixed_field_primitive_matches_orbit_search(self, corpus_groups, name):
+        # oracle: the first basis element, then combination, whose full
+        # Fraction orbit has the subfield's degree
+        G = corpus_groups[name]
+        ext = G.field.ext
+        for H in all_subgroups(G.perm_group()):
+            idx = [G.index_of_perm(p) for p in H.elements]
+            B = fixed_field(G, idx)
+            candidates = [list(b) for b in B.basis]
+            for k in range(1, 40):
+                vec = [Fraction(0)] * ext.degree
+                for j, b in enumerate(B.basis):
+                    for i, c in enumerate(b):
+                        vec[i] += k ** j * c
+                candidates.append(vec)
+            expected = next(ext.from_rep(v) for v in candidates
+                            if len(orbit(G, ext.from_rep(v))) == B.degree)
+            assert B.primitive == expected
+
     def test_apply_and_orbit_poly_skip_field_multiply(self, corpus_groups, monkeypatch):
         G = corpus_groups["x^4+x+1"]
         ext = G.field.ext

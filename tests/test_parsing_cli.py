@@ -1,12 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import jsonschema
 import pytest
 
-from galoiskit import ParseError, numfield, qfactor
+from galoiskit import ParseError, numfield, permgroup, qfactor, radical
 from galoiskit.cli import (
     EXIT_DEGREE_CAP,
     EXIT_INPUT,
@@ -15,7 +16,7 @@ from galoiskit.cli import (
     REPORT_SCHEMA,
     main,
 )
-from galoiskit.parsing import evaluate_in_field, parse_poly
+from galoiskit.parsing import MAX_INPUT_BITS, MAX_INPUT_DEGREE, evaluate_in_field, parse_poly
 from galoiskit.poly import render_poly
 from galoiskit.splitting import splitting_field
 
@@ -62,6 +63,25 @@ class TestParsePoly:
         with pytest.raises(ParseError):
             parse_poly("x^(1/2)")
 
+    @pytest.mark.parametrize("text, column", [
+        ("x^3000000+1", 3),
+        ("(x+1)^1000", 7),
+        ("x^2 + (x^2+1)^129", 15),
+        ("2^5000", 3),
+        ("(1/3)^2600", 7),
+    ])
+    def test_power_beyond_input_limit_rejected(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert err.value.column == column
+        assert "input limit" in err.value.reason
+
+    def test_powers_at_the_limit_accepted(self):
+        assert parse_poly(f"x^{MAX_INPUT_DEGREE}").degree == MAX_INPUT_DEGREE
+        assert parse_poly(f"(x^2+1)^{MAX_INPUT_DEGREE // 2}").degree == MAX_INPUT_DEGREE
+        assert parse_poly(f"2^{MAX_INPUT_BITS}").coeff(0) == 2 ** MAX_INPUT_BITS
+        assert parse_poly("1^99999999 + 0^99999999 + (-1)^99999999").coeff(0) == 0
+
     def test_roundtrip_render(self):
         for text in ("x^5 - x - 1", "2*x^3 + 1/2*x - 7", "x", "-3"):
             p = parse_poly(text)
@@ -69,6 +89,17 @@ class TestParsePoly:
 
 
 class TestRadicandEvaluation:
+    def test_power_beyond_input_limit_rejected(self):
+        e = splitting_field(P(-2, 0, 1))
+        env = {"r1": e.roots[1]}
+        with pytest.raises(ParseError) as err:
+            evaluate_in_field("1 + r1^300", e.field.ext, env)
+        assert err.value.column == 8
+        with pytest.raises(ParseError) as err:
+            evaluate_in_field("(r1^2)^5000", e.field.ext, env)
+        assert err.value.column == 8
+        assert evaluate_in_field("(r1^2)^10", e.field.ext, env) == 1024
+
     def test_environment_names(self):
         e = splitting_field(P(-2, 0, 1))
         s2 = e.roots[1]
@@ -133,6 +164,38 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert str(error) in err
         assert "Traceback" not in err
+
+    def test_closure_limit_exit_4(self, monkeypatch, capsys):
+        # the closure bound is an engine limit, not bad input.  No command
+        # reaches it today (subgroups of an enumerated group stay within its
+        # order), so the verdict rebuilds its group from generators here
+        monkeypatch.setattr(permgroup, "MAX_CLOSURE_ORDER", 10)
+        monkeypatch.setattr(radical, "is_solvable", lambda g: permgroup.is_solvable(
+            permgroup.closure(g.generators, degree=g.degree)))
+        assert run_cli("solvable", "x^4+x+1") == EXIT_SOUNDNESS
+        err = capsys.readouterr().err
+        assert "engine limit reached: group order exceeds the bound 10" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("poly, group, primes", [
+        ("x^6+x+1", "S6", (7, 3)),
+        ("x^6-x-1", "S6", (5, 17)),
+        ("x^7-x-1", "S7", (3,)),
+    ])
+    def test_non_solvable_beyond_quintics_answered_at_once(self, capsys, poly, group, primes):
+        started = time.perf_counter()
+        out, report = cli_json(capsys, "solvable", poly)
+        result = report["result"]
+        assert result["verdict"] == "NOT_SOLVABLE_BY_RADICALS"
+        witness = result["cycle_type_witness"]
+        assert witness["certified_group"] == group
+        for prime in primes:
+            assert f"mod {prime} " in witness["detail"]
+            assert prime in [s["prime"] for s in witness["samples"]]
+        assert report["assertions"] == [
+            {"name": "cycle_type_witness.power_is_single_cycle", "passed": True, "count": 1}]
+        assert run_cli("group", poly) == EXIT_DEGREE_CAP
+        assert time.perf_counter() - started < 2
 
     def test_primitive_search_exhausted_exit_4(self, monkeypatch, capsys):
         # an exhausted primitive-element search is an engine limit, not bad input

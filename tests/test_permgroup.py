@@ -11,15 +11,18 @@ from galoiskit.permgroup import (
     aut_cyclic,
     closure,
     coset_representatives,
+    cycle_type_certificate,
     cyclic_subgroups,
     derived_subgroup,
     find_embedding,
     is_abelian,
     is_normal,
     is_solvable,
+    single_cycle_power,
     solvable_via_abelian_chain,
     unit_group,
 )
+from galoiskit.errors import GroupOrderLimitError
 
 
 def s_n(n):
@@ -48,6 +51,13 @@ class TestClosure:
         with pytest.raises(ValueError):
             s8 = closure([Permutation([1, 0] + list(range(2, 8))),
                           Permutation(list(range(1, 8)) + [0])])
+
+    def test_order_bound_is_an_engine_limit(self, monkeypatch):
+        from galoiskit import permgroup
+
+        monkeypatch.setattr(permgroup, "MAX_CLOSURE_ORDER", 5)
+        with pytest.raises(GroupOrderLimitError, match="bound 5"):
+            closure([Permutation((1, 2, 0)), Permutation((1, 0, 2))])
 
     def test_closure_idempotent(self):
         g = s_n(4)
@@ -299,3 +309,153 @@ class TestSubgroupEnumeration:
         cyc = cyclic_subgroups(s4)
         allsub = {g.element_set for g in all_subgroups(s4)}
         assert all(c.element_set in allsub for c in cyc)
+
+
+# ---------------------------------------------------------------------------
+# cycle-type certificates
+
+
+def cycle_types(n, largest=None):
+    """Every cycle type of S_n, as an ascending tuple of lengths."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in cycle_types(n - first, first):
+            yield rest + (first,)
+
+
+def type_of(perm):
+    lengths = [len(c) for c in perm.cycles()]
+    return tuple(sorted([1] * (perm.degree - sum(lengths)) + lengths))
+
+
+def is_prime(m):
+    return m >= 2 and all(m % q for q in range(2, m))
+
+
+def perm_on(points, f):
+    index = {x: i for i, x in enumerate(points)}
+    return Permutation([index[f(x)] for x in points])
+
+
+def affine_line(p, g):
+    """AGL(1, p): x -> x + 1 and x -> g*x on F_p."""
+    points = list(range(p))
+    return closure([perm_on(points, lambda x: (x + 1) % p),
+                    perm_on(points, lambda x: g * x % p)])
+
+
+def projective_line(q, scale):
+    """x -> x + 1, x -> scale*x, x -> -1/x on F_q and infinity (None): PGL(2, q)
+    for a generator scale of F_q*, PSL(2, q) for a generator of the squares."""
+    points = list(range(q)) + [None]
+
+    def invert(x):
+        if x is None:
+            return 0
+        return None if x == 0 else -pow(x, -1, q) % q
+
+    return closure([perm_on(points, lambda x: None if x is None else (x + 1) % q),
+                    perm_on(points, lambda x: None if x is None else scale * x % q),
+                    perm_on(points, invert)])
+
+
+def linear_f2_cube(affine):
+    """GL(3, 2) on the 7 nonzero vectors of F_2^3, or AGL(3, 2) on all 8."""
+
+    def linear(images):
+        def f(v):
+            out = 0
+            for bit, image in enumerate(images):
+                if v >> bit & 1:
+                    out ^= image
+            return out
+        return f
+
+    points = list(range(0 if affine else 1, 8))
+    gens = [linear((1, 3, 4)), linear((2, 4, 1))]
+    if affine:
+        gens.append(lambda v: v ^ 1)
+    return closure([perm_on(points, f) for f in gens])
+
+
+def alternating(n):
+    long_cycle = list(range(1, n)) + [0] if n % 2 else [0] + list(range(2, n)) + [1]
+    return closure([Permutation([1, 2, 0] + list(range(3, n))), Permutation(long_cycle)])
+
+
+# transitive groups of degree n that do not contain A_n, with their orders
+SMALL_TRANSITIVE = [
+    ("C5", lambda: closure([Permutation((1, 2, 3, 4, 0))]), 5),
+    ("D5", lambda: closure([Permutation((1, 2, 3, 4, 0)), Permutation((0, 4, 3, 2, 1))]), 10),
+    ("F20", lambda: affine_line(5, 2), 20),
+    ("C6", lambda: closure([Permutation((1, 2, 3, 4, 5, 0))]), 6),
+    ("S3 wr C2", lambda: closure([Permutation((1, 0, 2, 3, 4, 5)), Permutation((1, 2, 0, 3, 4, 5)),
+                                  Permutation((3, 4, 5, 0, 1, 2))]), 72),
+    ("PSL(2,5)", lambda: projective_line(5, 4), 60),
+    ("PGL(2,5)", lambda: projective_line(5, 2), 120),
+    ("F42", lambda: affine_line(7, 3), 42),
+    ("GL(3,2)", lambda: linear_f2_cube(False), 168),
+    ("PSL(2,7)", lambda: projective_line(7, 2), 168),
+    ("PGL(2,7)", lambda: projective_line(7, 3), 336),
+    ("AGL(3,2)", lambda: linear_f2_cube(True), 1344),
+]
+
+
+class TestCycleTypeCertificate:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_single_cycle_power_matches_permutation_powers(self, n):
+        for ctype in cycle_types(n):
+            perm = Permutation.of_cycle_type(ctype)
+            assert type_of(perm) == ctype
+            powers = {}  # prime length -> first exponent giving that single cycle
+            q = Permutation.identity(n)
+            for e in range(1, perm.order() + 1):
+                q = q * perm
+                lengths = [len(c) for c in q.cycles()]
+                if len(lengths) == 1 and is_prime(lengths[0]):
+                    powers.setdefault(lengths[0], e)
+            claim = single_cycle_power(ctype)
+            if claim is None:
+                assert not powers, ctype
+                continue
+            exponent, p = claim
+            assert p == min(powers), ctype
+            assert [len(c) for c in (perm ** exponent).cycles()] == [p], ctype
+            q = Permutation.identity(n)
+            for _ in range(exponent):
+                q = q * perm
+            assert q == perm ** exponent
+
+    @pytest.mark.parametrize("name, build, order", SMALL_TRANSITIVE,
+                             ids=[g[0] for g in SMALL_TRANSITIVE])
+    def test_no_certificate_without_alternating_group(self, name, build, order):
+        g = build()
+        assert g.order == order
+        types = sorted({type_of(p) for p in g.elements})
+        assert cycle_type_certificate(g.degree, list(enumerate(types))) is None
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_symmetric_and_alternating_certified(self, n):
+        a_n = alternating(n)
+        assert a_n.order == math.factorial(n) // 2
+        types = sorted({type_of(p) for p in a_n.elements})
+        cert = cycle_type_certificate(n, list(enumerate(types)))
+        assert cert.group == "A_n or S_n"
+        assert (n - 3 >= cert.power[3] > 2) or (n == 5 and cert.power[3] == 3)
+        s_types = sorted({type_of(p) for p in s_n(n).elements})
+        cert = cycle_type_certificate(n, list(enumerate(s_types)))
+        assert cert.group == "S_n"
+        assert cert.power[3] == 2
+
+    def test_certificate_names_its_proof(self):
+        cert = cycle_type_certificate(6, [(2, (6,)), (3, (1, 2, 3)), (5, (3, 3)), (7, (1, 5))])
+        assert cert.group == "S_n"
+        assert cert.primitivity == (7, (1, 5))
+        assert cert.power == (3, (1, 2, 3), 3, 2)
+        # without a (1, n-1) type a composite degree gives no primitivity
+        assert cycle_type_certificate(6, [(3, (1, 2, 3))]) is None
+        # a prime degree is primitive by itself
+        cert = cycle_type_certificate(7, [(3, (2, 5))])
+        assert cert.primitivity is None and cert.power == (3, (2, 5), 5, 2)

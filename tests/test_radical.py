@@ -251,11 +251,107 @@ class TestVerdicts:
         assert v.derived_series_orders == (2, 1)
 
     def test_degree_cap_propagates(self):
-        # degree-6 polynomial with S6-sized splitting field cannot use the
-        # quintic fast path and must refuse at the cap
+        # x^6-2 (group D6, order 12) has no cycle-type certificate, so the
+        # verdict must build its splitting field and refuse at the cap
         with pytest.raises(DegreeCapError):
-            necessary_condition_verdict(P(1, 1, 0, 0, 0, 0, 1), degree_cap=20)
+            necessary_condition_verdict(P(-2, 0, 0, 0, 0, 0, 1), degree_cap=10)
+
+    def test_sextic_certified_without_building_a_field(self, monkeypatch):
+        # x^6+x+1 has group S6 (order 720): the cycle-type certificate
+        # decides it even under a cap of 20, and no field is built
+        from galoiskit import radical
+
+        def no_field(*args, **kwargs):
+            raise AssertionError("splitting field built")
+
+        monkeypatch.setattr(radical, "splitting_field", no_field)
+        v = necessary_condition_verdict(P(1, 1, 0, 0, 0, 0, 1), degree_cap=20)
+        assert v.verdict == "NOT_SOLVABLE_BY_RADICALS"
+        assert v.group_order == 720
+        assert v.derived_series_orders == (720, 360, 360)
+        assert v.quintic_evidence is None
+        ev = v.cycle_type_evidence
+        assert ev.certified_group == "S6"
+        assert (7, (1, 5)) in ev.samples and (3, (1, 2, 3)) in ev.samples
+        assert "mod 7" in ev.detail and "mod 3" in ev.detail
+        assert v.to_dict()["cycle_type_witness"] == ev.to_dict()
+
+    def test_a_n_certificate_has_no_group_order(self):
+        # x^6+24x-20 has group A6: primitive by (1,5), a single 3-cycle from
+        # a (1,1,1,3) type, and never a transposition
+        v = necessary_condition_verdict(P(-20, 24, 0, 0, 0, 0, 1))
+        assert v.verdict == "NOT_SOLVABLE_BY_RADICALS"
+        assert v.group_order is None
+        assert v.derived_series_orders == (360, 360)
+        assert v.cycle_type_evidence.certified_group == "A6"
+
+    def test_reports_without_certificate_lack_the_key(self):
+        for poly in (P(-2, 0, 0, 0, 0, 0, 1), P(-1, -1, 0, 0, 0, 1)):
+            assert "cycle_type_witness" not in necessary_condition_verdict(poly).to_dict()
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             necessary_condition_verdict(P(3))
+
+
+# sextics with their groups, as named by sympy (S6TransitiveSubgroups)
+SEXTICS = [
+    ((1, 1, 0, 0, 0, 0, 1), "S6"),
+    ((-1, -1, 0, 0, 0, 0, 1), "S6"),
+    ((5, -3, 0, 2, 0, 0, 1), "S6"),
+    ((-20, 24, 0, 0, 0, 0, 1), "A6"),
+    ((-2, 0, 0, 0, 0, 0, 1), "D6"),
+    ((3, 0, 0, 3, 0, 0, 1), "G18"),
+    ((-1, 0, -3, 0, 0, 0, 1), "A4"),
+    ((1, 1, 1, 1, 1, 1, 1), "C6"),
+]
+
+
+def _random_sextics(count, seed=6):
+    import random
+
+    from galoiskit.qfactor import is_irreducible_over_Q
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        ints = tuple(rng.randint(-5, 5) for _ in range(6)) + (1,)
+        if is_irreducible_over_Q(P(*ints)):
+            out.append(ints)
+    return out
+
+
+class TestCycleTypeWitnessAgainstSympy:
+    """The certificate never claims more than sympy's group, and finds
+    S6 and A6 on these inputs."""
+
+    @pytest.mark.parametrize("ints, name", SEXTICS, ids=[n for _, n in SEXTICS])
+    def test_known_sextics(self, ints, name):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.numberfields.galoisgroups import galois_group
+
+        x = sympy.Symbol("x")
+        group, _ = galois_group(sympy.Poly(list(reversed(ints)), x), by_name=True)
+        assert group.name == name
+        self._agree(ints, name)
+
+    def test_random_sextics(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.numberfields.galoisgroups import galois_group
+
+        x = sympy.Symbol("x")
+        for ints in _random_sextics(12):
+            group, _ = galois_group(sympy.Poly(list(reversed(ints)), x), by_name=True)
+            self._agree(ints, group.name)
+
+    @staticmethod
+    def _agree(ints, name):
+        # under a cap of 1 any verdict that builds a field is refused, so a
+        # returned verdict came from the certificate alone
+        try:
+            v = necessary_condition_verdict(P(*ints), degree_cap=1)
+        except DegreeCapError:
+            assert name not in ("S6", "A6"), ints
+            return
+        assert v.verdict == "NOT_SOLVABLE_BY_RADICALS"
+        assert v.cycle_type_evidence.certified_group == name, ints

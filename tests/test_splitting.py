@@ -2,9 +2,14 @@ import pytest
 
 from galoiskit import DegreeCapError
 from galoiskit.numfield import minimal_polynomial
-from galoiskit.splitting import splitting_degree, splitting_field
+from galoiskit.splitting import (
+    _splitting_degree_lower_bound,
+    splitting_degree,
+    splitting_field,
+)
 
 from helpers import P
+from test_goldens import GOLDEN, _poly
 
 
 class TestSplittingDegrees:
@@ -102,3 +107,18 @@ class TestDegreeCap:
         with pytest.raises(DegreeCapError) as err:
             splitting_field(P(-1, -1, 0, 0, 0, 1))
         assert "provably" in str(err.value)
+
+    @pytest.mark.parametrize("label,ints,degree", [g[:3] for g in GOLDEN],
+                             ids=[g[0] for g in GOLDEN])
+    def test_lower_bound_divides_golden_degree(self, label, ints, degree):
+        assert degree % _splitting_degree_lower_bound(_poly(label, ints), seed=1) == 0
+
+    @pytest.mark.parametrize("ints, bound", [
+        ((1, 1, 0, 0, 0, 0, 1), 720),  # x^6+x+1: S6
+        ((-20, 24, 0, 0, 0, 0, 1), 360),  # x^6+24x-20: A6
+        ((-1, -1, 0, 0, 0, 0, 0, 1), 5040),  # x^7-x-1: S7
+    ])
+    def test_certified_groups_refused_at_once(self, ints, bound):
+        with pytest.raises(DegreeCapError) as err:
+            splitting_field(P(*ints))
+        assert err.value.attempted == bound
