@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     SoundnessError,
 )
-from .galois import fixed_field, galois_group, orbit_min_poly, subgroup_fixing
+from .galois import _subgroup_generators, fixed_field, galois_group, orbit_min_poly, subgroup_fixing
 from .numfield import DEFAULT_DEGREE_CAP, minimal_polynomial
 from .parsing import evaluate_in_field, parse_poly
 from .poly import render_poly
@@ -160,15 +160,7 @@ def _cmd_split(args, settings):
 
 def _group_data(g):
     perms = [a.root_permutation for a in g.automorphisms]
-    gens = []
-    span = {g.identity_index}
-    for i in range(g.order):
-        if i in span:
-            continue
-        gens.append(i)
-        span = set(g.subgroup_indices_closure(gens))
-        if len(span) == g.order:
-            break
+    gens = _subgroup_generators(g, range(g.order))
     return {
         "order": g.order,
         "identity_index": g.identity_index,

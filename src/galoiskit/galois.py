@@ -25,13 +25,12 @@ from operator import mul
 
 from .checks import record_check
 from .errors import SoundnessError
-from .linalg import nullspace, solve_columns
+from .linalg import SpanSolver, nullspace
 from .numfield import (
     ExtElement,
     _clear_denominators,
     element_sort_key,
     minimal_polynomial,
-    q_coords,
     roots_in_field,
 )
 from .permgroup import PermGroup, Permutation, closure, is_normal
@@ -328,8 +327,10 @@ class IntermediateField:
     basis: tuple  # rational coordinate vectors spanning B as a Q-subspace
 
     def contains(self, element) -> bool:
-        cols = [list(b) for b in self.basis]
-        return solve_columns(cols, list(q_coords(element)), QQ) is not None
+        span = SpanSolver()
+        for b in self.basis:
+            span.insert(b)
+        return span.insert(element.coeffs) is not None
 
     def __repr__(self):
         return f"IntermediateField(degree={self.degree})"

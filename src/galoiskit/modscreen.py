@@ -9,7 +9,7 @@ independent of the prime chosen here.
 
 from fractions import Fraction
 
-from .qfactor import _trim, _zp_mod, _zp_mul
+from .qfactor import _trim, _zp_add, _zp_ext_gcd, _zp_mod, _zp_mul, _zp_powmod
 
 _SCREEN_PRIMES = (1048583, 1048589, 1048601, 1048609, 1048613, 1048627, 1048633)
 
@@ -41,52 +41,23 @@ class ModImage:
     def mul(self, a, b):
         return _zp_mod(_zp_mul(a, b, self.prime), self.modulus, self.prime)
 
-    def add(self, a, b):
-        p = self.prime
-        out = [0] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] = c
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
-        return _trim(out)
-
     def neg(self, a):
         return [(-c) % self.prime for c in a]
 
     def inv(self, a):
         """Ring inverse; raises ZeroDivisionError when a is a zero divisor."""
-        p = self.prime
-        r0, r1 = list(self.modulus), list(a)
-        t0, t1 = [], [1]
-        from .qfactor import _zp_divmod, _zp_sub
-
-        while r1:
-            q, r = _zp_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            t0, t1 = t1, _zp_sub(t0, _zp_mul(q, t1, p), p)
-        if len(r0) != 1:
-            raise ZeroDivisionError("non-invertible residue mod p")
-        inv = pow(r0[0], -1, p)
-        return _trim([c * inv % p for c in t0])
+        return _zp_ext_gcd(a, self.modulus, self.prime)[0]
 
     def pow(self, a, k):
         if k < 0:
             return self.pow(self.inv(a), -k)
-        result = [1]
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            k >>= 1
-            if k:
-                base = self.mul(base, base)
-        return result
+        return _zp_powmod(a, k, self.modulus, self.prime)
 
     def eval_poly(self, coeff_images, v):
         """Horner evaluation of a polynomial given by element images."""
         acc = []
         for c in reversed(coeff_images):
-            acc = self.add(self.mul(acc, v), c)
+            acc = _zp_add(self.mul(acc, v), c, self.prime)
         return acc
 
 

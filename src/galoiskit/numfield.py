@@ -1,10 +1,9 @@
 """Arithmetic in finite extensions of Q.
 
-Extensions are quotient constructions F[x]/(m) for a monic irreducible m;
-iterated construction gives towers, which are flattened to a primitive
-element so that every working field is an absolute field Q(theta).  All
-downstream modules operate on absolute fields; towers are a construction
-device that remembers where each generator went.
+Every field is a quotient Q[x]/(m) for a monic irreducible m over Q.  A
+tower of adjunctions is flattened at each stage to a primitive element, so
+every working field is an absolute field Q(theta); towers are a
+construction device that remembers where each generator went.
 """
 
 from fractions import Fraction
@@ -12,7 +11,7 @@ from math import lcm
 
 from .checks import record_check
 from .errors import DegreeCapError, FieldMismatchError, PrimitiveSearchError
-from .linalg import SpanSolver, solve_many_columns
+from .linalg import SpanSolver
 from .poly import (
     Polynomial,
     poly_extended_gcd,
@@ -35,7 +34,7 @@ class ExtElement:
 
     def __init__(self, field, coeffs):
         self.field = field
-        self.coeffs = coeffs  # tuple, length == field.degree, base elements
+        self.coeffs = coeffs  # tuple of Fractions, length == field.degree
 
     def _other(self, x):
         if isinstance(x, ExtElement):
@@ -127,14 +126,11 @@ class ExtElement:
         return any(self.coeffs)
 
     def rep_poly(self):
-        """Residue representation as a polynomial over the base field."""
+        """Residue representation as a polynomial over Q."""
         return Polynomial(self.field.base, self.coeffs)
 
-    def q_coords(self):
-        return q_coords(self)
-
     def sort_key(self):
-        return q_coords(self)
+        return self.coeffs
 
     def __repr__(self):
         from .poly import render_poly
@@ -143,11 +139,13 @@ class ExtElement:
 
 
 class ExtensionField:
-    """F[x]/(m): residues modulo a monic polynomial m over the field below."""
+    """Q[x]/(m): residues modulo a monic polynomial m over Q."""
 
     characteristic = 0
 
     def __init__(self, base, modulus: Polynomial, gen_name: str = "a"):
+        if base != QQ:
+            raise ValueError(f"extension fields are built over QQ only, not {base!r}")
         if modulus.field != base:
             raise FieldMismatchError("modulus must live over the base field")
         if modulus.degree < 1:
@@ -157,56 +155,30 @@ class ExtensionField:
         self.degree = modulus.degree
         self.gen_name = gen_name
         self.name = f"{base.name}[{gen_name}]"
-        n = self.degree
-        # reduction rows: x**(n+j) mod modulus as padded coefficient tuples
-        rows = []
-        if n >= 1:
-            row = tuple(-self.modulus.coeff(i) for i in range(n))
-            for _ in range(n - 1):
-                rows.append(row)
-                shifted = (base.zero,) + row[:-1]
-                top = row[-1]
-                if top:
-                    row = tuple(s + top * r for s, r in zip(shifted, rows[0]))
-                else:
-                    row = shifted
-        self._reduction_rows = rows
         self._hash = hash(("galoiskit.Ext", base, self.modulus.coeffs))
-        # integer fast path for absolute fields: reduction rows over a
-        # single common denominator
-        self._int_rows = None
-        if base is QQ or isinstance(base, type(QQ)):
-            d = 1
-            for row in rows:
-                for c in row:
-                    d = lcm(d, c.denominator)
-            self._int_rows = (
-                [tuple(c.numerator * (d // c.denominator) for c in row) for row in rows],
-                d,
-            )
+        # reduction rows x**(n+j) mod modulus, j < n-1, as integer rows over
+        # one common denominator d
+        n = self.degree
+        rows = []
+        row = tuple(-self.modulus.coeff(i) for i in range(n))
+        for _ in range(n - 1):
+            rows.append(row)
+            shifted = (Fraction(0),) + row[:-1]
+            top = row[-1]
+            row = tuple(s + top * r for s, r in zip(shifted, rows[0])) if top else shifted
+        d = lcm(1, *(c.denominator for row in rows for c in row))
+        self._int_rows = (
+            [tuple(c.numerator * (d // c.denominator) for c in row) for row in rows],
+            d,
+        )
 
     def _pad(self, coeffs):
         return tuple(coeffs) + (self.base.zero,) * (self.degree - len(coeffs))
 
     def _mul(self, a, b):
-        n = self.degree
-        if n == 1:
+        if self.degree == 1:
             return (a[0] * b[0],)
-        if self._int_rows is not None:
-            return self._mul_qq(a, b)
-        conv = [self.base.zero] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] = conv[i + j] + ai * bj
-        out = conv[:n]
-        for j in range(n - 1):
-            c = conv[n + j]
-            if c:
-                row = self._reduction_rows[j]
-                out = [o + c * r for o, r in zip(out, row)]
-        return tuple(out)
+        return self._mul_qq(a, b)
 
     def _mul_qq(self, a, b):
         """Integer-kernel multiplication: one gcd per output coefficient."""
@@ -257,11 +229,7 @@ class ExtensionField:
         if isinstance(x, ExtElement):
             if x.field is self or x.field == self:
                 return x
-            if x.field == self.base or x.field is self.base:
-                return ExtElement(self, self._pad((x,)))
             raise FieldMismatchError("cannot coerce element of an unrelated field")
-        if isinstance(x, (int, Fraction)):
-            return ExtElement(self, self._pad((self.base.coerce(x),)))
         try:
             return ExtElement(self, self._pad((self.base.coerce(x),)))
         except TypeError:
@@ -274,12 +242,7 @@ class ExtensionField:
         return ExtElement(self, self._pad(tuple(coeffs)))
 
     def sort_key(self, x):
-        return q_coords(x)
-
-    @property
-    def degree_over_q(self):
-        base = self.base
-        return self.degree * (base.degree_over_q if isinstance(base, ExtensionField) else 1)
+        return x.coeffs
 
     def __eq__(self, other):
         if self is other:
@@ -287,7 +250,6 @@ class ExtensionField:
         return (
             isinstance(other, ExtensionField)
             and other.degree == self.degree
-            and other.base == self.base
             and other.modulus.coeffs == self.modulus.coeffs
         )
 
@@ -299,15 +261,8 @@ class ExtensionField:
 
 
 def q_coords(x):
-    """Rational coordinates of x with respect to the nested power basis."""
-    if isinstance(x, Fraction):
-        return (x,)
-    if isinstance(x, ExtElement):
-        out = []
-        for c in x.coeffs:
-            out.extend(q_coords(c))
-        return tuple(out)
-    raise TypeError(f"no rational coordinates for {x!r}")
+    """Rational coordinates of x with respect to the power basis."""
+    return x.coeffs
 
 
 def _clear_denominators(coeffs):
@@ -321,7 +276,7 @@ def _clear_denominators(coeffs):
 
 def element_sort_key(x):
     """Canonical ordering key: ascending residue coefficient vector."""
-    return q_coords(x)
+    return x.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -444,33 +399,41 @@ def _flatten(cur: AbsoluteField, m: Polynomial, name: str) -> AbsoluteField:
             theta_prev_image=theta_prev,
             prev_degree=1,
         )
-    work = ExtensionField(cur.ext, m, name)
-    theta_prev_w = work.coerce(cur.theta)
-    gen_w = work.gen
+    # powers of theta_old + c*y live in cur.ext[y]/(m); their rational
+    # coordinates are the y-coefficients' coordinates in d blocks
+    F = cur.ext
+    y = Polynomial.x(F)
+    theta_old = Polynomial.constant(F, cur.theta)
+    zero_block = (Fraction(0),) * base_deg
+
+    def coords(p):
+        out = []
+        for e in p.coeffs:
+            out.extend(e.coeffs)
+        return tuple(out) + zero_block * (d - len(p.coeffs))
+
     for c in _signed_range(PRIMITIVE_SEARCH_RANGE):
-        cand = theta_prev_w + gen_w * c
-        span = SpanSolver(QQ)
-        cols = []
-        power = work.one
+        cand = theta_old + y * c
+        span = SpanSolver()
+        power = Polynomial.one(F)
         independent = True
         for _ in range(n):
-            coords = q_coords(power)
-            if span.insert(coords) is not None:
+            if span.insert(coords(power)) is not None:
                 independent = False
                 break
-            cols.append(coords)
-            power = power * cand
+            power = (power * cand) % m
         if not independent:
             continue
-        top = span.insert(q_coords(power))
+        top = span.insert(coords(power))
         if top is None:
             raise PrimitiveSearchError("power basis inconsistent (internal)")
         min_poly = Polynomial(QQ, [-t for t in top] + [Fraction(1)])
         new_ext = ExtensionField(QQ, min_poly, "a")
-        targets = [work.coerce(img) for img in cur.gen_images] + [gen_w, theta_prev_w]
-        solved = solve_many_columns(cols, [q_coords(t) for t in targets], QQ)
+        # the n powers span the whole space, so each target has one expression
+        targets = [Polynomial.constant(F, img) for img in cur.gen_images] + [y, theta_old]
         images = []
-        for x in solved:
+        for t in targets:
+            x = span.insert(coords(t))
             if x is None:
                 raise PrimitiveSearchError("generator image escaped the power basis (internal)")
             images.append(new_ext.from_rep(x))
@@ -492,11 +455,6 @@ def _signed_range(limit):
         yield -k
 
 
-def primitive_element(tower: FieldTower) -> AbsoluteField:
-    """The flattened form of a tower (maintained at every adjunction)."""
-    return tower.absolute
-
-
 def minimal_polynomial(a) -> Polynomial:
     """Monic minimal polynomial of a over Q by linear algebra on powers.
 
@@ -507,11 +465,10 @@ def minimal_polynomial(a) -> Polynomial:
         return Polynomial(QQ, [-Fraction(a), Fraction(1)])
     if not isinstance(a, ExtElement):
         raise TypeError(f"cannot take a minimal polynomial of {a!r}")
-    bound = a.field.degree_over_q
-    span = SpanSolver(QQ)
+    span = SpanSolver()
     power = a.field.one
-    for _ in range(bound + 1):
-        x = span.insert(q_coords(power))
+    for _ in range(a.field.degree + 1):
+        x = span.insert(power.coeffs)
         if x is not None:
             return Polynomial(QQ, [-c for c in x] + [Fraction(1)])
         power = power * a
@@ -530,7 +487,7 @@ def norm_polynomial(g: Polynomial) -> Polynomial:
     representation of g evaluated at the point.
     """
     F = g.field
-    if not isinstance(F, ExtensionField) or F.base != QQ:
+    if not isinstance(F, ExtensionField):
         raise ValueError("norm_polynomial expects a polynomial over an absolute field")
     n = F.degree
     d = g.degree
@@ -625,8 +582,6 @@ def factor_over_number_field(p: Polynomial, seed: int = DEFAULT_SEED) -> Factori
         raise ValueError("factor_over_number_field expects an extension-field polynomial")
     if p.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    if F.base != QQ:
-        raise ValueError("factor_over_number_field expects an absolute field (base Q)")
     unit = p.lc
     if p.degree == 0:
         return Factorization(unit, ())

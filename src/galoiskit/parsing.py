@@ -9,9 +9,11 @@ Grammar (shared):
 
 Polynomials use the single variable ``x``; radicands use the names bound in
 the caller's environment (previously adjoined radicals ``r1``, ``r2``, ...).
-Division is exact and only by nonzero constants.  A power is refused
-before it is computed when its degree would exceed MAX_INPUT_DEGREE or a
-numeric power would exceed MAX_INPUT_BITS.  Errors carry a 1-based column.
+Division is exact and only by nonzero constants.  An integer literal
+(number or exponent) above MAX_INPUT_BITS bits is refused before it is
+converted, and a power is refused before it is computed when its degree
+would exceed MAX_INPUT_DEGREE or a numeric power would exceed
+MAX_INPUT_BITS.  Errors carry a 1-based column.
 """
 
 import math
@@ -26,6 +28,8 @@ from .scalars import QQ
 # enough that building the parsed value stays cheap
 MAX_INPUT_DEGREE = 256
 MAX_INPUT_BITS = 4096
+# a literal with more digits than 2**MAX_INPUT_BITS has is refused unread
+_MAX_LITERAL_DIGITS = len(str(2 ** MAX_INPUT_BITS))
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
 
@@ -120,13 +124,13 @@ class _Parser:
             if etok.kind != "int":
                 self.error("exponent must be a nonnegative integer literal", etok)
             self.take()
-            v = self.alg.pow(v, int(etok.text), etok.pos + 1)
+            v = self.alg.pow(v, _literal_value(etok), etok.pos + 1)
         return v
 
     def atom(self):
         tok = self.take()
         if tok.kind == "int":
-            return self.alg.number(int(tok.text))
+            return self.alg.number(_literal_value(tok))
         if tok.kind == "name":
             return self.alg.name(tok.text, tok.pos + 1)
         if tok.kind == "op" and tok.text == "(":
@@ -222,6 +226,17 @@ class _ElementAlgebra:
         if not b:
             raise ParseError("division by zero", col)
         return a / b
+
+
+def _literal_value(tok):
+    """The value of an integer literal token, refused above MAX_INPUT_BITS bits."""
+    digits = tok.text.lstrip("0") or "0"
+    value = int(digits) if len(digits) <= _MAX_LITERAL_DIGITS else None
+    if value is None or value.bit_length() > MAX_INPUT_BITS:
+        raise ParseError(
+            f"integer literal of {len(digits)} digits exceeds the input limit of "
+            f"{MAX_INPUT_BITS} bits", tok.pos + 1)
+    return value
 
 
 def _check_limit(what, size, limit, col):

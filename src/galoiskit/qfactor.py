@@ -354,7 +354,8 @@ def _hensel_step(f, g, h, s, t, m):
 
 
 def _zp_ext_gcd(a, b, p):
-    """(s, t) with s*a + t*b = 1 mod p for coprime a, b."""
+    """(s, t) with s*a + t*b = 1 mod p; raises ZeroDivisionError unless a
+    and b are coprime."""
     r0, r1 = list(a), list(b)
     s0, s1 = [1], []
     t0, t1 = [], [1]
@@ -363,6 +364,8 @@ def _zp_ext_gcd(a, b, p):
         r0, r1 = r1, r
         s0, s1 = s1, _zp_sub(s0, _zp_mul(q, s1, p), p)
         t0, t1 = t1, _zp_sub(t0, _zp_mul(q, t1, p), p)
+    if len(r0) != 1:
+        raise ZeroDivisionError("polynomials are not coprime mod p")
     inv = pow(r0[0], -1, p)
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
 

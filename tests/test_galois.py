@@ -194,6 +194,22 @@ class TestCorrespondence:
         mp = b.min_poly
         assert mp.degree == 2 and mp.coeff(1) == 0
 
+    def test_contains_rejects_elements_outside(self, e_cubic, g_cubic):
+        # omega = r2/r1 is a cube root of unity, so 2*omega + 1 = sqrt(-3);
+        # its stabilizer is A3 and the fixed field Q(sqrt(-3)) holds no
+        # cube root of 2
+        r1, r2, _ = e_cubic.roots
+        s = 2 * r2 / r1 + 1
+        assert s * s == -3
+        stab = [i for i in range(g_cubic.order) if g_cubic.apply(i, s) == s]
+        assert len(stab) == 3
+        b = fixed_field(g_cubic, stab)
+        assert b.degree == 2
+        assert b.contains(s) and b.contains(s * s + Fraction(1, 2))
+        for r in e_cubic.roots:
+            assert not b.contains(r)
+            assert not b.contains(r + s)
+
     def test_non_subgroup_rejected(self, g_cubic):
         non_identity = [i for i in range(6) if i != g_cubic.identity_index]
         with pytest.raises(ValueError):

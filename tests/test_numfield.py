@@ -5,15 +5,16 @@ import pytest
 
 from galoiskit import QQ, DegreeCapError
 from galoiskit.numfield import (
+    ExtensionField,
     FieldTower,
     element_sort_key,
     factor_over_number_field,
     minimal_polynomial,
     norm_polynomial,
-    primitive_element,
     roots_in_field,
 )
 from galoiskit.poly import Polynomial, poly_resultant
+from galoiskit.scalars import PrimeField
 
 from helpers import P
 
@@ -63,6 +64,15 @@ class TestAdjoin:
         ext = t.absolute.ext
         with pytest.raises(DegreeCapError):
             t.adjoin(P(-3, 0, 1).map_coefficients(ext.coerce, ext), "g2", degree_cap=3)
+
+    def test_base_other_than_q_rejected(self):
+        # every field is built over Q; a relative extension is flattened by adjoin
+        ext = tower_q_sqrt2().absolute.ext
+        with pytest.raises(ValueError):
+            ExtensionField(ext, P(-3, 0, 1).map_coefficients(ext.coerce, ext))
+        gf5 = PrimeField(5)
+        with pytest.raises(ValueError):
+            ExtensionField(gf5, Polynomial(gf5, [2, 0, 1]))
 
     def test_degree_formula_along_tower(self):
         t = tower_q_sqrt2_sqrt3()
@@ -151,7 +161,7 @@ class TestMinimalPolynomial:
 class TestPrimitiveElement:
     def test_two_stage_combination(self):
         t = tower_q_sqrt2_sqrt3()
-        a = primitive_element(t)
+        a = t.absolute
         assert a.min_poly == P(1, 0, -10, 0, 1)
         s2, s3 = a.gen_images
         assert a.theta == s2 + s3 * a.theta_combo[1]
@@ -159,13 +169,13 @@ class TestPrimitiveElement:
 
     def test_single_stage_is_the_generator(self):
         t = tower_q_sqrt2()
-        a = primitive_element(t)
+        a = t.absolute
         assert a.min_poly == P(-2, 0, 1)
         assert a.theta == a.gen_images[0]
 
     def test_rationals_degenerate(self):
         t = FieldTower.rationals()
-        a = primitive_element(t)
+        a = t.absolute
         assert a.degree == 1
         assert a.min_poly == P(-1, 1)
         assert a.theta == 1

@@ -76,6 +76,23 @@ class TestParsePoly:
         assert err.value.column == column
         assert "input limit" in err.value.reason
 
+    @pytest.mark.parametrize("text, column", [
+        ("1" * 5000 + "*x+1", 1),
+        ("x^" + "1" * 5000, 3),
+        ("x + " + "7" * 1300, 5),
+        (str(2 ** MAX_INPUT_BITS) + "*x", 1),
+    ])
+    def test_literal_beyond_input_limit_rejected(self, text, column):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert err.value.column == column
+        assert "input limit" in err.value.reason
+
+    def test_literals_at_the_limit_accepted(self):
+        assert parse_poly("9" * 1200 + "*x").coeff(1) == int("9" * 1200)
+        assert parse_poly(str(2 ** MAX_INPUT_BITS - 1)).coeff(0) == 2 ** MAX_INPUT_BITS - 1
+        assert parse_poly("0" * 5000 + "1*x") == P(0, 1)
+
     def test_powers_at_the_limit_accepted(self):
         assert parse_poly(f"x^{MAX_INPUT_DEGREE}").degree == MAX_INPUT_DEGREE
         assert parse_poly(f"(x^2+1)^{MAX_INPUT_DEGREE // 2}").degree == MAX_INPUT_DEGREE
@@ -132,6 +149,11 @@ class TestCliExitCodes:
         assert run_cli("split", "x^2 - y") == EXIT_INPUT
         err = capsys.readouterr().err
         assert "column 7" in err
+
+    def test_long_literal_exit_2(self, capsys):
+        assert run_cli("factor", "1" * 5000 + "*x+1") == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "column 1" in err and "input limit" in err
 
     def test_degree_cap_exit_3(self, capsys):
         assert run_cli("split", "x^5-x-1") == EXIT_DEGREE_CAP

@@ -4,6 +4,8 @@ import random
 import pytest
 
 from galoiskit import QQ, qfactor
+from galoiskit.modscreen import ModImage
+from galoiskit.numfield import ExtensionField
 from galoiskit.poly import Polynomial
 from galoiskit.qfactor import (
     factor_degrees_mod_p,
@@ -256,3 +258,36 @@ class TestHelpers:
         assert factor_degrees_mod_p(p, 2) == [2, 3]
         # 7 divides the discriminant check path: just needs to not crash
         assert factor_degrees_mod_p(p, 3) in ([5], None)
+
+
+class TestModImage:
+    """Z_p[x]/(m mod p) on qfactor's _zp_ routines: x^2+1 at p = 5 is
+    (x-2)(x+2), so the image has zero divisors."""
+
+    @pytest.fixture
+    def img(self):
+        return ModImage(ExtensionField(QQ, P(1, 0, 1)), 5)
+
+    def test_inverse_of_a_unit(self, img):
+        for a in ([1, 1], [3], [0, 1], [4, 1]):
+            assert img.mul(a, img.inv(a)) == [1]
+
+    @pytest.mark.parametrize("a", [[], [3, 1], [2, 1]])
+    def test_zero_and_zero_divisors_have_no_inverse(self, img, a):
+        with pytest.raises(ZeroDivisionError):
+            img.inv(a)
+
+    def test_powers_match_repeated_products(self, img):
+        a = [1, 1]
+        acc = [1]
+        for k in range(8):
+            assert img.pow(a, k) == acc
+            assert img.mul(img.pow(a, -k), acc) == [1]
+            acc = img.mul(acc, a)
+
+    def test_ext_gcd_refuses_common_factors(self):
+        a, b = [1, 1], [1, 0, 1]
+        s, t = qfactor._zp_ext_gcd(a, b, 5)
+        assert qfactor._zp_add(qfactor._zp_mul(s, a, 5), qfactor._zp_mul(t, b, 5), 5) == [1]
+        with pytest.raises(ZeroDivisionError):
+            qfactor._zp_ext_gcd([3, 1], [1, 0, 1], 5)
