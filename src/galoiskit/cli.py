@@ -335,13 +335,14 @@ def _build_parser():
         if name == "fixed":
             sp.add_argument("--subgroup", required=True,
                             help="comma-separated automorphism indices generating the subgroup")
+        if name == "solvable":
+            sp.add_argument("--primes", default=None,
+                            help="comma-separated primes for the cycle-type witness (degree >= 5)")
         sp.add_argument("--json", action="store_true", help="emit a canonical JSON report")
         sp.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP,
                         help=f"refuse constructions beyond this field degree (default {DEFAULT_DEGREE_CAP})")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"seed for the randomized factorization kernel (default {DEFAULT_SEED})")
-        sp.add_argument("--primes", default=None,
-                        help="comma-separated primes for the cycle-type witness (degree >= 5)")
     return parser
 
 

@@ -4,10 +4,18 @@ Every field is a quotient Q[x]/(m) for a monic irreducible m over Q.  A
 tower of adjunctions is flattened at each stage to a primitive element, so
 every working field is an absolute field Q(theta); towers are a
 construction device that remembers where each generator went.
+
+One routine finds minimal polynomials over Q: the coordinate vectors of
+1, z, z**2, ... go into one ``SpanSolver`` until the first dependence.  It
+serves ``minimal_polynomial``, the primitive-element search of each
+adjunction, and the squarefree norm of Trager factorization, which is the
+minimal polynomial of x + s*theta in F[x]/(f) when that has full degree.
 """
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import lcm
+from operator import mul
 
 from .checks import record_check
 from .errors import DegreeCapError, FieldMismatchError, PrimitiveSearchError
@@ -16,11 +24,10 @@ from .poly import (
     Polynomial,
     poly_extended_gcd,
     poly_gcd,
-    poly_resultant,
     poly_squarefree_decomposition,
     poly_squarefree_part,
 )
-from .qfactor import DEFAULT_SEED, Factorization, _sorted_factors, factor_over_Q, is_squarefree_q
+from .qfactor import DEFAULT_SEED, Factorization, _sorted_factors, factor_over_Q
 from .scalars import QQ
 
 DEFAULT_DEGREE_CAP = 64
@@ -399,41 +406,20 @@ def _flatten(cur: AbsoluteField, m: Polynomial, name: str) -> AbsoluteField:
             theta_prev_image=theta_prev,
             prev_degree=1,
         )
-    # powers of theta_old + c*y live in cur.ext[y]/(m); their rational
-    # coordinates are the y-coefficients' coordinates in d blocks
+    # powers of theta_old + c*y live in cur.ext[y]/(m)
     F = cur.ext
     y = Polynomial.x(F)
     theta_old = Polynomial.constant(F, cur.theta)
-    zero_block = (Fraction(0),) * base_deg
-
-    def coords(p):
-        out = []
-        for e in p.coeffs:
-            out.extend(e.coeffs)
-        return tuple(out) + zero_block * (d - len(p.coeffs))
-
     for c in _signed_range(PRIMITIVE_SEARCH_RANGE):
-        cand = theta_old + y * c
-        span = SpanSolver()
-        power = Polynomial.one(F)
-        independent = True
-        for _ in range(n):
-            if span.insert(coords(power)) is not None:
-                independent = False
-                break
-            power = (power * cand) % m
-        if not independent:
+        span, min_poly = _power_relation(_power_coords(theta_old + y * c, m), n)
+        if min_poly.degree < n:
             continue
-        top = span.insert(coords(power))
-        if top is None:
-            raise PrimitiveSearchError("power basis inconsistent (internal)")
-        min_poly = Polynomial(QQ, [-t for t in top] + [Fraction(1)])
         new_ext = ExtensionField(QQ, min_poly, "a")
         # the n powers span the whole space, so each target has one expression
         targets = [Polynomial.constant(F, img) for img in cur.gen_images] + [y, theta_old]
         images = []
         for t in targets:
-            x = span.insert(coords(t))
+            x = span.insert(_coords(t, d))
             if x is None:
                 raise PrimitiveSearchError("generator image escaped the power basis (internal)")
             images.append(new_ext.from_rep(x))
@@ -465,49 +451,50 @@ def minimal_polynomial(a) -> Polynomial:
         return Polynomial(QQ, [-Fraction(a), Fraction(1)])
     if not isinstance(a, ExtElement):
         raise TypeError(f"cannot take a minimal polynomial of {a!r}")
+    powers = accumulate(repeat(a), mul, initial=a.field.one)
+    return _power_relation((p.coeffs for p in powers), a.field.degree)[1]
+
+
+def _power_relation(powers, limit):
+    """(solver, monic minimal polynomial over Q) from the first rational
+    linear dependence among the coordinate vectors of 1, z, z**2, ...
+
+    The solver then holds the independent powers, so it can express any
+    vector in their span.  At most limit + 1 vectors are read.
+    """
     span = SpanSolver()
-    power = a.field.one
-    for _ in range(a.field.degree + 1):
-        x = span.insert(power.coeffs)
+    for _, vec in zip(range(limit + 1), powers):
+        x = span.insert(vec)
         if x is not None:
-            return Polynomial(QQ, [-c for c in x] + [Fraction(1)])
-        power = power * a
-    raise ArithmeticError("no linear dependence found below the field degree (internal)")
+            return span, Polynomial(QQ, [-c for c in x] + [Fraction(1)])
+    raise ArithmeticError(f"no linear dependence among {limit + 1} powers (internal)")
+
+
+def _power_coords(z: Polynomial, m: Polynomial):
+    """Rational coordinates of 1, z, z**2, ... in F[y]/(m) for F = Q(theta)."""
+    power = Polynomial.one(m.field)
+    while True:
+        yield _coords(power, m.degree)
+        power = (power * z) % m
+
+
+def _coords(p: Polynomial, d: int):
+    """Rational coordinates of p (degree < d) over F = Q(theta): the
+    y-coefficients' coordinates in d zero-padded blocks."""
+    out = []
+    for e in p.coeffs:
+        out.extend(e.coeffs)
+    return tuple(out) + (Fraction(0),) * (p.field.degree * (d - len(p.coeffs)))
 
 
 # ---------------------------------------------------------------------------
 # Trager factorization over a number field
-
-
-def norm_polynomial(g: Polynomial) -> Polynomial:
-    """Norm of g in F[x] down to Q[x]: the product of all conjugates of g.
-
-    Computed by evaluation at rational points and Newton interpolation; each
-    value is a resultant of the field's defining polynomial with the residue
-    representation of g evaluated at the point.
-    """
-    F = g.field
-    if not isinstance(F, ExtensionField):
-        raise ValueError("norm_polynomial expects a polynomial over an absolute field")
-    n = F.degree
-    d = g.degree
-    total = n * d
-    M = F.modulus
-    points = []
-    values = []
-    k = 0
-    while len(points) < total + 1:
-        x0 = Fraction(_center_sequence(k))
-        k += 1
-        e = g.evaluate(F.coerce(x0))
-        if not e:
-            val = Fraction(0)
-        else:
-            h = Polynomial(QQ, e.coeffs)
-            val = poly_resultant(M, h)
-        points.append(x0)
-        values.append(val)
-    return _interpolate(points, values)
+#
+# For f monic and squarefree over F = Q(theta), the norm of f(x - s*theta)
+# is the characteristic polynomial over Q of z = y + s*theta acting on
+# A = F[y]/(f).  A is a product of number fields, so the minimal polynomial
+# of z is squarefree; it has degree [F:Q] * deg f exactly when that norm is
+# squarefree, and it then equals the norm.
 
 
 def _center_sequence(k):
@@ -518,19 +505,6 @@ def _center_sequence(k):
     return half if k % 2 == 1 else -half
 
 
-def _interpolate(points, values):
-    n = len(points)
-    coef = list(values)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (points[i] - points[i - j])
-    poly = Polynomial.constant(QQ, coef[-1])
-    x = Polynomial.x(QQ)
-    for i in range(n - 2, -1, -1):
-        poly = poly * (x - Polynomial.constant(QQ, points[i])) + Polynomial.constant(QQ, coef[i])
-    return poly
-
-
 def _trager_squarefree(f: Polynomial, seed: int):
     """Irreducible factors of a monic squarefree f over an absolute field."""
     F = f.field
@@ -538,18 +512,16 @@ def _trager_squarefree(f: Polynomial, seed: int):
         return [f]
     theta = F.gen
     x = Polynomial.x(F)
-    shifted = None
-    shift = None
-    for k in range(0, 4 * F.degree * f.degree + 1):
+    n = F.degree * f.degree
+    for k in range(0, 4 * n + 1):
         s = _center_sequence(k)
-        cand = f.compose(x - Polynomial.constant(F, theta * s)) if s else f
-        norm = norm_polynomial(cand)
-        if is_squarefree_q(norm):
-            shifted, shift, squarefree_norm = cand, s, norm
+        _, norm = _power_relation(_power_coords(x + Polynomial.constant(F, theta * s), f), n)
+        if norm.degree == n:
             break
-    if shifted is None:
+    else:
         raise ArithmeticError("no squarefree norm found (internal)")
-    nf = factor_over_Q(squarefree_norm, seed=seed)
+    shifted = f.compose(x - Polynomial.constant(F, theta * s)) if s else f
+    nf = factor_over_Q(norm, seed=seed)
     if len(nf.factors) == 1:
         return [f]
     out = []
@@ -558,7 +530,7 @@ def _trager_squarefree(f: Polynomial, seed: int):
         g = poly_gcd(shifted, hf)
         if g.degree == 0:
             continue
-        back = g.compose(x + Polynomial.constant(F, theta * shift)) if shift else g
+        back = g.compose(x + Polynomial.constant(F, theta * s)) if s else g
         out.append(back.monic())
     record_check(
         "trager.reconstruction",

@@ -11,6 +11,7 @@ from typing import Optional
 
 from .checks import record_check
 from .errors import GroupOrderLimitError
+from .scalars import is_prime
 
 
 class Permutation:
@@ -262,10 +263,6 @@ class CycleTypeCertificate:
     power: tuple
 
 
-def _is_prime(m):
-    return m >= 2 and all(m % q for q in range(2, math.isqrt(m) + 1))
-
-
 def single_cycle_power(lengths):
     """(exponent, p) such that a permutation with these cycle lengths,
     raised to the exponent, is a single p-cycle for a prime p; the least
@@ -276,7 +273,7 @@ def single_cycle_power(lengths):
     prime to p, so the p-cycle survives as a p-cycle.
     """
     for p in sorted(set(lengths)):
-        if not _is_prime(p) or lengths.count(p) != 1:
+        if not is_prime(p) or lengths.count(p) != 1:
             continue
         others = [c for c in lengths if c != p]
         if all(c % p for c in others):
@@ -298,7 +295,7 @@ def cycle_type_certificate(n, samples) -> Optional[CycleTypeCertificate]:
     divisible by 3.
     """
     primitivity = None
-    if not _is_prime(n):
+    if not is_prime(n):
         primitivity = next((s for s in samples if s[1] == (1, n - 1)), None)
         if primitivity is None:
             return None
@@ -582,9 +579,6 @@ class Embedding:
 
     target: object
     mapping: tuple  # pairs (Permutation, target element), group order long
-
-    def as_dict(self):
-        return dict(self.mapping)
 
 
 def find_embedding(G: PermGroup, target):

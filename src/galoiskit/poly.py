@@ -209,12 +209,6 @@ class Polynomial:
             acc = acc * other + Polynomial.constant(self.field, c)
         return acc
 
-    def shift(self, k):
-        """Multiply by x**k."""
-        if self.is_zero:
-            return self
-        return Polynomial(self.field, (self.field.zero,) * k + self.coeffs)
-
     def map_coefficients(self, fn, field):
         return Polynomial(field, [fn(c) for c in self.coeffs])
 

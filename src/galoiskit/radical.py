@@ -10,17 +10,20 @@ rational polynomial, so the whole tower is normal over Q and its associated
 group chain has abelian quotients.
 
 The verdict proves non-solvability without building a field when Frobenius
-cycle types certify that the group of an irreducible f of degree n >= 5
-contains A_n (``permgroup.cycle_type_certificate``).  Factor degrees of f
-mod a good prime are the cycle type of a Frobenius element, so the group
-holds an element of every observed type.  It is primitive when n is prime
-or when some type is (1, n-1).  A type with exactly one cycle of prime
-length p, and no other length divisible by p, raised to the lcm of the
-other lengths is a single p-cycle.  By Jordan's theorems a primitive group
-with a transposition is S_n, and one with a p-cycle, p <= n - 3, contains
-A_n; at n = 5 a 3-cycle already forces A_5 or S_5.  A_n is perfect for
-n >= 5, so the derived series stalls at it and no radical formula exists.
-A SOLVABLE verdict always comes from an enumerated group.
+cycle types certify that the group of an irreducible factor f of degree
+n >= 5 contains A_n (``permgroup.cycle_type_certificate``).  Factor
+degrees of f mod a good prime are the cycle type of a Frobenius element,
+so the group holds an element of every observed type.  It is primitive
+when n is prime or when some type is (1, n-1).  A type with exactly one
+cycle of prime length p, and no other length divisible by p, raised to the
+lcm of the other lengths is a single p-cycle.  By Jordan's theorems a
+primitive group with a transposition is S_n, and one with a p-cycle,
+p <= n - 3, contains A_n; at n = 5 a 3-cycle already forces A_5 or S_5.
+A_n is perfect for n >= 5, so the derived series stalls at it and no
+radical formula exists.  The group of f's splitting field is a quotient of
+the whole group, and a group with a non-solvable quotient is not solvable,
+so one certified factor decides a reducible input too.  A SOLVABLE verdict
+always comes from an enumerated group.
 """
 
 import math
@@ -45,19 +48,15 @@ from .permgroup import (
     PermGroup,
     Permutation,
     UnitGroup,
-    cycle_type_certificate,
     find_embedding,
     is_normal,
     is_solvable,
     solvable_via_abelian_chain,
 )
-from .poly import Polynomial, poly_compose_power, poly_squarefree_part
-from .qfactor import DEFAULT_SEED, factor_degrees_mod_p, is_irreducible_over_Q
+from .poly import Polynomial, poly_compose_power, poly_squarefree_part, render_poly
+from .qfactor import DEFAULT_SEED, factor_over_Q, is_irreducible_over_Q
 from .scalars import QQ
-from .splitting import SplittingField, splitting_field
-
-DEFAULT_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
-                          47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+from .splitting import SplittingField, scan_cycle_types, splitting_field
 
 
 # ---------------------------------------------------------------------------
@@ -461,25 +460,6 @@ class CycleTypeEvidence:
         }
 
 
-def _scan_cycle_types(sq: Polynomial, primes, seed):
-    """Frobenius cycle types of sq mod each good prime, until they certify
-    S_n; returns (samples, certificate or None)."""
-    samples = []
-    certificate = None
-    for prime in tuple(primes) if primes else DEFAULT_WITNESS_PRIMES:
-        try:
-            degrees = factor_degrees_mod_p(sq, prime, seed=seed)
-        except ZeroDivisionError:
-            degrees = None
-        if degrees is None:
-            continue
-        samples.append((prime, tuple(degrees)))
-        certificate = cycle_type_certificate(sq.degree, samples)
-        if certificate is not None and certificate.group == "S_n":
-            break
-    return tuple(samples), certificate
-
-
 def quintic_group_witness(p: Polynomial, primes=None,
                           seed: int = DEFAULT_SEED) -> CycleTypeEvidence:
     """Identify the Galois group of an irreducible quintic from factor-degree
@@ -500,7 +480,7 @@ def quintic_group_witness(p: Polynomial, primes=None,
         raise ValueError("the quintic witness needs a squarefree quintic")
     if not is_irreducible_over_Q(sq, seed=seed):
         raise ValueError("the quintic witness needs an irreducible quintic")
-    samples, certificate = _scan_cycle_types(sq, primes, seed)
+    samples, certificate = scan_cycle_types(sq, primes, seed)
     if not samples:
         return CycleTypeEvidence((), None, "INCONCLUSIVE", "no usable prime in the configured list")
     if certificate is None:
@@ -515,17 +495,15 @@ def quintic_group_witness(p: Polynomial, primes=None,
     return CycleTypeEvidence(samples, "A5", "NOT_SOLVABLE", detail)
 
 
-def _jordan_witness(sq: Polynomial, primes, seed) -> Optional[CycleTypeEvidence]:
-    """NOT_SOLVABLE evidence for a squarefree sq of degree n >= 6 whose
+def _jordan_witness(h: Polynomial, primes, seed) -> Optional[CycleTypeEvidence]:
+    """NOT_SOLVABLE evidence for an irreducible h of degree n >= 6 whose
     cycle types certify a group containing A_n, or None.
 
-    Irreducibility, which makes the group transitive, is checked only once
-    the cycle types already certify; the power step is re-checked on an
-    explicit permutation.
+    The power step is re-checked on an explicit permutation.
     """
-    n = sq.degree
-    samples, certificate = _scan_cycle_types(sq, primes, seed)
-    if certificate is None or not is_irreducible_over_Q(sq, seed=seed):
+    n = h.degree
+    samples, certificate = scan_cycle_types(h, primes, seed)
+    if certificate is None:
         return None
     prime, ctype, exponent, p = certificate.power
     cycles = (Permutation.of_cycle_type(ctype) ** exponent).cycles()
@@ -592,15 +570,22 @@ def necessary_condition_verdict(p: Polynomial, degree_cap: int = DEFAULT_DEGREE_
     if p.degree < 1:
         raise ValueError("the verdict needs a polynomial of degree >= 1")
     sq = poly_squarefree_part(p)
+    factors = [h for h, _ in factor_over_Q(sq, seed=seed).factors]
+    whole = len(factors) == 1
     evidence = None
-    if sq.degree == 5 and is_irreducible_over_Q(sq, seed=seed):
-        evidence = quintic_group_witness(sq, primes=primes, seed=seed)
-        if evidence.conclusion == "NOT_SOLVABLE":
-            return _certified_verdict(5, evidence)
-    if sq.degree >= 6:
-        witness = _jordan_witness(sq, primes, seed)
-        if witness is not None:
-            return _certified_verdict(sq.degree, witness)
+    # the group of each factor's splitting field is a quotient of the whole
+    # group, and a quotient of a solvable group is solvable
+    for h in factors:
+        if h.degree == 5:
+            witness = quintic_group_witness(h, primes=primes, seed=seed)
+            if whole:
+                evidence = witness
+        elif h.degree >= 6:
+            witness = _jordan_witness(h, primes, seed)
+        else:
+            continue
+        if witness is not None and witness.conclusion == "NOT_SOLVABLE":
+            return _certified_verdict(h, witness, whole)
     e = splitting_field(sq, degree_cap=degree_cap, seed=seed)
     g = galois_group(e, seed=seed)
     solvable, series = is_solvable(g.perm_group())
@@ -625,21 +610,31 @@ def necessary_condition_verdict(p: Polynomial, degree_cap: int = DEFAULT_DEGREE_
     )
 
 
-def _certified_verdict(n, evidence):
-    """NOT_SOLVABLE_BY_RADICALS for a group certified to be S_n, or to
-    contain A_n, with the derived series in closed form: S_n > A_n = A_n'
-    (is_solvable's convention repeats the perfect group), since closure
-    cannot enumerate these groups beyond order 5040.  The evidence is
-    reported as the quintic witness at n = 5."""
+def _certified_verdict(h, evidence, whole):
+    """NOT_SOLVABLE_BY_RADICALS for an irreducible factor h of degree n
+    whose group is certified to be S_n, or to contain A_n.  When h is the
+    whole squarefree input the derived series is given in closed form:
+    S_n > A_n = A_n' (is_solvable's convention repeats the perfect group),
+    since closure cannot enumerate these groups beyond order 5040.
+    Otherwise the whole group is not identified, only its quotient.  The
+    evidence is reported as the quintic witness at n = 5."""
+    n = h.degree
     half = math.factorial(n) // 2
     symmetric = evidence.certified_group == f"S{n}"
-    series = (2 * half, half, half) if symmetric else (half, half)
+    note = f"derived series stalls at a perfect subgroup of order {half}"
+    if whole:
+        group_order = 2 * half if symmetric else None
+        series = (2 * half, half, half) if symmetric else (half, half)
+    else:
+        group_order, series = None, ()
+        note = (f"the group of the factor {render_poly(h)} is a quotient of the whole "
+                f"group; its {note}, so the whole group is not solvable")
     return SolvabilityVerdict(
         verdict="NOT_SOLVABLE_BY_RADICALS",
-        group_order=2 * half if symmetric else None,
+        group_order=group_order,
         derived_series_orders=series,
         certificate=None,
         quintic_evidence=evidence if n == 5 else None,
-        note=f"derived series stalls at a perfect subgroup of order {half}",
+        note=note,
         cycle_type_evidence=None if n == 5 else evidence,
     )

@@ -199,41 +199,53 @@ def _add_root(roots, r):
 # ---------------------------------------------------------------------------
 # provable lower bound for early degree-cap refusal
 
-_BOUND_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+DEFAULT_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                          47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def scan_cycle_types(h: Polynomial, primes=None, seed: int = DEFAULT_SEED):
+    """Frobenius cycle types of an irreducible rational h, one per good prime
+    of the list (default ``DEFAULT_WITNESS_PRIMES``), until they certify
+    that the group of h is S_n; returns (samples, certificate or None).
+
+    Factor degrees mod a good prime are the cycle type of a Frobenius
+    element, so the group holds an element of every sampled type
+    (``permgroup.cycle_type_certificate``).
+    """
+    samples = []
+    certificate = None
+    for prime in tuple(primes) if primes else DEFAULT_WITNESS_PRIMES:
+        try:
+            degrees = factor_degrees_mod_p(h, prime, seed=seed)
+        except ZeroDivisionError:
+            degrees = None
+        if degrees is None:
+            continue
+        samples.append((prime, tuple(degrees)))
+        certificate = cycle_type_certificate(h.degree, samples)
+        if certificate is not None and certificate.group == "S_n":
+            break
+    return tuple(samples), certificate
 
 
 def _splitting_degree_lower_bound(sq: Polynomial, seed: int) -> int:
     """A divisor of the splitting-field degree, from Frobenius cycle types.
 
-    Factor degrees mod a good prime are the cycle type of a Frobenius
-    element; the order of that element divides the group order, which equals
-    the splitting degree.  Each irreducible rational factor's splitting
-    field sits normally inside the full one, so its bound divides too.  When
-    the cycle types certify that a factor of degree n has group S_n, or A_n
-    or S_n (``permgroup.cycle_type_certificate``), its bound is n! or n!/2.
+    The order of a Frobenius element, the lcm of its cycle lengths, divides
+    the group order, which equals the splitting degree.  Each irreducible
+    rational factor's splitting field sits normally inside the full one, so
+    its bound divides too.  When the cycle types certify that a factor of
+    degree n has group S_n, or A_n or S_n, its bound is n! or n!/2.
     """
     bound = 1
     for h, _ in factor_over_Q(sq, seed=seed).factors:
         if h.degree < 2:
             continue
-        h_bound = 1
-        samples = []
-        for prime in _BOUND_PRIMES:
-            try:
-                degrees = factor_degrees_mod_p(h, prime, seed=seed)
-            except ZeroDivisionError:
-                degrees = None
-            if degrees is None:
-                continue
-            samples.append((prime, tuple(degrees)))
-            h_bound = math.lcm(h_bound, *degrees)
-            if len(samples) >= 8:
-                break
-        certificate = cycle_type_certificate(h.degree, samples)
+        samples, certificate = scan_cycle_types(h, seed=seed)
+        bound = math.lcm(bound, *(d for _, degrees in samples for d in degrees))
         if certificate is not None:
             order = math.factorial(h.degree)
-            h_bound = math.lcm(h_bound, order if certificate.group == "S_n" else order // 2)
-        bound = math.lcm(bound, h_bound)
+            bound = math.lcm(bound, order if certificate.group == "S_n" else order // 2)
     return bound
 
 

@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 
 from galoiskit import QQ, DegreeCapError
+from galoiskit import numfield
 from galoiskit.numfield import (
     ExtensionField,
     FieldTower,
+    _power_coords,
+    _power_relation,
     element_sort_key,
     factor_over_number_field,
     minimal_polynomial,
-    norm_polynomial,
     roots_in_field,
 )
 from galoiskit.poly import Polynomial, poly_resultant
@@ -29,6 +31,22 @@ def tower_q_sqrt2_sqrt3():
     t = tower_q_sqrt2()
     ext = t.absolute.ext
     return t.adjoin(P(-3, 0, 1).map_coefficients(ext.coerce, ext), "g2")
+
+
+def shifted_relation(f, s):
+    """Minimal polynomial over Q of z = y + s*theta in F[y]/(f)."""
+    F = f.field
+    z = Polynomial.x(F) + Polynomial.constant(F, F.gen * s)
+    return _power_relation(_power_coords(z, f), F.degree * f.degree)[1]
+
+
+def assert_norm_by_resultants(g, norm):
+    """norm(v) == Res(m, g(v)) at N + 1 rational points, N = [F:Q] deg g,
+    with g(v) read as a polynomial in theta and m the field's modulus."""
+    F = g.field
+    for v in range(F.degree * g.degree + 1):
+        h = Polynomial(QQ, g.evaluate(F.coerce(v)).coeffs)
+        assert norm.evaluate(Fraction(v)) == poly_resultant(F.modulus, h)
 
 
 class TestAdjoin:
@@ -249,20 +267,57 @@ class TestTrager:
         s2 = t.absolute.gen_images[0]
         x = Polynomial.x(ext)
         g = x * x - Polynomial.constant(ext, s2)
-        assert norm_polynomial(g) == P(-2, 0, 0, 0, 1)
+        n = shifted_relation(g, 0)
+        assert n == P(-2, 0, 0, 0, 1)
+        assert_norm_by_resultants(g, n)
 
     def test_norm_matches_resultant_of_minpoly(self):
         # for a linear x - e the norm is the characteristic polynomial of e;
-        # cross-check against resultant-based evaluation at sample points
+        # cross-check against resultant-based evaluation at N + 1 points
         t = tower_q_sqrt2()
         ext = t.absolute.ext
         s2 = t.absolute.gen_images[0]
         x = Polynomial.x(ext)
         g = x - Polynomial.constant(ext, 1 + s2)
-        n = norm_polynomial(g)
+        n = shifted_relation(g, 0)
         # conjugates of 1 + sqrt2 are 1 +- sqrt2: (x-1)^2 - 2
         assert n == P(-1, -2, 1)
-        m = t.absolute.min_poly
-        for v in (0, 1, -1, 5):
-            h = Polynomial(QQ, (1 + s2 - v).coeffs) * -1
-            assert n.evaluate(Fraction(v)) == poly_resultant(m, h)
+        assert_norm_by_resultants(g, n)
+
+    def test_shift_search_rejects_until_relation_has_full_degree(self, monkeypatch):
+        # x^2 - 2 over Q(sqrt2): z = y + s*sqrt2 has the values
+        # (+-1 + s)*sqrt2 and their conjugates, so s = 0 gives x^2 - 2,
+        # s = +-1 gives x^3 - 8x, and s = 2 the norm (x^2 - 2)(x^2 - 18)
+        t = tower_q_sqrt2()
+        ext = t.absolute.ext
+        s2 = t.absolute.gen_images[0]
+        x = Polynomial.x(ext)
+        f = P(-2, 0, 1).map_coefficients(ext.coerce, ext)
+        assert shifted_relation(f, 0) == P(-2, 0, 1)
+        assert shifted_relation(f, 1) == shifted_relation(f, -1) == P(0, -8, 0, 1)
+        norm = shifted_relation(f, 2)
+        assert norm == P(36, 0, -20, 0, 1) == P(-2, 0, 1) * P(-18, 0, 1)
+        assert_norm_by_resultants(f.compose(x - Polynomial.constant(ext, s2 * 2)), norm)
+
+        seen = []
+
+        def spy(powers, limit):
+            span, relation = _power_relation(powers, limit)
+            seen.append(relation)
+            return span, relation
+
+        monkeypatch.setattr(numfield, "_power_relation", spy)
+        fac = factor_over_number_field(f)
+        assert seen == [P(-2, 0, 1), P(0, -8, 0, 1), P(0, -8, 0, 1), norm]
+        assert [g for g, _ in fac.factors] == sorted(
+            [x - Polynomial.constant(ext, s2), x + Polynomial.constant(ext, s2)],
+            key=lambda g: g.sort_key())
+
+    def test_power_relation_limit(self):
+        # three independent vectors of Q^3 and no dependence within the limit
+        basis = [(Fraction(1), 0, 0), (0, Fraction(1), 0), (0, 0, Fraction(1))]
+        with pytest.raises(ArithmeticError):
+            _power_relation(iter(basis), 2)
+        span, relation = _power_relation(iter(basis + [(2, 3, 5)]), 3)
+        assert relation == P(-2, -3, -5, 1)
+        assert span.insert((1, 1, 1)) == [1, 1, 1]

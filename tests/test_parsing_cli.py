@@ -292,6 +292,56 @@ class TestCliJson:
         assert out1 == out2
 
 
+class TestCycleTypeCertificatesCli:
+    @pytest.mark.parametrize("poly, factor, key", [
+        ("(x^5-x-1)*(x-2)", "x^5 - x - 1", "quintic_witness"),
+        ("(x^6+x+1)*(x^2+1)", "x^6 + x + 1", "cycle_type_witness"),
+        ("x^8+x+1", "x^6 - x^5 + x^3 - x^2 + 1", "cycle_type_witness"),
+    ])
+    def test_reducible_input_certified_by_a_factor(self, capsys, poly, factor, key):
+        started = time.perf_counter()
+        _, report = cli_json(capsys, "solvable", poly)
+        assert time.perf_counter() - started < 2
+        result = report["result"]
+        assert result["verdict"] == "NOT_SOLVABLE_BY_RADICALS"
+        assert result["group_order"] is None
+        assert result["derived_series_orders"] == []
+        assert result[key]["conclusion"] == "NOT_SOLVABLE"
+        if key == "cycle_type_witness":
+            assert result["quintic_witness"] is None
+        else:
+            assert "cycle_type_witness" not in result
+        assert f"the group of the factor {factor} is a quotient of the whole group" in result["note"]
+
+    @pytest.mark.parametrize("command", ["group", "split"])
+    def test_x8_plus_x_plus_1_refused_at_once(self, capsys, command):
+        # the sextic factor certifies S6 at p = 37, so [E:Q] is a multiple of 720
+        started = time.perf_counter()
+        assert run_cli(command, "x^8+x+1") == EXIT_DEGREE_CAP
+        assert time.perf_counter() - started < 2
+        assert "provably >= 720" in capsys.readouterr().err
+
+    def test_primes_restrict_the_witness(self, capsys):
+        _, report = cli_json(capsys, "solvable", "x^6+x+1", "--primes", "3,7")
+        assert report["settings"]["primes"] == [3, 7]
+        witness = report["result"]["cycle_type_witness"]
+        assert witness["samples"] == [{"prime": 3, "factor_degrees": [1, 2, 3]},
+                                      {"prime": 7, "factor_degrees": [1, 5]}]
+        assert witness["certified_group"] == "S6"
+
+    def test_primes_must_be_integers(self, capsys):
+        assert run_cli("solvable", "x^6+x+1", "--primes", "2,x") == EXIT_INPUT
+        assert "--primes must be a comma-separated list of integers" in capsys.readouterr().err
+
+    def test_primes_only_on_solvable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("split", "--primes", "2", "x^2-2")
+        assert exc.value.code == EXIT_INPUT
+        capsys.readouterr()
+        _, report = cli_json(capsys, "split", "x^2-2")
+        assert report["settings"]["primes"] is None
+
+
 class TestConsoleScript:
     def test_subprocess_entry_point(self):
         proc = subprocess.run(

@@ -1,9 +1,10 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from galoiskit import ChainFormatError, DegreeCapError
+from galoiskit import ChainFormatError, DegreeCapError, radical
 from galoiskit.galois import galois_group
 from galoiskit.numfield import minimal_polynomial
 from galoiskit.radical import (
@@ -289,6 +290,37 @@ class TestVerdicts:
         for poly in (P(-2, 0, 0, 0, 0, 0, 1), P(-1, -1, 0, 0, 0, 1)):
             assert "cycle_type_witness" not in necessary_condition_verdict(poly).to_dict()
 
+    @pytest.mark.parametrize("factors, certified, key", [
+        ((P(-1, -1, 0, 0, 0, 1), P(-2, 1)), "S5", "quintic_witness"),
+        ((P(1, 1, 0, 0, 0, 0, 1), P(1, 0, 1)), "S6", "cycle_type_witness"),
+        # x^8+x+1 = (x^2+x+1)(x^6-x^5+x^3-x^2+1)
+        ((P(1, 1, 1), P(1, 0, -1, 1, 0, -1, 1)), "S6", "cycle_type_witness"),
+    ])
+    def test_reducible_input_certified_by_a_factor(self, monkeypatch, factors, certified, key):
+        # the group of each factor's splitting field is a quotient of the
+        # whole group, so a certified factor decides without building a field
+        def no_field(*args, **kwargs):
+            raise AssertionError("splitting field built")
+
+        monkeypatch.setattr(radical, "splitting_field", no_field)
+        p = factors[0] * factors[1]
+        v = necessary_condition_verdict(p)
+        assert v.verdict == "NOT_SOLVABLE_BY_RADICALS"
+        assert v.group_order is None
+        assert v.derived_series_orders == ()
+        d = v.to_dict()
+        assert d[key]["certified_group"] == certified
+        assert d["quintic_witness"] is None or key == "quintic_witness"
+        assert "cycle_type_witness" not in d or key == "cycle_type_witness"
+        assert "quotient of the whole group" in v.note
+
+    def test_reducible_quintic_factor_reports_no_quintic_witness(self):
+        # x^5-2 (group F20) is inconclusive; the verdict builds the field
+        v = necessary_condition_verdict(P(-2, 0, 0, 0, 0, 1) * P(-3, 1))
+        assert v.verdict == "SOLVABLE_GROUP"
+        assert v.group_order == 20
+        assert v.quintic_evidence is None
+
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             necessary_condition_verdict(P(3))
@@ -307,18 +339,18 @@ SEXTICS = [
 ]
 
 
-def _random_sextics(count, seed=6):
-    import random
-
+def _random_irreducible(rng, degree):
     from galoiskit.qfactor import is_irreducible_over_Q
 
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        ints = tuple(rng.randint(-5, 5) for _ in range(6)) + (1,)
+    while True:
+        ints = tuple(rng.randint(-5, 5) for _ in range(degree)) + (1,)
         if is_irreducible_over_Q(P(*ints)):
-            out.append(ints)
-    return out
+            return ints
+
+
+def _random_sextics(count, seed=6):
+    rng = random.Random(seed)
+    return [_random_irreducible(rng, 6) for _ in range(count)]
 
 
 class TestCycleTypeWitnessAgainstSympy:
@@ -355,3 +387,45 @@ class TestCycleTypeWitnessAgainstSympy:
             return
         assert v.verdict == "NOT_SOLVABLE_BY_RADICALS"
         assert v.cycle_type_evidence.certified_group == name, ints
+
+
+# quintics with their groups, as named by sympy (S5TransitiveSubgroups)
+QUINTICS = [
+    ((-1, -1, 0, 0, 0, 1), "S5"),
+    ((16, 20, 0, 0, 0, 1), "A5"),
+    ((-2, 0, 0, 0, 0, 1), "M20"),
+    ((12, -5, 0, 0, 0, 1), "D5"),
+    ((1, 3, -3, -4, 1, 1), "C5"),
+]
+
+
+class TestReducibleVerdictAgainstSympy:
+    """A certificate from one factor of a product fires only when sympy
+    names that factor's group S_n or A_n, and a refusal comes only when it
+    names neither."""
+
+    SMALL = (P(-2, 1), P(1, 0, 1), P(-1, -1, 1), P(-2, 0, 0, 1))
+
+    def test_products_with_a_small_factor(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.numberfields.galoisgroups import galois_group
+
+        x = sympy.Symbol("x")
+        rng = random.Random(8)
+        factors = QUINTICS + SEXTICS
+        factors += [(_random_irreducible(rng, n), None) for n in (5, 5, 6, 6)]
+        for ints, known in factors:
+            n = len(ints) - 1
+            small = rng.choice(self.SMALL)
+            name = galois_group(sympy.Poly(list(reversed(ints)), x), by_name=True)[0].name
+            assert known in (None, name)
+            # under a cap of 1 any verdict that builds a field is refused
+            try:
+                v = necessary_condition_verdict(P(*ints) * small, degree_cap=1)
+            except DegreeCapError:
+                assert name not in (f"S{n}", f"A{n}"), ints
+                continue
+            ev = v.quintic_evidence if n == 5 else v.cycle_type_evidence
+            assert v.verdict == "NOT_SOLVABLE_BY_RADICALS"
+            assert v.group_order is None
+            assert ev.certified_group == name, ints
