@@ -4,12 +4,13 @@ Mapping an exact computation into Z_p[x]/(minpoly mod p) is a ring
 homomorphism wherever every denominator stays invertible, so an exact zero
 always maps to zero.  A prescreen can therefore discard nonzero candidates
 cheaply; survivors still get an exact verification, which keeps soundness
-independent of the prime chosen here.
+independent of the prime chosen here.  Products reduce by packed rows
+built once per image (``qfactor._zp_mulmod``).
 """
 
 from fractions import Fraction
 
-from .qfactor import _trim, _zp_add, _zp_ext_gcd, _zp_mod, _zp_mul, _zp_powmod
+from .qfactor import _trim, _zp_add, _zp_inverse, _zp_mulmod, _zp_powmod
 
 _SCREEN_PRIMES = (1048583, 1048589, 1048601, 1048609, 1048613, 1048627, 1048633)
 
@@ -23,6 +24,7 @@ class ModImage:
         self.modulus = [self._frac(c) for c in ext.modulus.coeffs]
         if len(_trim(list(self.modulus))) != ext.degree + 1:
             raise ZeroDivisionError("leading coefficient vanished mod p")
+        self.mul = _zp_mulmod(self.modulus, prime)
 
     def _frac(self, c):
         p = self.prime
@@ -38,20 +40,17 @@ class ModImage:
     def scalar(self, c):
         return _trim([self._frac(Fraction(c))])
 
-    def mul(self, a, b):
-        return _zp_mod(_zp_mul(a, b, self.prime), self.modulus, self.prime)
-
     def neg(self, a):
         return [(-c) % self.prime for c in a]
 
     def inv(self, a):
         """Ring inverse; raises ZeroDivisionError when a is a zero divisor."""
-        return _zp_ext_gcd(a, self.modulus, self.prime)[0]
+        return _zp_inverse(a, self.modulus, self.prime)
 
     def pow(self, a, k):
         if k < 0:
             return self.pow(self.inv(a), -k)
-        return _zp_powmod(a, k, self.modulus, self.prime)
+        return _zp_powmod(a, k, self.modulus, self.prime, self.mul)
 
     def eval_poly(self, coeff_images, v):
         """Horner evaluation of a polynomial given by element images."""

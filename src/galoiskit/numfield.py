@@ -3,7 +3,8 @@
 Every field is a quotient Q[x]/(m) for a monic irreducible m over Q.  A
 tower of adjunctions is flattened at each stage to a primitive element, so
 every working field is an absolute field Q(theta); towers are a
-construction device that remembers where each generator went.
+construction device that remembers where each generator went.  Inverses
+come from images mod primes, checked by one exact product.
 
 One routine finds minimal polynomials over Q: the coordinate vectors of
 1, z, z**2, ... go into one ``SpanSolver`` until the first dependence.  It
@@ -14,7 +15,7 @@ minimal polynomial of x + s*theta in F[x]/(f) when that has full degree.
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 
 from .checks import record_check
@@ -22,12 +23,12 @@ from .errors import DegreeCapError, FieldMismatchError, PrimitiveSearchError
 from .linalg import SpanSolver
 from .poly import (
     Polynomial,
-    poly_extended_gcd,
     poly_gcd,
     poly_squarefree_decomposition,
     poly_squarefree_part,
 )
-from .qfactor import DEFAULT_SEED, Factorization, _sorted_factors, factor_over_Q
+from .qfactor import (DEFAULT_SEED, Factorization, _crt_primes, _rational_reconstruction,
+                      _sorted_factors, _trim, _zp_inverse, factor_over_Q)
 from .scalars import QQ
 
 DEFAULT_DEGREE_CAP = 64
@@ -82,16 +83,47 @@ class ExtElement:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Extended Euclid against the defining polynomial."""
+        """Inverses mod primes below 2**60 by CRT and rational reconstruction,
+        accepted only when a*b == 1 exactly.  With A = da*a, M = dm*m
+        integral, s*A + t*M = Res(A, M): the coefficients are quotients of
+        Sylvester minors below 2**bits (Hadamard), so reconstruction cannot
+        miss past 2**(2*bits + 1).  A prime where A is no unit divides
+        Res(A, M); more than bits/59 of them prove it 0, a zero divisor."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        f = self.field
-        rep = Polynomial(f.base, self.coeffs)
-        g, s, _ = poly_extended_gcd(rep, f.modulus)
-        if g.degree != 0:
-            raise ArithmeticError("modulus is reducible: gcd with element is nonconstant")
-        s = s % f.modulus
-        return ExtElement(f, f._pad(s.coeffs))
+        f, n = self.field, self.field.degree
+        if not any(self.coeffs[1:]):
+            return ExtElement(f, f._pad((1 / self.coeffs[0],)))
+        a, da = _clear_denominators(self.coeffs)
+        m, dm = _clear_denominators(f.modulus.coeffs)
+        a = _trim(a)
+        bits = n * _norm_bits(a) + (len(a) - 1) * _norm_bits(m)
+        images, modulus, failures, pending = [0] * n, 1, 0, 0
+        for p in _crt_primes():
+            if dm % p == 0:
+                continue
+            try:
+                s = _zp_inverse(_trim([c % p for c in a]), [c % p for c in m], p)
+            except ZeroDivisionError:
+                failures += 1
+                if failures * 59 >= bits:
+                    raise ArithmeticError("modulus is reducible: gcd with element is nonconstant")
+                continue
+            k = pow(modulus, -1, p)
+            images = [x + (c - x) * k % p * modulus for x, c in zip(images, s + [0] * n)]
+            modulus *= p
+            pending += 1
+            final = modulus.bit_length() > 2 * bits + 1
+            # reconstructing costs about 1 us per bit of the modulus, an
+            # image about 2 * (n*n + 4) us: try when the two balance
+            if final or 2 * pending * (n * n + 4) >= modulus.bit_length():
+                pending, found = 0, _rational_reconstruction(images, modulus)
+                if found is not None:
+                    b = ExtElement(f, tuple(Fraction(x * da, found[1]) for x in found[0]))
+                    if self * b == f.one:
+                        return b
+            if final:
+                raise ArithmeticError("inverse escaped its resultant bound (internal)")
 
     def __truediv__(self, other):
         o = self._other(other)
@@ -279,6 +311,11 @@ def _clear_denominators(coeffs):
     for c in coeffs:
         d = lcm(d, c.denominator)
     return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _norm_bits(ints):
+    """Bits of an integer above the Euclidean norm of the vector."""
+    return (isqrt(sum(c * c for c in ints)) + 1).bit_length()
 
 
 def element_sort_key(x):

@@ -248,23 +248,6 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return a.monic()
 
 
-def poly_extended_gcd(p, q):
-    """Return (g, s, t) with g = gcd monic and s*p + t*q = g."""
-    f = p.field
-    a, b = p, q
-    sa, sb = Polynomial.one(f), Polynomial.zero(f)
-    ta, tb = Polynomial.zero(f), Polynomial.one(f)
-    while not b.is_zero:
-        quo, rem = divmod(a, b)
-        a, b = b, rem
-        sa, sb = sb, sa - quo * sb
-        ta, tb = tb, ta - quo * tb
-    if a.is_zero:
-        raise ValueError("extended gcd of two zero polynomials")
-    inv = _invert(a.lc)
-    return a.monic(), sa * inv, ta * inv
-
-
 def poly_squarefree_part(p: Polynomial) -> Polynomial:
     """p / gcd(p, p'), monic: the product of p's distinct irreducible factors."""
     if p.is_zero:

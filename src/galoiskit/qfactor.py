@@ -10,6 +10,9 @@ factor.  There is no LLL (van Hoeij) recombination.
 
 Internally the hot kernels work on plain int lists (ascending coefficients)
 mod p or mod p**k; Polynomial objects appear only at the API boundary.
+All modular work of the engine runs on these lists: packed (Kronecker)
+products, packed reduction rows for a fixed modulus, and the CRT primes and
+rational reconstruction behind ``numfield``'s field inverse.
 """
 
 import itertools
@@ -26,6 +29,8 @@ from .poly import (
 from .scalars import QQ, PrimeField, is_prime
 
 DEFAULT_SEED = 1
+# _zp_mul packs when schoolbook products outnumber output coefficients this much
+_PACK_RATIO = 6
 
 _PRIME_POOL = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -67,32 +72,77 @@ def _trim(a):
 
 
 def _zp_add(a, b, m):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
+    out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = (out[i] + c) % m
     return _trim(out)
 
 
 def _zp_sub(a, b, m):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
+    out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
         out[i] = (out[i] - c) % m
     return _trim(out)
 
 
 def _zp_mul(a, b, m):
+    """Product mod m of lists with entries in [0, m): schoolbook over the
+    sparser operand's nonzero entries when that is cheap, else one product
+    of the packed operands (Kronecker substitution)."""
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim([c % m for c in out])
+    if len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = b, a
+    size = len(a) + len(b) - 1
+    if (len(a) - a.count(0)) * len(b) < _PACK_RATIO * size:
+        out = [0] * size
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        return _trim([c % m for c in out])
+    w = (min(len(a), len(b)) * max(a) * max(b)).bit_length() // 8 + 1
+    return _trim(_zp_unpack(_zp_pack(a, w) * _zp_pack(b, w), w, size, m))
+
+
+def _zp_pack(a, w):
+    """One integer holding a's entries, each below 256**w, in w-byte slots."""
+    return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
+
+
+def _zp_unpack(x, w, count, m):
+    """The first count w-byte slots of x, each reduced mod m."""
+    data = x.to_bytes(w * count, "little")
+    return [int.from_bytes(data[i:i + w], "little") % m for i in range(0, w * count, w)]
+
+
+def _zp_mulmod(f, m):
+    """The product of residues mod a fixed f of degree n over Z/m.
+
+    Row j packs x**(n+j) mod f into one integer, so a product reduces by
+    n - 1 big-integer multiply-adds.  Row j is x * (row j-1) with its top
+    slot folded back through row 0; its slots stay unreduced, below
+    n * m**2, so slots are sized for n**2 * m**3.
+    """
+    n = len(f) - 1
+    w = (n * n * m ** 3).bit_length() // 8 + 1
+    inv = pow(f[-1], -1, m)
+    rows = [_zp_pack([-c * inv % m for c in f[:-1]], w)]
+    low, top = (1 << 8 * w * n) - 1, 8 * w * (n - 1)
+    for _ in range(n - 2):
+        rows.append((rows[-1] << 8 * w & low) + (rows[-1] >> top) % m * rows[0])
+
+    def mul(a, b):
+        c = _zp_mul(a, b, m)
+        if len(c) <= n:
+            return c
+        acc = _zp_pack(c[:n], w)
+        for cj, row in zip(c[n:], rows):
+            if cj:
+                acc += cj * row
+        return _trim(_zp_unpack(acc, w, n, m))
+
+    return mul
 
 
 def _zp_divmod(a, b, m):
@@ -135,15 +185,16 @@ def _zp_gcd(a, b, p):
     return _zp_monic(a, p)
 
 
-def _zp_powmod(a, e, f, p):
-    result = [1]
-    base = _zp_mod(a, f, p)
+def _zp_powmod(a, e, f, p, mul=None):
+    """a**e mod (f, p); mul, when given, is _zp_mulmod(f, p)."""
+    mul = mul or _zp_mulmod(f, p)
+    result, base = [1], _zp_mod(a, f, p)
     while e:
         if e & 1:
-            result = _zp_mod(_zp_mul(result, base, p), f, p)
+            result = mul(result, base)
         e >>= 1
         if e:
-            base = _zp_mod(_zp_mul(base, base, p), f, p)
+            base = mul(base, base)
     return result
 
 
@@ -159,10 +210,7 @@ def _zp_squarefree_decomposition(f, p):
     d = _zp_derivative(f, p)
     if not d:
         # f = h(x**p); a p-th root just reads every p-th coefficient
-        h = f[::p]
-        for g, m in _zp_squarefree_decomposition(h, p):
-            out.append((g, m * p))
-        return out
+        return [(g, m * p) for g, m in _zp_squarefree_decomposition(f[::p], p)]
     g = _zp_gcd(f, d, p)
     w = _zp_divmod(f, g, p)[0]
     i = 1
@@ -175,16 +223,15 @@ def _zp_squarefree_decomposition(f, p):
         g = _zp_divmod(g, y, p)[0]
         i += 1
     if len(g) > 1:
-        for gg, m in _zp_squarefree_decomposition(g, p):
-            out.append((gg, m * p))
+        # g is a p-th power: the call takes its root and scales by p
+        out.extend(_zp_squarefree_decomposition(g, p))
     return out
 
 
 def _zp_distinct_degree(f, p):
     """Split monic squarefree f into [(product_of_degree_d_factors, d)]."""
     out = []
-    h = [0, 1]
-    x = [0, 1]
+    h = x = [0, 1]
     cur = list(f)
     d = 0
     while len(cur) - 1 >= 2 * (d + 1):
@@ -205,17 +252,16 @@ def _zp_equal_degree(f, d, p, rng):
     n = len(f) - 1
     if n == d:
         return [f]
+    mul = _zp_mulmod(f, p)
     while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        a = _trim(a)
+        a = _trim([rng.randrange(p) for _ in range(n)])
         if len(a) <= 1:
             continue
         if p == 2:
             # trace map replaces the (p**d - 1)/2 power in characteristic 2
-            b = list(a)
-            t = list(a)
+            b, t = a, a
             for _ in range(d - 1):
-                b = _zp_mod(_zp_mul(b, b, p), f, p)
+                b = mul(b, b)
                 t = _zp_add(t, b, p)
             g = _zp_gcd(t, f, p)
         else:
@@ -262,8 +308,7 @@ def factor_degrees_mod_p(p_poly: Polynomial, prime: int, seed: int = DEFAULT_SEE
     it does not (the caller should skip that prime).
     """
     field = PrimeField(prime)
-    ints = [field.coerce(c).value for c in p_poly.coeffs]
-    ints = _trim(list(ints))
+    ints = _trim([field.coerce(c).value for c in p_poly.coeffs])
     if not ints or len(ints) - 1 != p_poly.degree:
         return None
     monic = _zp_monic(ints, prime)
@@ -273,19 +318,46 @@ def factor_degrees_mod_p(p_poly: Polynomial, prime: int, seed: int = DEFAULT_SEE
     return sorted(len(f) - 1 for f in _zp_factor_squarefree(monic, prime, rng))
 
 
+def _crt_primes():
+    """Primes below 2**60, descending; found on first use and cached."""
+    for i in itertools.count():
+        if i == len(_CRT_PRIMES):
+            p = (_CRT_PRIMES[-1] if _CRT_PRIMES else 1 << 60) - 1
+            while not is_prime(p):
+                p -= 1
+            _CRT_PRIMES.append(p)
+        yield _CRT_PRIMES[i]
+
+
+_CRT_PRIMES = []
+
+
+def _rational_reconstruction(residues, m):
+    """(nums, den) with nums[i] = residues[i] * den mod m and |nums[i]|,
+    den <= sqrt(m/2), or None.  A residue not small once scaled by the
+    denominator so far runs Wang's half-extended Euclid for the rest."""
+    half, bound = m >> 1, math.isqrt(m >> 1)
+    den, nums = 1, []
+    for r in residues:
+        t = r * den % m
+        if t > half:
+            t -= m
+        if abs(t) > bound:
+            r0, r1, v0, v1 = m, t % m, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, v0, v1 = r1, r0 - q * r1, v1, v0 - q * v1
+            den *= abs(v1)
+            if v1 == 0 or den > bound:
+                return None
+            nums = [x * abs(v1) for x in nums]
+            t = r1 if v1 > 0 else -r1
+        nums.append(t)
+    return nums, den
+
+
 # ---------------------------------------------------------------------------
 # integer polynomial helpers
-
-
-def _zx_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _trim(out)
 
 
 def _zx_divide_exact(a, b):
@@ -342,7 +414,7 @@ def _hensel_step(f, g, h, s, t, m):
     h must be monic and stays monic; g absorbs the leading coefficient of f.
     """
     mm = m * m
-    e = [c % mm for c in _zp_sub(f, _zx_mul(g, h), mm)]
+    e = [c % mm for c in _zp_sub(f, _zp_mul(g, h, mm), mm)]
     q, r = _zp_divmod(_zp_mul(s, e, mm), h, mm)
     g1 = _zp_add(_zp_add(g, _zp_mul(t, e, mm), mm), _zp_mul(q, g, mm), mm)
     h1 = _zp_add(h, r, mm)
@@ -353,21 +425,26 @@ def _hensel_step(f, g, h, s, t, m):
     return g1, h1, s1, t1
 
 
-def _zp_ext_gcd(a, b, p):
-    """(s, t) with s*a + t*b = 1 mod p; raises ZeroDivisionError unless a
-    and b are coprime."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
+def _zp_inverse(a, f, p):
+    """s with s*a = 1 mod (f, p) and deg s < deg f, by half-extended Euclid;
+    raises ZeroDivisionError unless a and f are coprime mod p."""
+    r0, r1 = list(f), list(a)
+    s0, s1 = [], [1]
+    while len(r1) > 1:
         q, r = _zp_divmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _zp_sub(s0, _zp_mul(q, s1, p), p)
-        t0, t1 = t1, _zp_sub(t0, _zp_mul(q, t1, p), p)
-    if len(r0) != 1:
+    if not r1:
         raise ZeroDivisionError("polynomials are not coprime mod p")
-    inv = pow(r0[0], -1, p)
-    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+    inv = pow(r1[0], -1, p)
+    return [c * inv % p for c in s1]
+
+
+def _zp_ext_gcd(a, b, p):
+    """(s, t) with s*a + t*b = 1 mod p; raises ZeroDivisionError unless a
+    and b are coprime."""
+    s = _zp_inverse(a, b, p)
+    return s, _zp_divmod(_zp_sub([1], _zp_mul(s, a, p), p), b, p)[0]
 
 
 def _hensel_lift_tree(f, factors, p, target):
@@ -422,8 +499,6 @@ def _choose_prime(f_int, seed):
         if lc % p == 0:
             continue
         fp = _trim([c % p for c in f_int])
-        if len(fp) != len(f_int):
-            continue
         if len(_zp_gcd(fp, _zp_derivative(fp, p), p)) > 1:
             continue
         rng = random.Random(seed ^ p)
@@ -489,9 +564,9 @@ def _recombine(f, pool, pk, bound, degrees):
                 const = _symmetric(const, pk)
                 if const == 0 or lc * f[0] % const:
                     continue
-            cand = [lc]
+            cand = [lc % pk]
             for i in subset:
-                cand = [c % pk for c in _zx_mul(cand, pool[i])]
+                cand = _zp_mul(cand, pool[i], pk)
             cand = [_symmetric(c, pk) for c in cand]
             if any(abs(c) > bound for c in cand):
                 continue

@@ -480,7 +480,12 @@ def quintic_group_witness(p: Polynomial, primes=None,
         raise ValueError("the quintic witness needs a squarefree quintic")
     if not is_irreducible_over_Q(sq, seed=seed):
         raise ValueError("the quintic witness needs an irreducible quintic")
-    samples, certificate = scan_cycle_types(sq, primes, seed)
+    return _quintic_witness(sq, primes, seed)
+
+
+def _quintic_witness(h: Polynomial, primes, seed) -> CycleTypeEvidence:
+    """The quintic witness of a monic quintic h already proved irreducible."""
+    samples, certificate = scan_cycle_types(h, primes, seed)
     if not samples:
         return CycleTypeEvidence((), None, "INCONCLUSIVE", "no usable prime in the configured list")
     if certificate is None:
@@ -577,7 +582,7 @@ def necessary_condition_verdict(p: Polynomial, degree_cap: int = DEFAULT_DEGREE_
     # group, and a quotient of a solvable group is solvable
     for h in factors:
         if h.degree == 5:
-            witness = quintic_group_witness(h, primes=primes, seed=seed)
+            witness = _quintic_witness(h, primes, seed)
             if whole:
                 evidence = witness
         elif h.degree >= 6:

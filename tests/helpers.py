@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 
 from galoiskit import QQ
-from galoiskit.poly import poly_from_int_coeffs
+from galoiskit.poly import Polynomial, poly_from_int_coeffs
 
 
 def P(*ints):
@@ -123,3 +123,56 @@ def rref_nullspace(rows):
             v[pc] = -m[r][fc]
         basis.append(v)
     return basis
+
+
+def poly_extended_gcd(p, q):
+    """(g, s, t) with g = gcd(p, q) monic and s*p + t*q = g, by Euclid over
+    the coefficient field: the oracle for the modular field inverse."""
+    f = p.field
+    a, b = p, q
+    sa, sb = Polynomial.one(f), Polynomial.zero(f)
+    ta, tb = Polynomial.zero(f), Polynomial.one(f)
+    while not b.is_zero:
+        quo, rem = divmod(a, b)
+        a, b = b, rem
+        sa, sb = sb, sa - quo * sb
+        ta, tb = tb, ta - quo * tb
+    if a.is_zero:
+        raise ValueError("extended gcd of two zero polynomials")
+    inv = 1 / a.lc
+    return a.monic(), sa * inv, ta * inv
+
+
+def schoolbook_mul(a, b, m):
+    """Product mod m of ascending coefficient lists, without trailing zeros."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % m
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def schoolbook_divmod(a, b, m):
+    """Long division mod m by b, whose leading coefficient is a unit mod m."""
+    rem = [c % m for c in a]
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    inv = pow(b[-1], -1, m)
+    for k in range(len(quo) - 1, -1, -1):
+        q = rem[k + len(b) - 1] * inv % m
+        quo[k] = q
+        for j, c in enumerate(b):
+            rem[k + j] = (rem[k + j] - q * c) % m
+    for v in (quo, rem):
+        while v and v[-1] == 0:
+            v.pop()
+    return quo, rem
+
+
+def schoolbook_powmod(a, e, f, m):
+    """a**e mod (f, m) by e multiplications, each followed by a division."""
+    acc = schoolbook_divmod([1], f, m)[1]
+    for _ in range(e):
+        acc = schoolbook_divmod(schoolbook_mul(acc, a, m), f, m)[1]
+    return acc

@@ -16,9 +16,11 @@ from galoiskit.numfield import (
     roots_in_field,
 )
 from galoiskit.poly import Polynomial, poly_resultant
+from galoiskit.qfactor import is_irreducible_over_Q
 from galoiskit.scalars import PrimeField
+from galoiskit.splitting import splitting_field
 
-from helpers import P
+from helpers import P, poly_extended_gcd
 
 
 def tower_q_sqrt2():
@@ -138,6 +140,64 @@ class TestElementArithmetic:
         t = tower_q_sqrt2()
         with pytest.raises(ZeroDivisionError):
             t.absolute.ext.zero.inverse()
+
+
+class TestModularInverse:
+    """The CRT inverse against Euclid over Q (helpers.poly_extended_gcd)."""
+
+    @staticmethod
+    def oracle(a):
+        g, s, _ = poly_extended_gcd(a.rep_poly(), a.field.modulus)
+        assert g.degree == 0
+        return a.field.from_rep((s % a.field.modulus).coeffs)
+
+    def test_rational_modulus(self):
+        # 6x^4 + 3x + 2 over the rationals, monic: x^4 + x/2 + 1/3
+        m = P(2, 3, 0, 0, 6).monic()
+        assert m.coeff(1) == Fraction(1, 2) and is_irreducible_over_Q(m)
+        ext = ExtensionField(QQ, m)
+        rng = random.Random(11)
+        for _ in range(12):
+            a = ext.from_rep([Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4)])
+            if a:
+                assert a.inverse() == self.oracle(a)
+
+    def test_degree_one_and_huge_coefficients(self):
+        ext = ExtensionField(QQ, P(-5, 3))  # root 5/3
+        big = Fraction(3**300 + 1, 2**200 - 1)
+        assert ext.from_rep([big]).inverse() == ext.from_rep([1 / big])
+        quartic = ExtensionField(QQ, P(-3, 1, 0, 0, 1))
+        rng = random.Random(12)
+        for _ in range(3):
+            a = quartic.from_rep([Fraction(rng.getrandbits(300) - 2**299, rng.getrandbits(200) + 1)
+                                  for _ in range(4)])
+            inv = a.inverse()
+            assert inv == self.oracle(a)
+            assert max(abs(c.numerator).bit_length() for c in inv.coeffs) > 1000
+
+    def test_degree_40_splitting_field(self):
+        e = splitting_field(P(-2, 0, 0, 0, 0, 1) * P(1, 0, 1))
+        assert e.degree == 40
+        r = e.roots
+        a = r[0] + 2 * r[1] + r[-1] * r[0] + 3
+        assert a * a.inverse() == 1
+
+    def test_zero_divisor_raises_at_once(self, monkeypatch):
+        # x - 1 modulo x^2 - 1 = (x - 1)(x + 1); the bound allows no
+        # unlucky prime, so the first failing image decides
+        ext = ExtensionField(QQ, P(-1, 0, 1))
+        calls = []
+        real = numfield._zp_inverse
+        monkeypatch.setattr(numfield, "_zp_inverse", lambda *args: calls.append(1) or real(*args))
+        with pytest.raises(ArithmeticError, match="reducible"):
+            ext.from_rep([-1, 1]).inverse()
+        assert len(calls) == 1
+        with pytest.raises(ZeroDivisionError):
+            ext.zero.inverse()
+        with pytest.raises(ArithmeticError, match="reducible"):
+            ext.from_rep([1, 1]).inverse()
+        # x + 2 is a unit there: (x + 2)(2/3 - x/3) = 1
+        assert ext.from_rep([2, 1]).inverse() == ext.from_rep([Fraction(2, 3), Fraction(-1, 3)])
 
 
 class TestMinimalPolynomial:

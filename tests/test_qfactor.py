@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from galoiskit import QQ, qfactor
-from galoiskit.modscreen import ModImage
+from galoiskit.modscreen import _SCREEN_PRIMES, ModImage
 from galoiskit.numfield import ExtensionField
 from galoiskit.poly import Polynomial
 from galoiskit.qfactor import (
@@ -16,7 +17,14 @@ from galoiskit.qfactor import (
 )
 from galoiskit.scalars import PrimeField
 
-from helpers import P, PF, swinnerton_dyer
+from helpers import (
+    P,
+    PF,
+    schoolbook_divmod,
+    schoolbook_mul,
+    schoolbook_powmod,
+    swinnerton_dyer,
+)
 
 
 class TestFactorModP:
@@ -291,3 +299,125 @@ class TestModImage:
         assert qfactor._zp_add(qfactor._zp_mul(s, a, 5), qfactor._zp_mul(t, b, 5), 5) == [1]
         with pytest.raises(ZeroDivisionError):
             qfactor._zp_ext_gcd([3, 1], [1, 0, 1], 5)
+
+
+# moduli of the int-list kernel: tiny primes, the Cantor-Zassenhaus pool's
+# largest, the screening primes, a Mersenne prime past 2**60, and Hensel
+# moduli p**k of 207, 634 and 671 bits
+KERNEL_MODULI = (2, 3, 313) + _SCREEN_PRIMES + (2**61 - 1, 313**25, 3**400, (2**61 - 1)**11)
+
+
+def _modulus_id(m):
+    return str(m) if m < 2**64 else f"{m.bit_length()}-bit"
+
+
+def _operand(rng, length, m, density=1.0):
+    """Ascending coefficients in [0, m) of exactly this length: each entry
+    nonzero with the given probability, the last always nonzero."""
+    out = [rng.randrange(1, m) if rng.random() < density else 0 for _ in range(length)]
+    if out:
+        out[-1] = rng.randrange(1, m)
+    return out
+
+
+def _unit(rng, m):
+    while True:
+        c = rng.randrange(1, m)
+        if math.gcd(c, m) == 1:
+            return c
+
+
+class TestModularKernel:
+    """_zp_mul (schoolbook or packed), _zp_divmod, and _zp_powmod and
+    _zp_mulmod (packed reduction rows) against the schoolbook oracles of
+    helpers.py."""
+
+    @pytest.mark.parametrize("m", KERNEL_MODULI, ids=_modulus_id)
+    def test_mul(self, m):
+        rng = random.Random(m % 1000)
+        lengths = [(0, 5), (3, 0), (1, 1), (1, 100), (2, 47), (3, 7), (12, 12),
+                   (16, 31), (47, 54), (54, 54), (99, 100), (100, 100)]
+        for la, lb in lengths:
+            for da, db in ((1.0, 1.0), (0.12, 1.0), (0.12, 0.12)):
+                a, b = _operand(rng, la, m, da), _operand(rng, lb, m, db)
+                assert qfactor._zp_mul(a, b, m) == schoolbook_mul(a, b, m)
+                assert qfactor._zp_mul(b, a, m) == schoolbook_mul(a, b, m)
+
+    @pytest.mark.parametrize("m", KERNEL_MODULI, ids=_modulus_id)
+    def test_divmod(self, m):
+        rng = random.Random(m % 1001)
+        for lb in (1, 2, 5, 30, 54):
+            for la in (0, lb - 1, lb, 2 * lb - 1, 100):
+                for density in (1.0, 0.12):
+                    a = _operand(rng, la, m, density)
+                    b = _operand(rng, lb - 1, m, density) + [_unit(rng, m)]
+                    assert qfactor._zp_divmod(a, b, m) == schoolbook_divmod(a, b, m)
+
+    @pytest.mark.parametrize("m", KERNEL_MODULI, ids=_modulus_id)
+    def test_powmod(self, m):
+        rng = random.Random(m % 1002)
+        cases = [(1, 5), (5, 33), (20, 17)] + ([(54, 33)] if m < 2**64 else [])
+        for deg, e in cases:
+            for lc in ((1, _unit(rng, m)) if m < 2**64 else (1,)):
+                f = _operand(rng, deg, m, 0.5) + [lc]
+                for la in (deg, deg + 3):
+                    a = _operand(rng, la, m, 0.5)
+                    for k in (0, 1, 2, e):
+                        assert qfactor._zp_powmod(a, k, f, m) == schoolbook_powmod(a, k, f, m)
+                    mul = qfactor._zp_mulmod(f, m)
+                    b, c = (schoolbook_divmod(_operand(rng, deg, m), f, m)[1] for _ in range(2))
+                    product = schoolbook_divmod(schoolbook_mul(b, c, m), f, m)[1]
+                    assert mul(b, c) == product
+        # a large exponent, split into two oracle-checked halves
+        f = _operand(rng, 12, m) + [1]
+        a = _operand(rng, 12, m)
+        big = qfactor._zp_powmod(a, 2**40 + 9, f, m)
+        half = qfactor._zp_powmod(a, 2**39, f, m)
+        rest = schoolbook_powmod(a, 9, f, m)
+        square = schoolbook_divmod(schoolbook_mul(half, half, m), f, m)[1]
+        assert big == schoolbook_divmod(schoolbook_mul(square, rest, m), f, m)[1]
+
+
+class TestFactorModPFrozen:
+    """factor_mod_p on fixed inputs and seeds; the expected factors were
+    computed before the packed kernel and checked by expansion."""
+
+    CASES = [
+        (3, 2, [1, 1, 2, 2, 2, 1, 0, 1, 0, 1, 1, 1, 2, 1, 2, 2, 1], [0, 1],
+         [([0, 1], 2), ([2, 1], 1), ([1, 1, 1, 1, 0, 1, 1, 1], 1),
+          ([2, 2, 1, 1, 0, 2, 2, 2, 1], 1)]),
+        (313, 5, [132, 148, 95, 118, 75, 115, 95, 66, 36, 272, 109, 150, 15, 220, 1], [64, 1],
+         [([64, 1], 2), ([264, 270, 155, 3, 1], 1),
+          ([157, 70, 50, 57, 63, 108, 254, 231, 148, 217, 1], 1)]),
+        (1048583, 3, [224035, 517860, 568569, 536400, 610304, 152307, 943176, 635411, 978569,
+                      831884, 825878, 248301, 1], [552634, 1],
+         [([552634, 1], 2), ([224035, 517860, 568569, 536400, 610304, 152307, 943176, 635411,
+                              978569, 831884, 825878, 248301, 1], 1)]),
+    ]
+
+    @pytest.mark.parametrize("p, seed, f, g, want", CASES)
+    def test_frozen(self, p, seed, f, g, want):
+        field = PrimeField(p)
+        poly = PF(field, *f) * PF(field, *g) ** 2
+        fac = factor_mod_p(poly, seed=seed)
+        assert [([c.value for c in h.coeffs], m) for h, m in fac.factors] == want
+        assert fac.expand(field) == poly
+
+    def test_pth_power_multiplicity(self):
+        # (x^2+x+1) * x^2 mod 2: x^2 is left after Yun's loop as a square,
+        # and its root x has multiplicity 2, not 4
+        gf2 = PrimeField(2)
+        fac = factor_mod_p(PF(gf2, 1, 1, 1) * PF(gf2, 0, 1) ** 2)
+        assert [([c.value for c in h.coeffs], m) for h, m in fac.factors] == [
+            ([0, 1], 2), ([1, 1, 1], 1)]
+
+    def test_products_with_pth_powers_expand_back(self):
+        rng = random.Random(5)
+        for p in (2, 3, 5):
+            field = PrimeField(p)
+            for _ in range(60):
+                poly = PF(field, 1)
+                for _ in range(rng.randint(1, 3)):
+                    q = PF(field, *[rng.randrange(p) for _ in range(rng.randint(1, 3))], 1)
+                    poly = poly * q ** rng.randint(1, 7)
+                assert factor_mod_p(poly, seed=rng.randint(0, 9)).expand(field) == poly
