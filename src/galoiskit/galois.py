@@ -1,12 +1,13 @@
 """Galois groups of splitting fields and the Galois correspondence.
 
-Automorphisms are defined by where they send the primitive element theta:
-any root of theta's minimal polynomial lying in the field gives a valid
-automorphism by substitution, so every enumerated candidate is correct by
-construction and the induced root permutation is derived, never searched.
-The enumeration is complete because every automorphism sends each tower
-generator to a root of that generator's minimal polynomial, and theta is an
-integer combination of the generators.
+Automorphisms are defined by where they send the primitive element theta,
+and the induced root permutation is derived, never searched.  Candidate
+theta-images combine conjugates of the tower generators as theta combines
+the generators.  A mod-p screen discards most (a true zero survives it), a
+survivor that would enlarge the group is verified exactly, and the rest of
+the group is its closure under composition: a Galois extension E has at
+most [E:Q] automorphisms, so verified generators whose closure has [E:Q]
+elements give the whole group.
 
 The correspondence runs on integers: each automorphism caches its action as
 one integer matrix over a common denominator, so applying it is one
@@ -187,68 +188,77 @@ def _enumerate_galois_group(E: SplittingField, seed: int) -> GaloisGroup:
     field = E.field
     n = field.degree
     roots = E.roots
+    identity = Automorphism(field, field.theta, Permutation.identity(len(roots)))
     if n == 1:
-        ident = Automorphism(field, field.theta, Permutation.identity(len(roots)))
-        return GaloisGroup(E, (ident,), 0)
-
-    gens = field.gen_images
-    combo = field.theta_combo
-    active = [(g, c) for g, c in zip(gens, combo) if c]
-    gen_minpolys = [minimal_polynomial(g) for g, _ in active]
-    allowed = []
-    for mp in gen_minpolys:
-        allowed.append([r for r in roots if not mp.evaluate(r)])
-
-    min_poly = field.min_poly
-    img = modscreen.make_image(field.ext)
-    screen_coeffs = None
-    if img is not None:
-        try:
-            screen_coeffs = [img.scalar(c) for c in min_poly.coeffs]
-        except ZeroDivisionError:
-            img = None
-
-    candidates = {}
-    for tup in itertools.product(*allowed):
-        if len(set(tup)) != len(tup):
-            continue
-        value = field.ext.zero
-        for (_, c), r in zip(active, tup):
-            value = value + r * c
-        if value in candidates:
-            continue
-        candidates[value] = None
-    theta_images = []
-    for value in candidates:
-        if img is not None:
-            try:
-                if img.eval_poly(screen_coeffs, img.element(value)):
-                    continue
-            except ZeroDivisionError:
-                pass
-        if not min_poly.evaluate(value):
-            theta_images.append(value)
-
-    record_check(
-        "galois.order_equals_degree",
-        len(theta_images) == n,
-        f"found {len(theta_images)} automorphisms in a degree-{n} field",
-    )
+        return GaloisGroup(E, (identity,), 0)
 
     root_index = {r: i for i, r in enumerate(roots)}
-    autos = []
-    for image in theta_images:
-        a = Automorphism(field, image)
+    active = [(g, c) for g, c in zip(field.gen_images, field.theta_combo) if c]
+    combo = [c for _, c in active]
+    min_poly = field.min_poly
+    polys = [minimal_polynomial(g) for g, _ in active] + [min_poly]
+    # a zero maps to zero mod p, so the screen keeps every true root; with
+    # no image (a denominator vanishing mod p), every test is exact
+    img = modscreen.make_image(field.ext)
+    try:
+        root_images = [img.element(r) for r in roots] if img else None
+        screens = [[img.scalar(c) for c in f.coeffs] for f in polys] if img else None
+    except ZeroDivisionError:
+        img = None
+    allowed = [[i for i, r in enumerate(roots)
+                if (not img.eval_poly(screens[k], root_images[i]) if img
+                    else not f.evaluate(r))]
+               for k, f in enumerate(polys[:-1])]
+
+    # the closure of the verified generators, by root permutation, and the
+    # generator images (root indices) of its elements: a candidate among
+    # them costs no arithmetic
+    gen_pos = tuple(root_index[g] for g, _ in active)
+    closure = {identity.root_permutation: identity}
+    keys = {gen_pos}
+    generators = []
+    for tup in itertools.product(*allowed):
+        if len(closure) == n:
+            break
+        if tup in keys or len(set(tup)) != len(tup):
+            continue
+        if img and img.eval_poly(screens[-1], img.combine(combo, [root_images[i] for i in tup])):
+            continue
+        value = field.ext.zero
+        for c, i in zip(combo, tup):
+            value = value + roots[i] * c
+        if min_poly.evaluate(value):
+            continue
+        a = Automorphism(field, value)
         images = []
         for r in roots:
-            s = a.apply(r)
-            j = root_index.get(s)
+            j = root_index.get(a.apply(r))
             if j is None:
                 raise SoundnessError("galois.root_permutation", "automorphism image is not a root")
             images.append(j)
         a.root_permutation = Permutation(images)
-        autos.append(a)
-    autos.sort(key=lambda a: a.root_permutation.images)
+        if a.root_permutation in closure:
+            continue
+        # sigma o tau sends theta to sigma(tau(theta)): only generators'
+        # action matrices are built
+        generators.append(a)
+        closure[a.root_permutation] = a
+        queue = list(closure.values())
+        for tau in queue:  # grows as the walk goes
+            for sigma in generators:
+                perm = sigma.root_permutation * tau.root_permutation
+                if len(closure) < n and perm not in closure:
+                    closure[perm] = rho = Automorphism(
+                        field, sigma.apply(tau.theta_image), perm)
+                    queue.append(rho)
+        keys = {tuple(p.images[k] for k in gen_pos) for p in closure}
+
+    record_check(
+        "galois.order_equals_degree",
+        len(closure) == n,
+        f"found {len(closure)} automorphisms in a degree-{n} field",
+    )
+    autos = sorted(closure.values(), key=lambda a: a.root_permutation.images)
 
     perms = [a.root_permutation for a in autos]
     record_check("galois.action_faithful", len(set(perms)) == len(perms))

@@ -40,6 +40,15 @@ class ModImage:
     def scalar(self, c):
         return _trim([self._frac(Fraction(c))])
 
+    def combine(self, scalars, elements):
+        """Image of sum(s * e) for integers s and element images e."""
+        p = self.prime
+        acc = [0] * self.n
+        for s, e in zip(scalars, elements):
+            for i, c in enumerate(e):
+                acc[i] += s * c
+        return _trim([c % p for c in acc])
+
     def neg(self, a):
         return [(-c) % self.prime for c in a]
 

@@ -7,6 +7,7 @@ roots that are products of powers of known roots (cyclotomic and radical
 polynomials split this way) before falling back to Trager factorization.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -212,9 +213,16 @@ def scan_cycle_types(h: Polynomial, primes=None, seed: int = DEFAULT_SEED):
     element, so the group holds an element of every sampled type
     (``permgroup.cycle_type_certificate``).
     """
+    return _scan_cycle_types(h, tuple(primes) if primes else DEFAULT_WITNESS_PRIMES, seed)
+
+
+@functools.lru_cache(maxsize=32)
+def _scan_cycle_types(h, primes, seed):
+    # one scan per (polynomial, prime list, seed): a verdict's quintic
+    # witness and the splitting-degree bound ask for the same one
     samples = []
     certificate = None
-    for prime in tuple(primes) if primes else DEFAULT_WITNESS_PRIMES:
+    for prime in primes:
         try:
             degrees = factor_degrees_mod_p(h, prime, seed=seed)
         except ZeroDivisionError:

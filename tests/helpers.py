@@ -10,6 +10,9 @@ import itertools
 from fractions import Fraction
 
 from galoiskit import QQ
+from galoiskit.galois import Automorphism, GaloisGroup
+from galoiskit.numfield import minimal_polynomial
+from galoiskit.permgroup import Permutation
 from galoiskit.poly import Polynomial, poly_from_int_coeffs
 
 
@@ -176,3 +179,35 @@ def schoolbook_powmod(a, e, f, m):
     for _ in range(e):
         acc = schoolbook_divmod(schoolbook_mul(acc, a, m), f, m)[1]
     return acc
+
+
+def exhaustive_galois_group(E):
+    """Every automorphism of a splitting field E, by exhaustion: each
+    distinct theta-image sum(c_k * r_k), over tuples of distinct conjugate
+    roots r_k of the tower generators, is checked exactly against theta's
+    minimal polynomial; root permutations come from applying each image."""
+    field = E.field
+    roots = E.roots
+    active = [(g, c) for g, c in zip(field.gen_images, field.theta_combo) if c]
+    allowed = []
+    for g, _ in active:
+        mp = minimal_polynomial(g)
+        allowed.append([r for r in roots if not mp.evaluate(r)])
+    images = {field.theta: None} if field.degree == 1 else {}
+    for tup in itertools.product(*allowed):
+        if len(set(tup)) != len(tup):
+            continue
+        value = field.ext.zero
+        for (_, c), r in zip(active, tup):
+            value = value + r * c
+        if value not in images and not field.min_poly.evaluate(value):
+            images[value] = None
+    root_index = {r: i for i, r in enumerate(roots)}
+    autos = []
+    for image in images:
+        a = Automorphism(field, image)
+        a.root_permutation = Permutation([root_index[a.apply(r)] for r in roots])
+        autos.append(a)
+    autos.sort(key=lambda a: a.root_permutation.images)
+    identity_index = next(i for i, a in enumerate(autos) if a.root_permutation.is_identity)
+    return GaloisGroup(E, tuple(autos), identity_index)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from galoiskit import QQ, SoundnessError, modscreen
+from galoiskit.cli import EXIT_SOUNDNESS, main
 from galoiskit.galois import (
     fixed_field,
     galois_group,
@@ -14,12 +16,14 @@ from galoiskit.galois import (
     subgroup_fixing,
 )
 from galoiskit.linalg import nullspace
-from galoiskit.numfield import ExtensionField, minimal_polynomial
+from galoiskit.numfield import ExtElement, ExtensionField, minimal_polynomial
 from galoiskit.permgroup import all_subgroups
+from galoiskit.poly import Polynomial
 from galoiskit.qfactor import is_irreducible_over_Q
 from galoiskit.splitting import splitting_field
 
-from helpers import P, rref_nullspace
+from helpers import P, exhaustive_galois_group, rref_nullspace
+from test_goldens import GOLDEN, _poly
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +54,18 @@ def e_octic():
 @pytest.fixture(scope="module")
 def g_octic(e_octic):
     return galois_group(e_octic)
+
+
+def _listing(G):
+    return [(a.theta_image, a.root_permutation) for a in G.automorphisms], G.identity_index
+
+
+DIFFERENTIAL = [(label, _poly(label, ints)) for label, ints, *_ in GOLDEN] + [
+    ("x^8+1", P(1, 0, 0, 0, 0, 0, 0, 0, 1)),
+    ("(x^2-2)(x^2-3)(x^2-5)", P(-2, 0, 1) * P(-3, 0, 1) * P(-5, 0, 1)),
+    ("3x^3-2", P(-2, 0, 0, 3)),
+    ("x^3-2/27", Polynomial(QQ, [Fraction(-2, 27), 0, 0, 1])),
+]
 
 
 class TestGaloisGroup:
@@ -375,3 +391,54 @@ class TestIntegerKernel:
             expected = [[Fraction(int(v.p), int(v.q)) for v in vec]
                         for vec in sympy.Matrix(rows).nullspace()]
             assert nullspace(rows) == expected
+
+
+class TestGeneratorEnumeration:
+    """The group is the closure of exactly verified generators."""
+
+    @pytest.mark.parametrize("label, poly", DIFFERENTIAL, ids=[d[0] for d in DIFFERENTIAL])
+    def test_matches_exhaustive_enumeration(self, label, poly):
+        e = splitting_field(poly)
+        assert _listing(galois_group(e)) == _listing(exhaustive_galois_group(e))
+
+    def test_exact_work_only_for_generators(self, monkeypatch):
+        e = splitting_field(P(-2, 0, 0, 0, 0, 0, 0, 1))
+        min_poly = e.field.min_poly
+        exact = []
+        evaluate = Polynomial.evaluate
+
+        def spy(self, v):
+            if self is min_poly:
+                exact.append(v)
+            return evaluate(self, v)
+
+        monkeypatch.setattr(Polynomial, "evaluate", spy)
+        g = galois_group(e)
+        assert g.order == 42
+        built = sum(a._action is not None for a in g.automorphisms)
+        assert built <= len(exact) <= 6
+
+    @pytest.mark.parametrize("ints", [(1, 1, 0, 0, 1), (-2, 0, 0, 0, 0, 1)],
+                             ids=["x^4+x+1", "x^5-2"])
+    def test_same_group_without_a_screening_image(self, monkeypatch, ints):
+        screened, unscreened = splitting_field(P(*ints)), splitting_field(P(*ints))
+        expected = _listing(galois_group(screened))
+        monkeypatch.setattr(modscreen, "make_image", lambda ext: None)
+        assert _listing(galois_group(unscreened)) == expected
+
+    def test_too_few_verified_automorphisms_fail_the_order_check(self, monkeypatch, capsys):
+        evaluate = Polynomial.evaluate
+
+        def reject_non_identity(self, v):
+            value = evaluate(self, v)
+            if isinstance(v, ExtElement) and self is v.field.modulus and v != v.field.gen:
+                return v.field.one
+            return value
+
+        monkeypatch.setattr(Polynomial, "evaluate", reject_non_identity)
+        e = splitting_field(P(-2, 0, 0, 1))
+        with pytest.raises(SoundnessError) as err:
+            galois_group(e)
+        assert err.value.check_name == "galois.order_equals_degree"
+        assert main(["group", "x^3-2"]) == EXIT_SOUNDNESS
+        assert "galois.order_equals_degree" in capsys.readouterr().err

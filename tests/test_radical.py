@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from galoiskit import ChainFormatError, DegreeCapError, radical
+from galoiskit import ChainFormatError, DegreeCapError, radical, splitting
 from galoiskit.galois import galois_group
 from galoiskit.numfield import minimal_polynomial
 from galoiskit.radical import (
@@ -238,6 +238,20 @@ class TestVerdicts:
         assert v.derived_series_orders == (20, 5, 1)
         assert v.certificate is not None and v.certificate.accepted
         assert "necessary" in v.note
+
+    def test_quintic_cycle_types_scanned_once(self, monkeypatch):
+        # the quintic witness and the splitting-degree bound share one scan
+        primes = []
+        scan = splitting.factor_degrees_mod_p
+
+        def counting(h, prime, seed):
+            primes.append(prime)
+            return scan(h, prime, seed=seed)
+
+        monkeypatch.setattr(splitting, "factor_degrees_mod_p", counting)
+        splitting._scan_cycle_types.cache_clear()
+        assert necessary_condition_verdict(P(-2, 0, 0, 0, 0, 1)).verdict == "SOLVABLE_GROUP"
+        assert len(primes) == 25
 
     def test_x5_minus_x_minus_1_not_solvable(self):
         v = necessary_condition_verdict(P(-1, -1, 0, 0, 0, 1))
