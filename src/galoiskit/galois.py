@@ -4,7 +4,8 @@ Automorphisms are defined by where they send the primitive element theta,
 and the induced root permutation is derived, never searched.  Candidate
 theta-images combine conjugates of the tower generators as theta combines
 the generators.  A mod-p screen discards most (a true zero survives it), a
-survivor that would enlarge the group is verified exactly, and the rest of
+survivor that would enlarge the group is verified exactly on its integer
+action matrix, and the rest of
 the group is its closure under composition: a Galois extension E has at
 most [E:Q] automorphisms, so verified generators whose closure has [E:Q]
 elements give the whole group.
@@ -30,6 +31,7 @@ from .linalg import SpanSolver, nullspace
 from .numfield import (
     ExtElement,
     _clear_denominators,
+    _power_coords,
     element_sort_key,
     minimal_polynomial,
     roots_in_field,
@@ -62,23 +64,13 @@ class Automorphism:
     def action_matrix(self):
         if self._action is None:
             ext = self.field.ext
-            n = ext.degree
-            t, dt = _clear_denominators(self.theta_image.coeffs)
-            scale = dt * ext._int_rows[1]
-            power, den = [1] + [0] * (n - 1), 1  # theta_image**0 as power/den
-            columns = []
-            for j in range(n):
-                columns.append((power, den))
-                if j < n - 1:
-                    power = ext._int_mul(power, t)
-                    den *= scale
-                    g = gcd(den, *power)
-                    den //= g
-                    power = [v // g for v in power]
-            d = 1
-            for _, den in columns:
-                d = lcm(d, den)
-            scaled = [[v * (d // den) for v in power] for power, den in columns]
+            powers = _power_coords(self.theta_image, 0, Polynomial.x(ext))
+            columns = [next(powers) for _ in range(ext.degree)]
+            d = lcm(*(s.denominator for _, s in columns))
+            scaled = []
+            for w, s in columns:
+                k = s.numerator * (d // s.denominator)
+                scaled.append([v * k for v in w])
             self._action = (tuple(zip(*scaled)), d)
         return self._action
 
@@ -227,9 +219,9 @@ def _enumerate_galois_group(E: SplittingField, seed: int) -> GaloisGroup:
         value = field.ext.zero
         for c, i in zip(combo, tup):
             value = value + roots[i] * c
-        if min_poly.evaluate(value):
-            continue
         a = Automorphism(field, value)
+        if not _sends_theta_to_a_root(a):
+            continue
         images = []
         for r in roots:
             j = root_index.get(a.apply(r))
@@ -270,6 +262,21 @@ def _enumerate_galois_group(E: SplittingField, seed: int) -> GaloisGroup:
         record_check("galois.multiplication_table_closed", closed)
         record_check("galois.inverses_present", all(p.inverse() in perm_set for p in perms))
     return GaloisGroup(E, tuple(autos), identity_index)
+
+
+def _sends_theta_to_a_root(a: Automorphism) -> bool:
+    """m(theta') == 0 for theta's minimal polynomial m, read off the action
+    matrix: column j is d * theta'**j, and theta'**n is one more product,
+    so dm * d * sc * m(theta') = sc * sum_j m_j * column_j + dm * top."""
+    ext = a.field.ext
+    n = ext.degree
+    rows, d = a.action_matrix
+    t, dt = _clear_denominators(a.theta_image.coeffs)
+    mi, dm = _clear_denominators(ext.modulus.coeffs)
+    # top = d * dt * d_rows * theta'**n
+    top = ext._int_mul([row[-1] for row in rows], t)
+    sc = dt * ext._int_rows[1]
+    return not any(sc * sum(map(mul, row, mi[:n])) + dm * x for row, x in zip(rows, top))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Exact linear algebra over Q.
 
-``nullspace`` takes an integer matrix and eliminates without fractions;
-``SpanSolver`` grows an echelon basis of rational vectors one vector at a
-time and expresses each dependent vector in the ones before it.  Everything
+Both routines eliminate on integers.  ``nullspace`` takes an integer
+matrix; ``SpanSolver`` grows an echelon basis one vector at a time, each an
+integer vector times a rational scale, and expresses each dependent vector
+in the ones before it.  Fractions appear only in the results.  Everything
 here is pure and deterministic; pivots are chosen first-nonzero so results
-are canonical for a given input.
+are canonical for a given input, and equal to elimination over Q.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def nullspace(rows):
@@ -68,34 +69,53 @@ class SpanSolver:
     ``insert`` returns None when the vector was independent (and absorbed),
     otherwise the coefficients writing it as a combination of the vectors
     inserted before it.
+
+    Elimination is fraction-free.  The j-th inserted vector is kept as
+    s[j] * w[j] with w[j] an integer vector, and each stored row is an
+    integer vector R with an integer expression E, R = sum E[j] * w[j].  A
+    new w is reduced by r <- a*r - c*R with a/c = R[pivot]/r[pivot] in
+    lowest terms, e the same way, and (r, e) is kept primitive.  Each
+    integer row is a nonzero multiple of the rational row that dividing by
+    pivots would give, so pivots (first nonzero) and coefficients agree with
+    elimination over Q.  Fractions appear only in a returned dependence.
     """
 
     def __init__(self):
         self.count = 0
-        self._rows = []  # (reduced vector, pivot index, expression list)
+        self._rows = []  # (integer row R, pivot index, integer expression E)
+        self._scales = []  # (numerator, denominator) of each s[j]
 
     def insert(self, vec):
-        zero = Fraction(0)
-        r = list(vec)
-        expr = [zero] * self.count
+        """Insert a rational vector (Fractions or ints)."""
+        d = lcm(*(v.denominator for v in vec))
+        w = [v.numerator * (d // v.denominator) for v in vec]
+        g = gcd(*w) or 1
+        return self.insert_int([v // g for v in w] if g > 1 else w, Fraction(g, d))
+
+    def insert_int(self, w, scale):
+        """Insert the vector scale * w, for an integer vector w and a nonzero
+        rational scale."""
+        r, e, e_new = list(w), [0] * self.count, 1
         for row, pivot, row_expr in self._rows:
             c = r[pivot]
             if c:
-                for i, rv in enumerate(row):
-                    if rv:
-                        r[i] = r[i] - c * rv
-                for i, re_ in enumerate(row_expr):
-                    if re_:
-                        expr[i] = expr[i] + c * re_
+                a = row[pivot]
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                r = [a * x - c * y for x, y in zip(r, row)]
+                # e[k] is still 0 for every k past this row's expression
+                e = [a * x - c * y for x, y in zip(e, row_expr)] + e[len(row_expr):]
+                e_new *= a
+                g = gcd(e_new, *r, *e)
+                if g > 1:
+                    r, e, e_new = [x // g for x in r], [x // g for x in e], e_new // g
+        num, den = scale.numerator, scale.denominator
         pivot = next((i for i, v in enumerate(r) if v), None)
         if pivot is None:
-            return expr
-        inv = 1 / r[pivot]
-        row = [v * inv for v in r]
-        # the reduced row equals (original_new - sum expr_i * original_i) / lead
-        row_expr = [-e * inv for e in expr] + [zero] * (self.count - len(expr))
-        row_expr.append(inv)
-        self._rows.append((row, pivot, row_expr))
+            # 0 = sum e[j] * w[j] + e_new * w
+            return [Fraction(-x * num * sd, e_new * den * sn)
+                    for x, (sn, sd) in zip(e, self._scales)]
+        self._rows.append((r, pivot, e + [e_new]))
+        self._scales.append((num, den))
         self.count += 1
         return None
-

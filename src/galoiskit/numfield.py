@@ -11,12 +11,13 @@ One routine finds minimal polynomials over Q: the coordinate vectors of
 serves ``minimal_polynomial``, the primitive-element search of each
 adjunction, and the squarefree norm of Trager factorization, which is the
 minimal polynomial of x + s*theta in F[x]/(f) when that has full degree.
+The powers of z = w + u*y in F[y]/(m) are computed on integer
+theta-coordinates over one rational scale, and the solver eliminates on
+integers, so the routine makes no ``Fraction`` product.
 """
 
 from fractions import Fraction
-from itertools import accumulate, repeat
-from math import isqrt, lcm
-from operator import mul
+from math import gcd, isqrt, lcm
 
 from .checks import record_check
 from .errors import DegreeCapError, FieldMismatchError, PrimitiveSearchError
@@ -444,19 +445,22 @@ def _flatten(cur: AbsoluteField, m: Polynomial, name: str) -> AbsoluteField:
             prev_degree=1,
         )
     # powers of theta_old + c*y live in cur.ext[y]/(m)
-    F = cur.ext
-    y = Polynomial.x(F)
-    theta_old = Polynomial.constant(F, cur.theta)
     for c in _signed_range(PRIMITIVE_SEARCH_RANGE):
-        span, min_poly = _power_relation(_power_coords(theta_old + y * c, m), n)
+        span, min_poly = _power_relation(_power_coords(cur.theta, c, m), n)
         if min_poly.degree < n:
             continue
         new_ext = ExtensionField(QQ, min_poly, "a")
-        # the n powers span the whole space, so each target has one expression
-        targets = [Polynomial.constant(F, img) for img in cur.gen_images] + [y, theta_old]
+        # the n powers span the whole space, so each target has one
+        # expression; y's coordinates are those of y mod m
+        pad = (Fraction(0),) * (n - base_deg)
+        if d > 1:
+            y = tuple(Fraction(i == base_deg) for i in range(n))
+        else:
+            y = (-m.coeffs[0]).coeffs
+        targets = [img.coeffs + pad for img in cur.gen_images] + [y, cur.theta.coeffs + pad]
         images = []
         for t in targets:
-            x = span.insert(_coords(t, d))
+            x = span.insert(t)
             if x is None:
                 raise PrimitiveSearchError("generator image escaped the power basis (internal)")
             images.append(new_ext.from_rep(x))
@@ -488,40 +492,57 @@ def minimal_polynomial(a) -> Polynomial:
         return Polynomial(QQ, [-Fraction(a), Fraction(1)])
     if not isinstance(a, ExtElement):
         raise TypeError(f"cannot take a minimal polynomial of {a!r}")
-    powers = accumulate(repeat(a), mul, initial=a.field.one)
-    return _power_relation((p.coeffs for p in powers), a.field.degree)[1]
+    return _power_relation(_power_coords(a, 0, Polynomial.x(a.field)), a.field.degree)[1]
 
 
 def _power_relation(powers, limit):
     """(solver, monic minimal polynomial over Q) from the first rational
-    linear dependence among the coordinate vectors of 1, z, z**2, ...
+    linear dependence among the vectors scale * w of 1, z, z**2, ...
 
     The solver then holds the independent powers, so it can express any
     vector in their span.  At most limit + 1 vectors are read.
     """
     span = SpanSolver()
-    for _, vec in zip(range(limit + 1), powers):
-        x = span.insert(vec)
+    for _, (w, scale) in zip(range(limit + 1), powers):
+        x = span.insert_int(w, scale)
         if x is not None:
             return span, Polynomial(QQ, [-c for c in x] + [Fraction(1)])
     raise ArithmeticError(f"no linear dependence among {limit + 1} powers (internal)")
 
 
-def _power_coords(z: Polynomial, m: Polynomial):
-    """Rational coordinates of 1, z, z**2, ... in F[y]/(m) for F = Q(theta)."""
-    power = Polynomial.one(m.field)
+def _power_coords(w: ExtElement, u, m: Polynomial):
+    """Coordinates of 1, z, z**2, ... for z = w + u*y in F[y]/(m), with
+    F = Q(theta), w in F, u rational and m monic over F.
+
+    Each power is yielded as (integer vector, scale): deg m blocks of integer
+    theta-coordinates, one per power of y, and a rational scale.  A step
+    multiplies every block by the cleared w, shifts the blocks by u*y and
+    folds the top one back through the cleared coefficients of m, all with
+    ``ExtensionField._int_mul``; one gcd keeps the vector primitive.
+    """
+    F = w.field
+    n, d = F.degree, m.degree
+    wi, dw = _clear_denominators(w.coeffs)
+    un, ud = Fraction(u).as_integer_ratio()
+    mi, dm = _clear_denominators([c for e in m.coeffs[:d] for c in e.coeffs])
+    mi = [mi[i * n:(i + 1) * n] for i in range(d)]
+    # z * blocks = (ud*dm * w*blocks + un*dw*d_rows*dm * y*blocks
+    #               - un*dw * top*m) / (dw * d_rows * ud * dm)
+    d_rows = F._int_rows[1]
+    w_scale, y_scale, top_scale = ud * dm, un * dw * d_rows * dm, un * dw
+    step = Fraction(1, dw * d_rows * ud * dm)
+    blocks = [[1] + [0] * (n - 1)] + [[0] * n for _ in range(d - 1)]
+    scale = Fraction(1)
     while True:
-        yield _coords(power, m.degree)
-        power = (power * z) % m
-
-
-def _coords(p: Polynomial, d: int):
-    """Rational coordinates of p (degree < d) over F = Q(theta): the
-    y-coefficients' coordinates in d zero-padded blocks."""
-    out = []
-    for e in p.coeffs:
-        out.extend(e.coeffs)
-    return tuple(out) + (Fraction(0),) * (p.field.degree * (d - len(p.coeffs)))
+        yield [v for b in blocks for v in b], scale
+        shifted = [[0] * n] + blocks[:-1]
+        out = []
+        for b, s, mb in zip(blocks, shifted, mi):
+            out.append([w_scale * x + y_scale * y - top_scale * t for x, y, t in
+                        zip(F._int_mul(wi, b), s, F._int_mul(mb, blocks[-1]))])
+        g = gcd(*(v for b in out for v in b)) or 1
+        blocks = [[v // g for v in b] for b in out]
+        scale *= step * g
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +563,20 @@ def _center_sequence(k):
     return half if k % 2 == 1 else -half
 
 
+def _squarefree_norm(f: Polynomial):
+    """(s, norm) for the first shift s in 0, 1, -1, 2, ... at which the
+    minimal polynomial of y + s*theta in F[y]/(f) has full degree."""
+    F = f.field
+    n = F.degree * f.degree
+    for k in range(0, 4 * n + 1):
+        s = _center_sequence(k)
+        w = ExtElement(F, tuple(s * c for c in F.gen.coeffs))
+        _, norm = _power_relation(_power_coords(w, 1, f), n)
+        if norm.degree == n:
+            return s, norm
+    raise ArithmeticError("no squarefree norm found (internal)")
+
+
 def _trager_squarefree(f: Polynomial, seed: int):
     """Irreducible factors of a monic squarefree f over an absolute field."""
     F = f.field
@@ -549,14 +584,7 @@ def _trager_squarefree(f: Polynomial, seed: int):
         return [f]
     theta = F.gen
     x = Polynomial.x(F)
-    n = F.degree * f.degree
-    for k in range(0, 4 * n + 1):
-        s = _center_sequence(k)
-        _, norm = _power_relation(_power_coords(x + Polynomial.constant(F, theta * s), f), n)
-        if norm.degree == n:
-            break
-    else:
-        raise ArithmeticError("no squarefree norm found (internal)")
+    s, norm = _squarefree_norm(f)
     shifted = f.compose(x - Polynomial.constant(F, theta * s)) if s else f
     nf = factor_over_Q(norm, seed=seed)
     if len(nf.factors) == 1:

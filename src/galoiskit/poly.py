@@ -238,14 +238,30 @@ def _invert(c):
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic greatest common divisor via the Euclidean algorithm."""
+    """Monic greatest common divisor via the Euclidean algorithm.
+
+    Over Q, coprime inputs return 1 at once: at a prime dividing neither
+    leading coefficient of their primitive integer parts, the gcd mod p has
+    at least the degree of the gcd over Q, so a unit gcd mod p proves it.
+    """
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials")
     p._same_field(q)
+    if p.field == QQ and p and q and _coprime_mod_prime(p, q):
+        return Polynomial.one(QQ)
     a, b = p, q
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
+
+
+def _coprime_mod_prime(p: Polynomial, q: Polynomial) -> bool:
+    from .qfactor import _crt_primes, _trim, _zp_gcd
+
+    a = poly_content_and_primitive(p)[1]
+    b = poly_content_and_primitive(q)[1]
+    prime = next(x for x in _crt_primes() if a[-1] % x and b[-1] % x)
+    return len(_zp_gcd(_trim([c % prime for c in a]), _trim([c % prime for c in b]), prime)) == 1
 
 
 def poly_squarefree_part(p: Polynomial) -> Polynomial:

@@ -128,6 +128,44 @@ def rref_nullspace(rows):
     return basis
 
 
+class FractionSpanSolver:
+    """Incremental echelon span over Fractions: each reduced row is divided
+    by its pivot, and each dependent vector is written in the vectors
+    inserted before it.  The oracle for ``linalg.SpanSolver``."""
+
+    def __init__(self):
+        self.count = 0
+        self._rows = []  # (reduced vector, pivot index, expression list)
+
+    def insert_int(self, w, scale):
+        return self.insert([scale * v for v in w])
+
+    def insert(self, vec):
+        zero = Fraction(0)
+        r = list(vec)
+        expr = [zero] * self.count
+        for row, pivot, row_expr in self._rows:
+            c = r[pivot]
+            if c:
+                for i, rv in enumerate(row):
+                    if rv:
+                        r[i] = r[i] - c * rv
+                for i, re_ in enumerate(row_expr):
+                    if re_:
+                        expr[i] = expr[i] + c * re_
+        pivot = next((i for i, v in enumerate(r) if v), None)
+        if pivot is None:
+            return expr
+        inv = 1 / r[pivot]
+        row = [v * inv for v in r]
+        # the reduced row equals (original_new - sum expr_i * original_i) / lead
+        row_expr = [-e * inv for e in expr] + [zero] * (self.count - len(expr))
+        row_expr.append(inv)
+        self._rows.append((row, pivot, row_expr))
+        self.count += 1
+        return None
+
+
 def poly_extended_gcd(p, q):
     """(g, s, t) with g = gcd(p, q) monic and s*p + t*q = g, by Euclid over
     the coefficient field: the oracle for the modular field inverse."""

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from galoiskit import QQ, SoundnessError, modscreen
+from galoiskit import galois as galois_module
 from galoiskit.cli import EXIT_SOUNDNESS, main
 from galoiskit.galois import (
+    Automorphism,
     fixed_field,
     galois_group,
     intermediate_field,
@@ -16,7 +18,7 @@ from galoiskit.galois import (
     subgroup_fixing,
 )
 from galoiskit.linalg import nullspace
-from galoiskit.numfield import ExtElement, ExtensionField, minimal_polynomial
+from galoiskit.numfield import ExtensionField, minimal_polynomial
 from galoiskit.permgroup import all_subgroups
 from galoiskit.poly import Polynomial
 from galoiskit.qfactor import is_irreducible_over_Q
@@ -403,20 +405,33 @@ class TestGeneratorEnumeration:
 
     def test_exact_work_only_for_generators(self, monkeypatch):
         e = splitting_field(P(-2, 0, 0, 0, 0, 0, 0, 1))
-        min_poly = e.field.min_poly
         exact = []
-        evaluate = Polynomial.evaluate
+        check = galois_module._sends_theta_to_a_root
 
-        def spy(self, v):
-            if self is min_poly:
-                exact.append(v)
-            return evaluate(self, v)
+        def spy(a):
+            exact.append(a)
+            return check(a)
 
-        monkeypatch.setattr(Polynomial, "evaluate", spy)
+        monkeypatch.setattr(galois_module, "_sends_theta_to_a_root", spy)
         g = galois_group(e)
         assert g.order == 42
         built = sum(a._action is not None for a in g.automorphisms)
         assert built <= len(exact) <= 6
+
+    @pytest.mark.parametrize("ints", [(-2, 0, 0, 1), (1, 1, 0, 0, 1), (-2, 0, 0, 0, 0, 1)],
+                             ids=["x^3-2", "x^4+x+1", "x^5-2"])
+    def test_root_check_matches_horner(self, ints):
+        # the check read off the action matrix against m(theta') by Horner,
+        # on every automorphism and on perturbed images that are no roots
+        e = splitting_field(P(*ints))
+        field = e.field
+        rng = random.Random(len(ints))
+        for a in galois_group(e).automorphisms[:8]:
+            for image in (a.theta_image, a.theta_image + Fraction(1, rng.randint(1, 5)),
+                          a.theta_image * Fraction(rng.choice((-3, 2, 7)), 2)):
+                b = Automorphism(field, image)
+                horner = not field.min_poly.evaluate(image)
+                assert galois_module._sends_theta_to_a_root(b) is horner
 
     @pytest.mark.parametrize("ints", [(1, 1, 0, 0, 1), (-2, 0, 0, 0, 0, 1)],
                              ids=["x^4+x+1", "x^5-2"])
@@ -427,15 +442,12 @@ class TestGeneratorEnumeration:
         assert _listing(galois_group(unscreened)) == expected
 
     def test_too_few_verified_automorphisms_fail_the_order_check(self, monkeypatch, capsys):
-        evaluate = Polynomial.evaluate
+        check = galois_module._sends_theta_to_a_root
 
-        def reject_non_identity(self, v):
-            value = evaluate(self, v)
-            if isinstance(v, ExtElement) and self is v.field.modulus and v != v.field.gen:
-                return v.field.one
-            return value
+        def reject_non_identity(a):
+            return a.is_identity and check(a)
 
-        monkeypatch.setattr(Polynomial, "evaluate", reject_non_identity)
+        monkeypatch.setattr(galois_module, "_sends_theta_to_a_root", reject_non_identity)
         e = splitting_field(P(-2, 0, 0, 1))
         with pytest.raises(SoundnessError) as err:
             galois_group(e)

@@ -17,10 +17,11 @@ from galoiskit.numfield import (
 )
 from galoiskit.poly import Polynomial, poly_resultant
 from galoiskit.qfactor import is_irreducible_over_Q
+from galoiskit.linalg import SpanSolver
 from galoiskit.scalars import PrimeField
 from galoiskit.splitting import splitting_field
 
-from helpers import P, poly_extended_gcd
+from helpers import FractionSpanSolver, P, poly_extended_gcd
 
 
 def tower_q_sqrt2():
@@ -38,8 +39,7 @@ def tower_q_sqrt2_sqrt3():
 def shifted_relation(f, s):
     """Minimal polynomial over Q of z = y + s*theta in F[y]/(f)."""
     F = f.field
-    z = Polynomial.x(F) + Polynomial.constant(F, F.gen * s)
-    return _power_relation(_power_coords(z, f), F.degree * f.degree)[1]
+    return _power_relation(_power_coords(F.gen * s, 1, f), F.degree * f.degree)[1]
 
 
 def assert_norm_by_resultants(g, norm):
@@ -373,11 +373,72 @@ class TestTrager:
             [x - Polynomial.constant(ext, s2), x + Polynomial.constant(ext, s2)],
             key=lambda g: g.sort_key())
 
-    def test_power_relation_limit(self):
-        # three independent vectors of Q^3 and no dependence within the limit
-        basis = [(Fraction(1), 0, 0), (0, Fraction(1), 0), (0, 0, Fraction(1))]
-        with pytest.raises(ArithmeticError):
-            _power_relation(iter(basis), 2)
-        span, relation = _power_relation(iter(basis + [(2, 3, 5)]), 3)
-        assert relation == P(-2, -3, -5, 1)
-        assert span.insert((1, 1, 1)) == [1, 1, 1]
+    def test_power_relation_limit(self, monkeypatch):
+        # three independent vectors of Q^3 and no dependence within the
+        # limit, on the library solver and on the Fraction oracle
+        basis = [((1, 0, 0), Fraction(1)), ((0, 2, 0), Fraction(1, 2)), ((0, 0, 1), Fraction(1))]
+        for solver in (SpanSolver, FractionSpanSolver):
+            monkeypatch.setattr(numfield, "SpanSolver", solver)
+            with pytest.raises(ArithmeticError):
+                _power_relation(iter(basis), 2)
+            span, relation = _power_relation(iter(basis + [((4, 6, 10), Fraction(1, 2))]), 3)
+            assert isinstance(span, solver)
+            assert relation == P(-2, -3, -5, 1)
+            assert span.insert((1, 1, 1)) == [1, 1, 1]
+
+
+class TestIntegerPowers:
+    """Power relations run on integers: no field product, no polynomial
+    remainder."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        calls = {"_mul": 0, "__mod__": 0}
+        for owner, name in ((ExtensionField, "_mul"), (Polynomial, "__mod__")):
+            original = getattr(owner, name)
+
+            def spy(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    def test_minimal_polynomial(self, spies):
+        t = tower_q_sqrt2_sqrt3()
+        a = sum(t.absolute.gen_images, t.absolute.ext.one)
+        spies.update(_mul=0, __mod__=0)
+        # (x - 1)^4 - 10 (x - 1)^2 + 1 for 1 + sqrt2 + sqrt3
+        assert minimal_polynomial(a) == P(-8, 16, -4, -4, 1)
+        assert spies == {"_mul": 0, "__mod__": 0}
+
+    def test_trager_shift_search(self, spies):
+        t = tower_q_sqrt2()
+        ext = t.absolute.ext
+        f = P(-2, 0, 1).map_coefficients(ext.coerce, ext)
+        spies.update(_mul=0, __mod__=0)
+        assert numfield._squarefree_norm(f) == (2, P(36, 0, -20, 0, 1))
+        assert spies == {"_mul": 0, "__mod__": 0}
+
+    def test_flatten(self, spies):
+        t = tower_q_sqrt2()
+        ext = t.absolute.ext
+        m = P(-3, 0, 1).map_coefficients(ext.coerce, ext)
+        spies.update(_mul=0, __mod__=0)
+        absolute = numfield._flatten(t.absolute, m, "g2")
+        assert spies == {"_mul": 0, "__mod__": 0}
+        assert absolute.min_poly == P(1, 0, -10, 0, 1)
+        s2, s3 = absolute.gen_images
+        assert s2 * s2 == 2 and s3 * s3 == 3
+
+    def test_flatten_linear_stage(self):
+        # a root of y - (1 + sqrt2) is already in Q(sqrt2): theta + y = 1 + 2*sqrt2
+        t = tower_q_sqrt2()
+        ext = t.absolute.ext
+        s2 = t.absolute.gen_images[0]
+        m = Polynomial(ext, [-(s2 + 1), ext.one])
+        absolute = numfield._flatten(t.absolute, m, "r")
+        assert absolute.min_poly == P(-7, -2, 1)
+        s2_new, r = absolute.gen_images
+        assert s2_new * s2_new == 2
+        assert r == s2_new + 1

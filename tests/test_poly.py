@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from galoiskit.poly import (
     poly_squarefree_part,
     render_poly,
 )
+from galoiskit.qfactor import _crt_primes
 from galoiskit.scalars import PrimeField
 
 from helpers import P, brute_force_monic_divisors, sylvester_resultant
@@ -91,6 +93,34 @@ class TestGcd:
         assert (q * f % g).is_zero
         if f.degree > 0:
             assert (g % f.monic()).is_zero or g.degree >= f.degree
+
+    def test_gcd_matches_euclid(self):
+        # random rational pairs, coprime or with a planted common factor,
+        # against the plain Euclidean algorithm
+        rng = random.Random(11)
+
+        def rand_poly(deg):
+            return Polynomial(QQ, [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5)))
+                                   for _ in range(deg)] + [Fraction(rng.randint(1, 4))])
+
+        for _ in range(30):
+            p, q = rand_poly(rng.randint(0, 6)), rand_poly(rng.randint(0, 6))
+            if rng.random() < 0.5:
+                f = rand_poly(rng.randint(1, 3))
+                p, q = p * f, q * f
+            a, b = p, q
+            while b:
+                a, b = b, a % b
+            assert poly_gcd(p, q) == a.monic()
+
+    def test_gcd_prime_that_divides_a_leading_coefficient_or_the_resultant(self):
+        # coprime over Q, yet equal mod the first prime tried: the gcd falls
+        # back to Euclid; a leading coefficient divisible by it moves the test
+        # to the next prime
+        prime = next(_crt_primes())
+        assert poly_gcd(P(0, 1), P(prime, 1)) == P(1)
+        assert poly_gcd(P(1, prime), P(0, 1)) == P(1)
+        assert poly_gcd(P(prime, 1) * P(1, 1), P(0, 1) * P(1, 1)) == P(1, 1)
 
 
 class TestSquarefree:
