@@ -1,11 +1,13 @@
-"""Exact linear algebra over Q.
+"""Exact linear algebra over Q, and lattice reduction over Z.
 
-Both routines eliminate on integers.  ``nullspace`` takes an integer
-matrix; ``SpanSolver`` grows an echelon basis one vector at a time, each an
-integer vector times a rational scale, and expresses each dependent vector
-in the ones before it.  Fractions appear only in the results.  Everything
-here is pure and deterministic; pivots are chosen first-nonzero so results
-are canonical for a given input, and equal to elimination over Q.
+``nullspace`` and ``SpanSolver`` eliminate on integers.  ``nullspace`` takes
+an integer matrix; ``SpanSolver`` grows an echelon basis one vector at a
+time, each an integer vector times a rational scale, and expresses each
+dependent vector in the ones before it.  Fractions appear only in the
+results; pivots are chosen first-nonzero so results are canonical for a
+given input, and equal to elimination over Q.  ``lll`` reduces a lattice
+basis on integers alone and returns its exact Gram determinants.
+Everything here is pure and deterministic.
 """
 
 from fractions import Fraction
@@ -119,3 +121,69 @@ class SpanSolver:
         self._scales.append((num, den))
         self.count += 1
         return None
+
+
+def lll(rows):
+    """LLL-reduce linearly independent integer rows, exactly.
+
+    Cohen's integral LLL (*A Course in Computational Algebraic Number
+    Theory*, Alg. 2.6.7) with delta = 3/4: no fractions and no floats.
+    Returns (b, d): b spans the same lattice, and d[i] (d[0] = 1) is the
+    Gram determinant of b[:i], so the squared Gram-Schmidt length of b[i]
+    is exactly d[i + 1] / d[i].  lam[k][j] = d[j + 1] * mu[k][j] is an
+    integer, and every division below is exact.
+    """
+    b = [list(r) for r in rows]
+    n = len(b)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def gram_schmidt(k):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u:
+                d[k + 1] = u
+            else:
+                raise ValueError("lll needs linearly independent rows")
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k, kmax):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]  # unchanged by the swap
+        d_new = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (d_new * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = d_new
+
+    if n:
+        gram_schmidt(0)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            gram_schmidt(k)
+        reduce(k, k - 1)
+        # Lovasz: swap unless |b*_k|^2 >= (3/4 - mu^2) |b*_(k-1)|^2
+        if 4 * (d[k + 1] * d[k - 1] + lam[k][k - 1] ** 2) < 3 * d[k] ** 2:
+            swap(k, kmax)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return b, d

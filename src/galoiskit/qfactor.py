@@ -1,12 +1,12 @@
 """Complete factorization of univariate polynomials over Q and over GF(p).
 
-The rational pipeline is classic Zassenhaus: content removal, Yun squarefree
-decomposition, reduction mod a good prime, Cantor-Zassenhaus factorization
-there, quadratic Hensel lifting to a Mignotte-style coefficient bound, and
-subset recombination.  Recombination prunes subsets by the factor-degree
-sets of up to five primes and by the d-1, constant-term and coefficient-
-bound tests before any trial division; exact division alone accepts a
-factor.  There is no LLL (van Hoeij) recombination.
+The rational pipeline: content removal, Yun squarefree decomposition,
+reduction mod a good prime (chosen by distinct-degree factorization, whose
+degree sets across up to five primes may already prove irreducibility),
+Cantor-Zassenhaus factorization there, quadratic Hensel lifting to a
+Mignotte-style coefficient bound, and van Hoeij's knapsack recombination on
+power sums with an exact integer LLL (``linalg.lll``).  Exact division
+alone accepts a factor, and an exact dimension count proves it irreducible.
 
 Internally the hot kernels work on plain int lists (ascending coefficients)
 mod p or mod p**k; Polynomial objects appear only at the API boundary.
@@ -20,6 +20,8 @@ import math
 import random
 from dataclasses import dataclass
 
+from .errors import EngineLimitError
+from .linalg import lll, nullspace
 from .poly import (
     Polynomial,
     poly_content_and_primitive,
@@ -480,15 +482,18 @@ def _hensel_lift_tree(f, factors, p, target):
 
 
 # ---------------------------------------------------------------------------
-# Zassenhaus over Z
+# factoring over Z: prime choice, Hensel lifting, knapsack recombination
 
 
 def _choose_prime(f_int, seed):
     """Pick primes keeping f squarefree; prefer the one with fewest factors.
 
-    Returns (p, factors mod p, degree set), where bit d of the degree set is
-    set when every prime tried has a subset of factors of total degree d
-    (Musser): the degree of any factor of f over Z lies in that set.
+    Returns (p, distinct-degree blocks of f mod p, degree set), where bit d
+    of the degree set is set when every prime tried has a subset of factors
+    of total degree d (Musser): the degree of any factor of f over Z lies in
+    that set.  Both the factor count and the degree set follow from the
+    distinct-degree blocks, since a block of degree D with factors of degree
+    d holds D/d of them; only the chosen prime is split further.
     """
     n = len(f_int) - 1
     lc = f_int[-1]
@@ -501,20 +506,21 @@ def _choose_prime(f_int, seed):
         fp = _trim([c % p for c in f_int])
         if len(_zp_gcd(fp, _zp_derivative(fp, p), p)) > 1:
             continue
-        rng = random.Random(seed ^ p)
-        factors = _zp_factor_squarefree(_zp_monic(fp, p), p, rng)
-        sums = 1
-        for g in factors:
-            sums |= sums << (len(g) - 1)
+        blocks = _zp_distinct_degree(_zp_monic(fp, p), p)
+        count, sums = 0, 1
+        for block, d in blocks:
+            for _ in range((len(block) - 1) // d):
+                sums |= sums << d
+                count += 1
         degrees &= sums
         tried += 1
-        if best is None or len(factors) < len(best[1]):
-            best = (p, factors)
+        if best is None or count < best[0]:
+            best = (count, p, blocks)
         if degrees == 1 | 1 << n or tried >= 5:
             break
     if best is None:
         raise ArithmeticError("no usable prime found for factorization")
-    return best + (degrees,)
+    return best[1:] + (degrees,)
 
 
 def _factor_squarefree_int(f_int, seed):
@@ -522,67 +528,161 @@ def _factor_squarefree_int(f_int, seed):
     n = len(f_int) - 1
     if n <= 1:
         return [list(f_int)]
-    p, mod_factors, degrees = _choose_prime(f_int, seed)
+    p, blocks, degrees = _choose_prime(f_int, seed)
     if degrees == 1 | 1 << n:
         return [list(f_int)]
-    bound = _mignotte_bound(f_int)
-    lifted, pk = _hensel_lift_tree(f_int, mod_factors, p, 2 * bound)
-    return _recombine(f_int, lifted, pk, bound, degrees)
+    rng = random.Random(seed ^ p)
+    mod_factors = []
+    for block, d in blocks:
+        mod_factors.extend(_zp_equal_degree(block, d, p, rng))
+    return _knapsack(f_int, sorted(mod_factors), p)
 
 
-def _recombine(f, pool, pk, bound, degrees):
-    """Zassenhaus recombination of the monic factors of f lifted mod pk.
+# Recombination lifts p**k beyond twice the coefficient bound only while it
+# stays below 2**MAX_LIFT_BITS; past that it stops with an engine limit.
+# Every factorization in the benchmark corpus, and S(2,3,5,7,11,13), ends
+# at its first lift (at most 272 bits); tiny inputs such as x^2 - x need one
+# more, because B_1 leaves p**k too few bits.  The cost of a lift grows
+# about threefold per doubling: lifting the 23 factors of the degree-90 norm
+# met in splitting x^10 - 2 to 3790 bits takes 1.7 s, to 7579 bits 5.5 s.
+MAX_LIFT_BITS = 1 << 12
 
-    A true factor h of f appears mod pk as lc(f) * prod(subset), which is
-    (lc(f) / lc(h)) * h: it divides lc(f) * f, and its coefficients lie
-    within bound.  Subsets are tried smallest first.  Before a subset pays
-    for its product and for the exact division that alone accepts a factor,
-    it must pass these necessary conditions, cheapest first:
+# Bits of each power-sum column fed to one lattice reduction: enough to cut
+# several rows at once, few enough that LLL works on small integers.  On
+# S(2,3,5,7,11,13), 32 factors mod every prime, reductions take 1.2 s with
+# 20-bit columns and 0.08 s with 60-bit ones.
+_COLUMN_BITS = 60
 
-    - its degree and its cofactor's lie in the degree set (Musser);
-    - its next-to-leading coefficient, lc(f) times the sum of the factors'
-      ones, lies within bound (the d-1 test of Abbott, Shoup and Zimmermann);
-    - its constant term is nonzero and divides lc(f) * f(0), unless f(0) = 0;
-    - every coefficient of the product lies within bound.
+
+def _knapsack(f, mod_factors, p):
+    """Irreducible factors of f from its monic factors mod p (van Hoeij).
+
+    f = lc * prod(g_i) mod p**k after lifting.  A factor h of f over Z is
+    lc(h) * prod(g_i : i in S) mod p**k for a subset S, whose indicator
+    vector w is what this finds.  Power sums add over products, so column j
+    of the lattice holds t_ij = lc**j * Tr_j(g_i) mod p**k, and sum(t_ij
+    over S) = T_j + m * p**k where T_j = lc**j * Tr_j(h) is an integer with
+    |T_j| <= B_j = n * (|lc| * R)**j for a root bound R.  Only the top a
+    bits are kept: c_ij = round(t_ij * 2**a / p**k) with 2**a * B_j <= p**k,
+    beside a modulus row 2**a.  Then the lattice holds (w, sum(c_ij over S)
+    - m * 2**a), whose column entry is T_j * 2**a / p**k plus |S| rounding
+    errors of at most 1/2 each: at most 1 + r/2 in absolute value.  So with
+    N columns every factor vector has squared norm at most r + N*(1 + r/2)**2.
+
+    After each reduction, a trailing row whose exact |b*|**2 exceeds that
+    bound is dropped: a vector v = sum(c_k * b_k) with c_last != 0 has
+    |v| >= |b*_last|, so every factor vector lies in the span of the rows
+    kept.  The rows kept project (first r coordinates) onto a span V that
+    contains every factor vector.  When V is spanned by the indicator
+    vectors of s disjoint blocks covering the pool (each pool index's column
+    of the projection picks its block), every factor of f is a union of
+    blocks, so f has at most s irreducible factors.  When the products of
+    s - 1 blocks divide f exactly, they and the cofactor are s factors of f,
+    which are therefore irreducible.
+    A weak lattice only costs columns, more precision or time, never a
+    wrong answer.
     """
-    result = []
-    size = 1
-    while 2 * size <= len(pool):
-        lc, n = f[-1], len(f) - 1
-        degs = [len(g) - 1 for g in pool]
-        traces = [lc * g[-2] for g in pool]
-        for subset in itertools.combinations(range(len(pool)), size):
-            d = sum(map(degs.__getitem__, subset))
-            if not (degrees >> d) & 1 or not (degrees >> (n - d)) & 1:
-                continue
-            if abs(_symmetric(sum(map(traces.__getitem__, subset)), pk)) > bound:
-                continue
-            if f[0]:
-                const = lc
-                for i in subset:
-                    const = const * pool[i][0] % pk
-                const = _symmetric(const, pk)
-                if const == 0 or lc * f[0] % const:
-                    continue
-            cand = [lc % pk]
-            for i in subset:
-                cand = _zp_mul(cand, pool[i], pk)
-            cand = [_symmetric(c, pk) for c in cand]
-            if any(abs(c) > bound for c in cand):
-                continue
-            cand = _zx_primitive(cand)
-            quo = _zx_divide_exact(f, cand)
-            if quo is not None:
-                result.append(cand)
-                f = _zx_primitive(quo)
-                chosen = set(subset)
-                pool = [g for i, g in enumerate(pool) if i not in chosen]
-                break
-        else:
-            size += 1
-    if len(f) > 1:
-        result.append(f)
-    return result
+    n, lc, r = len(f) - 1, f[-1], len(mod_factors)
+    target = 2 * _mignotte_bound(f)
+    num, den = _root_bound(f)
+    rows = [[int(i == j) for j in range(r)] for i in range(r)]
+    norm4 = 4 * r  # 4 * squared norm bound of a factor vector
+    fresh = True  # rows not yet checked for a partition
+    while True:
+        pool, pk = _hensel_lift_tree(f, mod_factors, p, target)
+        sums = [_power_sums(g, n, pk) for g in pool]
+        for j in range(1, n + 1):
+            # the largest a with 2**a * B_j <= p**k, at most _COLUMN_BITS
+            a = min(_COLUMN_BITS, (pk * den ** j // (n * (abs(lc) * num) ** j)).bit_length() - 1)
+            if 2 * a <= norm4.bit_length():
+                break  # this precision leaves too few bits above B_j
+            scale = pow(lc, j, pk)
+            col = [((s[j - 1] * scale % pk << a + 1) + pk) // (2 * pk) for s in sums]
+            if any(col):  # else every sum is a multiple of 2**a: no constraint
+                rows = [row + [sum(x * c for x, c in zip(row, col))] for row in rows]
+                rows.append([0] * (len(rows[0]) - 1) + [1 << a])
+                norm4 += (r + 2) ** 2
+                rows, d = lll(rows)
+                while 4 * d[len(rows)] > norm4 * d[len(rows) - 1]:
+                    rows.pop()
+                if not rows:
+                    raise ArithmeticError("knapsack lattice lost the factor vectors")
+                fresh = True
+            if fresh:
+                factors = _split_by_blocks(f, rows, pool, pk)
+                if factors is not None:
+                    return factors
+                fresh = False
+        target = pk * pk
+        if target.bit_length() > MAX_LIFT_BITS:
+            raise EngineLimitError(
+                f"factor recombination needs more than {MAX_LIFT_BITS} bits of p-adic precision")
+
+
+def _split_by_blocks(f, rows, pool, pk):
+    """The irreducible factors of f when the projected rows span the
+    indicator vectors of disjoint blocks covering the pool, and the products
+    of all blocks but the last divide f exactly; else None (see _knapsack)."""
+    blocks = {}
+    for i in range(len(pool)):
+        blocks.setdefault(tuple(row[i] for row in rows), []).append(i)
+    if any(not any(key) for key in blocks) or len(blocks) > len(rows):
+        return None
+    if len(blocks) > 1 and nullspace([list(v) for v in zip(*blocks)]):
+        return None  # the block columns are dependent, so V is smaller
+    lc, out = f[-1], []
+    for block in list(blocks.values())[:-1]:
+        cand = [lc % pk]
+        for i in block:
+            cand = _zp_mul(cand, pool[i], pk)
+        cand = _zx_primitive([_symmetric(c, pk) for c in cand])
+        quo = _zx_divide_exact(f, cand)
+        if quo is None:
+            return None
+        out.append(cand)
+        f = quo
+    return out + [_zx_primitive(f)]
+
+
+def _power_sums(g, count, m):
+    """Tr_1 .. Tr_count of the roots of monic g, mod m (Newton's identities)."""
+    d = len(g) - 1
+    e = g[-2::-1]  # e[i - 1] is the coefficient of x**(d - i)
+    out = []
+    for j in range(1, count + 1):
+        s = j * e[j - 1] if j <= d else 0
+        for i in range(1, min(j - 1, d) + 1):
+            s += e[i - 1] * out[j - i - 1]
+        out.append(-s % m)
+    return out
+
+
+def _root_bound(f):
+    """(num, den) with |alpha| <= num / den for every complex root of f.
+
+    Fujiwara: |alpha| <= 2 * max(|a_(n-i) / a_n| ** (1/i)), with a_0
+    halved; each i-th root is rounded up to a multiple of 1/den.
+    """
+    n, lc, den = len(f) - 1, abs(f[-1]), 1 << 8
+    top = 0
+    for i in range(1, n + 1):
+        c = abs(f[n - i]) * den ** i
+        q = -(-c // (lc * (2 if i == n else 1)))
+        top = max(top, _iroot_ceil(q, i))
+    return 2 * top, den
+
+
+def _iroot_ceil(x, i):
+    """The least q >= 0 with q**i >= x."""
+    if x <= 1:
+        return max(x, 0)
+    q = 1 << -(-x.bit_length() // i)
+    while True:
+        y = ((i - 1) * q + x // q ** (i - 1)) // i
+        if y >= q:
+            break
+        q = y
+    return q if q ** i >= x else q + 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import itertools
 from fractions import Fraction
 
 from galoiskit import QQ
+from galoiskit.qfactor import _symmetric, _zp_mul, _zx_divide_exact, _zx_primitive
 from galoiskit.galois import Automorphism, GaloisGroup
 from galoiskit.numfield import minimal_polynomial
 from galoiskit.permgroup import Permutation
@@ -249,3 +250,59 @@ def exhaustive_galois_group(E):
     autos.sort(key=lambda a: a.root_permutation.images)
     identity_index = next(i for i, a in enumerate(autos) if a.root_permutation.is_identity)
     return GaloisGroup(E, tuple(autos), identity_index)
+
+
+def zassenhaus_recombine(f, pool, pk, bound, degrees):
+    """Pruned Zassenhaus recombination of the monic factors of f lifted mod
+    pk: the oracle for the knapsack in ``qfactor``.
+
+    A true factor h of f appears mod pk as lc(f) * prod(subset), which is
+    (lc(f) / lc(h)) * h: it divides lc(f) * f, and its coefficients lie
+    within bound.  Subsets are tried smallest first.  Before a subset pays
+    for its product and for the exact division that alone accepts a factor,
+    it must pass these necessary conditions, cheapest first:
+
+    - its degree and its cofactor's lie in the degree set (Musser);
+    - its next-to-leading coefficient, lc(f) times the sum of the factors'
+      ones, lies within bound (the d-1 test of Abbott, Shoup and Zimmermann);
+    - its constant term is nonzero and divides lc(f) * f(0), unless f(0) = 0;
+    - every coefficient of the product lies within bound.
+    """
+    result = []
+    size = 1
+    while 2 * size <= len(pool):
+        lc, n = f[-1], len(f) - 1
+        degs = [len(g) - 1 for g in pool]
+        traces = [lc * g[-2] for g in pool]
+        for subset in itertools.combinations(range(len(pool)), size):
+            d = sum(map(degs.__getitem__, subset))
+            if not (degrees >> d) & 1 or not (degrees >> (n - d)) & 1:
+                continue
+            if abs(_symmetric(sum(map(traces.__getitem__, subset)), pk)) > bound:
+                continue
+            if f[0]:
+                const = lc
+                for i in subset:
+                    const = const * pool[i][0] % pk
+                const = _symmetric(const, pk)
+                if const == 0 or lc * f[0] % const:
+                    continue
+            cand = [lc % pk]
+            for i in subset:
+                cand = _zp_mul(cand, pool[i], pk)
+            cand = [_symmetric(c, pk) for c in cand]
+            if any(abs(c) > bound for c in cand):
+                continue
+            cand = _zx_primitive(cand)
+            quo = _zx_divide_exact(f, cand)
+            if quo is not None:
+                result.append(cand)
+                f = _zx_primitive(quo)
+                chosen = set(subset)
+                pool = [g for i, g in enumerate(pool) if i not in chosen]
+                break
+        else:
+            size += 1
+    if len(f) > 1:
+        result.append(f)
+    return result

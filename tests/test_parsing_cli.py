@@ -20,7 +20,7 @@ from galoiskit.parsing import MAX_INPUT_BITS, MAX_INPUT_DEGREE, evaluate_in_fiel
 from galoiskit.poly import render_poly
 from galoiskit.splitting import splitting_field
 
-from helpers import P
+from helpers import P, swinnerton_dyer
 
 
 class TestParsePoly:
@@ -219,6 +219,16 @@ class TestCliExitCodes:
         assert run_cli("group", poly) == EXIT_DEGREE_CAP
         assert time.perf_counter() - started < 2
 
+    def test_recombination_lift_cap_exit_4(self, monkeypatch, capsys):
+        # recombination past its precision cap is an engine limit, never a
+        # grind.  x^2 - x needs a second lift: at twice its coefficient bound
+        # p**k holds too few bits above the power-sum bounds
+        monkeypatch.setattr(qfactor, "MAX_LIFT_BITS", 8)
+        assert run_cli("factor", "x^2-x") == EXIT_SOUNDNESS
+        err = capsys.readouterr().err
+        assert "engine limit reached: factor recombination needs more than 8 bits" in err
+        assert "Traceback" not in err
+
     def test_primitive_search_exhausted_exit_4(self, monkeypatch, capsys):
         # an exhausted primitive-element search is an engine limit, not bad input
         monkeypatch.setattr(numfield, "PRIMITIVE_SEARCH_RANGE", 0)
@@ -244,6 +254,14 @@ class TestCliJson:
         assert [f["polynomial"] for f in report["result"]["factors"]] == [
             "x - 1", "x + 1", "x^2 + 1",
         ]
+
+    def test_factor_degree_64_swinnerton_dyer_irreducible(self, capsys):
+        # 32 quadratics mod every prime: no subset search finishes this
+        started = time.perf_counter()
+        _, report = cli_json(capsys, "factor", render_poly(swinnerton_dyer(2, 3, 5, 7, 11, 13)))
+        assert report["result"]["irreducible"] is True
+        assert [f["degree"] for f in report["result"]["factors"]] == [64]
+        assert time.perf_counter() - started < 20
 
     def test_group_schema_and_assertions(self, capsys):
         _, report = cli_json(capsys, "group", "x^4+1")

@@ -1,13 +1,16 @@
+import ast
+import inspect
 import itertools
 import math
 import random
+import textwrap
 
 import pytest
 
-from galoiskit import QQ, qfactor
+from galoiskit import QQ, linalg, qfactor
 from galoiskit.modscreen import _SCREEN_PRIMES, ModImage
 from galoiskit.numfield import ExtensionField
-from galoiskit.poly import Polynomial
+from galoiskit.poly import Polynomial, poly_content_and_primitive
 from galoiskit.qfactor import (
     factor_degrees_mod_p,
     factor_mod_p,
@@ -16,6 +19,7 @@ from galoiskit.qfactor import (
     is_squarefree_q,
 )
 from galoiskit.scalars import PrimeField
+from galoiskit.splitting import splitting_field
 
 from helpers import (
     P,
@@ -24,6 +28,7 @@ from helpers import (
     schoolbook_mul,
     schoolbook_powmod,
     swinnerton_dyer,
+    zassenhaus_recombine,
 )
 
 
@@ -200,11 +205,26 @@ def _assert_recovers(pieces):
     assert got == sorted(tuple(q.monic().coeffs) for q in pieces)
 
 
-# irreducible over Q: linear, Eisenstein at 5 (non-monic), cyclotomic, and
-# Swinnerton-Dyer factors, which split into degree <= 2 pieces mod every prime
+def _knapsack_and_oracle(f, seed=1):
+    """The knapsack's factors of a primitive squarefree integer f, and the
+    Zassenhaus oracle's on the same lifted modular factors."""
+    p, blocks, degrees = qfactor._choose_prime(f, seed)
+    rng = random.Random(seed ^ p)
+    mod_factors = sorted(g for block, d in blocks for g in qfactor._zp_equal_degree(block, d, p, rng))
+    bound = qfactor._mignotte_bound(f)
+    pool, pk = qfactor._hensel_lift_tree(f, mod_factors, p, 2 * bound)
+    want = zassenhaus_recombine(f, pool, pk, bound, degrees)
+    got = qfactor._knapsack(f, mod_factors, p)
+    return sorted(map(qfactor._zx_primitive, got)), sorted(map(qfactor._zx_primitive, want))
+
+
+# irreducible over Q: linear, Eisenstein at 5 and at 2 (two non-monic),
+# cyclotomic (x^2+x+1, x^8+1), and Swinnerton-Dyer factors, which split into
+# degree <= 2 pieces mod every prime
 PIECES = [
-    P(0, 1), P(-1, 1), P(2, 1), P(3, 2), P(5, 0, 0, 3), P(1, 1, 1),
-    swinnerton_dyer(2, 3), swinnerton_dyer(2, 5), swinnerton_dyer(3, 7),
+    P(0, 1), P(-1, 1), P(2, 1), P(3, 2), P(5, 0, 0, 3), P(1, 1, 1), P(-2, 0, 0, 0, 1),
+    P(2, 4, 0, 0, 0, 7), P(1, 0, 0, 0, 0, 0, 0, 0, 1),
+    swinnerton_dyer(2, 3), swinnerton_dyer(2, 5), swinnerton_dyer(3, 7), swinnerton_dyer(2, 3, 5),
 ]
 
 
@@ -227,7 +247,8 @@ class TestRecombination:
 
     def test_swinnerton_dyer_irreducible_without_trial_division(self, monkeypatch):
         # degree 16, eight quadratics mod every prime: 162 trial divisions
-        # when every subset is divided blindly
+        # when every subset is divided blindly.  Degree 64 has 32 quadratics
+        # mod every prime, past any subset search
         calls = []
         divide = qfactor._zx_divide_exact
 
@@ -236,8 +257,50 @@ class TestRecombination:
             return divide(a, b)
 
         monkeypatch.setattr(qfactor, "_zx_divide_exact", counting)
-        assert is_irreducible_over_Q(swinnerton_dyer(2, 3, 5, 7))
-        assert len(calls) < 10
+        for radicands in ((2, 3, 5, 7), (2, 3, 5, 7, 11, 13)):
+            calls.clear()
+            assert is_irreducible_over_Q(swinnerton_dyer(*radicands))
+            assert len(calls) < 10
+
+    def test_knapsack_matches_zassenhaus_on_products(self):
+        rng = random.Random(3)
+        cases = [[P(5, 0, 0, 3), swinnerton_dyer(2, 3), P(-7, 2)],
+                 [P(0, 1), swinnerton_dyer(2, 5), P(1, 1, 1)],
+                 [P(-1, 1), P(2, 1), P(3, 2), P(-5, 1), swinnerton_dyer(2, 3)]]
+        cases += [rng.sample(PIECES, rng.randint(2, 5)) for _ in range(25)]
+        for trial, pieces in enumerate(cases):
+            _, f = poly_content_and_primitive(_product(pieces))
+            got, want = _knapsack_and_oracle(f, seed=trial)
+            assert got == want
+            assert len(got) == len(pieces)
+
+    def test_knapsack_matches_zassenhaus_on_the_tenth_root_of_two_norm(self, monkeypatch):
+        # the degree-90 Trager norm that splitting x^10 - 2 factors: 23
+        # factors mod 13, [10, 40, 40] over Z
+        norms = []
+        factor = qfactor._factor_squarefree_int
+
+        def recording(f, seed):
+            if len(f) == 91:
+                norms.append(list(f))
+            return factor(f, seed)
+
+        monkeypatch.setattr(qfactor, "_factor_squarefree_int", recording)
+        splitting_field(P(-2, *[0] * 9, 1))
+        (f,) = norms
+        got, want = _knapsack_and_oracle(f)
+        assert got == want
+        assert sorted(len(g) - 1 for g in got) == [10, 40, 40]
+
+    def test_lattice_path_has_no_floating_point(self):
+        # no true division, float literal or float() call anywhere on the path
+        for fn in (qfactor._knapsack, qfactor._split_by_blocks, qfactor._power_sums,
+                   qfactor._root_bound, qfactor._iroot_ceil, linalg.lll):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+            for node in ast.walk(tree):
+                assert not isinstance(node, ast.Div)
+                assert not (isinstance(node, ast.Constant) and isinstance(node.value, float))
+                assert not (isinstance(node, ast.Name) and node.id == "float")
 
     def test_agrees_with_sympy(self):
         sympy = pytest.importorskip("sympy")

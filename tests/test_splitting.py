@@ -47,8 +47,8 @@ class TestSplittingDegrees:
         assert splitting_degree(P(-2, 0, 0, 0, 0, 1)) == 20
 
     def test_tenth_root_of_two_degree_forty(self):
-        # the Trager norm here has degree 90 and 23 factors mod 13, so this
-        # stalls unless recombination prunes subsets before trial division
+        # the Trager norm here has degree 90, 23 factors mod 13 and factors
+        # [10, 40, 40] over Z: the knapsack's case rather than a subset search
         assert splitting_degree(P(-2, *[0] * 9, 1)) == 40
 
     def test_every_root_evaluates_to_zero(self):
