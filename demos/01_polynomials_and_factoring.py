@@ -7,7 +7,6 @@ from galoiskit import QQ, factor_mod_p, factor_over_Q, is_irreducible_over_Q
 from galoiskit.poly import (
     poly_compose_power,
     poly_gcd,
-    poly_resultant,
     poly_squarefree_part,
     render_poly,
 )
@@ -23,7 +22,6 @@ quo, rem = divmod(parse_poly("x^3 + 2*x + 5"), parse_poly("x^2 + 1"))
 print("x^3+2x+5 = (x^2+1)*(%s) + (%s)" % (render_poly(quo), render_poly(rem)))
 
 print("squarefree part of (x^3-1)^2 =", render_poly(poly_squarefree_part(q * q)))
-print("res(x^2-2, x^2-3) =", poly_resultant(parse_poly("x^2-2"), parse_poly("x^2-3")))
 print("(x^2-2)(x^3) substitution:", render_poly(poly_compose_power(parse_poly("x^2-2"), 3)))
 
 # mod-p factorization: distinct-degree then equal-degree splitting

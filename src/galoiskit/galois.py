@@ -15,7 +15,8 @@ one integer matrix over a common denominator, so applying it is one
 matrix-vector product; orbit polynomials are expanded on integer coefficient
 vectors over one running denominator with the field's integer reduction
 rows; and fixed fields are the nullspace of the integer rows d*(M - I),
-found by fraction-free elimination.  Rationals appear only in the results.
+found by one fraction-free ``SpanSolver`` pass over their columns.
+Rationals appear only in the results.
 """
 
 import itertools
@@ -438,6 +439,12 @@ def _primitive_of_subspace(G: GaloisGroup, basis, dim):
     raise SoundnessError("fixed_field.primitive_search", "no primitive element found for subfield")
 
 
+def _stabilizer(G: GaloisGroup, elements) -> tuple:
+    """Indices of the automorphisms fixing every element of the list."""
+    return tuple(i for i, a in enumerate(G.automorphisms)
+                 if all(a.apply(e) == e for e in elements))
+
+
 def subgroup_fixing(G: GaloisGroup, B) -> tuple:
     """Indices of all automorphisms fixing B pointwise (a verified subgroup)."""
     if isinstance(B, IntermediateField):
@@ -447,9 +454,7 @@ def subgroup_fixing(G: GaloisGroup, B) -> tuple:
         gens = tuple(B)
         expected = None
     gens = tuple(G.field.ext.coerce(g) if not isinstance(g, ExtElement) else g for g in gens)
-    idx = tuple(
-        i for i, a in enumerate(G.automorphisms) if all(a.apply(g) == g for g in gens)
-    )
+    idx = _stabilizer(G, gens)
     record_check("subgroup_fixing.is_subgroup", G.is_subgroup(idx))
     if expected is not None:
         record_check(
@@ -465,10 +470,7 @@ def intermediate_field(G: GaloisGroup, elements) -> IntermediateField:
     elems = tuple(
         G.field.ext.coerce(e) if not isinstance(e, ExtElement) else e for e in elements
     )
-    stab = tuple(
-        i for i, a in enumerate(G.automorphisms) if all(a.apply(e) == e for e in elems)
-    )
-    B = fixed_field(G, stab)
+    B = fixed_field(G, _stabilizer(G, elems))
     for e in elems:
         record_check("intermediate_field.contains_generators", B.contains(e))
     return IntermediateField(
@@ -512,9 +514,7 @@ def restriction_homomorphism(G: GaloisGroup, B: IntermediateField,
             raise ValueError(
                 "B is not normal over Q: a conjugate root escapes B")
 
-    kernel = tuple(
-        i for i, a in enumerate(G.automorphisms) if all(a.apply(r) == r for r in b_roots)
-    )
+    kernel = _stabilizer(G, b_roots)
     fixing_B = subgroup_fixing(G, B)
     record_check(
         "restriction.kernel_is_subgroup_fixing_B",

@@ -1,13 +1,13 @@
 """Exact linear algebra over Q, and lattice reduction over Z.
 
-``nullspace`` and ``SpanSolver`` eliminate on integers.  ``nullspace`` takes
-an integer matrix; ``SpanSolver`` grows an echelon basis one vector at a
-time, each an integer vector times a rational scale, and expresses each
-dependent vector in the ones before it.  Fractions appear only in the
-results; pivots are chosen first-nonzero so results are canonical for a
-given input, and equal to elimination over Q.  ``lll`` reduces a lattice
-basis on integers alone and returns its exact Gram determinants.
-Everything here is pure and deterministic.
+``SpanSolver`` is the one fraction-free elimination: it grows an echelon
+basis one vector at a time, each an integer vector times a rational scale,
+and expresses each dependent vector in the ones before it.  ``nullspace``
+is a pass of it over the columns of an integer matrix.  Fractions appear
+only in the results; pivots are chosen first-nonzero so results are
+canonical for a given input, and equal to elimination over Q.  ``lll``
+reduces a lattice basis on integers alone and returns its exact Gram
+determinants.  Everything here is pure and deterministic.
 """
 
 from fractions import Fraction
@@ -18,51 +18,28 @@ def nullspace(rows):
     """Canonical basis (rational vectors) of the right nullspace of an
     integer matrix.
 
-    Fraction-free Gauss-Jordan that keeps every row primitive.  The reduced
-    row echelon form is unique, so the basis vector for free column fc has
-    -row[fc] / row[pc] at each pivot column pc: the basis elimination over
-    Q gives.
+    One ``SpanSolver`` pass over the columns, left to right.  A column that
+    depends on the columns before it is a free column of the reduced row
+    echelon form R, and the coefficients x writing it in the independent
+    (pivot) columns are its entries in R.  So the vector with 1 at free
+    column c and -x[k] at the k-th pivot column is the basis vector that
+    elimination over Q gives, in the same order.
     """
     if not rows:
         return []
-    ncols = len(rows[0])
-    m = [_primitive(r) for r in rows if any(r)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
+    span = SpanSolver()
+    pivots, basis = [], []
+    for c, column in enumerate(zip(*rows)):
+        x = span.insert_int(column, Fraction(1))
+        if x is None:
+            pivots.append(c)
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r]
-        pc = p[c]
-        for i in range(len(m)):
-            f = m[i][c]
-            if i != r and f:
-                m[i] = _primitive([pc * a - f * b for a, b in zip(m[i], p)])
-        pivots.append(c)
-        r += 1
-        # rows below the pivots that became zero carry no constraint
-        m[r:] = [row for row in m[r:] if any(row)]
-        if r == len(m):
-            break
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(m, pivots):
-            v[pc] = Fraction(-row[fc], row[pc])
+        v = [Fraction(0)] * len(rows[0])
+        v[c] = Fraction(1)
+        for pc, xk in zip(pivots, x):
+            v[pc] = -xk
         basis.append(v)
     return basis
-
-
-def _primitive(row):
-    """The integer row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return row if g in (0, 1) else [v // g for v in row]
 
 
 class SpanSolver:

@@ -432,14 +432,6 @@ def all_subgroups(G: PermGroup):
     return sorted(found.values(), key=lambda H: (H.order, tuple(p.images for p in H.elements)))
 
 
-def cyclic_subgroups(G: PermGroup):
-    out = {}
-    for g in G.elements:
-        H = closure([g], degree=G.degree, max_order=G.order)
-        out.setdefault(H.element_set, H)
-    return sorted(out.values(), key=lambda H: (H.order, tuple(p.images for p in H.elements)))
-
-
 # ---------------------------------------------------------------------------
 # cyclic and unit groups; embeddings of Galois layers
 

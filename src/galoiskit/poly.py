@@ -304,39 +304,6 @@ def poly_squarefree_decomposition(p: Polynomial):
     return out
 
 
-def poly_resultant(p: Polynomial, q: Polynomial):
-    """Resultant with the convention res(p, q) = lc(p)**deg(q) * prod q(a_i),
-    the product over the roots a_i of p counted with multiplicity.
-
-    Uses res(p, q) = (-1)**(deg p * deg q) res(q, p) and, for r = q mod p,
-    res(p, q) = lc(p)**(deg q - deg r) * res(p, r); exact over any field.
-    """
-    if p.is_zero or q.is_zero:
-        raise ValueError("resultant of a zero polynomial")
-    p._same_field(q)
-    a, b = p, q
-    acc = p.field.one
-    sign = 1
-    while True:
-        if a.degree == 0:
-            acc = acc * a.lc ** b.degree
-            break
-        if b.degree == 0:
-            acc = acc * b.lc ** a.degree
-            break
-        if b.degree < a.degree:
-            if (a.degree * b.degree) % 2 == 1:
-                sign = -sign
-            a, b = b, a
-            continue
-        r = b % a
-        if r.is_zero:
-            return p.field.zero
-        acc = acc * a.lc ** (b.degree - r.degree)
-        b = r
-    return acc if sign == 1 else -acc
-
-
 def poly_compose_power(p: Polynomial, k: int) -> Polynomial:
     """Return p(x**k)."""
     if k < 1:

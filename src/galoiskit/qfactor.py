@@ -303,21 +303,27 @@ def factor_mod_p(p_poly: Polynomial, seed: int = DEFAULT_SEED) -> Factorization:
     return Factorization(unit, _sorted_factors(pairs))
 
 
-def factor_degrees_mod_p(p_poly: Polynomial, prime: int, seed: int = DEFAULT_SEED):
-    """Sorted degree list of the irreducible factors of p_poly mod prime.
-
-    Only meaningful when the reduction stays squarefree; returns None when
-    it does not (the caller should skip that prime).
+def factor_degrees_mod_p(p_poly: Polynomial, prime: int):
+    """Sorted degree list of the irreducible factors of a rational p_poly mod
+    prime, or None when prime divides the leading coefficient of its
+    primitive integer form or its discriminant (the caller should skip that
+    prime).  A distinct-degree block of degree D with factors of degree d
+    holds D/d of them, so no block is split.
     """
-    field = PrimeField(prime)
-    ints = _trim([field.coerce(c).value for c in p_poly.coeffs])
-    if not ints or len(ints) - 1 != p_poly.degree:
+    fp = _zp_squarefree_image(poly_content_and_primitive(p_poly)[1], prime)
+    if fp is None:
         return None
-    monic = _zp_monic(ints, prime)
-    if len(_zp_gcd(monic, _zp_derivative(monic, prime), prime)) > 1:
+    blocks = _zp_distinct_degree(_zp_monic(fp, prime), prime)
+    return sorted(d for block, d in blocks for _ in range((len(block) - 1) // d))
+
+
+def _zp_squarefree_image(f_int, p):
+    """The integer list f_int reduced mod p, or None unless the reduction is
+    squarefree of full degree."""
+    if f_int[-1] % p == 0:
         return None
-    rng = random.Random(seed)
-    return sorted(len(f) - 1 for f in _zp_factor_squarefree(monic, prime, rng))
+    fp = _trim([c % p for c in f_int])
+    return fp if len(_zp_gcd(fp, _zp_derivative(fp, p), p)) == 1 else None
 
 
 def _crt_primes():
@@ -496,15 +502,12 @@ def _choose_prime(f_int, seed):
     d holds D/d of them; only the chosen prime is split further.
     """
     n = len(f_int) - 1
-    lc = f_int[-1]
     best = None
     degrees = (1 << (n + 1)) - 1
     tried = 0
     for p in _PRIME_POOL:
-        if lc % p == 0:
-            continue
-        fp = _trim([c % p for c in f_int])
-        if len(_zp_gcd(fp, _zp_derivative(fp, p), p)) > 1:
+        fp = _zp_squarefree_image(f_int, p)
+        if fp is None:
             continue
         blocks = _zp_distinct_degree(_zp_monic(fp, p), p)
         count, sums = 0, 1
@@ -706,8 +709,7 @@ def is_squarefree_q(p: Polynomial) -> bool:
     for prime in _PRIME_POOL:
         if ints[-1] % prime == 0:
             continue
-        fp = _trim([c % prime for c in ints])
-        if len(_zp_gcd(fp, _zp_derivative(fp, prime), prime)) == 1:
+        if _zp_squarefree_image(ints, prime) is not None:
             return True
         rejected += 1
         if rejected >= 12:

@@ -33,7 +33,7 @@ from typing import Optional
 
 from .checks import record_check
 from .errors import ChainFormatError
-from .galois import galois_group, orbit, orbit_min_poly, subgroup_fixing
+from .galois import _stabilizer, galois_group, orbit, orbit_min_poly, subgroup_fixing
 from .numfield import (
     DEFAULT_DEGREE_CAP,
     FieldTower,
@@ -369,11 +369,7 @@ def verify_nested_normal_radical(t: NormalRadicalTower,
 def _generated_by_roots(level: SplittingField, seed) -> bool:
     """Only the identity automorphism fixes every root (so roots generate)."""
     g = galois_group(level, seed=seed)
-    fixing_all = [
-        i for i in range(g.order)
-        if all(g.apply(i, r) == r for r in level.roots)
-    ]
-    return fixing_all == [g.identity_index]
+    return _stabilizer(g, level.roots) == (g.identity_index,)
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +476,12 @@ def quintic_group_witness(p: Polynomial, primes=None,
         raise ValueError("the quintic witness needs a squarefree quintic")
     if not is_irreducible_over_Q(sq, seed=seed):
         raise ValueError("the quintic witness needs an irreducible quintic")
-    return _quintic_witness(sq, primes, seed)
+    return _quintic_witness(sq, primes)
 
 
-def _quintic_witness(h: Polynomial, primes, seed) -> CycleTypeEvidence:
+def _quintic_witness(h: Polynomial, primes) -> CycleTypeEvidence:
     """The quintic witness of a monic quintic h already proved irreducible."""
-    samples, certificate = scan_cycle_types(h, primes, seed)
+    samples, certificate = scan_cycle_types(h, primes)
     if not samples:
         return CycleTypeEvidence((), None, "INCONCLUSIVE", "no usable prime in the configured list")
     if certificate is None:
@@ -500,14 +496,14 @@ def _quintic_witness(h: Polynomial, primes, seed) -> CycleTypeEvidence:
     return CycleTypeEvidence(samples, "A5", "NOT_SOLVABLE", detail)
 
 
-def _jordan_witness(h: Polynomial, primes, seed) -> Optional[CycleTypeEvidence]:
+def _jordan_witness(h: Polynomial, primes) -> Optional[CycleTypeEvidence]:
     """NOT_SOLVABLE evidence for an irreducible h of degree n >= 6 whose
     cycle types certify a group containing A_n, or None.
 
     The power step is re-checked on an explicit permutation.
     """
     n = h.degree
-    samples, certificate = scan_cycle_types(h, primes, seed)
+    samples, certificate = scan_cycle_types(h, primes)
     if certificate is None:
         return None
     prime, ctype, exponent, p = certificate.power
@@ -582,11 +578,11 @@ def necessary_condition_verdict(p: Polynomial, degree_cap: int = DEFAULT_DEGREE_
     # group, and a quotient of a solvable group is solvable
     for h in factors:
         if h.degree == 5:
-            witness = _quintic_witness(h, primes, seed)
+            witness = _quintic_witness(h, primes)
             if whole:
                 evidence = witness
         elif h.degree >= 6:
-            witness = _jordan_witness(h, primes, seed)
+            witness = _jordan_witness(h, primes)
         else:
             continue
         if witness is not None and witness.conclusion == "NOT_SOLVABLE":

@@ -204,7 +204,7 @@ DEFAULT_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                           47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
-def scan_cycle_types(h: Polynomial, primes=None, seed: int = DEFAULT_SEED):
+def scan_cycle_types(h: Polynomial, primes=None):
     """Frobenius cycle types of an irreducible rational h, one per good prime
     of the list (default ``DEFAULT_WITNESS_PRIMES``), until they certify
     that the group of h is S_n; returns (samples, certificate or None).
@@ -213,20 +213,17 @@ def scan_cycle_types(h: Polynomial, primes=None, seed: int = DEFAULT_SEED):
     element, so the group holds an element of every sampled type
     (``permgroup.cycle_type_certificate``).
     """
-    return _scan_cycle_types(h, tuple(primes) if primes else DEFAULT_WITNESS_PRIMES, seed)
+    return _scan_cycle_types(h, tuple(primes) if primes else DEFAULT_WITNESS_PRIMES)
 
 
 @functools.lru_cache(maxsize=32)
-def _scan_cycle_types(h, primes, seed):
-    # one scan per (polynomial, prime list, seed): a verdict's quintic
+def _scan_cycle_types(h, primes):
+    # one scan per (polynomial, prime list): a verdict's quintic
     # witness and the splitting-degree bound ask for the same one
     samples = []
     certificate = None
     for prime in primes:
-        try:
-            degrees = factor_degrees_mod_p(h, prime, seed=seed)
-        except ZeroDivisionError:
-            degrees = None
+        degrees = factor_degrees_mod_p(h, prime)
         if degrees is None:
             continue
         samples.append((prime, tuple(degrees)))
@@ -249,7 +246,7 @@ def _splitting_degree_lower_bound(sq: Polynomial, seed: int) -> int:
     for h, _ in factor_over_Q(sq, seed=seed).factors:
         if h.degree < 2:
             continue
-        samples, certificate = scan_cycle_types(h, seed=seed)
+        samples, certificate = scan_cycle_types(h)
         bound = math.lcm(bound, *(d for _, degrees in samples for d in degrees))
         if certificate is not None:
             order = math.factorial(h.degree)

@@ -15,13 +15,13 @@ from galoiskit.numfield import (
     minimal_polynomial,
     roots_in_field,
 )
-from galoiskit.poly import Polynomial, poly_resultant
+from galoiskit.poly import Polynomial
 from galoiskit.qfactor import is_irreducible_over_Q
 from galoiskit.linalg import SpanSolver
 from galoiskit.scalars import PrimeField
 from galoiskit.splitting import splitting_field
 
-from helpers import FractionSpanSolver, P, poly_extended_gcd
+from helpers import FractionSpanSolver, P, poly_extended_gcd, poly_resultant
 
 
 def tower_q_sqrt2():

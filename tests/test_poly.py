@@ -9,7 +9,6 @@ from galoiskit.poly import (
     Polynomial,
     poly_compose_power,
     poly_gcd,
-    poly_resultant,
     poly_squarefree_decomposition,
     poly_squarefree_part,
     render_poly,
@@ -17,7 +16,7 @@ from galoiskit.poly import (
 from galoiskit.qfactor import _crt_primes
 from galoiskit.scalars import PrimeField
 
-from helpers import P, brute_force_monic_divisors, sylvester_resultant
+from helpers import P, brute_force_monic_divisors, poly_resultant, sylvester_resultant
 
 
 rational = st.fractions(

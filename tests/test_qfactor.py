@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from galoiskit.qfactor import (
     is_squarefree_q,
 )
 from galoiskit.scalars import PrimeField
-from galoiskit.splitting import splitting_field
+from galoiskit.splitting import DEFAULT_WITNESS_PRIMES, splitting_field
 
 from helpers import (
     P,
@@ -28,6 +29,7 @@ from helpers import (
     schoolbook_mul,
     schoolbook_powmod,
     swinnerton_dyer,
+    sylvester_resultant,
     zassenhaus_recombine,
 )
 
@@ -329,6 +331,42 @@ class TestHelpers:
         assert factor_degrees_mod_p(p, 2) == [2, 3]
         # 7 divides the discriminant check path: just needs to not crash
         assert factor_degrees_mod_p(p, 3) in ([5], None)
+        # Seeded non-monic rational inputs at every witness prime.  F is the
+        # primitive integer form; a prime dividing a denominator of the monic
+        # form divides lc(F), and res(F, F') = +-lc(F) * disc(F).
+        rng = random.Random(7)
+        seen = {"degrees": 0, "lc": 0, "disc": 0, "denominator": 0}
+        for _ in range(20):
+            n = rng.randint(3, 12)
+            coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5, 7)))
+                      for _ in range(n)]
+            coeffs.append(Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.choice((1, 2, 3))))
+            h = Polynomial(QQ, coeffs)
+            scale = math.lcm(*(c.denominator for c in coeffs))
+            ints = [int(c * scale) for c in coeffs]
+            g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+            F = P(*(c // g for c in ints))
+            res = sylvester_resultant(F, F.derivative())
+            denominators = math.prod(c.denominator for c in h.monic().coeffs)
+            for prime in DEFAULT_WITNESS_PRIMES:
+                got = factor_degrees_mod_p(h, prime)
+                assert factor_degrees_mod_p(h.monic(), prime) == got
+                if denominators % prime == 0:
+                    seen["denominator"] += 1
+                    assert got is None
+                if F.lc % prime == 0:
+                    seen["lc"] += 1
+                    assert got is None
+                elif res % prime == 0:
+                    seen["disc"] += 1
+                    assert got is None
+                else:
+                    seen["degrees"] += 1
+                    fac = factor_mod_p(F.map_coefficients(PrimeField(prime).coerce,
+                                                          PrimeField(prime)))
+                    assert all(m == 1 for _, m in fac)
+                    assert got == sorted(f.degree for f, _ in fac)
+        assert all(seen.values()), seen
 
 
 class TestModImage:

@@ -244,9 +244,9 @@ class TestVerdicts:
         primes = []
         scan = splitting.factor_degrees_mod_p
 
-        def counting(h, prime, seed):
+        def counting(h, prime):
             primes.append(prime)
-            return scan(h, prime, seed=seed)
+            return scan(h, prime)
 
         monkeypatch.setattr(splitting, "factor_degrees_mod_p", counting)
         splitting._scan_cycle_types.cache_clear()
