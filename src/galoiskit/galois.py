@@ -3,12 +3,12 @@
 Automorphisms are defined by where they send the primitive element theta,
 and the induced root permutation is derived, never searched.  Candidate
 theta-images combine conjugates of the tower generators as theta combines
-the generators.  A mod-p screen discards most (a true zero survives it), a
-survivor that would enlarge the group is verified exactly on its integer
-action matrix, and the rest of
-the group is its closure under composition: a Galois extension E has at
-most [E:Q] automorphisms, so verified generators whose closure has [E:Q]
-elements give the whole group.
+the generators.  A scalar screen at the field's degree-one place
+(``modscreen``) discards most (a true zero survives it), a survivor that
+would enlarge the group is verified exactly on its integer action matrix,
+and the rest of the group is its closure under composition: a Galois
+extension E has at most [E:Q] automorphisms, so verified generators whose
+closure has [E:Q] elements give the whole group.
 
 The correspondence runs on integers: each automorphism caches its action as
 one integer matrix over a common denominator, so applying it is one
@@ -188,20 +188,13 @@ def _enumerate_galois_group(E: SplittingField, seed: int) -> GaloisGroup:
     root_index = {r: i for i, r in enumerate(roots)}
     active = [(g, c) for g, c in zip(field.gen_images, field.theta_combo) if c]
     combo = [c for _, c in active]
-    min_poly = field.min_poly
-    polys = [minimal_polynomial(g) for g, _ in active] + [min_poly]
-    # a zero maps to zero mod p, so the screen keeps every true root; with
-    # no image (a denominator vanishing mod p), every test is exact
-    img = modscreen.make_image(field.ext)
-    try:
-        root_images = [img.element(r) for r in roots] if img else None
-        screens = [[img.scalar(c) for c in f.coeffs] for f in polys] if img else None
-    except ZeroDivisionError:
-        img = None
-    allowed = [[i for i, r in enumerate(roots)
-                if (not img.eval_poly(screens[k], root_images[i]) if img
-                    else not f.evaluate(r))]
-               for k, f in enumerate(polys[:-1])]
+    # screens at the field's place keep every true conjugate (a zero maps
+    # to zero); a root or polynomial with no image is tested exactly
+    place = E.place
+    root_images = [place(r) if place else None for r in roots]
+    theta_screen = place.images(field.min_poly.coeffs) if place else None
+    allowed = [[i for i, r in enumerate(roots) if vanishes(r)]
+               for vanishes in (modscreen.vanishes(place, minimal_polynomial(g)) for g, _ in active)]
 
     # the closure of the verified generators, by root permutation, and the
     # generator images (root indices) of its elements: a candidate among
@@ -215,7 +208,9 @@ def _enumerate_galois_group(E: SplittingField, seed: int) -> GaloisGroup:
             break
         if tup in keys or len(set(tup)) != len(tup):
             continue
-        if img and img.eval_poly(screens[-1], img.combine(combo, [root_images[i] for i in tup])):
+        vs = [root_images[i] for i in tup]
+        if theta_screen is not None and None not in vs and modscreen.horner(
+                theta_screen, sum(map(mul, combo, vs)) % place.prime, place.prime):
             continue
         value = field.ext.zero
         for c, i in zip(combo, tup):

@@ -1,79 +1,96 @@
-"""Mod-p images of absolute fields for cheap zero prescreening.
+"""Degree-one places: scalar mod-p images of absolute fields for screening.
 
-Mapping an exact computation into Z_p[x]/(minpoly mod p) is a ring
-homomorphism wherever every denominator stays invertible, so an exact zero
-always maps to zero.  A prescreen can therefore discard nonzero candidates
-cheaply; survivors still get an exact verification, which keeps soundness
-independent of the prime chosen here.  Products reduce by packed rows
-built once per image (``qfactor._zp_mulmod``).
+A place of Q(theta) at a prime p sends theta to a root a of its minimal
+polynomial mod p and an element with p-integral coordinates e_k to
+sum e_k * a**k: a ring homomorphism, so a nonzero image proves an element
+nonzero, while an element with no image and every survivor are tested
+exactly.  The prime splits each irreducible factor of the rational source
+into distinct linear factors, so it splits completely in every field of
+the tower; a new generator goes to a root of the adjoined factor's image,
+and theta to the combination of generator images that theta is of the
+generators.
 """
 
-from fractions import Fraction
+import random
 
-from .qfactor import _trim, _zp_add, _zp_inverse, _zp_mulmod, _zp_powmod
-
-_SCREEN_PRIMES = (1048583, 1048589, 1048601, 1048609, 1048613, 1048627, 1048633)
-
-
-class ModImage:
-    """Ring image of an ExtensionField over Q at a fixed prime."""
-
-    def __init__(self, ext, prime):
-        self.prime = prime
-        self.n = ext.degree
-        self.modulus = [self._frac(c) for c in ext.modulus.coeffs]
-        if len(_trim(list(self.modulus))) != ext.degree + 1:
-            raise ZeroDivisionError("leading coefficient vanished mod p")
-        self.mul = _zp_mulmod(self.modulus, prime)
-
-    def _frac(self, c):
-        p = self.prime
-        num = c.numerator % p
-        den = c.denominator % p
-        if den == 0:
-            raise ZeroDivisionError("denominator vanished mod p")
-        return num * pow(den, -1, p) % p
-
-    def element(self, e):
-        return _trim([self._frac(c) for c in e.coeffs])
-
-    def scalar(self, c):
-        return _trim([self._frac(Fraction(c))])
-
-    def combine(self, scalars, elements):
-        """Image of sum(s * e) for integers s and element images e."""
-        p = self.prime
-        acc = [0] * self.n
-        for s, e in zip(scalars, elements):
-            for i, c in enumerate(e):
-                acc[i] += s * c
-        return _trim([c % p for c in acc])
-
-    def neg(self, a):
-        return [(-c) % self.prime for c in a]
-
-    def inv(self, a):
-        """Ring inverse; raises ZeroDivisionError when a is a zero divisor."""
-        return _zp_inverse(a, self.modulus, self.prime)
-
-    def pow(self, a, k):
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        return _zp_powmod(a, k, self.modulus, self.prime, self.mul)
-
-    def eval_poly(self, coeff_images, v):
-        """Horner evaluation of a polynomial given by element images."""
-        acc = []
-        for c in reversed(coeff_images):
-            acc = _zp_add(self.mul(acc, v), c, self.prime)
-        return acc
+from .qfactor import _zp_equal_degree, _zp_mod, _zp_powmod
+from .scalars import is_prime
 
 
-def make_image(ext):
-    """Build a ModImage at the first usable screening prime, or None."""
-    for p in _SCREEN_PRIMES:
-        try:
-            return ModImage(ext, p)
-        except ZeroDivisionError:
+class Place:
+    """theta -> root in GF(prime), with the images of the tower generators."""
+
+    def __init__(self, prime, root=1, gens=()):
+        self.prime, self.root, self.gens = prime, root, gens
+
+    def __call__(self, e):
+        """Image of a rational or a field element, or None when p divides a
+        denominator."""
+        p, num, den = self.prime, 0, 1
+        for c in reversed(getattr(e, "coeffs", (e,))):
+            num = (num * self.root * c.denominator + c.numerator * den) % p
+            den = den * c.denominator % p
+        return num * pow(den, -1, p) % p if den else None
+
+    def images(self, coeffs):
+        out = [self(c) for c in coeffs]
+        return None if None in out else out
+
+    def extend(self, q, combo, modulus):
+        """The place after adjoining a root of the monic q, when the new
+        theta is sum combo_i * gen_i with minimal polynomial modulus."""
+        p, qbar = self.prime, self.images(q.coeffs)
+        if qbar is None or not _splits(qbar, p):
+            return None
+        factors = _zp_equal_degree(qbar, 1, p, random.Random(p))
+        gens = self.gens + (min(-g[0] % p for g in factors),)
+        place = Place(p, sum(c * g for c, g in zip(combo, gens)) % p, gens)
+        m = place.images(modulus.coeffs)
+        return place if m is not None and not horner(m, place.root, p) else None
+
+
+def horner(f, v, p):
+    """f(v) mod p for residues f, ascending."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * v + c) % p
+    return acc
+
+
+def vanishes(place, f):
+    """A test that the polynomial f vanishes at a field element: its image
+    at the place screens, and only a survivor is evaluated exactly."""
+    img = place.images(f.coeffs) if place is not None else None
+
+    def test(e):
+        v = place(e) if img is not None else None
+        return (v is None or not horner(img, v, place.prime)) and not f.evaluate(e)
+
+    return test
+
+
+def _splits(h, p):
+    """x**p == x mod (h, p): the monic h splits into distinct linear factors."""
+    return _zp_powmod([0, 1], p, h, p) == _zp_mod([0, 1], h, p)
+
+
+def find(tower, factors):
+    """The place of the tower's field, followed along its stages from Q, at
+    the largest prime below 2**30 where each monic rational factor splits
+    into distinct linear factors (tested in the order given, cheapest
+    first); None after 2048 primes."""
+    combo = tower.absolute.theta_combo
+    moduli = [m.field.modulus for _, _, m in tower.stages[1:]] + [tower.absolute.min_poly]
+    p = 1 << 30
+    for _ in range(2048):
+        p -= 1
+        while not is_prime(p):
+            p -= 1
+        place = Place(p)
+        if any(h is None or not _splits(h, p) for h in (place.images(f.coeffs) for f in factors)):
             continue
+        for i, ((_, _, m), modulus) in enumerate(zip(tower.stages, moduli)):
+            place = place and place.extend(m, combo[:i + 1], modulus)
+        if place is not None:
+            return place
     return None

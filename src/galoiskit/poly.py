@@ -143,17 +143,18 @@ class Polynomial:
         rem = list(self.coeffs)
         dlc = other.lc
         dd = other.degree
+        # a monic divisor needs no inverse, and the leading term cancels
+        monic = dlc == self.field.one
         inv = None
         quot = [self.field.zero] * (len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
+            c, rem[i] = rem[i], self.field.zero
             if not c:
                 continue
-            if inv is None:
+            if inv is None and not monic:
                 inv = _invert(dlc)
-            q = c * inv
-            quot[i - dd] = q
-            for j, oc in enumerate(other.coeffs):
+            quot[i - dd] = q = c if monic else c * inv
+            for j, oc in enumerate(other.coeffs[:-1]):
                 rem[i - dd + j] = rem[i - dd + j] - q * oc
         return Polynomial(self.field, quot), Polynomial(self.field, rem)
 
@@ -178,28 +179,25 @@ class Polynomial:
         return Polynomial(self.field, [i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, v):
-        """Horner evaluation.
+        """Horner evaluation, where a run of k zero coefficients costs one
+        power v**(k+1): x**N - w takes O(log N) products.
 
         v may be an element of this polynomial's field, a coercible scalar,
         or an element of a larger field into which the coefficients coerce
         (evaluating a rational polynomial at a number-field element).
         """
-        if _is_element(v, self.field):
-            target = None
-        elif getattr(v, "field", None) is not None:
-            target = v.field
+        if _is_element(v, self.field) or getattr(v, "field", None) is None:
+            v, field, lift = self.field.coerce(v), self.field, lambda c: c
         else:
-            v = self.field.coerce(v)
-            target = None
-        if target is None:
-            acc = self.field.zero
-            for c in reversed(self.coeffs):
-                acc = acc * v + c
-        else:
-            acc = target.zero
-            for c in reversed(self.coeffs):
-                acc = acc * v + target.coerce(c)
-        return acc
+            field, lift = v.field, v.field.coerce
+        acc, gap = field.zero, 0
+        for c in reversed(self.coeffs):
+            if c:
+                acc = acc * (v if gap == 0 else v ** (gap + 1)) + lift(c) if acc else lift(c)
+                gap = 0
+            else:
+                gap += 1
+        return acc * v ** gap if gap and acc else acc
 
     def compose(self, other):
         """Return self(other(x))."""

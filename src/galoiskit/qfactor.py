@@ -187,9 +187,9 @@ def _zp_gcd(a, b, p):
     return _zp_monic(a, p)
 
 
-def _zp_powmod(a, e, f, p, mul=None):
-    """a**e mod (f, p); mul, when given, is _zp_mulmod(f, p)."""
-    mul = mul or _zp_mulmod(f, p)
+def _zp_powmod(a, e, f, p):
+    """a**e mod (f, p)."""
+    mul = _zp_mulmod(f, p)
     result, base = [1], _zp_mod(a, f, p)
     while e:
         if e & 1:
@@ -491,7 +491,7 @@ def _hensel_lift_tree(f, factors, p, target):
 # factoring over Z: prime choice, Hensel lifting, knapsack recombination
 
 
-def _choose_prime(f_int, seed):
+def _choose_prime(f_int):
     """Pick primes keeping f squarefree; prefer the one with fewest factors.
 
     Returns (p, distinct-degree blocks of f mod p, degree set), where bit d
@@ -531,7 +531,7 @@ def _factor_squarefree_int(f_int, seed):
     n = len(f_int) - 1
     if n <= 1:
         return [list(f_int)]
-    p, blocks, degrees = _choose_prime(f_int, seed)
+    p, blocks, degrees = _choose_prime(f_int)
     if degrees == 1 | 1 << n:
         return [list(f_int)]
     rng = random.Random(seed ^ p)

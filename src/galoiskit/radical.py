@@ -57,6 +57,7 @@ from .poly import Polynomial, poly_compose_power, poly_squarefree_part, render_p
 from .qfactor import DEFAULT_SEED, factor_over_Q, is_irreducible_over_Q
 from .scalars import QQ
 from .splitting import SplittingField, scan_cycle_types, splitting_field
+from . import modscreen
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +313,7 @@ def verify_nested_normal_radical(t: NormalRadicalTower,
     cyclo = x ** n_lcm - Polynomial.one(QQ)
     fresh_degree = splitting_field(cyclo, degree_cap=max(DEFAULT_DEGREE_CAP, t.cyclotomic.degree),
                                    seed=seed).degree
-    roots_of_unity = [r for r in t.cyclotomic.roots if not cyclo.evaluate(r)]
+    roots_of_unity = list(filter(modscreen.vanishes(t.cyclotomic.place, cyclo), t.cyclotomic.roots))
     cond1 = (
         fresh_degree == t.cyclotomic.degree
         and len(set(roots_of_unity)) == n_lcm
@@ -330,7 +331,7 @@ def verify_nested_normal_radical(t: NormalRadicalTower,
     for idx, level in enumerate(t.levels):
         poly = t.defining_polynomial(idx)
         sq = poly_squarefree_part(poly)
-        distinct = {r for r in level.roots if not sq.evaluate(r)}
+        distinct = set(filter(modscreen.vanishes(level.place, sq), level.roots))
         ok = len(distinct) == sq.degree and _generated_by_roots(level, seed)
         conditions.append(ConditionReport(
             f"level_{idx + 1}_normal_over_Q",
@@ -354,7 +355,7 @@ def verify_nested_normal_radical(t: NormalRadicalTower,
             prod = prod * (xk ** s.k - Polynomial.constant(ext, w))
         stored = s.kummer_poly.map_coefficients(ext.coerce, ext)
         poly_ok = prod == stored
-        kroots = {r for r in s.level.roots if not s.kummer_poly.evaluate(r)}
+        kroots = set(filter(modscreen.vanishes(s.level.place, s.kummer_poly), s.level.roots))
         split_ok = len(kroots) == poly_squarefree_part(s.kummer_poly).degree
         ok = divides and orbit_ok and poly_ok and split_ok
         conditions.append(ConditionReport(

@@ -5,9 +5,13 @@ first nonlinear irreducible factor in canonical order, re-flattens, and
 repeats until the polynomial splits.  A cheap monomial "root hunt" finds
 roots that are products of powers of known roots (cyclotomic and radical
 polynomials split this way) before falling back to Trager factorization.
+The hunt screens candidates by one scalar Horner evaluation each at a
+degree-one place (``modscreen``), found once per call and extended at each
+adjunction; the result carries it for ``galois`` and ``radical``.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -40,6 +44,7 @@ class SplittingField:
     base: Optional["SplittingField"]
     lift_from_base: Optional[Callable]
     notes: tuple
+    place: Optional[modscreen.Place] = None  # degree-one place of the field
     # cache slot: the Galois group is unique per field, so repeated
     # correspondence work does not re-enumerate automorphisms
     _group_cache: list = None
@@ -74,7 +79,8 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
     sq = poly_squarefree_part(p)
     if sq != p.monic():
         notes.append("input replaced by its squarefree part (separability normalization)")
-    bound = _splitting_degree_lower_bound(sq, seed)
+    factors = [h for h, _ in factor_over_Q(sq, seed=seed).factors]
+    bound = _splitting_degree_lower_bound(factors)
     already = 1 if base is None else base.degree
     # [E:Q] is divisible both by the bound and by the base degree
     provable = math.lcm(bound, already)
@@ -94,6 +100,8 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
         roots = list(base.roots)
         source = base.source * p
         base_lifts = []  # per-adjunction lift functions, composed at the end
+    sq_source = poly_squarefree_part(source)
+    place = modscreen.find(tower, factors if base is None else factors + [base.squarefree_source])
 
     # entries: (polynomial over the current absolute ext, known_irreducible)
     cur = tower.absolute
@@ -117,7 +125,7 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
                         q = Polynomial.one(q.field)
                         progressed = True
                         break
-                    hit = _hunt_root(q, roots)
+                    hit = _hunt_root(q, roots, place, sq_source)
                     if hit is None:
                         break
                     _add_root(roots, hit)
@@ -140,6 +148,8 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
         # adjoin a root of the first nonlinear irreducible factor
         name = f"g{len(tower.stages) + 1}"
         tower = tower.adjoin(q, name, verify=False, degree_cap=degree_cap, seed=seed)
+        place = place and place.extend(tower.stages[-1][2], tower.absolute.theta_combo,
+                                       tower.absolute.min_poly)
         lift = tower.absolute.lift_from_prev
         if base_lifts is not None:
             base_lifts.append(lift)
@@ -156,7 +166,6 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
         entries = [(cofactor, False)] + lifted[1:]
 
     roots.sort(key=element_sort_key)
-    sq_source = poly_squarefree_part(source)
     record_check(
         "splitting.root_count_equals_squarefree_degree",
         len(roots) == sq_source.degree,
@@ -183,6 +192,7 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
         base=base,
         lift_from_base=lift_fn,
         notes=tuple(notes),
+        place=place,
     )
 
 
@@ -233,8 +243,9 @@ def _scan_cycle_types(h, primes):
     return tuple(samples), certificate
 
 
-def _splitting_degree_lower_bound(sq: Polynomial, seed: int) -> int:
-    """A divisor of the splitting-field degree, from Frobenius cycle types.
+def _splitting_degree_lower_bound(factors) -> int:
+    """A divisor of the splitting-field degree, from Frobenius cycle types of
+    the irreducible rational factors of the source.
 
     The order of a Frobenius element, the lcm of its cycle lengths, divides
     the group order, which equals the splitting degree.  Each irreducible
@@ -243,7 +254,7 @@ def _splitting_degree_lower_bound(sq: Polynomial, seed: int) -> int:
     degree n has group S_n, or A_n or S_n, its bound is n! or n!/2.
     """
     bound = 1
-    for h, _ in factor_over_Q(sq, seed=seed).factors:
+    for h in factors:
         if h.degree < 2:
             continue
         samples, certificate = scan_cycle_types(h)
@@ -262,75 +273,51 @@ _HUNT_SINGLE_EXPS = (-3, -2, -1, 2, 3)
 _HUNT_PAIR_EXPS = (-2, -1, 1, 2)
 
 
-def _hunt_root(q: Polynomial, roots):
-    """Look for a root of q among +-r_i**e * r_j**f for known roots r.
+def _hunt_root(q: Polynomial, roots, place, source):
+    """Look for a root of q among +-r_i**e * r_j**f for known roots r, all
+    roots of the rational squarefree source.
 
-    Purely an optimization: candidates are prescreened mod p and verified
-    exactly; a miss simply sends the caller to Trager factorization.
+    Purely an optimization: a miss sends the caller to Trager factorization.
+    Candidates are tried in a fixed order and the first exact root wins; the
+    place only skips those whose image proves them no root, so the answer
+    is the same with any place or none.
     """
     F = q.field
     nonzero = [r for r in roots if r and isinstance(r, ExtElement) and r.field == F]
     if F.degree == 1 or not nonzero:
         return None
-    img = modscreen.make_image(F)
-    if img is None:
-        return None
-    try:
-        q_imgs = [img.element(c) for c in q.coeffs]
-        root_imgs = [img.element(r) for r in nonzero]
-    except ZeroDivisionError:
-        return None
-
+    screen = place.images(q.coeffs) if place else None
+    images = [place(r) if screen else None for r in nonzero]
+    p = place.prime if screen else None
+    n = len(nonzero)
+    image_powers = {(i, e): None if v is None or (e < 0 and not v) else pow(v, e, p)
+                    for i, v in enumerate(images) for e in _HUNT_SINGLE_EXPS + (1,)}
+    # every known root is a root of the squarefree source f = x*g + f(0),
+    # divided by x when f(0) = 0, so r**-1 = -g(r)/f(0): a Horner evaluation
+    # where a field inverse would cost many products
+    f0, *g = source.coeffs if source.coeffs[0] else source.coeffs[1:]
+    g = Polynomial(QQ, g)
     exact_powers = {}
 
     def exact_power(i, e):
-        key = (i, e)
-        if key not in exact_powers:
-            exact_powers[key] = nonzero[i] ** e
-        return exact_powers[key]
+        if (i, e) not in exact_powers:
+            r = nonzero[i]
+            exact_powers[(i, e)] = (g.evaluate(r) * (-1 / f0) if e == -1 else
+                                    exact_power(i, -1) ** -e if e < 0 else r ** e)
+        return exact_powers[(i, e)]
 
-    def verify(c):
-        return not q.evaluate(c)
-
-    def screen(v):
-        return not img.eval_poly(q_imgs, v)
-
-    # singles: r_i**e
-    for i, rim in enumerate(root_imgs):
-        for e in _HUNT_SINGLE_EXPS:
-            try:
-                v = img.pow(rim, e)
-            except ZeroDivisionError:
+    singles = (((i, e),) for i in range(n) for e in _HUNT_SINGLE_EXPS)
+    pairs = (((i, e), (j, f)) for i in range(n) for j in range(n) if i != j
+             for e in _HUNT_PAIR_EXPS for f in _HUNT_PAIR_EXPS)
+    for terms in itertools.chain(singles, pairs):
+        vs = [image_powers[t] for t in terms]
+        v = None if None in vs else math.prod(vs) % p
+        for sign in (1, -1):
+            if v is not None and modscreen.horner(screen, v if sign == 1 else p - v, p):
                 continue
-            for sign in (1, -1):
-                w = v if sign == 1 else img.neg(v)
-                if screen(w):
-                    cand = exact_power(i, e) * sign
-                    if verify(cand):
-                        return cand
-    # pairs: r_i**e * r_j**f
-    npow = {}
-    for i, rim in enumerate(root_imgs):
-        for e in _HUNT_PAIR_EXPS:
-            try:
-                npow[(i, e)] = img.pow(rim, e)
-            except ZeroDivisionError:
-                pass
-    for i in range(len(nonzero)):
-        for j in range(len(nonzero)):
-            if i == j:
-                continue
-            for e in _HUNT_PAIR_EXPS:
-                if (i, e) not in npow:
-                    continue
-                for f in _HUNT_PAIR_EXPS:
-                    if (j, f) not in npow:
-                        continue
-                    v = img.mul(npow[(i, e)], npow[(j, f)])
-                    for sign in (1, -1):
-                        w = v if sign == 1 else img.neg(v)
-                        if screen(w):
-                            cand = exact_power(i, e) * exact_power(j, f) * sign
-                            if verify(cand):
-                                return cand
+            cand = exact_power(*terms[0])
+            cand = cand * exact_power(*terms[1]) if len(terms) == 2 else cand
+            cand = cand if sign == 1 else -cand
+            if not q.evaluate(cand):
+                return cand
     return None

@@ -178,7 +178,7 @@ class TestCliExitCodes:
         (ZeroDivisionError("division by zero polynomial"), EXIT_INPUT),
     ])
     def test_engine_arithmetic_error_exit_code(self, monkeypatch, capsys, error, code):
-        def failing(f_int, seed):
+        def failing(f_int):
             raise error
 
         monkeypatch.setattr(qfactor, "_choose_prime", failing)

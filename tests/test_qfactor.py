@@ -9,8 +9,6 @@ from fractions import Fraction
 import pytest
 
 from galoiskit import QQ, linalg, qfactor
-from galoiskit.modscreen import _SCREEN_PRIMES, ModImage
-from galoiskit.numfield import ExtensionField
 from galoiskit.poly import Polynomial, poly_content_and_primitive
 from galoiskit.qfactor import (
     factor_degrees_mod_p,
@@ -210,7 +208,7 @@ def _assert_recovers(pieces):
 def _knapsack_and_oracle(f, seed=1):
     """The knapsack's factors of a primitive squarefree integer f, and the
     Zassenhaus oracle's on the same lifted modular factors."""
-    p, blocks, degrees = qfactor._choose_prime(f, seed)
+    p, blocks, degrees = qfactor._choose_prime(f)
     rng = random.Random(seed ^ p)
     mod_factors = sorted(g for block, d in blocks for g in qfactor._zp_equal_degree(block, d, p, rng))
     bound = qfactor._mignotte_bound(f)
@@ -369,30 +367,31 @@ class TestHelpers:
         assert all(seen.values()), seen
 
 
-class TestModImage:
-    """Z_p[x]/(m mod p) on qfactor's _zp_ routines: x^2+1 at p = 5 is
-    (x-2)(x+2), so the image has zero divisors."""
+class TestResidueRing:
+    """Z_5[x]/(x^2+1) on qfactor's _zp_ routines: x^2+1 at p = 5 is
+    (x-2)(x+2), so the ring has zero divisors."""
 
-    @pytest.fixture
-    def img(self):
-        return ModImage(ExtensionField(QQ, P(1, 0, 1)), 5)
+    F = [1, 0, 1]
 
-    def test_inverse_of_a_unit(self, img):
+    def test_inverse_of_a_unit(self):
+        mul = qfactor._zp_mulmod(self.F, 5)
         for a in ([1, 1], [3], [0, 1], [4, 1]):
-            assert img.mul(a, img.inv(a)) == [1]
+            assert mul(a, qfactor._zp_inverse(a, self.F, 5)) == [1]
 
     @pytest.mark.parametrize("a", [[], [3, 1], [2, 1]])
-    def test_zero_and_zero_divisors_have_no_inverse(self, img, a):
+    def test_zero_and_zero_divisors_have_no_inverse(self, a):
         with pytest.raises(ZeroDivisionError):
-            img.inv(a)
+            qfactor._zp_inverse(a, self.F, 5)
 
-    def test_powers_match_repeated_products(self, img):
+    def test_powers_match_repeated_products(self):
+        mul = qfactor._zp_mulmod(self.F, 5)
         a = [1, 1]
+        inv = qfactor._zp_inverse(a, self.F, 5)
         acc = [1]
         for k in range(8):
-            assert img.pow(a, k) == acc
-            assert img.mul(img.pow(a, -k), acc) == [1]
-            acc = img.mul(acc, a)
+            assert qfactor._zp_powmod(a, k, self.F, 5) == acc
+            assert mul(qfactor._zp_powmod(inv, k, self.F, 5), acc) == [1]
+            acc = mul(acc, a)
 
     def test_ext_gcd_refuses_common_factors(self):
         a, b = [1, 1], [1, 0, 1]
@@ -403,9 +402,10 @@ class TestModImage:
 
 
 # moduli of the int-list kernel: tiny primes, the Cantor-Zassenhaus pool's
-# largest, the screening primes, a Mersenne prime past 2**60, and Hensel
-# moduli p**k of 207, 634 and 671 bits
-KERNEL_MODULI = (2, 3, 313) + _SCREEN_PRIMES + (2**61 - 1, 313**25, 3**400, (2**61 - 1)**11)
+# largest, seven primes just above 2**20, a Mersenne prime past 2**60, and
+# Hensel moduli p**k of 207, 634 and 671 bits
+KERNEL_MODULI = (2, 3, 313, 1048583, 1048589, 1048601, 1048609, 1048613, 1048627, 1048633,
+                 2**61 - 1, 313**25, 3**400, (2**61 - 1)**11)
 
 
 def _modulus_id(m):

@@ -1,0 +1,41 @@
+"""Byte identity of canonical ``--json`` reports on commands that hunt for
+roots.
+
+The hunt, the group enumeration and the tower root filters screen at a
+degree-one place and verify every survivor exactly, so neither the prime
+nor the absence of a place may change a report.  ``bench/run.py`` prints
+the same digests for these jobs.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from galoiskit import modscreen
+from galoiskit.cli import EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SPLIT = (("split", "(x^5-2)*(x^2+1)"),
+         "657a3c8867d89b15bfed85c53d46f585d12d7281585914261d99deb9feb93214")
+CHAIN = (("chain-groups", "--chain", "bench/chains/sqrt2_then_sqrt_1_plus_r1.json"),
+         "653b53499c24ecbd99d289971640bcf52906fc855ab1def3a04b8717a8d63063")
+GROUP = (("group", "x^7-2"),
+         "dea6f2e47e9d6a7fbc09b0667a7ed595753fcd3f617132f52db7d5c0c5ffb75d")
+# without a place every test is exact; the split is left out there, where
+# its exact hunts take seconds
+CASES = [SPLIT + (True,), CHAIN + (True,), GROUP + (True,), CHAIN + (False,), GROUP + (False,)]
+
+
+@pytest.mark.parametrize("argv, digest, screened", CASES,
+                         ids=[" ".join(a[:2]) + ("" if s else " no-place") for a, _, s in CASES])
+def test_report_is_byte_identical(monkeypatch, capsys, argv, digest, screened):
+    # the chain file's path is part of the report, so run where the
+    # benchmark runs: at the repository root, with the relative path
+    monkeypatch.chdir(ROOT)
+    if not screened:
+        monkeypatch.setattr(modscreen, "find", lambda *args, **kwargs: None)
+    assert main(list(argv) + ["--json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -1,8 +1,18 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
-from galoiskit import DegreeCapError
+from galoiskit import DegreeCapError, modscreen
 from galoiskit.numfield import minimal_polynomial
+from galoiskit.poly import Polynomial
+from galoiskit.qfactor import factor_mod_p, factor_over_Q
+from galoiskit.scalars import PrimeField
 from galoiskit.splitting import (
+    _HUNT_PAIR_EXPS,
+    _HUNT_SINGLE_EXPS,
+    _hunt_root,
     _splitting_degree_lower_bound,
     splitting_degree,
     splitting_field,
@@ -111,7 +121,8 @@ class TestDegreeCap:
     @pytest.mark.parametrize("label,ints,degree", [g[:3] for g in GOLDEN],
                              ids=[g[0] for g in GOLDEN])
     def test_lower_bound_divides_golden_degree(self, label, ints, degree):
-        assert degree % _splitting_degree_lower_bound(_poly(label, ints), seed=1) == 0
+        factors = [h for h, _ in factor_over_Q(_poly(label, ints)).factors]
+        assert degree % _splitting_degree_lower_bound(factors) == 0
 
     @pytest.mark.parametrize("ints, bound", [
         ((1, 1, 0, 0, 0, 0, 1), 720),  # x^6+x+1: S6
@@ -122,3 +133,81 @@ class TestDegreeCap:
         with pytest.raises(DegreeCapError) as err:
             splitting_field(P(*ints))
         assert err.value.attempted == bound
+
+
+def _exact_scan(q, roots):
+    """The first exact root of q among +-r**e, then +-r**e * s**f, in the
+    hunt's candidate order."""
+    rs = [r for r in roots if r]
+    power = {(i, e): r ** e for i, r in enumerate(rs)
+             for e in set(_HUNT_SINGLE_EXPS) | set(_HUNT_PAIR_EXPS)}
+    singles = (power[(i, e)] for i in range(len(rs)) for e in _HUNT_SINGLE_EXPS)
+    pairs = (power[(i, e)] * power[(j, f)] for i in range(len(rs)) for j in range(len(rs))
+             if i != j for e in _HUNT_PAIR_EXPS for f in _HUNT_PAIR_EXPS)
+    for c in itertools.chain(singles, pairs):
+        for cand in (c, -c):
+            if not q.evaluate(cand):
+                return cand
+    return None
+
+
+@pytest.fixture(scope="module", params=[(1, 1, 0, 0, 1), (-2, 0, 0, 0, 0, 1)],
+                ids=["x^4+x+1", "x^5-2"])
+def placed(request):
+    return splitting_field(P(*request.param))
+
+
+class TestPlace:
+    def test_ring_map_on_p_integral_elements(self, placed):
+        place, ext = placed.place, placed.field.ext
+        p = place.prime
+        assert not modscreen.horner(place.images(ext.modulus.coeffs), place.root, p)
+        rng = random.Random(ext.degree)
+
+        def draw():
+            return ext.from_rep([Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 7)))
+                                 for _ in range(ext.degree)])
+
+        for _ in range(25):
+            a, b = draw(), draw()
+            assert place(a + b) == (place(a) + place(b)) % p
+            assert place(a * b) == place(a) * place(b) % p
+            assert place(a * Fraction(5, 3)) == place(a) * 5 * pow(3, -1, p) % p
+        assert place(ext.from_rep([Fraction(1, p)])) is None
+        # the place follows the tower: theta's image combines the
+        # generator images as theta combines the generators
+        field = placed.field
+        assert [place(g) for g in field.gen_images] == list(place.gens)
+        assert place(field.theta) == place.root
+
+    def test_prime_splits_the_source_completely(self, placed):
+        p = placed.place.prime
+        source = placed.squarefree_source
+        gf = PrimeField(p)
+        fac = factor_mod_p(source.map_coefficients(gf.coerce, gf))
+        assert [(g.degree, m) for g, m in fac.factors] == [(1, 1)] * source.degree
+        assert modscreen._splits(placed.place.images(source.coeffs), p)
+        images = [placed.place(r) for r in placed.roots]
+        assert len(set(images)) == len(images)
+        src = placed.place.images(source.coeffs)
+        assert all(not modscreen.horner(src, v, p) for v in images)
+
+    def test_hunt_returns_the_exact_scans_root(self, placed):
+        ext = placed.field.ext
+        r = placed.roots
+        x = Polynomial.x(ext)
+
+        def linear(c):
+            return x - Polynomial.constant(ext, c)
+
+        queries = [
+            linear(r[1] ** 2 * r[2] ** -1) * linear(r[3] ** -3),  # a single comes first
+            linear(-r[1] * r[2] ** 2) * linear(ext.coerce(5)),  # a pair
+            x * x - Polynomial.constant(ext, 3 * r[0] ** 2 + 1),  # no monomial root
+        ]
+        for q in queries:
+            want = _exact_scan(q, r)
+            assert _hunt_root(q, list(r), placed.place, placed.squarefree_source) == want
+            if want is not None:  # the full scan without a place is the slow case
+                assert _hunt_root(q, list(r), None, placed.squarefree_source) == want
+        assert want is None
