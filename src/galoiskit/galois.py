@@ -11,19 +11,21 @@ extension E has at most [E:Q] automorphisms, so verified generators whose
 closure has [E:Q] elements give the whole group.
 
 The correspondence runs on integers: each automorphism caches its action as
-one integer matrix over a common denominator, so applying it is one
-matrix-vector product; orbit polynomials are expanded on integer coefficient
+``numfield``'s substitution map theta -> theta', the integer matrix of the
+powers theta'**j, j <= n, over a common denominator, so applying it is one
+matrix-vector product and the root check m(theta') = 0 is that matrix times
+the coefficients of m; orbit polynomials are expanded on integer coefficient
 vectors over one running denominator with the field's integer reduction
-rows; and fixed fields are the nullspace of the integer rows d*(M - I),
-found by one fraction-free ``SpanSolver`` pass over their columns.
-Rationals appear only in the results.
+rows; and fixed fields are the nullspace of the integer rows d*(M - I) on
+the first n columns, found by one fraction-free ``SpanSolver`` pass over
+their columns.  Rationals appear only in the results.
 """
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .checks import record_check
@@ -31,13 +33,13 @@ from .errors import SoundnessError
 from .linalg import SpanSolver, nullspace
 from .numfield import (
     ExtElement,
+    _Substitution,
     _clear_denominators,
-    _power_coords,
     element_sort_key,
     minimal_polynomial,
     roots_in_field,
 )
-from .permgroup import PermGroup, Permutation, closure, is_normal
+from .permgroup import PermGroup, Permutation, _small_generating_set, closure, is_normal
 from .poly import Polynomial, poly_squarefree_part
 from .qfactor import DEFAULT_SEED, factor_over_Q
 from .scalars import QQ
@@ -48,9 +50,10 @@ from . import modscreen
 class Automorphism:
     """A field automorphism, stored as the image of the primitive element.
 
-    Its action is cached as one integer matrix over a common denominator:
-    ``action_matrix`` is (M, d) with row i of M holding, in column j,
-    d times the i-th rational coordinate of theta_image**j.
+    Its action is the substitution theta -> theta_image, built on first use
+    from the first n + 1 powers of theta_image: ``action_matrix`` is (M, d)
+    with row i of M holding, in column j, d times the i-th rational
+    coordinate of theta_image**j.
     """
 
     __slots__ = ("field", "theta_image", "root_permutation", "_action")
@@ -61,31 +64,19 @@ class Automorphism:
         self.root_permutation = root_permutation
         self._action = None
 
+    def _map(self):
+        if self._action is None:
+            self._action = _Substitution(self.theta_image, self.field.ext, self.field.degree + 1)
+        return self._action
+
     @property
     def action_matrix(self):
-        if self._action is None:
-            ext = self.field.ext
-            powers = _power_coords(self.theta_image, 0, Polynomial.x(ext))
-            columns = [next(powers) for _ in range(ext.degree)]
-            d = lcm(*(s.denominator for _, s in columns))
-            scaled = []
-            for w, s in columns:
-                k = s.numerator * (d // s.denominator)
-                scaled.append([v * k for v in w])
-            self._action = (tuple(zip(*scaled)), d)
-        return self._action
+        m = self._map()
+        return m.rows, m.den
 
     def apply(self, a):
         """Image of a field element: substitute theta -> theta_image."""
-        if isinstance(a, (int, Fraction)):
-            return self.field.ext.coerce(a)
-        if a.field != self.field.ext:
-            raise ValueError("element does not belong to this automorphism's field")
-        ai, da = _clear_denominators(a.coeffs)
-        rows, d = self.action_matrix
-        den = d * da
-        return ExtElement(self.field.ext, tuple(
-            Fraction(sum(map(mul, row, ai)), den) for row in rows))
+        return self._map()(a)
 
     @property
     def is_identity(self):
@@ -261,18 +252,12 @@ def _enumerate_galois_group(E: SplittingField, seed: int) -> GaloisGroup:
 
 
 def _sends_theta_to_a_root(a: Automorphism) -> bool:
-    """m(theta') == 0 for theta's minimal polynomial m, read off the action
-    matrix: column j is d * theta'**j, and theta'**n is one more product,
-    so dm * d * sc * m(theta') = sc * sum_j m_j * column_j + dm * top."""
-    ext = a.field.ext
-    n = ext.degree
-    rows, d = a.action_matrix
-    t, dt = _clear_denominators(a.theta_image.coeffs)
-    mi, dm = _clear_denominators(ext.modulus.coeffs)
-    # top = d * dt * d_rows * theta'**n
-    top = ext._int_mul([row[-1] for row in rows], t)
-    sc = dt * ext._int_rows[1]
-    return not any(sc * sum(map(mul, row, mi[:n])) + dm * x for row, x in zip(rows, top))
+    """m(theta') == 0 for theta's minimal polynomial m: column j of the
+    action matrix is d * theta'**j for j <= n, so the matrix times the
+    cleared coefficients of m is dm * d * m(theta')."""
+    rows, _ = a.action_matrix
+    mi, _ = _clear_denominators(a.field.min_poly.coeffs)
+    return not any(sum(map(mul, row, mi)) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +345,9 @@ def fixed_field(G: GaloisGroup, subgroup_indices) -> IntermediateField:
     rows = []
     for i in h_gens:
         matrix, d = G.automorphisms[i].action_matrix
-        # rows of d * (M - I)
+        # rows of d * (M - I) on the first n columns
         for r, row in enumerate(matrix):
-            row = list(row)
+            row = list(row[:n])
             row[r] -= d
             rows.append(row)
     if rows:
@@ -389,18 +374,11 @@ def fixed_field(G: GaloisGroup, subgroup_indices) -> IntermediateField:
 
 
 def _subgroup_generators(G: GaloisGroup, idx):
-    """A small generating subset of a subgroup given by indices."""
-    idx_set = set(idx)
-    gens = []
-    span = {G.identity_index}
-    for i in idx:
-        if i in span:
-            continue
-        gens.append(i)
-        span = set(G.subgroup_indices_closure(gens))
-        if span == idx_set:
-            break
-    return gens
+    """A small generating subset of a subgroup given by indices, which
+    follow the canonical order of the permutations."""
+    perms = tuple(G.perm(i) for i in sorted(idx))
+    H = PermGroup(len(G.splitting.roots), perms, perms)
+    return [G.index_of_perm(p) for p in _small_generating_set(H)]
 
 
 def _primitive_of_subspace(G: GaloisGroup, basis, dim):

@@ -14,10 +14,15 @@ minimal polynomial of x + s*theta in F[x]/(f) when that has full degree.
 The powers of z = w + u*y in F[y]/(m) are computed on integer
 theta-coordinates over one rational scale, and the solver eliminates on
 integers, so the routine makes no ``Fraction`` product.
+
+One substitution map a(theta) -> a(t), an integer matrix of the powers of t
+over one denominator, moves elements up the tower and through automorphisms
+by one integer matrix-vector product.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .checks import record_check
 from .errors import DegreeCapError, FieldMismatchError, PrimitiveSearchError
@@ -76,6 +81,8 @@ class ExtElement:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return ExtElement(self.field, tuple(c * other for c in self.coeffs))
         o = self._other(other)
         if o is NotImplemented:
             return o
@@ -331,15 +338,15 @@ def element_sort_key(x):
 class AbsoluteField:
     """Q(theta) together with images of the tower generators in theta."""
 
-    def __init__(self, ext, gen_names=(), gen_images=(), theta_combo=(), theta_prev_image=None, prev_degree=None):
+    def __init__(self, ext, gen_names=(), gen_images=(), theta_combo=(), theta_prev_image=None, prev_ext=None):
         self.ext = ext
         self.min_poly = ext.modulus
         self.gen_names = tuple(gen_names)
         self.gen_images = tuple(gen_images)
         self.theta_combo = tuple(theta_combo)  # theta = sum combo_i * gen_i
         self._theta_prev_image = theta_prev_image
-        self._prev_degree = prev_degree
-        self._prev_powers = None
+        self._prev_ext = prev_ext
+        self._lift = None
 
     @property
     def degree(self):
@@ -353,18 +360,9 @@ class AbsoluteField:
         """Map an element of the previous absolute field into this one."""
         if self._theta_prev_image is None:
             raise ValueError("this absolute field has no recorded predecessor")
-        if isinstance(elt, Fraction):
-            return self.ext.coerce(elt)
-        if self._prev_powers is None:
-            powers = [self.ext.one]
-            for _ in range(self._prev_degree - 1):
-                powers.append(powers[-1] * self._theta_prev_image)
-            self._prev_powers = powers
-        acc = self.ext.zero
-        for c, p in zip(elt.coeffs, self._prev_powers):
-            if c:
-                acc = acc + p * c
-        return acc
+        if self._lift is None:
+            self._lift = _Substitution(self._theta_prev_image, self._prev_ext)
+        return self._lift(elt)
 
     def __repr__(self):
         return f"AbsoluteField(degree={self.degree}, generators={list(self.gen_names)})"
@@ -442,10 +440,10 @@ def _flatten(cur: AbsoluteField, m: Polynomial, name: str) -> AbsoluteField:
             gen_images + (new_ext.gen,),
             (0,) * len(cur.gen_names) + (1,),
             theta_prev_image=theta_prev,
-            prev_degree=1,
+            prev_ext=cur.ext,
         )
     # powers of theta_old + c*y live in cur.ext[y]/(m)
-    for c in _signed_range(PRIMITIVE_SEARCH_RANGE):
+    for c in map(_center_sequence, range(1, 2 * PRIMITIVE_SEARCH_RANGE + 1)):
         span, min_poly = _power_relation(_power_coords(cur.theta, c, m), n)
         if min_poly.degree < n:
             continue
@@ -470,16 +468,10 @@ def _flatten(cur: AbsoluteField, m: Polynomial, name: str) -> AbsoluteField:
             tuple(images[:-1]),
             cur.theta_combo + (c,),
             theta_prev_image=images[-1],
-            prev_degree=base_deg,
+            prev_ext=cur.ext,
         )
     raise PrimitiveSearchError(
         f"no primitive element of the form theta + c*gen with |c| <= {PRIMITIVE_SEARCH_RANGE}")
-
-
-def _signed_range(limit):
-    for k in range(1, limit + 1):
-        yield k
-        yield -k
 
 
 def minimal_polynomial(a) -> Polynomial:
@@ -543,6 +535,32 @@ def _power_coords(w: ExtElement, u, m: Polynomial):
         g = gcd(*(v for b in out for v in b)) or 1
         blocks = [[v // g for v in b] for b in out]
         scale *= step * g
+
+
+class _Substitution:
+    """a(theta) -> a(t) from a source field into t's field: row i of
+    ``rows`` holds, in column j, ``den`` times the i-th rational coordinate
+    of t**j for the first k powers (k defaults to the source degree)."""
+
+    __slots__ = ("source", "target", "rows", "den")
+
+    def __init__(self, t: ExtElement, source, k=None):
+        powers = _power_coords(t, 0, Polynomial.x(t.field))
+        columns = [next(powers) for _ in range(k or source.degree)]
+        d = lcm(*(s.denominator for _, s in columns))
+        scaled = [[v * (s.numerator * (d // s.denominator)) for v in w] for w, s in columns]
+        self.source, self.target = source, t.field
+        self.rows, self.den = tuple(zip(*scaled)), d
+
+    def __call__(self, a):
+        if isinstance(a, (int, Fraction)):
+            return self.target.coerce(a)
+        if a.field is not self.source and a.field != self.source:
+            raise FieldMismatchError("element does not belong to the source field of the map")
+        ai, da = _clear_denominators(a.coeffs)
+        den = self.den * da
+        return ExtElement(self.target, tuple(
+            Fraction(sum(map(mul, row, ai)), den) for row in self.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ roots that are products of powers of known roots (cyclotomic and radical
 polynomials split this way) before falling back to Trager factorization.
 The hunt screens candidates by one scalar Horner evaluation each at a
 degree-one place (``modscreen``), found once per call and extended at each
-adjunction; the result carries it for ``galois`` and ``radical``.
+adjunction; the result carries it for ``galois`` and ``radical``.  A
+survivor is verified by dividing it out.
 """
 
 import functools
@@ -22,6 +23,7 @@ from .numfield import (
     DEFAULT_DEGREE_CAP,
     ExtElement,
     FieldTower,
+    _Substitution,
     element_sort_key,
     factor_over_number_field,
 )
@@ -94,12 +96,11 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
         tower = FieldTower.rationals()
         roots = []
         source = p
-        base_lifts = None
     else:
         tower = base.tower
         roots = list(base.roots)
         source = base.source * p
-        base_lifts = []  # per-adjunction lift functions, composed at the end
+        base_theta = base.field.theta  # lifted with the roots
     sq_source = poly_squarefree_part(source)
     place = modscreen.find(tower, factors if base is None else factors + [base.squarefree_source])
 
@@ -128,10 +129,8 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
                     hit = _hunt_root(q, roots, place, sq_source)
                     if hit is None:
                         break
-                    _add_root(roots, hit)
-                    x = Polynomial.x(q.field)
-                    q, rem = divmod(q, x - Polynomial.constant(q.field, hit))
-                    record_check("splitting.hunted_root_divides", rem.is_zero)
+                    root, q = hit
+                    _add_root(roots, root)
                     known = False
                     progressed = True
                 if q.degree >= 1:
@@ -151,9 +150,9 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
         place = place and place.extend(tower.stages[-1][2], tower.absolute.theta_combo,
                                        tower.absolute.min_poly)
         lift = tower.absolute.lift_from_prev
-        if base_lifts is not None:
-            base_lifts.append(lift)
         roots = [lift(r) for r in roots]
+        if base is not None:
+            base_theta = lift(base_theta)
         new_gen = tower.absolute.gen_images[-1]
         _add_root(roots, new_gen)
         lifted = []
@@ -175,22 +174,13 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
     for r in roots:
         record_check("splitting.root_evaluates_to_zero", not sq_source.evaluate(r))
 
-    lift_fn = None
-    if base is not None:
-        chain = list(base_lifts)
-
-        def lift_fn(e, _chain=tuple(chain)):
-            for f in _chain:
-                e = f(e)
-            return e
-
     return SplittingField(
         tower=tower,
         roots=tuple(roots),
         source=source,
         squarefree_source=sq_source,
         base=base,
-        lift_from_base=lift_fn,
+        lift_from_base=None if base is None else _Substitution(base_theta, base.field.ext),
         notes=tuple(notes),
         place=place,
     )
@@ -280,7 +270,9 @@ def _hunt_root(q: Polynomial, roots, place, source):
     Purely an optimization: a miss sends the caller to Trager factorization.
     Candidates are tried in a fixed order and the first exact root wins; the
     place only skips those whose image proves them no root, so the answer
-    is the same with any place or none.
+    is the same with any place or none.  Returns (root, q / (x - root)) or
+    None: dividing by x - c is the exact test, since its partial sums are
+    those of a Horner evaluation at c and its remainder is q(c).
     """
     F = q.field
     nonzero = [r for r in roots if r and isinstance(r, ExtElement) and r.field == F]
@@ -297,6 +289,7 @@ def _hunt_root(q: Polynomial, roots, place, source):
     # where a field inverse would cost many products
     f0, *g = source.coeffs if source.coeffs[0] else source.coeffs[1:]
     g = Polynomial(QQ, g)
+    x = Polynomial.x(F)
     exact_powers = {}
 
     def exact_power(i, e):
@@ -318,6 +311,8 @@ def _hunt_root(q: Polynomial, roots, place, source):
             cand = exact_power(*terms[0])
             cand = cand * exact_power(*terms[1]) if len(terms) == 2 else cand
             cand = cand if sign == 1 else -cand
-            if not q.evaluate(cand):
-                return cand
+            quotient, rem = divmod(q, x - Polynomial.constant(F, cand))
+            if rem.is_zero:
+                record_check("splitting.hunted_root_divides", True)
+                return cand, quotient
     return None

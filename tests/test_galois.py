@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from galoiskit import QQ, SoundnessError, modscreen
+from galoiskit import QQ, FieldMismatchError, SoundnessError, modscreen
 from galoiskit import galois as galois_module
 from galoiskit.cli import EXIT_SOUNDNESS, main
 from galoiskit.galois import (
@@ -314,6 +314,40 @@ class TestIntegerKernel:
             for a in elements:
                 substituted = a.rep_poly().map_coefficients(ext.coerce, ext)
                 assert g.apply(a) == substituted.evaluate(g.theta_image)
+
+    def test_apply_rejects_an_element_of_another_field(self, corpus_groups):
+        G = corpus_groups["x^4+x+1"]
+        other = corpus_groups["x^5-2"].field.theta
+        with pytest.raises(FieldMismatchError):
+            G.automorphisms[0].apply(other)
+
+    @pytest.mark.parametrize("name", ["x^3-2", "x^4+x+1", "x^5-2"])
+    def test_action_matrix_holds_powers_up_to_n(self, corpus_groups, name):
+        # column j is d * theta'**j for j = 0..n; column n feeds the root check
+        G = corpus_groups[name]
+        ext = G.field.ext
+        n = ext.degree
+        for g in G.automorphisms[:6]:
+            rows, d = g.action_matrix
+            assert all(len(row) == n + 1 for row in rows)
+            power = ext.one
+            for j in range(n + 1):
+                assert tuple(Fraction(row[j], d) for row in rows) == power.coeffs
+                power = power * g.theta_image
+
+    @pytest.mark.parametrize("name", ["x^3-2", "x^4-1", "x^4+x+1"])
+    def test_subgroup_generators_match_a_greedy_index_search(self, corpus_groups, name):
+        # oracle: walk the indices in order and keep each one outside the
+        # span of those kept so far
+        G = corpus_groups[name]
+        for H in all_subgroups(G.perm_group()):
+            idx = sorted(G.index_of_perm(p) for p in H.elements)
+            gens, span = [], {G.identity_index}
+            for i in idx:
+                if i not in span:
+                    gens.append(i)
+                    span = set(G.subgroup_indices_closure(gens))
+            assert galois_module._subgroup_generators(G, idx) == gens
 
     @pytest.mark.parametrize("name", ["x^3-2", "x^4+x+1"])
     def test_fixed_field_primitive_matches_orbit_search(self, corpus_groups, name):

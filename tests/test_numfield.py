@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from galoiskit import QQ, DegreeCapError
+from galoiskit import QQ, DegreeCapError, FieldMismatchError
 from galoiskit import numfield
 from galoiskit.numfield import (
     ExtensionField,
@@ -442,3 +442,72 @@ class TestIntegerPowers:
         s2_new, r = absolute.gen_images
         assert s2_new * s2_new == 2
         assert r == s2_new + 1
+
+
+def replayed_fields(ints):
+    """The absolute field after each stage of the splitting tower of the
+    polynomial with these coefficients, from Q up."""
+    t = FieldTower.rationals()
+    fields = [t.absolute]
+    for name, _, m in splitting_field(P(*ints)).tower.stages:
+        t = t.adjoin(m, name, verify=False)
+        fields.append(t.absolute)
+    return fields
+
+
+def random_elements(ext, rng, count=12):
+    return [ext.from_rep([Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 9)))
+                          for _ in range(ext.degree)]) for _ in range(count)]
+
+
+TOWERS = [(1, 1, 0, 0, 1), (-2, 0, 0, 0, 0, 1), (-6, 0, -5, 0, 1)]
+TOWER_IDS = ["x^4+x+1", "x^5-2", "(x^2-2)(x^2-3)"]
+
+
+class TestSubstitution:
+    """A lift is the substitution theta_prev -> t: one integer
+    matrix-vector product that must agree with Horner at t."""
+
+    @pytest.mark.parametrize("ints", TOWERS, ids=TOWER_IDS)
+    def test_lift_from_prev_matches_horner(self, ints):
+        fields = replayed_fields(ints)
+        assert len(fields) >= 3
+        rng = random.Random(len(ints))
+        for prev, cur in zip(fields, fields[1:]):
+            t = cur.lift_from_prev(prev.theta)
+            assert t.field == cur.ext
+            assert not prev.min_poly.evaluate(t)
+            for e in random_elements(prev.ext, rng):
+                assert cur.lift_from_prev(e) == e.rep_poly().evaluate(t)
+            assert cur.lift_from_prev(Fraction(-7, 3)) == cur.ext.coerce(Fraction(-7, 3))
+            assert cur.lift_from_prev(4) == cur.ext.coerce(4)
+
+    def test_lift_rejects_an_element_of_another_field(self):
+        t = tower_q_sqrt2_sqrt3()
+        other = FieldTower.rationals()
+        other = other.adjoin(P(-5, 0, 1).map_coefficients(other.absolute.ext.coerce,
+                                                          other.absolute.ext), "g1")
+        sqrt5 = other.absolute.theta
+        assert sqrt5 * sqrt5 == 5
+        with pytest.raises(FieldMismatchError):
+            t.absolute.lift_from_prev(sqrt5)
+        # an element of the top field is not one of the previous field either
+        with pytest.raises(FieldMismatchError):
+            t.absolute.lift_from_prev(t.absolute.theta)
+
+    def test_rational_scale_makes_no_field_product(self, monkeypatch):
+        ext = tower_q_sqrt2_sqrt3().absolute.ext
+        a = random_elements(ext, random.Random(3), 1)[0]
+        want = a * ext.coerce(Fraction(-5, 6))
+        calls = []
+        original = ExtensionField._mul
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ExtensionField, "_mul", spy)
+        assert a * Fraction(-5, 6) == want
+        assert Fraction(-5, 6) * a == want
+        assert a * 3 == a + a + a
+        assert not calls

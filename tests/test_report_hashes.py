@@ -23,9 +23,16 @@ CHAIN = (("chain-groups", "--chain", "bench/chains/sqrt2_then_sqrt_1_plus_r1.jso
          "653b53499c24ecbd99d289971640bcf52906fc855ab1def3a04b8717a8d63063")
 GROUP = (("group", "x^7-2"),
          "dea6f2e47e9d6a7fbc09b0667a7ed595753fcd3f617132f52db7d5c0c5ffb75d")
+# lifts over a base field at every level of the chain
+NORMALIZE = (("normalize", "--chain", "bench/chains/sqrt3_then_cbrt_1_plus_r1.json"),
+             "ae0f7f33730e2ebe72b4bdf18030cd13599ccedb9ed58403a4ade979f01fe444")
+# the fixed field's rows d*(M - I)
+FIXED = (("fixed", "x^4+x+1", "--subgroup", "1"),
+         "33e38f2d669d8c2c99fefe7569cd7e314fd26ecd91e75f4b76df9e338c491545")
 # without a place every test is exact; the split is left out there, where
 # its exact hunts take seconds
-CASES = [SPLIT + (True,), CHAIN + (True,), GROUP + (True,), CHAIN + (False,), GROUP + (False,)]
+CASES = [SPLIT + (True,), CHAIN + (True,), GROUP + (True,), NORMALIZE + (True,), FIXED + (True,),
+         CHAIN + (False,), GROUP + (False,)]
 
 
 @pytest.mark.parametrize("argv, digest, screened", CASES,

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from galoiskit import DegreeCapError, modscreen
+from galoiskit import DegreeCapError, FieldMismatchError, modscreen
 from galoiskit.numfield import minimal_polynomial
 from galoiskit.poly import Polynomial
 from galoiskit.qfactor import factor_mod_p, factor_over_Q
@@ -205,9 +205,58 @@ class TestPlace:
             linear(-r[1] * r[2] ** 2) * linear(ext.coerce(5)),  # a pair
             x * x - Polynomial.constant(ext, 3 * r[0] ** 2 + 1),  # no monomial root
         ]
+        def hunted(q, place):
+            # the root, checked against the quotient that comes with it
+            hit = _hunt_root(q, list(r), place, placed.squarefree_source)
+            if hit is None:
+                return None
+            root, quotient = hit
+            assert quotient * linear(root) == q
+            return root
+
         for q in queries:
             want = _exact_scan(q, r)
-            assert _hunt_root(q, list(r), placed.place, placed.squarefree_source) == want
+            assert hunted(q, placed.place) == want
             if want is not None:  # the full scan without a place is the slow case
-                assert _hunt_root(q, list(r), None, placed.squarefree_source) == want
+                assert hunted(q, None) == want
         assert want is None
+
+
+@pytest.fixture(scope="module", params=[((-2, 0, 1), (-3, 0, 1)), ((-229, 0, 1), (1, 1, 0, 0, 1)),
+                                        ((-5, 0, 1), (-2, 0, 0, 0, 0, 1))],
+                ids=["x^2-3 over x^2-2", "x^4+x+1 over x^2-229", "x^5-2 over x^2-5"])
+def over_base(request):
+    base_ints, ints = request.param
+    base = splitting_field(P(*base_ints))
+    return base, splitting_field(P(*ints), base=base)
+
+
+class TestLiftFromBase:
+    """The lift from the base is one substitution theta_base -> t, composed
+    of every adjunction's lift: it agrees with Horner at t."""
+
+    def test_matches_horner(self, over_base):
+        base, e = over_base
+        assert len(e.tower.stages) > len(base.tower.stages)
+        t = e.lift_from_base(base.field.theta)
+        assert t.field == e.field.ext
+        assert not base.field.min_poly.evaluate(t)
+        rng = random.Random(e.degree)
+        ext = base.field.ext
+        for _ in range(12):
+            a = ext.from_rep([Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 9)))
+                              for _ in range(ext.degree)])
+            assert e.lift_from_base(a) == a.rep_poly().evaluate(t)
+        assert e.lift_from_base(Fraction(2, 7)) == e.field.ext.coerce(Fraction(2, 7))
+
+    def test_base_roots_lift_to_roots(self, over_base):
+        base, e = over_base
+        lifted = [e.lift_from_base(r) for r in base.roots]
+        assert len(set(lifted)) == len(lifted)
+        assert set(lifted) <= set(e.roots)
+        assert all(not base.squarefree_source.evaluate(r) for r in lifted)
+
+    def test_rejects_an_element_of_another_field(self, over_base):
+        _, e = over_base
+        with pytest.raises(FieldMismatchError):
+            e.lift_from_base(e.field.theta)
