@@ -19,6 +19,11 @@ vectors over one running denominator with the field's integer reduction
 rows; and fixed fields are the nullspace of the integer rows d*(M - I) on
 the first n columns, found by one fraction-free ``SpanSolver`` pass over
 their columns.  Rationals appear only in the results.
+
+Whether sigma fixes a is screened at the same place, by one residue dot
+product per sigma, and only a survivor is checked exactly.  Stabilizers,
+primitive elements of fixed spaces (no sigma outside H fixes them) and
+orbits (one sigma per left coset of the stabilizer) are found that way.
 """
 
 import itertools
@@ -109,6 +114,16 @@ class GaloisGroup:
     def perm_group(self) -> PermGroup:
         perms = tuple(a.root_permutation for a in self.automorphisms)
         return PermGroup(len(self.splitting.roots), tuple(sorted(perms)), perms)
+
+    @cached_property
+    def _place_powers(self):
+        """Rows b**k mod p, k < n, for b the image of each sigma(theta) at the
+        field's place; None without a place or when an image is missing."""
+        place = self.splitting.place
+        images = [place(a.theta_image) for a in self.automorphisms] if place else [None]
+        if None in images:
+            return None
+        return [[pow(b, k, place.prime) for k in range(self.field.degree)] for b in images]
 
     @cached_property
     def _index_by_perm(self):
@@ -265,10 +280,16 @@ def _sends_theta_to_a_root(a: Automorphism) -> bool:
 
 
 def orbit(G: GaloisGroup, a):
-    """The set {g(a) : g in G}, deduplicated, in canonical order."""
+    """The set {g(a) : g in G} in canonical order: one image per left coset
+    g*Stab(a), whose members all send a to g(a)."""
     a = G.field.ext.coerce(a) if not isinstance(a, ExtElement) else a
-    seen = dict.fromkeys(g.apply(a) for g in G.automorphisms)
-    return tuple(sorted(seen, key=element_sort_key))
+    stab = _stabilizer(G, (a,))
+    covered, images = set(), []
+    for i, g in enumerate(G.automorphisms):
+        if i not in covered:
+            covered.update(G.compose(i, h) for h in stab)
+            images.append(g.apply(a))
+    return tuple(sorted(images, key=element_sort_key))
 
 
 def orbit_min_poly(G: GaloisGroup, a) -> Polynomial:
@@ -360,7 +381,7 @@ def fixed_field(G: GaloisGroup, subgroup_indices) -> IntermediateField:
         dim * len(idx) == n,
         f"dim {dim} * |H| {len(idx)} != [E:Q] {n}",
     )
-    primitive = _primitive_of_subspace(G, basis, dim)
+    primitive = _primitive_of_subspace(G, basis, idx)
     mp = orbit_min_poly(G, primitive)
     record_check("fixed_field.primitive_degree", mp.degree == dim)
     return IntermediateField(
@@ -381,41 +402,45 @@ def _subgroup_generators(G: GaloisGroup, idx):
     return [G.index_of_perm(p) for p in _small_generating_set(H)]
 
 
-def _primitive_of_subspace(G: GaloisGroup, basis, dim):
-    """First element of the fixed subspace whose orbit has full size."""
+def _primitive_of_subspace(G: GaloisGroup, basis, idx):
+    """First element of H's fixed subspace that no automorphism outside H
+    fixes, so that its orbit has the full size [G:H]."""
     ext = G.field.ext
+    outside = sorted(set(range(G.order)).difference(idx))
 
-    def orbit_size(vec):
-        # distinct images M v / d, each reduced to lowest terms; the
-        # element's own common denominator is shared by all and dropped
-        v, _ = _clear_denominators(vec)
-        images = set()
-        for a in G.automorphisms:
-            rows, d = a.action_matrix
-            image = [sum(map(mul, row, v)) for row in rows]
-            g = gcd(d, *image)
-            images.add((d // g, *(x // g for x in image)))
-        return len(images)
-
-    for vec in basis:
-        if orbit_size(vec) == dim:
-            return ext.from_rep([Fraction(c) for c in vec])
-    for k in range(1, 40):
-        vec = [Fraction(0)] * len(basis[0])
-        w = 1
-        for b in basis:
-            for i, c in enumerate(b):
-                vec[i] += w * c
-            w *= k
-        if orbit_size(vec) == dim:
-            return ext.from_rep(vec)
+    # the basis vectors, then sum k**j * basis[j] for k = 1, 2, ...
+    combos = ([sum(k ** j * b[i] for j, b in enumerate(basis)) for i in range(len(basis[0]))]
+              for k in range(1, 40))
+    for vec in itertools.chain(basis, combos):
+        e = ext.from_rep([Fraction(c) for c in vec])
+        if next(_fixers(G, e, outside), None) is None:
+            return e
     raise SoundnessError("fixed_field.primitive_search", "no primitive element found for subfield")
+
+
+def _fixers(G: GaloisGroup, e, among):
+    """The indices among those given whose automorphism fixes e, in order.
+    With c clearing e's denominators, row sigma of the place table maps
+    sigma(c*e) to F_p by one dot product, a ring map: a value other than the
+    identity's proves sigma(e) != e.  Every other sigma but the identity is
+    checked exactly."""
+    rows, ident = G._place_powers, G.identity_index
+    if rows is not None:
+        p = G.splitting.place.prime
+        ei = [c % p for c in _clear_denominators(e.coeffs)[0]]
+        fixed = sum(map(mul, rows[ident], ei)) % p
+        among = [i for i in among if sum(map(mul, rows[i], ei)) % p == fixed]
+    for i in among:
+        if i == ident or G.automorphisms[i].apply(e) == e:
+            yield i
 
 
 def _stabilizer(G: GaloisGroup, elements) -> tuple:
     """Indices of the automorphisms fixing every element of the list."""
-    return tuple(i for i, a in enumerate(G.automorphisms)
-                 if all(a.apply(e) == e for e in elements))
+    idx = range(G.order)
+    for e in elements:
+        idx = tuple(_fixers(G, e, idx))
+    return tuple(idx)
 
 
 def subgroup_fixing(G: GaloisGroup, B) -> tuple:
@@ -508,7 +533,8 @@ def restriction_homomorphism(G: GaloisGroup, B: IntermediateField,
         perms.append(Permutation(images))
     image_elements = tuple(sorted(set(perms)))
     image = PermGroup(len(b_roots), image_elements, image_elements)
-    mapping = tuple(image_elements.index(p) for p in perms)
+    position = {p: k for k, p in enumerate(image_elements)}
+    mapping = tuple(position[p] for p in perms)
 
     record_check(
         "restriction.surjective_onto_GBK",
@@ -524,7 +550,7 @@ def restriction_homomorphism(G: GaloisGroup, B: IntermediateField,
                            max_order=max(64, G.order))
     record_check("restriction.kernel_normal", is_normal(kernel_group, G.perm_group()))
     hom_ok = all(
-        mapping[G.compose(i, j)] == image_elements.index(perms[i] * perms[j])
+        mapping[G.compose(i, j)] == position.get(perms[i] * perms[j])
         for i in range(G.order)
         for j in range(G.order)
     )

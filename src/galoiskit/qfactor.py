@@ -124,12 +124,20 @@ def _zp_mulmod(f, m):
     Row j packs x**(n+j) mod f into one integer, so a product reduces by
     n - 1 big-integer multiply-adds.  Row j is x * (row j-1) with its top
     slot folded back through row 0; its slots stay unreduced, below
-    n * m**2, so slots are sized for n**2 * m**3.
+    n * m**2, so slots are sized for n**2 * m**3.  Below degree 3 the one
+    slot past n is folded through x**n mod f: packing would cost more.
     """
     n = len(f) - 1
-    w = (n * n * m ** 3).bit_length() // 8 + 1
     inv = pow(f[-1], -1, m)
-    rows = [_zp_pack([-c * inv % m for c in f[:-1]], w)]
+    xn = [-c * inv % m for c in f[:-1]]  # x**n mod f
+    if n <= 2:
+        def fold(a, b):
+            c = _zp_mul(a, b, m)
+            return c if len(c) <= n else _trim([(x + c[n] * r) % m for x, r in zip(c, xn)])
+
+        return fold
+    w = (n * n * m ** 3).bit_length() // 8 + 1
+    rows = [_zp_pack(xn, w)]
     low, top = (1 << 8 * w * n) - 1, 8 * w * (n - 1)
     for _ in range(n - 2):
         rows.append((rows[-1] << 8 * w & low) + (rows[-1] >> top) % m * rows[0])

@@ -12,7 +12,7 @@ from fractions import Fraction
 from galoiskit import QQ
 from galoiskit.qfactor import _symmetric, _zp_mul, _zx_divide_exact, _zx_primitive
 from galoiskit.galois import Automorphism, GaloisGroup
-from galoiskit.numfield import minimal_polynomial
+from galoiskit.numfield import element_sort_key, minimal_polynomial
 from galoiskit.permgroup import Permutation
 from galoiskit.poly import Polynomial, poly_from_int_coeffs
 
@@ -284,6 +284,12 @@ def exhaustive_galois_group(E):
     autos.sort(key=lambda a: a.root_permutation.images)
     identity_index = next(i for i, a in enumerate(autos) if a.root_permutation.is_identity)
     return GaloisGroup(E, tuple(autos), identity_index)
+
+
+def every_image_orbit(G, a):
+    """The orbit of a field element: its image under every automorphism,
+    duplicates dropped, in canonical order."""
+    return tuple(sorted(dict.fromkeys(g.apply(a) for g in G.automorphisms), key=element_sort_key))
 
 
 def zassenhaus_recombine(f, pool, pk, bound, degrees):

@@ -24,7 +24,7 @@ from galoiskit.poly import Polynomial
 from galoiskit.qfactor import is_irreducible_over_Q
 from galoiskit.splitting import splitting_field
 
-from helpers import P, exhaustive_galois_group, rref_nullspace
+from helpers import P, every_image_orbit, exhaustive_galois_group, rref_nullspace
 from test_goldens import GOLDEN, _poly
 
 
@@ -366,7 +366,7 @@ class TestIntegerKernel:
                         vec[i] += k ** j * c
                 candidates.append(vec)
             expected = next(ext.from_rep(v) for v in candidates
-                            if len(orbit(G, ext.from_rep(v))) == B.degree)
+                            if len(every_image_orbit(G, ext.from_rep(v))) == B.degree)
             assert B.primitive == expected
 
     def test_apply_and_orbit_poly_skip_field_multiply(self, corpus_groups, monkeypatch):
@@ -495,3 +495,86 @@ class TestGeneratorEnumeration:
         assert err.value.check_name == "galois.order_equals_degree"
         assert main(["group", "x^3-2"]) == EXIT_SOUNDNESS
         assert "galois.order_equals_degree" in capsys.readouterr().err
+
+
+SCREENED = [("x^4+x+1", P(1, 1, 0, 0, 1)), ("x^5-2", P(-2, 0, 0, 0, 0, 1)),
+            ("(x^3-2)(x^3-3)", P(-2, 0, 0, 1) * P(-3, 0, 0, 1))]
+
+
+def _seeded_elements(E):
+    """A rational, a root, a root combination and an element with
+    fractional coordinates: stabilizers of several sizes."""
+    rng = random.Random(E.degree)
+    ext, roots = E.field.ext, E.roots
+    return [ext.coerce(Fraction(3, 2)), roots[0], roots[0] + 2 * roots[-1],
+            ext.from_rep([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ext.degree)])]
+
+
+def _subgroups(G):
+    return [tuple(sorted(G.index_of_perm(p) for p in H.elements)) for H in all_subgroups(G.perm_group())]
+
+
+def _correspondence(G, subgroups):
+    """Per subgroup its fixed field (the minimal polynomial is the primitive
+    element's orbit polynomial) and the subgroup fixing that field; per
+    seeded element its stabilizer and orbit."""
+    out = []
+    for idx in subgroups:
+        B = fixed_field(G, idx)
+        out.append((idx, B.basis, B.primitive, B.min_poly, subgroup_fixing(G, B)))
+    elements = _seeded_elements(G.splitting)
+    for a in elements:
+        out.append((galois_module._stabilizer(G, [a]), orbit(G, a)))
+    out.append(galois_module._stabilizer(G, elements[1:]))
+    return out
+
+
+@pytest.fixture(scope="module", params=SCREENED, ids=[s[0] for s in SCREENED])
+def screened_and_exact(request):
+    """The group screened at its place, and the correspondence computed on
+    the same field built with no place, where every test is exact."""
+    poly = request.param[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modscreen, "find", lambda *args, **kwargs: None)
+        exact = galois_group(splitting_field(poly))
+    assert exact.splitting.place is None and exact._place_powers is None
+    G = galois_group(splitting_field(poly))
+    return G, _subgroups(G), _correspondence(exact, _subgroups(exact))
+
+
+class TestPlaceScreen:
+    """Stabilizers, orbits and primitive elements screened at the place."""
+
+    def test_same_answers_as_without_a_place(self, screened_and_exact):
+        G, subgroups, expected = screened_and_exact
+        assert G._place_powers is not None
+        assert _correspondence(G, subgroups) == expected
+        for a in _seeded_elements(G.splitting):
+            assert orbit(G, a) == every_image_orbit(G, a)
+
+    def test_every_survivor_is_checked_exactly(self, screened_and_exact, monkeypatch):
+        # the identity's place row for every automorphism lets all of them
+        # through the screen
+        G, subgroups, expected = screened_and_exact
+        rows = G._place_powers
+        monkeypatch.setitem(vars(G), "_place_powers", [rows[G.identity_index]] * G.order)
+        assert _correspondence(G, subgroups) == expected
+
+    def test_exact_applies_bounded_by_the_subgroup(self, monkeypatch):
+        G = galois_group(splitting_field(P(-2, 0, 0, 0, 0, 0, 0, 1)))
+        calls = []
+        apply = Automorphism.apply
+
+        def spy(self, a):
+            calls.append(self)
+            return apply(self, a)
+
+        monkeypatch.setattr(Automorphism, "apply", spy)
+        for idx in _subgroups(G):
+            B = fixed_field(G, idx)
+            calls.clear()
+            assert subgroup_fixing(G, B) == idx
+            assert len(calls) <= len(idx)
+            calls.clear()
+            assert len(orbit(G, B.primitive)) == B.degree
+            assert len(calls) <= len(idx) + B.degree

@@ -1,7 +1,8 @@
 """Byte identity of canonical ``--json`` reports on commands that hunt for
 roots.
 
-The hunt, the group enumeration and the tower root filters screen at a
+The hunt, the group enumeration, the tower root filters and the
+correspondence's stabilizers, orbits and primitive elements screen at a
 degree-one place and verify every survivor exactly, so neither the prime
 nor the absence of a place may change a report.  ``bench/run.py`` prints
 the same digests for these jobs.
@@ -29,10 +30,13 @@ NORMALIZE = (("normalize", "--chain", "bench/chains/sqrt3_then_cbrt_1_plus_r1.js
 # the fixed field's rows d*(M - I)
 FIXED = (("fixed", "x^4+x+1", "--subgroup", "1"),
          "33e38f2d669d8c2c99fefe7569cd7e314fd26ecd91e75f4b76df9e338c491545")
+# an orbit over the cosets of a stabilizer of order two
+MINPOLY = (("minpoly", "x^4+x+1", "--element", "r1+2*r2"),
+           "6142e824af9e7e54fcd7e3bbc3461fb0a0a58644030310cb497c1656b4ec932a")
 # without a place every test is exact; the split is left out there, where
 # its exact hunts take seconds
 CASES = [SPLIT + (True,), CHAIN + (True,), GROUP + (True,), NORMALIZE + (True,), FIXED + (True,),
-         CHAIN + (False,), GROUP + (False,)]
+         MINPOLY + (True,), CHAIN + (False,), GROUP + (False,), FIXED + (False,), MINPOLY + (False,)]
 
 
 @pytest.mark.parametrize("argv, digest, screened", CASES,
