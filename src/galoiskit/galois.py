@@ -283,7 +283,11 @@ def orbit(G: GaloisGroup, a):
     """The set {g(a) : g in G} in canonical order: one image per left coset
     g*Stab(a), whose members all send a to g(a)."""
     a = G.field.ext.coerce(a) if not isinstance(a, ExtElement) else a
-    stab = _stabilizer(G, (a,))
+    return _orbit(G, a, _stabilizer(G, (a,)))
+
+
+def _orbit(G: GaloisGroup, a, stab):
+    """The orbit of a, given its stabilizer."""
     covered, images = set(), []
     for i, g in enumerate(G.automorphisms):
         if i not in covered:
@@ -299,15 +303,19 @@ def orbit_min_poly(G: GaloisGroup, a) -> Polynomial:
     one running denominator; the symmetric functions of the orbit are fixed
     by every automorphism, so each coefficient must be rational.
     """
-    orb = orbit(G, a)
+    return _orbit_poly(G, orbit(G, a))
+
+
+def _orbit_poly(G: GaloisGroup, orb) -> Polynomial:
+    """prod (x - w) over the given orbit."""
     ext = G.field.ext
     n = ext.degree
     d_rows = ext._int_rows[1]
     # acc / den is the product so far, acc[k] the coefficient of x**k
     acc, den = [[1] + [0] * (n - 1)], 1
     for w in orb:
-        wi, dw = _clear_denominators(w.coeffs)
-        scale = dw * d_rows
+        wi = w.num
+        scale = w.den * d_rows
         shifted = [[0] * n] + [[v * scale for v in c] for c in acc]
         for k, c in enumerate(acc):
             shifted[k] = [s - p for s, p in zip(shifted[k], ext._int_mul(c, wi))]
@@ -381,8 +389,9 @@ def fixed_field(G: GaloisGroup, subgroup_indices) -> IntermediateField:
         dim * len(idx) == n,
         f"dim {dim} * |H| {len(idx)} != [E:Q] {n}",
     )
+    # no automorphism outside H fixes the primitive element: H is its stabilizer
     primitive = _primitive_of_subspace(G, basis, idx)
-    mp = orbit_min_poly(G, primitive)
+    mp = _orbit_poly(G, _orbit(G, primitive, idx))
     record_check("fixed_field.primitive_degree", mp.degree == dim)
     return IntermediateField(
         field=G.field,
@@ -412,7 +421,7 @@ def _primitive_of_subspace(G: GaloisGroup, basis, idx):
     combos = ([sum(k ** j * b[i] for j, b in enumerate(basis)) for i in range(len(basis[0]))]
               for k in range(1, 40))
     for vec in itertools.chain(basis, combos):
-        e = ext.from_rep([Fraction(c) for c in vec])
+        e = ext.from_rep(vec)
         if next(_fixers(G, e, outside), None) is None:
             return e
     raise SoundnessError("fixed_field.primitive_search", "no primitive element found for subfield")
@@ -427,7 +436,7 @@ def _fixers(G: GaloisGroup, e, among):
     rows, ident = G._place_powers, G.identity_index
     if rows is not None:
         p = G.splitting.place.prime
-        ei = [c % p for c in _clear_denominators(e.coeffs)[0]]
+        ei = [c % p for c in e.num]
         fixed = sum(map(mul, rows[ident], ei)) % p
         among = [i for i in among if sum(map(mul, rows[i], ei)) % p == fixed]
     for i in among:

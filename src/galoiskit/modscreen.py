@@ -24,13 +24,11 @@ class Place:
         self.prime, self.root, self.gens = prime, root, gens
 
     def __call__(self, e):
-        """Image of a rational or a field element, or None when p divides a
-        denominator."""
-        p, num, den = self.prime, 0, 1
-        for c in reversed(getattr(e, "coeffs", (e,))):
-            num = (num * self.root * c.denominator + c.numerator * den) % p
-            den = den * c.denominator % p
-        return num * pow(den, -1, p) % p if den else None
+        """Image of a rational or a field element (integer coordinates num
+        over one denominator den), or None when p divides the denominator."""
+        p = self.prime
+        num, den = (e.num, e.den) if hasattr(e, "num") else ((e.numerator,), e.denominator)
+        return horner(num, self.root, p) * pow(den, -1, p) % p if den % p else None
 
     def images(self, coeffs):
         out = [self(c) for c in coeffs]

@@ -3,8 +3,13 @@
 Every field is a quotient Q[x]/(m) for a monic irreducible m over Q.  A
 tower of adjunctions is flattened at each stage to a primitive element, so
 every working field is an absolute field Q(theta); towers are a
-construction device that remembers where each generator went.  Inverses
-come from images mod primes, checked by one exact product.
+construction device that remembers where each generator went.
+
+An element is stored as integer coordinates over one positive denominator
+in lowest terms (Cohen, GTM 138, 4.2.2), so sums, scalings and products run
+on integers with one gcd each; ``Fraction`` is only the rational view
+``coeffs``.  Inverses come from images mod primes, checked by one exact
+product.
 
 One routine finds minimal polynomials over Q: the coordinate vectors of
 1, z, z**2, ... go into one ``SpanSolver`` until the first dependence.  It
@@ -22,7 +27,7 @@ by one integer matrix-vector product.
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .checks import record_check
 from .errors import DegreeCapError, FieldMismatchError, PrimitiveSearchError
@@ -42,13 +47,22 @@ PRIMITIVE_SEARCH_RANGE = 20
 
 
 class ExtElement:
-    """An element of an ExtensionField: fixed-length residue coefficients."""
+    """An element of an ExtensionField: integer coordinates ``num`` over one
+    positive denominator ``den`` in lowest terms, gcd(den, *num) == 1, so
+    zero is (0, ..., 0) over 1.  ``coeffs`` is the rational view."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, num, den=1):
         self.field = field
-        self.coeffs = coeffs  # tuple of Fractions, length == field.degree
+        self.num = num  # tuple of ints, length == field.degree
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The rational coordinates, built on demand."""
+        den = self.den
+        return tuple(Fraction(v, den) for v in self.num)
 
     def _other(self, x):
         if isinstance(x, ExtElement):
@@ -60,39 +74,44 @@ class ExtElement:
         except TypeError:
             return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """op on the coordinates over the lcm of the two denominators."""
         o = self._other(other)
         if o is NotImplemented:
             return o
-        return ExtElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        den = lcm(self.den, o.den)
+        a = self.num if self.den == den else [v * (den // self.den) for v in self.num]
+        b = o.num if o.den == den else [v * (den // o.den) for v in o.num]
+        return _reduced(self.field, list(map(op, a, b)), den)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExtElement(self.field, tuple(-a for a in self.coeffs))
+        return ExtElement(self.field, tuple(-v for v in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._other(other)
-        if o is NotImplemented:
-            return o
-        return ExtElement(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return ExtElement(self.field, tuple(c * other for c in self.coeffs))
+            k = other.numerator
+            return _reduced(self.field, [v * k for v in self.num], self.den * other.denominator)
         o = self._other(other)
         if o is NotImplemented:
             return o
-        return ExtElement(self.field, self.field._mul(self.coeffs, o.coeffs))
+        return self.field._mul(self, o)
 
     __rmul__ = __mul__
 
     def inverse(self):
         """Inverses mod primes below 2**60 by CRT and rational reconstruction,
-        accepted only when a*b == 1 exactly.  With A = da*a, M = dm*m
+        accepted only when a*b == 1 exactly.  With A = den*a, M = dm*m
         integral, s*A + t*M = Res(A, M): the coefficients are quotients of
         Sylvester minors below 2**bits (Hadamard), so reconstruction cannot
         miss past 2**(2*bits + 1).  A prime where A is no unit divides
@@ -100,11 +119,11 @@ class ExtElement:
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         f, n = self.field, self.field.degree
-        if not any(self.coeffs[1:]):
-            return ExtElement(f, f._pad((1 / self.coeffs[0],)))
-        a, da = _clear_denominators(self.coeffs)
+        if not any(self.num[1:]):
+            c = self.num[0]
+            return ExtElement(f, (self.den if c > 0 else -self.den,) + f._zeros, abs(c))
+        a = _trim(list(self.num))
         m, dm = _clear_denominators(f.modulus.coeffs)
-        a = _trim(a)
         bits = n * _norm_bits(a) + (len(a) - 1) * _norm_bits(m)
         images, modulus, failures, pending = [0] * n, 1, 0, 0
         for p in _crt_primes():
@@ -127,7 +146,7 @@ class ExtElement:
             if final or 2 * pending * (n * n + 4) >= modulus.bit_length():
                 pending, found = 0, _rational_reconstruction(images, modulus)
                 if found is not None:
-                    b = ExtElement(f, tuple(Fraction(x * da, found[1]) for x in found[0]))
+                    b = _reduced(f, [x * self.den for x in found[0]], found[1])
                     if self * b == f.one:
                         return b
             if final:
@@ -157,20 +176,20 @@ class ExtElement:
 
     def __eq__(self, other):
         if isinstance(other, ExtElement):
-            if other.field is self.field or other.field == self.field:
-                return self.coeffs == other.coeffs
-            return NotImplemented
-        try:
-            o = self.field.coerce(other)
-        except (TypeError, FieldMismatchError):
-            return NotImplemented
-        return self.coeffs == o.coeffs
+            if other.field is not self.field and other.field != self.field:
+                return NotImplemented
+        else:
+            try:
+                other = self.field.coerce(other)
+            except (TypeError, FieldMismatchError):
+                return NotImplemented
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
         return hash((self.field.degree, self.coeffs))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def rep_poly(self):
         """Residue representation as a polynomial over Q."""
@@ -183,6 +202,12 @@ class ExtElement:
         from .poly import render_poly
 
         return render_poly(self.rep_poly(), self.field.gen_name)
+
+
+def _reduced(field, num, den):
+    """num/den in lowest terms, for an integer list num and den > 0."""
+    g = gcd(den, *num) if den > 1 else 1
+    return ExtElement(field, tuple(v // g for v in num) if g > 1 else tuple(num), den // g)
 
 
 class ExtensionField:
@@ -206,6 +231,7 @@ class ExtensionField:
         # reduction rows x**(n+j) mod modulus, j < n-1, as integer rows over
         # one common denominator d
         n = self.degree
+        self._zeros = (0,) * (n - 1)
         rows = []
         row = tuple(-self.modulus.coeff(i) for i in range(n))
         for _ in range(n - 1):
@@ -219,20 +245,10 @@ class ExtensionField:
             d,
         )
 
-    def _pad(self, coeffs):
-        return tuple(coeffs) + (self.base.zero,) * (self.degree - len(coeffs))
-
     def _mul(self, a, b):
-        if self.degree == 1:
-            return (a[0] * b[0],)
-        return self._mul_qq(a, b)
-
-    def _mul_qq(self, a, b):
-        """Integer-kernel multiplication: one gcd per output coefficient."""
-        ai, da = _clear_denominators(a)
-        bi, db = _clear_denominators(b)
-        den = da * db * self._int_rows[1]
-        return tuple(Fraction(num, den) for num in self._int_mul(ai, bi))
+        """The product of two elements: ``_int_mul`` on their integer
+        coordinates, then one normalization."""
+        return _reduced(self, self._int_mul(a.num, b.num), a.den * b.den * self._int_rows[1])
 
     def _int_mul(self, ai, bi):
         """Product of two integer coefficient vectors reduced modulo the
@@ -259,34 +275,34 @@ class ExtensionField:
 
     @property
     def zero(self):
-        return ExtElement(self, (self.base.zero,) * self.degree)
+        return ExtElement(self, (0,) * self.degree)
 
     @property
     def one(self):
-        return ExtElement(self, self._pad((self.base.one,)))
+        return ExtElement(self, (1,) + self._zeros)
 
     @property
     def gen(self):
         if self.degree == 1:
             # x = root of the linear modulus: the residue is a constant
-            return ExtElement(self, (-self.modulus.coeff(0),))
-        return ExtElement(self, self._pad((self.base.zero, self.base.one)))
+            return self.coerce(-self.modulus.coeff(0))
+        return ExtElement(self, (0, 1) + self._zeros[1:])
 
     def coerce(self, x):
         if isinstance(x, ExtElement):
             if x.field is self or x.field == self:
                 return x
             raise FieldMismatchError("cannot coerce element of an unrelated field")
-        try:
-            return ExtElement(self, self._pad((self.base.coerce(x),)))
-        except TypeError:
-            raise TypeError(f"cannot coerce {x!r} into {self.name}")
+        if isinstance(x, (int, Fraction)):
+            return ExtElement(self, (x.numerator,) + self._zeros, x.denominator)
+        raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
     def from_rep(self, coeffs):
-        """Element from base coefficients (length at most the degree)."""
+        """Element from rational coefficients (length at most the degree)."""
         if len(coeffs) > self.degree:
             raise ValueError("representation longer than field degree")
-        return ExtElement(self, self._pad(tuple(coeffs)))
+        num, den = _clear_denominators(coeffs)
+        return ExtElement(self, tuple(num) + (0,) * (self.degree - len(num)), den)
 
     def sort_key(self, x):
         return x.coeffs
@@ -514,10 +530,10 @@ def _power_coords(w: ExtElement, u, m: Polynomial):
     """
     F = w.field
     n, d = F.degree, m.degree
-    wi, dw = _clear_denominators(w.coeffs)
+    wi, dw = w.num, w.den
     un, ud = Fraction(u).as_integer_ratio()
-    mi, dm = _clear_denominators([c for e in m.coeffs[:d] for c in e.coeffs])
-    mi = [mi[i * n:(i + 1) * n] for i in range(d)]
+    dm = lcm(*(e.den for e in m.coeffs[:d]))
+    mi = [[v * (dm // e.den) for v in e.num] for e in m.coeffs[:d]]
     # z * blocks = (ud*dm * w*blocks + un*dw*d_rows*dm * y*blocks
     #               - un*dw * top*m) / (dw * d_rows * ud * dm)
     d_rows = F._int_rows[1]
@@ -557,10 +573,9 @@ class _Substitution:
             return self.target.coerce(a)
         if a.field is not self.source and a.field != self.source:
             raise FieldMismatchError("element does not belong to the source field of the map")
-        ai, da = _clear_denominators(a.coeffs)
-        den = self.den * da
-        return ExtElement(self.target, tuple(
-            Fraction(sum(map(mul, row, ai)), den) for row in self.rows))
+        ai = a.num
+        return _reduced(self.target, [sum(map(mul, row, ai)) for row in self.rows],
+                        self.den * a.den)
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +603,7 @@ def _squarefree_norm(f: Polynomial):
     n = F.degree * f.degree
     for k in range(0, 4 * n + 1):
         s = _center_sequence(k)
-        w = ExtElement(F, tuple(s * c for c in F.gen.coeffs))
-        _, norm = _power_relation(_power_coords(w, 1, f), n)
+        _, norm = _power_relation(_power_coords(F.gen * s, 1, f), n)
         if norm.degree == n:
             return s, norm
     raise ArithmeticError("no squarefree norm found (internal)")

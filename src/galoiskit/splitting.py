@@ -47,6 +47,7 @@ class SplittingField:
     lift_from_base: Optional[Callable]
     notes: tuple
     place: Optional[modscreen.Place] = None  # degree-one place of the field
+    factors: tuple = ()  # monic irreducible rational factors of squarefree_source
     # cache slot: the Galois group is unique per field, so repeated
     # correspondence work does not re-enumerate automorphisms
     _group_cache: list = None
@@ -103,6 +104,8 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
         base_theta = base.field.theta  # lifted with the roots
     sq_source = poly_squarefree_part(source)
     place = modscreen.find(tower, factors if base is None else factors + [base.squarefree_source])
+    if base is not None:
+        factors = list(base.factors) + [h for h in factors if h not in base.factors]
 
     # entries: (polynomial over the current absolute ext, known_irreducible)
     cur = tower.absolute
@@ -170,9 +173,14 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
         len(roots) == sq_source.degree,
         f"{len(roots)} roots vs degree {sq_source.degree}",
     )
-    ext = tower.absolute.ext
+    # a root is a root of one irreducible factor: each factor with fewer
+    # terms than the source (so a cheaper Horner evaluation) whose image
+    # vanishes at the root's image is tried exactly, then the whole source
+    cheaper = [h for h in factors if sum(map(bool, h.coeffs)) < sum(map(bool, sq_source.coeffs))]
+    screens = [modscreen.vanishes(place, h) for h in cheaper] if place else []
     for r in roots:
-        record_check("splitting.root_evaluates_to_zero", not sq_source.evaluate(r))
+        hit = screens and place(r) is not None and any(t(r) for t in screens)
+        record_check("splitting.root_evaluates_to_zero", hit or not sq_source.evaluate(r))
 
     return SplittingField(
         tower=tower,
@@ -183,6 +191,7 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
         lift_from_base=None if base is None else _Substitution(base_theta, base.field.ext),
         notes=tuple(notes),
         place=place,
+        factors=tuple(factors),
     )
 
 

@@ -219,6 +219,14 @@ def poly_extended_gcd(p, q):
     return a.monic(), sa * inv, ta * inv
 
 
+def fraction_mul(field, a, b):
+    """The product of two rational coordinate vectors of Q[x]/(m), one
+    Fraction per coefficient, reduced by the modulus over Q: the oracle
+    for the field's integer product."""
+    rem = Polynomial(QQ, list(a)) * Polynomial(QQ, list(b)) % field.modulus
+    return tuple(rem.coeff(i) for i in range(field.degree))
+
+
 def schoolbook_mul(a, b, m):
     """Product mod m of ascending coefficient lists, without trailing zeros."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []

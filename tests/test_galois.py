@@ -570,8 +570,14 @@ class TestPlaceScreen:
             return apply(self, a)
 
         monkeypatch.setattr(Automorphism, "apply", spy)
+        primitive = galois_module._primitive_of_subspace
+        # the primitive element's stabilizer is H by construction: after it
+        # is chosen, fixed_field applies one automorphism per coset of H
+        monkeypatch.setattr(galois_module, "_primitive_of_subspace",
+                            lambda *args: (primitive(*args), calls.clear())[0])
         for idx in _subgroups(G):
             B = fixed_field(G, idx)
+            assert len(calls) <= G.order // len(idx) == B.degree
             calls.clear()
             assert subgroup_fixing(G, B) == idx
             assert len(calls) <= len(idx)

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from math import gcd
+from operator import add, sub
 
 import pytest
 
@@ -21,7 +23,7 @@ from galoiskit.linalg import SpanSolver
 from galoiskit.scalars import PrimeField
 from galoiskit.splitting import splitting_field
 
-from helpers import FractionSpanSolver, P, poly_extended_gcd, poly_resultant
+from helpers import FractionSpanSolver, P, fraction_mul, poly_extended_gcd, poly_resultant
 
 
 def tower_q_sqrt2():
@@ -140,6 +142,85 @@ class TestElementArithmetic:
         t = tower_q_sqrt2()
         with pytest.raises(ZeroDivisionError):
             t.absolute.ext.zero.inverse()
+
+
+def random_coords(n, rng):
+    """Rational coordinates that reach the edge cases: zero, a unit,
+    negatives, numerators and denominators up to 2**64."""
+    kind = rng.randrange(5)
+    coords = [Fraction(0)] * n
+    if kind == 1:
+        coords[rng.randrange(n)] = Fraction(rng.choice((1, -1)))
+    elif kind > 1:
+        bits = (3, 20, 64)[kind - 2]
+        coords = [Fraction(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits))
+                  if rng.random() < 0.8 else Fraction(0) for _ in range(n)]
+    return coords
+
+
+def assert_normal(e, field):
+    """Integer coordinates over one positive denominator, in lowest terms."""
+    assert e.field == field and len(e.num) == field.degree
+    assert all(type(v) is int for v in e.num) and type(e.den) is int
+    assert e.den > 0 and gcd(e.den, *e.num) == 1
+
+
+class TestIntegerRepresentation:
+    """Elements as integer vectors over one denominator, against one Fraction
+    per coefficient (helpers.fraction_mul) on fields of degree 1, 2, 4 and
+    24."""
+
+    MODULI = {"degree-1": P(-5, 3), "degree-2": P(-5, 1, 7), "degree-4": P(2, 3, 0, 0, 6)}
+
+    @pytest.fixture(params=list(MODULI) + ["x^4+x+1"])
+    def field(self, request):
+        if request.param == "x^4+x+1":
+            return request.getfixturevalue("corpus_fields")["x^4+x+1"].field.ext
+        return ExtensionField(QQ, self.MODULI[request.param].monic())
+
+    def test_operations_match_the_oracle(self, field):
+        n, rng = field.degree, random.Random(field.degree)
+        elts = [field.from_rep([0] * n)] + [field.from_rep(random_coords(n, rng)) for _ in range(7)]
+        for a, b in list(zip(elts, elts[::-1])) + [(e, e) for e in elts]:
+            ac, bc = a.coeffs, b.coeffs
+            assert (a == b) == (ac == bc)
+            checks = [(a, ac), (a + b, tuple(map(add, ac, bc))), (a - b, tuple(map(sub, ac, bc))),
+                      (-a, tuple(-c for c in ac)), (a * b, fraction_mul(field, ac, bc))]
+            for k in (0, 1, -3, Fraction(-7, 2**64 + 13)):
+                checks += [(a * k, tuple(c * k for c in ac)), (k * a, tuple(c * k for c in ac))]
+            for got, want in checks:
+                assert_normal(got, field)
+                assert got.coeffs == want and got.sort_key() == want
+                assert bool(got) == any(want)
+                assert hash(got) == hash((n, want))
+
+    def test_inverse_matches_the_oracle(self, field):
+        n, rng = field.degree, random.Random(100 + field.degree)
+        one = (Fraction(1),) + (Fraction(0),) * (n - 1)
+        for _ in range(6):
+            a = field.from_rep(random_coords(n, rng))
+            if not a:
+                with pytest.raises(ZeroDivisionError):
+                    a.inverse()
+                continue
+            inv = a.inverse()
+            assert_normal(inv, field)
+            assert fraction_mul(field, a.coeffs, inv.coeffs) == one
+
+    def test_rationals_and_equal_values(self, field):
+        n, rng = field.degree, random.Random(200 + field.degree)
+        for k in (0, -1, 5, Fraction(-3, 2**64 + 1)):
+            c = field.coerce(k)
+            assert_normal(c, field)
+            assert c.coeffs == (Fraction(k),) + (Fraction(0),) * (n - 1)
+            assert c == k and field.from_rep([k]) == c
+        zeros = [field.zero, field.coerce(0), field.from_rep([]), field.one - 1]
+        assert all(z.num == (0,) * n and z.den == 1 for z in zeros)
+        a = field.from_rep([Fraction(rng.randint(-2**64, 2**64), rng.randint(1, 2**64))
+                            for _ in range(n)])
+        same = [a, (a + a) * Fraction(1, 2), a - field.one + 1, a * 3 - a - a]
+        assert len(set(same)) == 1 and {a: "a"}[same[-1]] == "a"
+        assert len({a, a + 1, field.zero, zeros[-1]}) == 3
 
 
 class TestModularInverse:

@@ -33,10 +33,16 @@ FIXED = (("fixed", "x^4+x+1", "--subgroup", "1"),
 # an orbit over the cosets of a stabilizer of order two
 MINPOLY = (("minpoly", "x^4+x+1", "--element", "r1+2*r2"),
            "6142e824af9e7e54fcd7e3bbc3461fb0a0a58644030310cb497c1656b4ec932a")
-# without a place every test is exact; the split is left out there, where
-# its exact hunts take seconds
+# most of a tower build is arithmetic on field elements
+GROUP9 = (("group", "x^9-2"),
+          "fe0c538a75dd20056e6ac10e187424b212e229b2ae93b3032fd7c8ccb0d69fb4")
+SPLIT10 = (("split", "x^10-2"),
+           "ec0b2b9d722d73209613d7076acdcf9ce4a91d17abe493195d1396e6fe7d5a86")
+# without a place every test is exact; the splits are left out there, where
+# their exact hunts take seconds
 CASES = [SPLIT + (True,), CHAIN + (True,), GROUP + (True,), NORMALIZE + (True,), FIXED + (True,),
-         MINPOLY + (True,), CHAIN + (False,), GROUP + (False,), FIXED + (False,), MINPOLY + (False,)]
+         MINPOLY + (True,), GROUP9 + (True,), SPLIT10 + (True,),
+         CHAIN + (False,), GROUP + (False,), FIXED + (False,), MINPOLY + (False,)]
 
 
 @pytest.mark.parametrize("argv, digest, screened", CASES,
