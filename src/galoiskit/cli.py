@@ -30,7 +30,7 @@ from .galois import _subgroup_generators, fixed_field, galois_group, orbit_min_p
 from .numfield import DEFAULT_DEGREE_CAP, minimal_polynomial
 from .parsing import evaluate_in_field, parse_poly
 from .poly import render_poly
-from .qfactor import DEFAULT_SEED, factor_over_Q, is_irreducible_over_Q
+from .qfactor import factor_over_Q, is_irreducible_over_Q
 from .radical import (
     abelian_layer_embeddings,
     associated_group_chain,
@@ -39,6 +39,7 @@ from .radical import (
     realize_chain,
     verify_nested_normal_radical,
 )
+from .scalars import is_prime
 from .splitting import splitting_field
 
 EXIT_OK = 0
@@ -126,7 +127,7 @@ def _load_chain_file(path):
 
 def _cmd_factor(args, settings):
     p = parse_poly(args.polynomial)
-    fac = factor_over_Q(p, seed=settings["seed"])
+    fac = factor_over_Q(p)
     return {
         "polynomial": render_poly(p),
         "unit": str(fac.unit) if fac.unit.denominator == 1 else f"{fac.unit.numerator}/{fac.unit.denominator}",
@@ -154,7 +155,7 @@ def _split_result(e):
 
 def _cmd_split(args, settings):
     p = parse_poly(args.polynomial)
-    e = splitting_field(p, degree_cap=settings["degree_cap"], seed=settings["seed"])
+    e = splitting_field(p, degree_cap=settings["degree_cap"])
     return _split_result(e)
 
 
@@ -172,8 +173,8 @@ def _group_data(g):
 
 def _cmd_group(args, settings):
     p = parse_poly(args.polynomial)
-    e = splitting_field(p, degree_cap=settings["degree_cap"], seed=settings["seed"])
-    g = galois_group(e, seed=settings["seed"])
+    e = splitting_field(p, degree_cap=settings["degree_cap"])
+    g = galois_group(e)
     result = _split_result(e)
     result.update(_group_data(g))
     return result
@@ -181,8 +182,8 @@ def _cmd_group(args, settings):
 
 def _cmd_minpoly(args, settings):
     p = parse_poly(args.polynomial)
-    e = splitting_field(p, degree_cap=settings["degree_cap"], seed=settings["seed"])
-    g = galois_group(e, seed=settings["seed"])
+    e = splitting_field(p, degree_cap=settings["degree_cap"])
+    g = galois_group(e)
     env = {f"r{i + 1}": r for i, r in enumerate(e.roots)}
     elt = evaluate_in_field(args.element, e.field.ext, env)
     via_orbit = orbit_min_poly(g, elt)
@@ -194,14 +195,14 @@ def _cmd_minpoly(args, settings):
         "linear_algebra_method": render_poly(via_linear_algebra),
         "agree": via_orbit == via_linear_algebra,
         "degree": via_orbit.degree,
-        "irreducible": is_irreducible_over_Q(via_orbit, seed=settings["seed"]),
+        "irreducible": is_irreducible_over_Q(via_orbit),
     }
 
 
 def _cmd_fixed(args, settings):
     p = parse_poly(args.polynomial)
-    e = splitting_field(p, degree_cap=settings["degree_cap"], seed=settings["seed"])
-    g = galois_group(e, seed=settings["seed"])
+    e = splitting_field(p, degree_cap=settings["degree_cap"])
+    g = galois_group(e)
     try:
         indices = [int(t) for t in args.subgroup.split(",") if t.strip() != ""]
     except ValueError:
@@ -226,15 +227,14 @@ def _cmd_fixed(args, settings):
 def _cmd_solvable(args, settings):
     p = parse_poly(args.polynomial)
     verdict = necessary_condition_verdict(
-        p, degree_cap=settings["degree_cap"], seed=settings["seed"],
-        primes=settings["primes"])
+        p, degree_cap=settings["degree_cap"], primes=settings["primes"])
     return verdict.to_dict()
 
 
 def _chain_tower(args, settings):
     description = _load_chain_file(args.chain)
-    chain = realize_chain(description, degree_cap=settings["degree_cap"], seed=settings["seed"])
-    tower = normalize_chain(chain, degree_cap=settings["degree_cap"], seed=settings["seed"])
+    chain = realize_chain(description, degree_cap=settings["degree_cap"])
+    tower = normalize_chain(chain, degree_cap=settings["degree_cap"])
     return description, chain, tower
 
 
@@ -269,7 +269,7 @@ def _cmd_normalize(args, settings):
 
 def _cmd_verify_tower(args, settings):
     description, chain, tower = _chain_tower(args, settings)
-    report = verify_nested_normal_radical(tower, seed=settings["seed"])
+    report = verify_nested_normal_radical(tower)
     result = _tower_result(description, chain, tower)
     result["verification"] = report.to_dict()
     return result
@@ -277,13 +277,13 @@ def _cmd_verify_tower(args, settings):
 
 def _cmd_chain_groups(args, settings):
     description, chain, tower = _chain_tower(args, settings)
-    groups = associated_group_chain(tower, seed=settings["seed"])
+    groups = associated_group_chain(tower)
     certificate = None
     if groups[-1].is_trivial:
         from .permgroup import solvable_via_abelian_chain
 
         certificate = solvable_via_abelian_chain(groups).to_dict()
-    layers = abelian_layer_embeddings(tower, seed=settings["seed"])
+    layers = abelian_layer_embeddings(tower)
     result = _tower_result(description, chain, tower)
     result["group_chain_orders"] = [g.order for g in groups]
     result["quotient_orders"] = [
@@ -341,8 +341,8 @@ def _build_parser():
         sp.add_argument("--json", action="store_true", help="emit a canonical JSON report")
         sp.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP,
                         help=f"refuse constructions beyond this field degree (default {DEFAULT_DEGREE_CAP})")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help=f"seed for the randomized factorization kernel (default {DEFAULT_SEED})")
+        sp.add_argument("--seed", type=int, default=1,
+                        help="recorded in the report; no result depends on it (default 1)")
     return parser
 
 
@@ -373,6 +373,10 @@ def main(argv=None) -> int:
         except ValueError:
             print("error: --primes must be a comma-separated list of integers", file=sys.stderr)
             return EXIT_INPUT
+        for q in primes:
+            if not is_prime(q):
+                print(f"error: --primes entry {q} is not a prime", file=sys.stderr)
+                return EXIT_INPUT
     settings = {
         "degree_cap": args.degree_cap,
         "seed": args.seed,

@@ -46,7 +46,7 @@ from .numfield import (
 )
 from .permgroup import PermGroup, Permutation, _small_generating_set, closure, is_normal
 from .poly import Polynomial, poly_squarefree_part
-from .qfactor import DEFAULT_SEED, factor_over_Q
+from .qfactor import factor_over_Q
 from .scalars import QQ
 from .splitting import SplittingField
 from . import modscreen
@@ -139,51 +139,33 @@ class GaloisGroup:
         """Index of automorphism i applied after j."""
         return self.index_of_perm(self.perm(i) * self.perm(j))
 
-    def inverse(self, i) -> int:
-        return self.index_of_perm(self.perm(i).inverse())
-
     def apply(self, i, a):
         return self.automorphisms[i].apply(a)
 
     def subgroup_indices_closure(self, indices):
-        """Close a set of automorphism indices under composition and inverse."""
-        idx = set(indices)
-        idx.add(self.identity_index)
-        changed = True
-        while changed:
-            changed = False
-            for i in list(idx):
-                j = self.inverse(i)
-                if j not in idx:
-                    idx.add(j)
-                    changed = True
-                for k in list(idx):
-                    c = self.compose(i, k)
-                    if c not in idx:
-                        idx.add(c)
-                        changed = True
-        return tuple(sorted(idx))
+        """Indices of the subgroup generated by the given automorphisms."""
+        group = closure([self.perm(i) for i in indices], degree=len(self.splitting.roots),
+                        max_order=self.order)
+        return tuple(sorted(map(self.index_of_perm, group.elements)))
 
     def is_subgroup(self, indices) -> bool:
         idx = set(indices)
-        if self.identity_index not in idx:
-            return False
-        return set(self.subgroup_indices_closure(indices)) == idx
+        return self.identity_index in idx and len(self.subgroup_indices_closure(idx)) == len(idx)
 
     def __repr__(self):
         return f"GaloisGroup(order={self.order})"
 
 
-def galois_group(E: SplittingField, seed: int = DEFAULT_SEED) -> GaloisGroup:
+def galois_group(E: SplittingField) -> GaloisGroup:
     """Enumerate G(E, Q) and verify #G = [E:Q] as a hard runtime assertion."""
     if E._group_cache:
         return E._group_cache[0]
-    group = _enumerate_galois_group(E, seed)
+    group = _enumerate_galois_group(E)
     E._group_cache.append(group)
     return group
 
 
-def _enumerate_galois_group(E: SplittingField, seed: int) -> GaloisGroup:
+def _enumerate_galois_group(E: SplittingField) -> GaloisGroup:
     field = E.field
     n = field.degree
     roots = E.roots
@@ -501,8 +483,7 @@ class RestrictionHomomorphism:
 
 
 def restriction_homomorphism(G: GaloisGroup, B: IntermediateField,
-                             defining_poly: Polynomial,
-                             seed: int = DEFAULT_SEED) -> RestrictionHomomorphism:
+                             defining_poly: Polynomial) -> RestrictionHomomorphism:
     """Restrict every automorphism to B, checking normality, surjectivity
     onto a group of order [B:Q], and that the kernel is exactly the
     subgroup fixing B."""
@@ -510,8 +491,8 @@ def restriction_homomorphism(G: GaloisGroup, B: IntermediateField,
         raise ValueError("the defining polynomial of B must be rational")
     sq = poly_squarefree_part(defining_poly)
     b_roots = []
-    for h, _ in factor_over_Q(sq, seed=seed).factors:
-        found = roots_in_field(h, G.field, seed=seed)
+    for h, _ in factor_over_Q(sq).factors:
+        found = roots_in_field(h, G.field)
         if len(found) != h.degree:
             raise ValueError("the supplied polynomial does not split inside E")
         b_roots.extend(found)

@@ -38,8 +38,8 @@ from .poly import (
     poly_squarefree_decomposition,
     poly_squarefree_part,
 )
-from .qfactor import (DEFAULT_SEED, Factorization, _crt_primes, _rational_reconstruction,
-                      _sorted_factors, _trim, _zp_inverse, factor_over_Q)
+from .qfactor import (Factorization, _crt_primes, _rational_reconstruction, _sorted_factors,
+                      _trim, _zp_inverse, factor_over_Q)
 from .scalars import QQ
 
 DEFAULT_DEGREE_CAP = 64
@@ -405,7 +405,7 @@ class FieldTower:
         return self.absolute.gen_images[i]
 
     def adjoin(self, m: Polynomial, name: str, verify: bool = True,
-               degree_cap: int = DEFAULT_DEGREE_CAP, seed: int = DEFAULT_SEED):
+               degree_cap: int = DEFAULT_DEGREE_CAP):
         """Adjoin a root of monic irreducible m (over the current absolute field).
 
         Returns the extended tower; the new absolute field can lift elements
@@ -423,7 +423,7 @@ class FieldTower:
                 f"adjunction would reach degree {new_degree} > cap {degree_cap}",
                 attempted=new_degree, cap=degree_cap)
         if verify:
-            fac = factor_over_number_field(m, seed=seed)
+            fac = factor_over_number_field(m)
             if len(fac.factors) != 1 or fac.factors[0][1] != 1:
                 raise ValueError("stage polynomial is reducible over the base field")
         absolute = _flatten(cur, m, name)
@@ -609,7 +609,7 @@ def _squarefree_norm(f: Polynomial):
     raise ArithmeticError("no squarefree norm found (internal)")
 
 
-def _trager_squarefree(f: Polynomial, seed: int):
+def _trager_squarefree(f: Polynomial):
     """Irreducible factors of a monic squarefree f over an absolute field."""
     F = f.field
     if f.degree == 1:
@@ -618,7 +618,7 @@ def _trager_squarefree(f: Polynomial, seed: int):
     x = Polynomial.x(F)
     s, norm = _squarefree_norm(f)
     shifted = f.compose(x - Polynomial.constant(F, theta * s)) if s else f
-    nf = factor_over_Q(norm, seed=seed)
+    nf = factor_over_Q(norm)
     if len(nf.factors) == 1:
         return [f]
     out = []
@@ -644,7 +644,7 @@ def _product(polys, field):
     return acc
 
 
-def factor_over_number_field(p: Polynomial, seed: int = DEFAULT_SEED) -> Factorization:
+def factor_over_number_field(p: Polynomial) -> Factorization:
     """Trager's method: squarefree split, shifted norms, factor over Q, pull back."""
     F = p.field
     if not isinstance(F, ExtensionField):
@@ -656,23 +656,23 @@ def factor_over_number_field(p: Polynomial, seed: int = DEFAULT_SEED) -> Factori
         return Factorization(unit, ())
     if F.degree == 1:
         pq = p.map_coefficients(lambda c: c.coeffs[0], QQ)
-        qf = factor_over_Q(pq, seed=seed)
+        qf = factor_over_Q(pq)
         pairs = [(g.map_coefficients(F.coerce, F), m) for g, m in qf.factors]
         return Factorization(unit, _sorted_factors(pairs))
     pairs = []
     for part, mult in poly_squarefree_decomposition(p):
-        for g in _trager_squarefree(part, seed):
+        for g in _trager_squarefree(part):
             pairs.append((g, mult))
     return Factorization(unit, _sorted_factors(pairs))
 
 
-def roots_in_field(q: Polynomial, field, seed: int = DEFAULT_SEED):
+def roots_in_field(q: Polynomial, field):
     """All roots of a rational polynomial q that lie in the given field."""
     if q.field != QQ:
         raise ValueError("roots_in_field expects a rational polynomial")
     if isinstance(field, AbsoluteField):
         field = field.ext
     qf = poly_squarefree_part(q).map_coefficients(field.coerce, field)
-    fac = factor_over_number_field(qf, seed=seed)
+    fac = factor_over_number_field(qf)
     roots = [-g.coeff(0) for g, _ in fac.factors if g.degree == 1]
     return sorted(roots, key=element_sort_key)

@@ -7,6 +7,10 @@ Cantor-Zassenhaus factorization there, quadratic Hensel lifting to a
 Mignotte-style coefficient bound, and van Hoeij's knapsack recombination on
 power sums with an exact integer LLL (``linalg.lll``).  Exact division
 alone accepts a factor, and an exact dimension count proves it irreducible.
+Cantor-Zassenhaus draws its random splitting polynomials from
+``random.Random(p)`` for the prime p: the factors are unique and returned in
+canonical order, so the draws change only the path to them, and callers
+pass no randomness in.
 
 Internally the hot kernels work on plain int lists (ascending coefficients)
 mod p or mod p**k; Polynomial objects appear only at the API boundary.
@@ -30,7 +34,6 @@ from .poly import (
 )
 from .scalars import QQ, PrimeField, is_prime
 
-DEFAULT_SEED = 1
 # _zp_mul packs when schoolbook products outnumber output coefficients this much
 _PACK_RATIO = 6
 
@@ -290,7 +293,7 @@ def _zp_factor_squarefree(f, p, rng):
     return sorted(out)
 
 
-def factor_mod_p(p_poly: Polynomial, seed: int = DEFAULT_SEED) -> Factorization:
+def factor_mod_p(p_poly: Polynomial) -> Factorization:
     """Factor over GF(p): squarefree split, then distinct- and equal-degree."""
     field = p_poly.field
     if not isinstance(field, PrimeField):
@@ -300,7 +303,7 @@ def factor_mod_p(p_poly: Polynomial, seed: int = DEFAULT_SEED) -> Factorization:
     p = field.p
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    rng = random.Random(seed)
+    rng = random.Random(p)
     ints = [c.value for c in p_poly.coeffs]
     unit = field.coerce(ints[-1])
     monic = _zp_monic(ints, p)
@@ -534,7 +537,7 @@ def _choose_prime(f_int):
     return best[1:] + (degrees,)
 
 
-def _factor_squarefree_int(f_int, seed):
+def _factor_squarefree_int(f_int):
     """Irreducible integer factors of a primitive squarefree f in Z[x]."""
     n = len(f_int) - 1
     if n <= 1:
@@ -542,7 +545,7 @@ def _factor_squarefree_int(f_int, seed):
     p, blocks, degrees = _choose_prime(f_int)
     if degrees == 1 | 1 << n:
         return [list(f_int)]
-    rng = random.Random(seed ^ p)
+    rng = random.Random(p)
     mod_factors = []
     for block, d in blocks:
         mod_factors.extend(_zp_equal_degree(block, d, p, rng))
@@ -700,34 +703,7 @@ def _iroot_ceil(x, i):
 # public rational API
 
 
-def is_squarefree_q(p: Polynomial) -> bool:
-    """Squarefreeness over Q, tested mod good primes first.
-
-    Squarefree mod a prime not dividing the leading coefficient implies
-    squarefree over Q, which avoids the coefficient blowup of an exact
-    Euclidean remainder sequence on large inputs; only when every sampled
-    prime divides the discriminant does this fall back to the exact gcd.
-    """
-    if p.is_zero:
-        raise ValueError("squarefreeness of the zero polynomial")
-    if p.degree <= 1:
-        return True
-    _, ints = poly_content_and_primitive(p)
-    rejected = 0
-    for prime in _PRIME_POOL:
-        if ints[-1] % prime == 0:
-            continue
-        if _zp_squarefree_image(ints, prime) is not None:
-            return True
-        rejected += 1
-        if rejected >= 12:
-            break
-    from .poly import poly_gcd
-
-    return poly_gcd(p, p.derivative()).degree == 0
-
-
-def factor_over_Q(p: Polynomial, seed: int = DEFAULT_SEED) -> Factorization:
+def factor_over_Q(p: Polynomial) -> Factorization:
     """Complete irreducible factorization over Q.
 
     Returns unit (the leading coefficient times rational content structure)
@@ -741,24 +717,17 @@ def factor_over_Q(p: Polynomial, seed: int = DEFAULT_SEED) -> Factorization:
     unit = p.lc
     if p.degree == 0:
         return Factorization(unit, ())
-    if is_squarefree_q(p):
-        # skip Yun: the exact gcd in there is the only expensive step
-        parts = [(p.monic(), 1)]
-    else:
-        parts = poly_squarefree_decomposition(p)
     pairs = []
-    for part, mult in parts:
-        if part.degree == 0:
-            continue
+    for part, mult in poly_squarefree_decomposition(p):
         _, ints = poly_content_and_primitive(part)
-        for fac in _factor_squarefree_int(ints, seed):
+        for fac in _factor_squarefree_int(ints):
             fq = poly_from_int_coeffs(QQ, fac).monic()
             pairs.append((fq, mult))
     return Factorization(unit, _sorted_factors(pairs))
 
 
-def is_irreducible_over_Q(p: Polynomial, seed: int = DEFAULT_SEED) -> bool:
+def is_irreducible_over_Q(p: Polynomial) -> bool:
     if p.degree < 1:
         raise ValueError("irreducibility is defined for degree >= 1")
-    fac = factor_over_Q(p, seed=seed)
+    fac = factor_over_Q(p)
     return len(fac.factors) == 1 and fac.factors[0][1] == 1

@@ -54,7 +54,7 @@ from .permgroup import (
     solvable_via_abelian_chain,
 )
 from .poly import Polynomial, poly_compose_power, poly_squarefree_part, render_poly
-from .qfactor import DEFAULT_SEED, factor_over_Q, is_irreducible_over_Q
+from .qfactor import factor_over_Q, is_irreducible_over_Q
 from .scalars import QQ
 from .splitting import SplittingField, scan_cycle_types, splitting_field
 from . import modscreen
@@ -96,8 +96,7 @@ def _normalize_radicand(radicand):
     raise ChainFormatError(f"radicand must be a string or rational, got {radicand!r}")
 
 
-def realize_chain(description, degree_cap: int = DEFAULT_DEGREE_CAP,
-                  seed: int = DEFAULT_SEED) -> RadicalChain:
+def realize_chain(description, degree_cap: int = DEFAULT_DEGREE_CAP) -> RadicalChain:
     """Build the tower R_0 = Q < R_1 < ... < R_n for a chain description.
 
     Each stage is a pair (k, radicand) with k >= 2 and the radicand an
@@ -124,12 +123,12 @@ def realize_chain(description, degree_cap: int = DEFAULT_DEGREE_CAP,
             raise ChainFormatError(f"stage {i}: radicand evaluates to zero")
         x = Polynomial.x(ext)
         poly = x ** k - Polynomial.constant(ext, b)
-        fac = factor_over_number_field(poly, seed=seed)
+        fac = factor_over_number_field(poly)
         m = fac.factors[0][0]
         if m.degree == 1:
             a = -m.coeff(0)
         else:
-            tower = tower.adjoin(m, f"r{i}", verify=False, degree_cap=degree_cap, seed=seed)
+            tower = tower.adjoin(m, f"r{i}", verify=False, degree_cap=degree_cap)
             lift = tower.absolute.lift_from_prev
             gens = [lift(g) for g in gens]
             a = tower.absolute.gen_images[-1]
@@ -197,8 +196,8 @@ class NormalRadicalTower:
         return f"NormalRadicalTower(N={self.lcm_degree}, degrees={degs})"
 
 
-def normalize_chain(chain: RadicalChain, degree_cap: int = DEFAULT_DEGREE_CAP,
-                    seed: int = DEFAULT_SEED) -> NormalRadicalTower:
+def normalize_chain(chain: RadicalChain,
+                    degree_cap: int = DEFAULT_DEGREE_CAP) -> NormalRadicalTower:
     """Construct the normalization of a radical chain.
 
     N is the lcm of the characteristic degrees; E_1 splits x**N - 1; each
@@ -212,7 +211,7 @@ def normalize_chain(chain: RadicalChain, degree_cap: int = DEFAULT_DEGREE_CAP,
         n_lcm = math.lcm(n_lcm, s.k)
     x = Polynomial.x(QQ)
     cyclo_poly = x ** n_lcm - Polynomial.one(QQ)
-    e1 = splitting_field(cyclo_poly, degree_cap=degree_cap, seed=seed)
+    e1 = splitting_field(cyclo_poly, degree_cap=degree_cap)
     levels = [e1]
     level_gens = [list(e1.field.gen_images)]  # per level, images in current top
     a_images = []  # images of a_1..a_j in the current top level
@@ -220,7 +219,7 @@ def normalize_chain(chain: RadicalChain, degree_cap: int = DEFAULT_DEGREE_CAP,
     defining = cyclo_poly
     for i, s in enumerate(chain.stages, start=1):
         level = levels[-1]
-        g_level = galois_group(level, seed=seed)
+        g_level = galois_group(level)
         env = {f"r{j + 1}": a for j, a in enumerate(a_images)}
         b = evaluate_in_field(s.radicand_text, level.field.ext, env)
         record_check("normalize.radicand_nonzero", bool(b),
@@ -228,7 +227,7 @@ def normalize_chain(chain: RadicalChain, degree_cap: int = DEFAULT_DEGREE_CAP,
         orb = orbit(g_level, b)
         q_b = orbit_min_poly(g_level, b)
         kummer = poly_compose_power(q_b, s.k)
-        nxt = splitting_field(kummer, base=level, degree_cap=degree_cap, seed=seed)
+        nxt = splitting_field(kummer, base=level, degree_cap=degree_cap)
         lift = nxt.lift_from_base
         a_images = [lift(a) for a in a_images]
         level_gens = [[lift(g) for g in gl] for gl in level_gens]
@@ -300,8 +299,7 @@ class TowerReport:
         }
 
 
-def verify_nested_normal_radical(t: NormalRadicalTower,
-                                 seed: int = DEFAULT_SEED) -> TowerReport:
+def verify_nested_normal_radical(t: NormalRadicalTower) -> TowerReport:
     """Re-check the three defining conditions of a nested normal radical
     tower, independently of how it was built.  Failures are reported, not
     raised."""
@@ -311,13 +309,13 @@ def verify_nested_normal_radical(t: NormalRadicalTower,
     n_lcm = t.lcm_degree
     x = Polynomial.x(QQ)
     cyclo = x ** n_lcm - Polynomial.one(QQ)
-    fresh_degree = splitting_field(cyclo, degree_cap=max(DEFAULT_DEGREE_CAP, t.cyclotomic.degree),
-                                   seed=seed).degree
+    fresh_degree = splitting_field(
+        cyclo, degree_cap=max(DEFAULT_DEGREE_CAP, t.cyclotomic.degree)).degree
     roots_of_unity = list(filter(modscreen.vanishes(t.cyclotomic.place, cyclo), t.cyclotomic.roots))
     cond1 = (
         fresh_degree == t.cyclotomic.degree
         and len(set(roots_of_unity)) == n_lcm
-        and _generated_by_roots(t.cyclotomic, seed)
+        and _generated_by_roots(t.cyclotomic)
     )
     conditions.append(ConditionReport(
         "cyclotomic_level_splits_x^N-1",
@@ -332,7 +330,7 @@ def verify_nested_normal_radical(t: NormalRadicalTower,
         poly = t.defining_polynomial(idx)
         sq = poly_squarefree_part(poly)
         distinct = set(filter(modscreen.vanishes(level.place, sq), level.roots))
-        ok = len(distinct) == sq.degree and _generated_by_roots(level, seed)
+        ok = len(distinct) == sq.degree and _generated_by_roots(level)
         conditions.append(ConditionReport(
             f"level_{idx + 1}_normal_over_Q",
             ok,
@@ -345,7 +343,7 @@ def verify_nested_normal_radical(t: NormalRadicalTower,
     for i, s in enumerate(t.stages, start=1):
         divides = n_lcm % s.k == 0
         level_below = t.levels[i - 1]
-        g_below = galois_group(level_below, seed=seed)
+        g_below = galois_group(level_below)
         fresh_orbit = orbit(g_below, s.radicand_in_level)
         orbit_ok = tuple(fresh_orbit) == tuple(s.orbit)
         ext = level_below.field.ext
@@ -367,9 +365,9 @@ def verify_nested_normal_radical(t: NormalRadicalTower,
     return TowerReport(tuple(conditions))
 
 
-def _generated_by_roots(level: SplittingField, seed) -> bool:
+def _generated_by_roots(level: SplittingField) -> bool:
     """Only the identity automorphism fixes every root (so roots generate)."""
-    g = galois_group(level, seed=seed)
+    g = galois_group(level)
     return _stabilizer(g, level.roots) == (g.identity_index,)
 
 
@@ -377,13 +375,13 @@ def _generated_by_roots(level: SplittingField, seed) -> bool:
 # associated group chain
 
 
-def associated_group_chain(t: NormalRadicalTower, seed: int = DEFAULT_SEED):
+def associated_group_chain(t: NormalRadicalTower):
     """Groups G_0 > G_1 > ... associated with Q < E_1 < ... < E_{n+1}:
     G_j fixes E_j pointwise inside G = G(E_top, Q).  Normality of each step
     and the index identity #(G_j)/#(G_{j+1}) = [E_{j+1} : E_j] are asserted.
     """
     top = t.top
-    g = galois_group(top, seed=seed)
+    g = galois_group(top)
     groups = [g.perm_group()]
     prev_degree = 1
     for j, level in enumerate(t.levels):
@@ -407,20 +405,20 @@ def associated_group_chain(t: NormalRadicalTower, seed: int = DEFAULT_SEED):
     return groups
 
 
-def abelian_layer_embeddings(t: NormalRadicalTower, seed: int = DEFAULT_SEED):
+def abelian_layer_embeddings(t: NormalRadicalTower):
     """Embeddings certifying every layer abelian: the cyclotomic layer into
     U(N), each Kummer layer G(E_{i+1}, E_i) into a direct sum of copies of
     Z_{k_i}.  Returns [(label, group order, target description, Embedding)].
     """
     out = []
-    g1 = galois_group(t.cyclotomic, seed=seed)
+    g1 = galois_group(t.cyclotomic)
     target = UnitGroup(t.lcm_degree) if t.lcm_degree >= 2 else CyclicGroupZ(1)
     emb = find_embedding(g1.perm_group(), target)
     record_check("abelian_layers.cyclotomic_embeds_in_units",
                  emb is not None, f"G(E_1,Q) must embed into U({t.lcm_degree})")
     out.append(("cyclotomic", g1.order, target.describe(), emb))
     for i, s in enumerate(t.stages, start=1):
-        g_up = galois_group(s.level, seed=seed)
+        g_up = galois_group(s.level)
         idx = subgroup_fixing(g_up, s.base_gens_in_level)
         perms = tuple(sorted(g_up.perm(j) for j in idx))
         layer = PermGroup(len(s.level.roots), perms, perms)
@@ -457,8 +455,7 @@ class CycleTypeEvidence:
         }
 
 
-def quintic_group_witness(p: Polynomial, primes=None,
-                          seed: int = DEFAULT_SEED) -> CycleTypeEvidence:
+def quintic_group_witness(p: Polynomial, primes=None) -> CycleTypeEvidence:
     """Identify the Galois group of an irreducible quintic from factor-degree
     patterns mod good primes, without building the degree-120 splitting field.
 
@@ -475,7 +472,7 @@ def quintic_group_witness(p: Polynomial, primes=None,
     sq = poly_squarefree_part(p)
     if sq.degree != 5:
         raise ValueError("the quintic witness needs a squarefree quintic")
-    if not is_irreducible_over_Q(sq, seed=seed):
+    if not is_irreducible_over_Q(sq):
         raise ValueError("the quintic witness needs an irreducible quintic")
     return _quintic_witness(sq, primes)
 
@@ -560,7 +557,6 @@ _NECESSARY_NOTE = (
 
 
 def necessary_condition_verdict(p: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP,
-                                seed: int = DEFAULT_SEED,
                                 primes=None) -> SolvabilityVerdict:
     """Decide the necessary condition: a solvable Galois group, or a
     definitive NOT_SOLVABLE_BY_RADICALS witness.
@@ -572,7 +568,7 @@ def necessary_condition_verdict(p: Polynomial, degree_cap: int = DEFAULT_DEGREE_
     if p.degree < 1:
         raise ValueError("the verdict needs a polynomial of degree >= 1")
     sq = poly_squarefree_part(p)
-    factors = [h for h, _ in factor_over_Q(sq, seed=seed).factors]
+    factors = [h for h, _ in factor_over_Q(sq).factors]
     whole = len(factors) == 1
     evidence = None
     # the group of each factor's splitting field is a quotient of the whole
@@ -588,8 +584,8 @@ def necessary_condition_verdict(p: Polynomial, degree_cap: int = DEFAULT_DEGREE_
             continue
         if witness is not None and witness.conclusion == "NOT_SOLVABLE":
             return _certified_verdict(h, witness, whole)
-    e = splitting_field(sq, degree_cap=degree_cap, seed=seed)
-    g = galois_group(e, seed=seed)
+    e = splitting_field(sq, degree_cap=degree_cap)
+    g = galois_group(e)
     solvable, series = is_solvable(g.perm_group())
     orders = tuple(h.order for h in series)
     if solvable:

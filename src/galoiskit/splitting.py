@@ -29,7 +29,7 @@ from .numfield import (
 )
 from .permgroup import cycle_type_certificate
 from .poly import Polynomial, poly_squarefree_part
-from .qfactor import DEFAULT_SEED, factor_degrees_mod_p, factor_over_Q
+from .qfactor import factor_degrees_mod_p, factor_over_Q
 from .scalars import QQ
 from . import modscreen
 
@@ -69,8 +69,7 @@ class SplittingField:
 
 
 def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
-                    degree_cap: int = DEFAULT_DEGREE_CAP, seed: int = DEFAULT_SEED,
-                    factor_order: str = "canonical") -> SplittingField:
+                    degree_cap: int = DEFAULT_DEGREE_CAP) -> SplittingField:
     """Construct the splitting field of p over Q (or over a prior splitting
     field), returning the field together with all roots in canonical order.
     """
@@ -82,7 +81,7 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
     sq = poly_squarefree_part(p)
     if sq != p.monic():
         notes.append("input replaced by its squarefree part (separability normalization)")
-    factors = [h for h, _ in factor_over_Q(sq, seed=seed).factors]
+    factors = [h for h, _ in factor_over_Q(sq).factors]
     bound = _splitting_degree_lower_bound(factors)
     already = 1 if base is None else base.degree
     # [E:Q] is divisible both by the bound and by the base degree
@@ -110,11 +109,6 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
     # entries: (polynomial over the current absolute ext, known_irreducible)
     cur = tower.absolute
     entries = [(sq.map_coefficients(cur.ext.coerce, cur.ext), sq.degree == 1)]
-    reverse = factor_order == "reverse"
-
-    def entry_key(e):
-        return e[0].sort_key()
-
     while True:
         # extract linear factors and hunted roots until nothing cheap remains
         progressed = True
@@ -141,15 +135,15 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
             entries = nxt
         if not entries:
             break
-        entries.sort(key=entry_key, reverse=reverse)
+        entries.sort(key=lambda e: e[0].sort_key())
         q, known = entries[0]
         if not known:
-            fac = factor_over_number_field(q, seed=seed)
+            fac = factor_over_number_field(q)
             entries = [(g, True) for g, _ in fac.factors] + entries[1:]
             continue
         # adjoin a root of the first nonlinear irreducible factor
         name = f"g{len(tower.stages) + 1}"
-        tower = tower.adjoin(q, name, verify=False, degree_cap=degree_cap, seed=seed)
+        tower = tower.adjoin(q, name, verify=False, degree_cap=degree_cap)
         place = place and place.extend(tower.stages[-1][2], tower.absolute.theta_combo,
                                        tower.absolute.min_poly)
         lift = tower.absolute.lift_from_prev
@@ -195,10 +189,9 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
     )
 
 
-def splitting_degree(p: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP,
-                     seed: int = DEFAULT_SEED) -> int:
+def splitting_degree(p: Polynomial, degree_cap: int = DEFAULT_DEGREE_CAP) -> int:
     """[E:Q] for the splitting field E of p over Q."""
-    return splitting_field(p, degree_cap=degree_cap, seed=seed).degree
+    return splitting_field(p, degree_cap=degree_cap).degree
 
 
 def _add_root(roots, r):

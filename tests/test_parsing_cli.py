@@ -309,6 +309,14 @@ class TestCliJson:
         out2, _ = cli_json(capsys, "group", "x^3-2", "--seed", "5")
         assert out1 == out2
 
+    @pytest.mark.parametrize("argv", [("group", "x^3-2"), ("factor", "x^4-1")],
+                             ids=["group", "factor"])
+    def test_seed_is_only_echoed(self, capsys, argv):
+        _, one = cli_json(capsys, *argv, "--seed", "1")
+        _, other = cli_json(capsys, *argv, "--seed", "99")
+        assert (one["settings"].pop("seed"), other["settings"].pop("seed")) == (1, 99)
+        assert one == other
+
 
 class TestCycleTypeCertificatesCli:
     @pytest.mark.parametrize("poly, factor, key", [
@@ -350,6 +358,11 @@ class TestCycleTypeCertificatesCli:
     def test_primes_must_be_integers(self, capsys):
         assert run_cli("solvable", "x^6+x+1", "--primes", "2,x") == EXIT_INPUT
         assert "--primes must be a comma-separated list of integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["-7", "0", "1", "4"])
+    def test_primes_must_be_prime(self, capsys, bad):
+        assert run_cli("solvable", "x^5-x-1", "--primes", f"3,{bad},7") == EXIT_INPUT
+        assert f"--primes entry {bad} is not a prime" in capsys.readouterr().err
 
     def test_primes_only_on_solvable(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,13 +9,12 @@ from fractions import Fraction
 import pytest
 
 from galoiskit import QQ, linalg, qfactor
-from galoiskit.poly import Polynomial, poly_content_and_primitive
+from galoiskit.poly import Polynomial, poly_content_and_primitive, poly_squarefree_decomposition
 from galoiskit.qfactor import (
     factor_degrees_mod_p,
     factor_mod_p,
     factor_over_Q,
     is_irreducible_over_Q,
-    is_squarefree_q,
 )
 from galoiskit.scalars import PrimeField
 from galoiskit.splitting import DEFAULT_WITNESS_PRIMES, splitting_field
@@ -68,7 +67,7 @@ class TestFactorModP:
             prod = Polynomial.one(gf7)
             for q in picks:
                 prod = prod * q
-            fac = factor_mod_p(prod, seed=rng.randint(0, 100))
+            fac = factor_mod_p(prod)
             assert fac.expand(gf7) == prod
             got = sorted(
                 (tuple(c.value for c in g.coeffs),)
@@ -165,7 +164,7 @@ class TestFactorOverQ:
             prod = Polynomial.one(QQ)
             for q in picks:
                 prod = prod * q
-            fac = factor_over_Q(prod, seed=trial)
+            fac = factor_over_Q(prod)
             assert fac.expand(QQ) == prod
             got = sorted(
                 tuple(g.coeffs) for g, m in fac.factors for _ in range(m)
@@ -181,12 +180,6 @@ class TestFactorOverQ:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             factor_over_Q(Polynomial.zero(QQ))
-
-    def test_determinism_across_seeds_is_canonical(self):
-        p = P(-1, 0, 0, 0, 0, 0, 0, 0, 1)  # x^8 - 1
-        a = [tuple(g.coeffs) for g, _ in factor_over_Q(p, seed=1).factors]
-        b = [tuple(g.coeffs) for g, _ in factor_over_Q(p, seed=99).factors]
-        assert a == b
 
 
 def _product(pieces):
@@ -280,10 +273,10 @@ class TestRecombination:
         norms = []
         factor = qfactor._factor_squarefree_int
 
-        def recording(f, seed):
+        def recording(f):
             if len(f) == 91:
                 norms.append(list(f))
-            return factor(f, seed)
+            return factor(f)
 
         monkeypatch.setattr(qfactor, "_factor_squarefree_int", recording)
         splitting_field(P(-2, *[0] * 9, 1))
@@ -308,7 +301,7 @@ class TestRecombination:
         rng = random.Random(2)
         for trial in range(20):
             prod = _product(rng.choice(PIECES) for _ in range(rng.randint(2, 4)))
-            fac = factor_over_Q(prod, seed=trial)
+            fac = factor_over_Q(prod)
             got = sorted((tuple(g.coeffs), m) for g, m in fac.factors)
             expr = sympy.Poly([int(c) for c in reversed(prod.coeffs)], x)
             _, sym_factors = sympy.factor_list(expr)
@@ -321,8 +314,8 @@ class TestRecombination:
 
 class TestHelpers:
     def test_is_squarefree_q(self):
-        assert is_squarefree_q(P(-2, 0, 1))
-        assert not is_squarefree_q(P(-2, 0, 1) ** 2)
+        assert poly_squarefree_decomposition(P(-2, 0, 1)) == [(P(-2, 0, 1), 1)]
+        assert poly_squarefree_decomposition(P(-2, 0, 1) ** 2) == [(P(-2, 0, 1), 2)]
 
     def test_factor_degrees_mod_p(self):
         p = P(-1, -1, 0, 0, 0, 1)
@@ -480,27 +473,27 @@ class TestModularKernel:
 
 
 class TestFactorModPFrozen:
-    """factor_mod_p on fixed inputs and seeds; the expected factors were
-    computed before the packed kernel and checked by expansion."""
+    """factor_mod_p on fixed inputs; the expected factors were computed
+    before the packed kernel and checked by expansion."""
 
     CASES = [
-        (3, 2, [1, 1, 2, 2, 2, 1, 0, 1, 0, 1, 1, 1, 2, 1, 2, 2, 1], [0, 1],
+        (3, [1, 1, 2, 2, 2, 1, 0, 1, 0, 1, 1, 1, 2, 1, 2, 2, 1], [0, 1],
          [([0, 1], 2), ([2, 1], 1), ([1, 1, 1, 1, 0, 1, 1, 1], 1),
           ([2, 2, 1, 1, 0, 2, 2, 2, 1], 1)]),
-        (313, 5, [132, 148, 95, 118, 75, 115, 95, 66, 36, 272, 109, 150, 15, 220, 1], [64, 1],
+        (313, [132, 148, 95, 118, 75, 115, 95, 66, 36, 272, 109, 150, 15, 220, 1], [64, 1],
          [([64, 1], 2), ([264, 270, 155, 3, 1], 1),
           ([157, 70, 50, 57, 63, 108, 254, 231, 148, 217, 1], 1)]),
-        (1048583, 3, [224035, 517860, 568569, 536400, 610304, 152307, 943176, 635411, 978569,
-                      831884, 825878, 248301, 1], [552634, 1],
+        (1048583, [224035, 517860, 568569, 536400, 610304, 152307, 943176, 635411, 978569,
+                   831884, 825878, 248301, 1], [552634, 1],
          [([552634, 1], 2), ([224035, 517860, 568569, 536400, 610304, 152307, 943176, 635411,
                               978569, 831884, 825878, 248301, 1], 1)]),
     ]
 
-    @pytest.mark.parametrize("p, seed, f, g, want", CASES)
-    def test_frozen(self, p, seed, f, g, want):
+    @pytest.mark.parametrize("p, f, g, want", CASES)
+    def test_frozen(self, p, f, g, want):
         field = PrimeField(p)
         poly = PF(field, *f) * PF(field, *g) ** 2
-        fac = factor_mod_p(poly, seed=seed)
+        fac = factor_mod_p(poly)
         assert [([c.value for c in h.coeffs], m) for h, m in fac.factors] == want
         assert fac.expand(field) == poly
 
@@ -521,4 +514,4 @@ class TestFactorModPFrozen:
                 for _ in range(rng.randint(1, 3)):
                     q = PF(field, *[rng.randrange(p) for _ in range(rng.randint(1, 3))], 1)
                     poly = poly * q ** rng.randint(1, 7)
-                assert factor_mod_p(poly, seed=rng.randint(0, 9)).expand(field) == poly
+                assert factor_mod_p(poly).expand(field) == poly

@@ -79,15 +79,6 @@ class TestNormalization:
         ]
         assert any("squarefree" in n for n in e2.notes)
 
-    def test_order_independence(self):
-        p = P(-2, 0, 1) * P(-3, 0, 1)
-        a = splitting_field(p)
-        b = splitting_field(p, factor_order="reverse")
-        assert a.degree == b.degree
-        mins_a = sorted(tuple(minimal_polynomial(r).coeffs) for r in a.roots)
-        mins_b = sorted(tuple(minimal_polynomial(r).coeffs) for r in b.roots)
-        assert mins_a == mins_b
-
     def test_splitting_over_base(self):
         base = splitting_field(P(-2, 0, 1))
         e = splitting_field(P(-3, 0, 1), base=base)
