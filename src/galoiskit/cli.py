@@ -367,11 +367,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     fn = _COMMANDS[args.command][0]
     primes = None
-    if getattr(args, "primes", None):
+    if getattr(args, "primes", None) is not None:
         try:
             primes = [int(t) for t in args.primes.split(",") if t.strip()]
         except ValueError:
             print("error: --primes must be a comma-separated list of integers", file=sys.stderr)
+            return EXIT_INPUT
+        if not primes:
+            print("error: --primes lists no prime", file=sys.stderr)
             return EXIT_INPUT
         for q in primes:
             if not is_prime(q):

@@ -14,11 +14,19 @@ The correspondence runs on integers: each automorphism caches its action as
 ``numfield``'s substitution map theta -> theta', the integer matrix of the
 powers theta'**j, j <= n, over a common denominator, so applying it is one
 matrix-vector product and the root check m(theta') = 0 is that matrix times
-the coefficients of m; orbit polynomials are expanded on integer coefficient
-vectors over one running denominator with the field's integer reduction
-rows; and fixed fields are the nullspace of the integer rows d*(M - I) on
-the first n columns, found by one fraction-free ``SpanSolver`` pass over
-their columns.  Rationals appear only in the results.
+the coefficients of m; and fixed fields are the nullspace of the integer
+rows d*(M - I) on the first n columns, found by one fraction-free
+``SpanSolver`` pass over their columns.  Rationals appear only in the
+results.
+
+Orbit polynomials come from residues.  The place is lifted to p**k by
+Newton iteration, the group permutes the p-adic roots of m there, and
+sigma(a) maps to a's coordinates evaluated at sigma(theta)'s image, so the
+product over one sigma per coset of the stabilizer is expanded on scalars
+and reconstructed over one denominator; no automorphism is applied and no
+product is taken in E.  A candidate is accepted only when it has the
+orbit's degree and vanishes at a exactly, by Horner on integer vectors;
+otherwise k doubles, up to a proven height bound.
 
 Whether sigma fixes a is screened at the same place, by one residue dot
 product per sigma, and only a survivor is checked exactly.  Stabilizers,
@@ -30,7 +38,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
 from .checks import record_check
@@ -46,7 +53,7 @@ from .numfield import (
 )
 from .permgroup import PermGroup, Permutation, _small_generating_set, closure, is_normal
 from .poly import Polynomial, poly_squarefree_part
-from .qfactor import factor_over_Q
+from .qfactor import _rational_reconstruction, factor_over_Q
 from .scalars import QQ
 from .splitting import SplittingField
 from . import modscreen
@@ -124,6 +131,33 @@ class GaloisGroup:
         if None in images:
             return None
         return [[pow(b, k, place.prime) for k in range(self.field.degree)] for b in images]
+
+    @cached_property
+    def _lift(self):
+        """[k, the place lifted to p**k, the image there of each
+        sigma(theta)]: the splitting field's place, else theta -> the least
+        root of its minimal polynomial m at a prime of ``modscreen.primes``
+        where m splits into distinct linear factors; the first where
+        theta's image is a simple root of m and each sigma(theta) has an
+        image.  ``_theta_images`` raises k."""
+        m = self.field.min_poly
+        own = (modscreen.Place(p).extend(m, (1,), m) for p in modscreen.primes())
+        for place in itertools.chain([self.splitting.place], own):
+            lifted = place and place.lift(m, 1)
+            images = lifted and [lifted(a.theta_image) for a in self.automorphisms]
+            if images and None not in images:
+                return [1, lifted, images]
+        raise SoundnessError("galois.residue_place", "no prime splits theta's minimal polynomial")
+
+    def _theta_images(self, k):
+        """The image of each sigma(theta) at the place lifted to p**k or
+        beyond."""
+        j, place, _ = lift = self._lift
+        if j < k:
+            j = max(k, 2 * j)
+            place = place.lift(self.field.min_poly, j)
+            lift[:] = j, place, [place(a.theta_image) for a in self.automorphisms]
+        return lift[2]
 
     @cached_property
     def _index_by_perm(self):
@@ -270,54 +304,88 @@ def orbit(G: GaloisGroup, a):
 
 def _orbit(G: GaloisGroup, a, stab):
     """The orbit of a, given its stabilizer."""
-    covered, images = set(), []
-    for i, g in enumerate(G.automorphisms):
-        if i not in covered:
-            covered.update(G.compose(i, h) for h in stab)
-            images.append(g.apply(a))
+    images = (G.automorphisms[i].apply(a) for i in _coset_representatives(G, stab))
     return tuple(sorted(images, key=element_sort_key))
 
 
+def _coset_representatives(G: GaloisGroup, stab):
+    """The first index of each left coset g*stab, in index order."""
+    covered, reps = set(), []
+    for i in range(G.order):
+        if i not in covered:
+            covered.update(G.compose(i, h) for h in stab)
+            reps.append(i)
+    return reps
+
+
 def orbit_min_poly(G: GaloisGroup, a) -> Polynomial:
-    """prod (x - w) over the orbit of a, with rational coefficients asserted.
+    """prod (x - w) over the orbit of a: its minimal polynomial over Q."""
+    a = G.field.ext.coerce(a)
+    return _orbit_min_poly(G, a, _stabilizer(G, (a,)))
 
-    The product is expanded over E on integer coefficient vectors that share
-    one running denominator; the symmetric functions of the orbit are fixed
-    by every automorphism, so each coefficient must be rational.
+
+def _orbit_min_poly(G: GaloisGroup, a, stab) -> Polynomial:
+    """prod (x - w) over the orbit of a, given its stabilizer, from residues.
+
+    sigma(a) maps to num(b) / den, b sigma(theta)'s image mod p**k; the
+    product over one sigma per coset is reconstructed over one denominator
+    (for den * a, rescaled, when p divides den).  With theta's minimal
+    polynomial cleared to integers (leading c, the others below r in size),
+    delta = den * c**(n-1) makes delta * a integral and its conjugates at
+    most s = c**(n-1) * sum |num_j| r**j (Cauchy), so the denominator
+    divides delta**m and it and each numerator are at most
+    H = (delta * (1 + s))**m.  A candidate of degree m vanishing at a is
+    a's minimal polynomial; until one does, k doubles, and once p**k / 2
+    passes H**2 the reconstruction cannot miss it.
     """
-    return _orbit_poly(G, orbit(G, a))
-
-
-def _orbit_poly(G: GaloisGroup, orb) -> Polynomial:
-    """prod (x - w) over the given orbit."""
-    ext = G.field.ext
-    n = ext.degree
-    d_rows = ext._int_rows[1]
-    # acc / den is the product so far, acc[k] the coefficient of x**k
-    acc, den = [[1] + [0] * (n - 1)], 1
-    for w in orb:
-        wi = w.num
-        scale = w.den * d_rows
-        shifted = [[0] * n] + [[v * scale for v in c] for c in acc]
-        for k, c in enumerate(acc):
-            shifted[k] = [s - p for s, p in zip(shifted[k], ext._int_mul(c, wi))]
-        den *= scale
-        g = den
-        for c in shifted:
-            g = gcd(g, *c)
-            if g == 1:
+    reps, n = _coset_representatives(G, stab), G.field.degree
+    m, p = len(reps), G._lift[1].prime
+    mi, c = _clear_denominators(G.field.min_poly.coeffs)
+    r, delta = 1 + max(map(abs, mi)), a.den * c ** (n - 1)
+    s = c ** (n - 1) * sum(abs(v) * r ** j for j, v in enumerate(a.num))
+    height = (delta * (1 + s)) ** (2 * m)
+    scale = a.den if a.den % p == 0 else 1
+    # at least p: a random residue then passes as a numerator one time in p
+    den_bound, k = max((delta // scale) ** m, p), 1
+    while True:
+        pk = p ** k
+        num, inv = [x % pk for x in a.num], pow(a.den // scale, -1, pk)
+        thetas = G._theta_images(k)
+        acc = [1]
+        for i in reps:
+            w = modscreen.horner(num, thetas[i] % pk, pk) * inv % pk
+            acc = [(u - w * v) % pk for u, v in zip([0] + acc, acc + [0])]
+        candidate = _rational_reconstruction(acc, pk, den_bound)
+        if candidate is not None:
+            nums, den = candidate
+            f = Polynomial(QQ, [Fraction(x, den * scale ** (m - j)) for j, x in enumerate(nums)])
+            if f.degree == m and _vanishes_at(f, a):
                 break
-        acc = [[v // g for v in c] for c in shifted] if g > 1 else shifted
-        den //= g
-    rational_coeffs = []
-    for c in acc:
+        if pk >> 1 >= height:
+            f = None
+            break
+        k *= 2
+    for _ in range(m + 1):
         record_check(
             "orbit_min_poly.coefficients_rational",
-            not any(c[1:]),
-            "a symmetric function of an orbit escaped Q",
+            f is not None,
+            "no reconstructed orbit polynomial vanished at the element within the height bound",
         )
-        rational_coeffs.append(Fraction(c[0], den))
-    return Polynomial(QQ, rational_coeffs)
+    return f
+
+
+def _vanishes_at(f, a):
+    """f(a) == 0, by Horner on integer vectors: with f cleared to integers
+    F_j and a = num / den, sum F_j * den**(m-j) * num**j, each product
+    scaled by the reduction rows' denominator d, as each term added is."""
+    ext = a.field
+    fi, _ = _clear_denominators(f.coeffs)
+    acc, scale = [fi[-1]] + [0] * (ext.degree - 1), 1
+    for j in range(len(fi) - 2, -1, -1):
+        scale *= ext._int_rows[1] * a.den
+        acc = ext._int_mul(acc, a.num)
+        acc[0] += fi[j] * scale
+    return not any(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +441,7 @@ def fixed_field(G: GaloisGroup, subgroup_indices) -> IntermediateField:
     )
     # no automorphism outside H fixes the primitive element: H is its stabilizer
     primitive = _primitive_of_subspace(G, basis, idx)
-    mp = _orbit_poly(G, _orbit(G, primitive, idx))
+    mp = _orbit_min_poly(G, primitive, idx)
     record_check("fixed_field.primitive_degree", mp.degree == dim)
     return IntermediateField(
         field=G.field,

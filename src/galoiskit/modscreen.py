@@ -8,27 +8,32 @@ exactly.  The prime splits each irreducible factor of the rational source
 into distinct linear factors, so it splits completely in every field of
 the tower; a new generator goes to a root of the adjoined factor's image,
 and theta to the combination of generator images that theta is of the
-generators.
+generators.  Where theta's image is a simple root of its minimal
+polynomial mod p, Newton iteration lifts it to a root mod p**k, and the
+place to a ring map onto the integers mod p**k.
 """
 
 import random
+from math import lcm
 
 from .qfactor import _zp_equal_degree, _zp_mod, _zp_powmod
 from .scalars import is_prime
 
 
 class Place:
-    """theta -> root in GF(prime), with the images of the tower generators."""
+    """theta -> root mod modulus (the prime unless lifted), with the images
+    of the tower generators."""
 
-    def __init__(self, prime, root=1, gens=()):
+    def __init__(self, prime, root=1, gens=(), modulus=None):
         self.prime, self.root, self.gens = prime, root, gens
+        self.modulus = modulus or prime
 
     def __call__(self, e):
         """Image of a rational or a field element (integer coordinates num
         over one denominator den), or None when p divides the denominator."""
-        p = self.prime
+        q = self.modulus
         num, den = (e.num, e.den) if hasattr(e, "num") else ((e.numerator,), e.denominator)
-        return horner(num, self.root, p) * pow(den, -1, p) % p if den % p else None
+        return horner(num, self.root, q) * pow(den, -1, q) % q if den % self.prime else None
 
     def images(self, coeffs):
         out = [self(c) for c in coeffs]
@@ -45,6 +50,21 @@ class Place:
         place = Place(p, sum(c * g for c, g in zip(combo, gens)) % p, gens)
         m = place.images(modulus.coeffs)
         return place if m is not None and not horner(m, place.root, p) else None
+
+    def lift(self, f, k):
+        """This place lifted to the root of the p-integral f mod p**k by
+        Newton iteration, each step doubling the precision; None when f has
+        no image or the root is not simple."""
+        p, pk = self.prime, self.prime ** k
+        fk = Place(p, modulus=pk).images(f.coeffs)
+        df = [i * c for i, c in enumerate(fk)][1:] if fk else None
+        if not df or not horner(df, self.root, p):
+            return None
+        a, q = self.root, self.modulus
+        while q < pk:
+            q = min(q * q, pk)
+            a = (a - horner(fk, a, q) * pow(horner(df, a, q), -1, q)) % q
+        return Place(p, a % pk, modulus=pk)
 
 
 def horner(f, v, p):
@@ -72,20 +92,30 @@ def _splits(h, p):
     return _zp_powmod([0, 1], p, h, p) == _zp_mod([0, 1], h, p)
 
 
-def find(tower, factors):
-    """The place of the tower's field, followed along its stages from Q, at
-    the largest prime below 2**30 where each monic rational factor splits
-    into distinct linear factors (tested in the order given, cheapest
-    first); None after 2048 primes."""
-    combo = tower.absolute.theta_combo
-    moduli = [m.field.modulus for _, _, m in tower.stages[1:]] + [tower.absolute.min_poly]
+def primes():
+    """The 2048 largest primes below 2**30, descending."""
     p = 1 << 30
     for _ in range(2048):
         p -= 1
         while not is_prime(p):
             p -= 1
+        yield p
+
+
+def find(tower, factors):
+    """The place of the tower's field, followed along its stages from Q, at
+    the largest prime below 2**30 where each monic rational factor splits
+    into distinct linear factors (tested in the order given, cheapest
+    first); None after 2048 primes.  A binomial x**n - a has n distinct
+    roots mod p only if n divides p - 1, so other primes are passed over
+    untested."""
+    combo = tower.absolute.theta_combo
+    moduli = [m.field.modulus for _, _, m in tower.stages[1:]] + [tower.absolute.min_poly]
+    step = lcm(*(f.degree for f in factors if not any(f.coeffs[1:-1])))
+    for p in primes():
         place = Place(p)
-        if any(h is None or not _splits(h, p) for h in (place.images(f.coeffs) for f in factors)):
+        if (p - 1) % step or any(h is None or not _splits(h, p)
+                                 for h in (place.images(f.coeffs) for f in factors)):
             continue
         for i, ((_, _, m), modulus) in enumerate(zip(tower.stages, moduli)):
             place = place and place.extend(m, combo[:i + 1], modulus)

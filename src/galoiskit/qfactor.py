@@ -351,11 +351,15 @@ def _crt_primes():
 _CRT_PRIMES = []
 
 
-def _rational_reconstruction(residues, m):
-    """(nums, den) with nums[i] = residues[i] * den mod m and |nums[i]|,
-    den <= sqrt(m/2), or None.  A residue not small once scaled by the
-    denominator so far runs Wang's half-extended Euclid for the rest."""
-    half, bound = m >> 1, math.isqrt(m >> 1)
+def _rational_reconstruction(residues, m, den_bound=None):
+    """(nums, den) with nums[i] = residues[i] * den mod m, den at most
+    D = min(den_bound, sqrt(m/2)) and |nums[i]| at most (m/2) / D, or None;
+    bounds whose product is at most m/2 make the answer unique.  A residue
+    not small once scaled by the denominator so far runs Wang's
+    half-extended Euclid for the rest."""
+    half = m >> 1
+    dbound = math.isqrt(half) if den_bound is None else min(den_bound, math.isqrt(half))
+    bound = half // dbound
     den, nums = 1, []
     for r in residues:
         t = r * den % m
@@ -367,7 +371,7 @@ def _rational_reconstruction(residues, m):
                 q = r0 // r1
                 r0, r1, v0, v1 = r1, r0 - q * r1, v1, v0 - q * v1
             den *= abs(v1)
-            if v1 == 0 or den > bound:
+            if v1 == 0 or den > dbound:
                 return None
             nums = [x * abs(v1) for x in nums]
             t = r1 if v1 > 0 else -r1

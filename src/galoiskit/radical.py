@@ -33,7 +33,7 @@ from typing import Optional
 
 from .checks import record_check
 from .errors import ChainFormatError
-from .galois import _stabilizer, galois_group, orbit, orbit_min_poly, subgroup_fixing
+from .galois import _orbit, _orbit_min_poly, _stabilizer, galois_group, orbit, subgroup_fixing
 from .numfield import (
     DEFAULT_DEGREE_CAP,
     FieldTower,
@@ -224,8 +224,9 @@ def normalize_chain(chain: RadicalChain,
         b = evaluate_in_field(s.radicand_text, level.field.ext, env)
         record_check("normalize.radicand_nonzero", bool(b),
                      f"stage {i}: radicand vanished in E_{i}")
-        orb = orbit(g_level, b)
-        q_b = orbit_min_poly(g_level, b)
+        stab = _stabilizer(g_level, (b,))
+        orb = _orbit(g_level, b, stab)
+        q_b = _orbit_min_poly(g_level, b, stab)
         kummer = poly_compose_power(q_b, s.k)
         nxt = splitting_field(kummer, base=level, degree_cap=degree_cap)
         lift = nxt.lift_from_base

@@ -8,8 +8,9 @@ were computed with these and then frozen.
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
-from galoiskit import QQ
+from galoiskit import QQ, modscreen
 from galoiskit.qfactor import _symmetric, _zp_mul, _zx_divide_exact, _zx_primitive
 from galoiskit.galois import Automorphism, GaloisGroup
 from galoiskit.numfield import element_sort_key, minimal_polynomial
@@ -298,6 +299,50 @@ def every_image_orbit(G, a):
     """The orbit of a field element: its image under every automorphism,
     duplicates dropped, in canonical order."""
     return tuple(sorted(dict.fromkeys(g.apply(a) for g in G.automorphisms), key=element_sort_key))
+
+
+def orbit_poly(G, orb):
+    """prod (x - w) over the given orbit, expanded in E on integer
+    coefficient vectors over one running denominator, with each coefficient
+    asserted rational: the oracle for the residue route of
+    ``galois.orbit_min_poly``, about m**2 / 2 products in E for m elements."""
+    ext = G.field.ext
+    n = ext.degree
+    d_rows = ext._int_rows[1]
+    # acc / den is the product so far, acc[k] the coefficient of x**k
+    acc, den = [[1] + [0] * (n - 1)], 1
+    for w in orb:
+        scale = w.den * d_rows
+        shifted = [[0] * n] + [[v * scale for v in c] for c in acc]
+        for k, c in enumerate(acc):
+            shifted[k] = [s - t for s, t in zip(shifted[k], ext._int_mul(c, w.num))]
+        den *= scale
+        g = den
+        for c in shifted:
+            g = gcd(g, *c)
+            if g == 1:
+                break
+        acc = [[v // g for v in c] for c in shifted] if g > 1 else shifted
+        den //= g
+    assert not any(v for c in acc for v in c[1:]), "a symmetric function of an orbit escaped Q"
+    return Polynomial(QQ, [Fraction(c[0], den) for c in acc])
+
+
+def unsieved_find(tower, factors):
+    """``modscreen.find`` without its binomial pre-sieve: every prime below
+    2**30, from the top, gets the full splitting test."""
+    combo = tower.absolute.theta_combo
+    moduli = [m.field.modulus for _, _, m in tower.stages[1:]] + [tower.absolute.min_poly]
+    for p in modscreen.primes():
+        place = modscreen.Place(p)
+        if any(h is None or not modscreen._splits(h, p)
+               for h in (place.images(f.coeffs) for f in factors)):
+            continue
+        for i, ((_, _, m), modulus) in enumerate(zip(tower.stages, moduli)):
+            place = place and place.extend(m, combo[:i + 1], modulus)
+        if place is not None:
+            return place
+    return None
 
 
 def zassenhaus_recombine(f, pool, pk, bound, degrees):

@@ -21,10 +21,11 @@ from galoiskit.linalg import nullspace
 from galoiskit.numfield import ExtensionField, minimal_polynomial
 from galoiskit.permgroup import all_subgroups
 from galoiskit.poly import Polynomial
-from galoiskit.qfactor import is_irreducible_over_Q
+from galoiskit.qfactor import factor_degrees_mod_p, factor_mod_p, is_irreducible_over_Q
+from galoiskit.scalars import PrimeField
 from galoiskit.splitting import splitting_field
 
-from helpers import P, every_image_orbit, exhaustive_galois_group, rref_nullspace
+from helpers import P, every_image_orbit, exhaustive_galois_group, orbit_poly, rref_nullspace
 from test_goldens import GOLDEN, _poly
 
 
@@ -532,36 +533,56 @@ def _correspondence(G, subgroups):
 @pytest.fixture(scope="module", params=SCREENED, ids=[s[0] for s in SCREENED])
 def screened_and_exact(request):
     """The group screened at its place, and the correspondence computed on
-    the same field built with no place, where every test is exact."""
+    the same field built with no place, where every test is exact and
+    orbit polynomials come from a prime the group finds itself."""
     poly = request.param[1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modscreen, "find", lambda *args, **kwargs: None)
         exact = galois_group(splitting_field(poly))
     assert exact.splitting.place is None and exact._place_powers is None
     G = galois_group(splitting_field(poly))
-    return G, _subgroups(G), _correspondence(exact, _subgroups(exact))
+    return G, _subgroups(G), _correspondence(exact, _subgroups(exact)), exact
+
+
+@pytest.fixture(scope="module")
+def x7m2_group():
+    return galois_group(splitting_field(P(-2, 0, 0, 0, 0, 0, 0, 1)))
 
 
 class TestPlaceScreen:
     """Stabilizers, orbits and primitive elements screened at the place."""
 
     def test_same_answers_as_without_a_place(self, screened_and_exact):
-        G, subgroups, expected = screened_and_exact
+        G, subgroups, expected, _ = screened_and_exact
         assert G._place_powers is not None
         assert _correspondence(G, subgroups) == expected
         for a in _seeded_elements(G.splitting):
             assert orbit(G, a) == every_image_orbit(G, a)
+            assert orbit_min_poly(G, a) == orbit_poly(G, orbit(G, a))
+
+    def test_orbit_polynomials_match_the_exact_expansion(self, screened_and_exact):
+        G, subgroups, expected, exact = screened_and_exact
+        # the no-place group's fixed fields, against the expansion in E
+        for _, _, primitive, min_poly, _ in expected[:len(subgroups)]:
+            assert min_poly == orbit_poly(G, orbit(G, primitive))
+        # with no place, the largest prime below 2**30 where m factors into
+        # n distinct linear factors, at the least of its roots there
+        m = exact.field.min_poly
+        p = next(q for q in modscreen.primes() if factor_degrees_mod_p(m, q) == [1] * m.degree)
+        gf = PrimeField(p)
+        roots = [-g.coeff(0).value % p for g, _ in factor_mod_p(m.map_coefficients(gf.coerce, gf))]
+        assert (exact._lift[1].prime, exact._lift[1].root % p) == (p, min(roots))
 
     def test_every_survivor_is_checked_exactly(self, screened_and_exact, monkeypatch):
         # the identity's place row for every automorphism lets all of them
         # through the screen
-        G, subgroups, expected = screened_and_exact
+        G, subgroups, expected, _ = screened_and_exact
         rows = G._place_powers
         monkeypatch.setitem(vars(G), "_place_powers", [rows[G.identity_index]] * G.order)
         assert _correspondence(G, subgroups) == expected
 
-    def test_exact_applies_bounded_by_the_subgroup(self, monkeypatch):
-        G = galois_group(splitting_field(P(-2, 0, 0, 0, 0, 0, 0, 1)))
+    def test_exact_applies_bounded_by_the_subgroup(self, x7m2_group, monkeypatch):
+        G = x7m2_group
         calls = []
         apply = Automorphism.apply
 
@@ -572,15 +593,110 @@ class TestPlaceScreen:
         monkeypatch.setattr(Automorphism, "apply", spy)
         primitive = galois_module._primitive_of_subspace
         # the primitive element's stabilizer is H by construction: after it
-        # is chosen, fixed_field applies one automorphism per coset of H
+        # is chosen, its orbit polynomial comes from residues, with no apply
         monkeypatch.setattr(galois_module, "_primitive_of_subspace",
                             lambda *args: (primitive(*args), calls.clear())[0])
         for idx in _subgroups(G):
             B = fixed_field(G, idx)
-            assert len(calls) <= G.order // len(idx) == B.degree
-            calls.clear()
+            assert calls == [] and G.order // len(idx) == B.degree
             assert subgroup_fixing(G, B) == idx
             assert len(calls) <= len(idx)
             calls.clear()
             assert len(orbit(G, B.primitive)) == B.degree
             assert len(calls) <= len(idx) + B.degree
+
+
+def _p_integral_element(ext, rng):
+    """Random coordinates over denominators far below any place's prime."""
+    return ext.from_rep([Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7]))
+                         for _ in range(ext.degree)])
+
+
+class TestResidueOrbitPolynomial:
+    """Orbit polynomials reconstructed from residues at a lifted place,
+    against the exact expansion in E."""
+
+    def test_matches_the_exact_expansion(self, x7m2_group):
+        # the fields of SCREENED, and their seeded elements, are checked so
+        # in TestPlaceScreen
+        G = x7m2_group
+        for idx in _subgroups(G):
+            B = fixed_field(G, idx)
+            assert B.min_poly == orbit_poly(G, orbit(G, B.primitive))
+
+    def test_denominator_divisible_by_the_prime(self, corpus_groups):
+        # p cannot be inverted: the product is taken for den * a, rescaled
+        G = corpus_groups["x^3-2"]
+        p, ext, roots = G._lift[1].prime, G.field.ext, G.splitting.roots
+        for a in (ext.gen * Fraction(1, p), roots[0] * Fraction(3, p * p) + roots[1],
+                  ext.from_rep([Fraction(1, p), 2, Fraction(-5, 7 * p)])):
+            assert a.den % p == 0
+            assert orbit_min_poly(G, a) == orbit_poly(G, orbit(G, a))
+
+    def test_element_of_another_field_is_refused(self, corpus_groups):
+        # no automorphism is applied to it, so the coercion must refuse it
+        other = corpus_groups["x^2-2"].splitting.roots[0]
+        with pytest.raises(FieldMismatchError):
+            orbit_min_poly(corpus_groups["x^3-2"], other)
+
+    def test_degree_one_field(self):
+        E = splitting_field(P(-6, 1, 1))  # (x - 2)(x + 3)
+        G = galois_group(E)
+        assert G.field.degree == 1 and G.order == 1
+        for c in (Fraction(3, 7), Fraction(-2), Fraction(5, G._lift[1].prime)):
+            assert orbit_min_poly(G, c) == P(0, 1) - Polynomial.constant(QQ, c)
+        assert fixed_field(G, (0,)).min_poly.degree == 1
+
+    @pytest.mark.parametrize("name", ["x^4+x+1", "x^5-2"])
+    def test_lifted_place_is_a_ring_map(self, corpus_groups, name):
+        G = corpus_groups[name]
+        place, m, ext = G.splitting.place, G.field.min_poly, G.field.ext
+        p, rng = place.prime, random.Random(len(name))
+        for k in (1, 2, 3, 8):
+            pk = p ** k
+            lifted = place.lift(m, k)
+            assert lifted.modulus == pk and lifted.root % p == place.root
+            assert modscreen.horner(lifted.images(m.coeffs), lifted.root, pk) == 0
+            assert place.lift(m, 2).lift(m, k).root == lifted.root
+            for _ in range(4):
+                a, b = (_p_integral_element(ext, rng) for _ in range(2))
+                assert lifted(a * b) == lifted(a) * lifted(b) % pk
+                assert lifted(a + b) == (lifted(a) + lifted(b)) % pk
+            # every sigma(theta) goes to a root of m mod p**k
+            for b in G._theta_images(k):
+                assert modscreen.horner(lifted.images(m.coeffs), b % pk, pk) == 0
+
+    def test_a_corrupted_reconstruction_is_rejected(self, corpus_groups, monkeypatch):
+        G = corpus_groups["x^4+x+1"]
+        a = G.splitting.roots[0] + 2 * G.splitting.roots[1]
+        expected = orbit_poly(G, orbit(G, a))
+        reconstruct, moduli = galois_module._rational_reconstruction, []
+
+        def corrupt_first(residues, m, den_bound):
+            found = reconstruct(residues, m, den_bound)
+            moduli.append((m, found is not None))
+            if found is not None and sum(ok for _, ok in moduli) == 1:
+                nums, den = found
+                return [nums[0] + den] + nums[1:], den
+            return found
+
+        monkeypatch.setattr(galois_module, "_rational_reconstruction", corrupt_first)
+        assert orbit_min_poly(G, a) == expected
+        # the corrupted candidate failed the exact test, and k doubled
+        first = next(i for i, (_, ok) in enumerate(moduli) if ok)
+        assert len(moduli) == first + 2 and moduli[-1][0] == moduli[first][0] ** 2
+
+    def test_a_reconstruction_never_right_raises(self, monkeypatch, capsys):
+        reconstruct = galois_module._rational_reconstruction
+
+        def corrupt(residues, m, den_bound):
+            nums, den = reconstruct(residues, m, den_bound) or ([0] * len(residues), 1)
+            return [nums[0] + den] + nums[1:], den
+
+        monkeypatch.setattr(galois_module, "_rational_reconstruction", corrupt)
+        G = galois_group(splitting_field(P(-2, 0, 1)))
+        with pytest.raises(SoundnessError) as err:
+            orbit_min_poly(G, G.splitting.roots[0])
+        assert err.value.check_name == "orbit_min_poly.coefficients_rational"
+        assert main(["minpoly", "x^2-2", "--element", "r1"]) == EXIT_SOUNDNESS
+        assert "orbit_min_poly.coefficients_rational" in capsys.readouterr().err

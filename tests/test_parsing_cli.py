@@ -359,6 +359,13 @@ class TestCycleTypeCertificatesCli:
         assert run_cli("solvable", "x^6+x+1", "--primes", "2,x") == EXIT_INPUT
         assert "--primes must be a comma-separated list of integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("empty", [",", "", " , "])
+    def test_primes_must_list_a_prime(self, capsys, empty):
+        # an empty list would otherwise run the witness on the default primes
+        assert run_cli("solvable", "x^5-x-1", "--primes", empty, "--json") == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "--primes lists no prime" in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("bad", ["-7", "0", "1", "4"])
     def test_primes_must_be_prime(self, capsys, bad):
         assert run_cli("solvable", "x^5-x-1", "--primes", f"3,{bad},7") == EXIT_INPUT

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from galoiskit import DegreeCapError, FieldMismatchError, modscreen
-from galoiskit.numfield import minimal_polynomial
+from galoiskit.numfield import FieldTower, minimal_polynomial
 from galoiskit.poly import Polynomial
 from galoiskit.qfactor import factor_mod_p, factor_over_Q
 from galoiskit.scalars import PrimeField
@@ -18,7 +18,7 @@ from galoiskit.splitting import (
     splitting_field,
 )
 
-from helpers import P
+from helpers import P, unsieved_find
 from test_goldens import GOLDEN, _poly
 
 
@@ -149,6 +149,25 @@ def placed(request):
 
 
 class TestPlace:
+    @pytest.mark.parametrize("n", [9, 7, 10])
+    def test_binomial_sieve_finds_the_unsieved_place(self, n, monkeypatch):
+        # x^n - 2 has n distinct roots mod p only if n divides p - 1, so
+        # passing over the other primes untested changes no answer
+        f = P(-2, *[0] * (n - 1), 1)
+        rationals = FieldTower.rationals()
+        ext = rationals.absolute.ext
+        tower = rationals.adjoin(f.map_coefficients(ext.coerce, ext), "g1", verify=False)
+        tests = []
+        splits = modscreen._splits
+        monkeypatch.setattr(modscreen, "_splits", lambda h, p: tests.append(p) or splits(h, p))
+        for t in (rationals, tower):
+            sieved = modscreen.find(t, [f])
+            tested = len(tests)
+            plain = unsieved_find(t, [f])
+            assert (sieved.prime, sieved.root, sieved.gens) == (plain.prime, plain.root, plain.gens)
+            assert all((p - 1) % n == 0 for p in tests[:tested])
+            tests.clear()
+
     def test_ring_map_on_p_integral_elements(self, placed):
         place, ext = placed.place, placed.field.ext
         p = place.prime
