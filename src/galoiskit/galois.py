@@ -28,14 +28,16 @@ product is taken in E.  A candidate is accepted only when it has the
 orbit's degree and vanishes at a exactly, by Horner on integer vectors;
 otherwise k doubles, up to a proven height bound.
 
-Whether sigma fixes a is screened at the same place, by one residue dot
-product per sigma, and only a survivor is checked exactly.  Stabilizers,
-primitive elements of fixed spaces (no sigma outside H fixes them) and
-orbits (one sigma per left coset of the stabilizer) are found that way.
+Whether sigma fixes a is screened with the same images mod p, where
+sigma(den * a) maps to a's numerators evaluated at sigma(theta)'s image,
+and only a survivor is checked exactly.  Stabilizers, primitive elements
+of fixed spaces (no sigma outside H fixes them) and orbits (one sigma per
+left coset of the stabilizer, by ``permgroup``'s coset walk) are found
+that way.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
@@ -44,14 +46,14 @@ from .checks import record_check
 from .errors import SoundnessError
 from .linalg import SpanSolver, nullspace
 from .numfield import (
-    ExtElement,
     _Substitution,
     _clear_denominators,
     element_sort_key,
     minimal_polynomial,
     roots_in_field,
 )
-from .permgroup import PermGroup, Permutation, _small_generating_set, closure, is_normal
+from .permgroup import (PermGroup, Permutation, _small_generating_set, closure,
+                        coset_representatives, is_normal)
 from .poly import Polynomial, poly_squarefree_part
 from .qfactor import _rational_reconstruction, factor_over_Q
 from .scalars import QQ
@@ -123,23 +125,14 @@ class GaloisGroup:
         return PermGroup(len(self.splitting.roots), tuple(sorted(perms)), perms)
 
     @cached_property
-    def _place_powers(self):
-        """Rows b**k mod p, k < n, for b the image of each sigma(theta) at the
-        field's place; None without a place or when an image is missing."""
-        place = self.splitting.place
-        images = [place(a.theta_image) for a in self.automorphisms] if place else [None]
-        if None in images:
-            return None
-        return [[pow(b, k, place.prime) for k in range(self.field.degree)] for b in images]
-
-    @cached_property
     def _lift(self):
         """[k, the place lifted to p**k, the image there of each
-        sigma(theta)]: the splitting field's place, else theta -> the least
-        root of its minimal polynomial m at a prime of ``modscreen.primes``
-        where m splits into distinct linear factors; the first where
-        theta's image is a simple root of m and each sigma(theta) has an
-        image.  ``_theta_images`` raises k."""
+        sigma(theta)], the group's one residue table: the splitting field's
+        place, else theta -> the least root of its minimal polynomial m at
+        a prime of ``modscreen.primes`` where m splits into distinct linear
+        factors; the first where theta's image is a simple root of m and
+        each sigma(theta) has an image.  Stabilizers screen at k = 1 and
+        orbit polynomials at any k; ``_theta_images`` raises k."""
         m = self.field.min_poly
         own = (modscreen.Place(p).extend(m, (1,), m) for p in modscreen.primes())
         for place in itertools.chain([self.splitting.place], own):
@@ -184,7 +177,8 @@ class GaloisGroup:
 
     def is_subgroup(self, indices) -> bool:
         idx = set(indices)
-        return self.identity_index in idx and len(self.subgroup_indices_closure(idx)) == len(idx)
+        return (idx.issubset(range(self.order)) and self.identity_index in idx
+                and len(self.subgroup_indices_closure(idx)) == len(idx))
 
     def __repr__(self):
         return f"GaloisGroup(order={self.order})"
@@ -298,7 +292,7 @@ def _sends_theta_to_a_root(a: Automorphism) -> bool:
 def orbit(G: GaloisGroup, a):
     """The set {g(a) : g in G} in canonical order: one image per left coset
     g*Stab(a), whose members all send a to g(a)."""
-    a = G.field.ext.coerce(a) if not isinstance(a, ExtElement) else a
+    a = G.field.ext.coerce(a)
     return _orbit(G, a, _stabilizer(G, (a,)))
 
 
@@ -310,12 +304,8 @@ def _orbit(G: GaloisGroup, a, stab):
 
 def _coset_representatives(G: GaloisGroup, stab):
     """The first index of each left coset g*stab, in index order."""
-    covered, reps = set(), []
-    for i in range(G.order):
-        if i not in covered:
-            covered.update(G.compose(i, h) for h in stab)
-            reps.append(i)
-    return reps
+    H = PermGroup(len(G.splitting.roots), tuple(map(G.perm, stab)))
+    return [G.index_of_perm(g) for g in coset_representatives(G.perm_group(), H)]
 
 
 def orbit_min_poly(G: GaloisGroup, a) -> Polynomial:
@@ -420,19 +410,16 @@ def fixed_field(G: GaloisGroup, subgroup_indices) -> IntermediateField:
     if not G.is_subgroup(idx):
         raise ValueError("indices do not form a subgroup (closure or inverses missing)")
     n = G.field.degree
-    h_gens = _subgroup_generators(G, idx)
-    rows = []
-    for i in h_gens:
+    # a zero row moves no pivot, and leaves the whole space for H = 1
+    rows = [[0] * n]
+    for i in _subgroup_generators(G, idx):
         matrix, d = G.automorphisms[i].action_matrix
         # rows of d * (M - I) on the first n columns
         for r, row in enumerate(matrix):
             row = list(row[:n])
             row[r] -= d
             rows.append(row)
-    if rows:
-        basis = nullspace(rows)
-    else:
-        basis = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    basis = nullspace(rows)
     dim = len(basis)
     record_check(
         "fixed_field.degree_equals_index",
@@ -479,18 +466,16 @@ def _primitive_of_subspace(G: GaloisGroup, basis, idx):
 
 def _fixers(G: GaloisGroup, e, among):
     """The indices among those given whose automorphism fixes e, in order.
-    With c clearing e's denominators, row sigma of the place table maps
-    sigma(c*e) to F_p by one dot product, a ring map: a value other than the
+    The group's place mod p, a ring map, sends sigma(den * e) to e's
+    numerators evaluated at b, sigma(theta)'s image: a value other than the
     identity's proves sigma(e) != e.  Every other sigma but the identity is
     checked exactly."""
-    rows, ident = G._place_powers, G.identity_index
-    if rows is not None:
-        p = G.splitting.place.prime
-        ei = [c % p for c in e.num]
-        fixed = sum(map(mul, rows[ident], ei)) % p
-        among = [i for i in among if sum(map(mul, rows[i], ei)) % p == fixed]
+    p, ident = G._lift[1].prime, G.identity_index
+    thetas, num = G._theta_images(1), [c % p for c in e.num]
+    fixed = modscreen.horner(num, thetas[ident] % p, p)
     for i in among:
-        if i == ident or G.automorphisms[i].apply(e) == e:
+        if i == ident or (modscreen.horner(num, thetas[i] % p, p) == fixed
+                          and G.automorphisms[i].apply(e) == e):
             yield i
 
 
@@ -510,8 +495,7 @@ def subgroup_fixing(G: GaloisGroup, B) -> tuple:
     else:
         gens = tuple(B)
         expected = None
-    gens = tuple(G.field.ext.coerce(g) if not isinstance(g, ExtElement) else g for g in gens)
-    idx = _stabilizer(G, gens)
+    idx = _stabilizer(G, tuple(map(G.field.ext.coerce, gens)))
     record_check("subgroup_fixing.is_subgroup", G.is_subgroup(idx))
     if expected is not None:
         record_check(
@@ -524,20 +508,11 @@ def subgroup_fixing(G: GaloisGroup, B) -> tuple:
 
 def intermediate_field(G: GaloisGroup, elements) -> IntermediateField:
     """The subfield of E generated by the given elements, via its stabilizer."""
-    elems = tuple(
-        G.field.ext.coerce(e) if not isinstance(e, ExtElement) else e for e in elements
-    )
+    elems = tuple(map(G.field.ext.coerce, elements))
     B = fixed_field(G, _stabilizer(G, elems))
     for e in elems:
         record_check("intermediate_field.contains_generators", B.contains(e))
-    return IntermediateField(
-        field=B.field,
-        generators=elems if elems else B.generators,
-        primitive=B.primitive,
-        min_poly=B.min_poly,
-        degree=B.degree,
-        basis=B.basis,
-    )
+    return replace(B, generators=elems or B.generators)
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,17 @@ def every_image_orbit(G, a):
     return tuple(sorted(dict.fromkeys(g.apply(a) for g in G.automorphisms), key=element_sort_key))
 
 
+def left_coset_representatives(G, stab):
+    """The first index of each left coset g*stab of a Galois group, found by
+    walking the indices in order and composing with every member of stab."""
+    covered, reps = set(), []
+    for i in range(G.order):
+        if i not in covered:
+            covered.update(G.compose(i, h) for h in stab)
+            reps.append(i)
+    return reps
+
+
 def orbit_poly(G, orb):
     """prod (x - w) over the given orbit, expanded in E on integer
     coefficient vectors over one running denominator, with each coefficient

@@ -25,7 +25,8 @@ from galoiskit.qfactor import factor_degrees_mod_p, factor_mod_p, is_irreducible
 from galoiskit.scalars import PrimeField
 from galoiskit.splitting import splitting_field
 
-from helpers import P, every_image_orbit, exhaustive_galois_group, orbit_poly, rref_nullspace
+from helpers import (P, every_image_orbit, exhaustive_galois_group, left_coset_representatives,
+                     orbit_poly, rref_nullspace)
 from test_goldens import GOLDEN, _poly
 
 
@@ -233,6 +234,14 @@ class TestCorrespondence:
         non_identity = [i for i in range(6) if i != g_cubic.identity_index]
         with pytest.raises(ValueError):
             fixed_field(g_cubic, non_identity[:1] if g_cubic.identity_index in non_identity[:1] else [non_identity[0]])
+
+    def test_out_of_range_indices_are_not_a_subgroup(self, g_cubic):
+        # -1 would wrap to the last automorphism, an involution here
+        ident = g_cubic.identity_index
+        for idx in ((ident, -1), (ident, g_cubic.order)):
+            assert not g_cubic.is_subgroup(idx)
+            with pytest.raises(ValueError):
+                fixed_field(g_cubic, idx)
 
     def test_subgroup_fixing_bounds(self, e_cubic, g_cubic):
         b_q = fixed_field(g_cubic, range(g_cubic.order))
@@ -530,18 +539,33 @@ def _correspondence(G, subgroups):
     return out
 
 
+def _screen_lets_every_sigma_through(G, monkeypatch):
+    """Give every automorphism the identity's theta-image at k = 1, so that
+    every sigma survives the stabilizer screen and is checked exactly."""
+    theta_images = G._theta_images
+
+    def images(k):
+        found = theta_images(k)
+        return [found[G.identity_index]] * G.order if k == 1 else found
+
+    monkeypatch.setitem(vars(G), "_theta_images", images)
+
+
 @pytest.fixture(scope="module", params=SCREENED, ids=[s[0] for s in SCREENED])
 def screened_and_exact(request):
     """The group screened at its place, and the correspondence computed on
-    the same field built with no place, where every test is exact and
-    orbit polynomials come from a prime the group finds itself."""
+    the same field built with no place, whose group finds a prime itself,
+    with every fixed-point test exact."""
     poly = request.param[1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(modscreen, "find", lambda *args, **kwargs: None)
         exact = galois_group(splitting_field(poly))
-    assert exact.splitting.place is None and exact._place_powers is None
+    assert exact.splitting.place is None
+    with pytest.MonkeyPatch.context() as mp:
+        _screen_lets_every_sigma_through(exact, mp)
+        expected = _correspondence(exact, _subgroups(exact))
     G = galois_group(splitting_field(poly))
-    return G, _subgroups(G), _correspondence(exact, _subgroups(exact)), exact
+    return G, _subgroups(G), expected, exact
 
 
 @pytest.fixture(scope="module")
@@ -553,9 +577,11 @@ class TestPlaceScreen:
     """Stabilizers, orbits and primitive elements screened at the place."""
 
     def test_same_answers_as_without_a_place(self, screened_and_exact):
-        G, subgroups, expected, _ = screened_and_exact
-        assert G._place_powers is not None
+        G, subgroups, expected, exact = screened_and_exact
+        assert G.splitting.place is not None
         assert _correspondence(G, subgroups) == expected
+        # with no place, the group screens at the prime it finds itself
+        assert _correspondence(exact, _subgroups(exact)) == expected
         for a in _seeded_elements(G.splitting):
             assert orbit(G, a) == every_image_orbit(G, a)
             assert orbit_min_poly(G, a) == orbit_poly(G, orbit(G, a))
@@ -574,12 +600,15 @@ class TestPlaceScreen:
         assert (exact._lift[1].prime, exact._lift[1].root % p) == (p, min(roots))
 
     def test_every_survivor_is_checked_exactly(self, screened_and_exact, monkeypatch):
-        # the identity's place row for every automorphism lets all of them
-        # through the screen
         G, subgroups, expected, _ = screened_and_exact
-        rows = G._place_powers
-        monkeypatch.setitem(vars(G), "_place_powers", [rows[G.identity_index]] * G.order)
+        _screen_lets_every_sigma_through(G, monkeypatch)
         assert _correspondence(G, subgroups) == expected
+
+    def test_coset_representatives_match_the_index_walk(self, screened_and_exact):
+        G, subgroups, _, _ = screened_and_exact
+        stabilizers = [galois_module._stabilizer(G, [a]) for a in _seeded_elements(G.splitting)]
+        for idx in subgroups + stabilizers:
+            assert galois_module._coset_representatives(G, idx) == left_coset_representatives(G, idx)
 
     def test_exact_applies_bounded_by_the_subgroup(self, x7m2_group, monkeypatch):
         G = x7m2_group
@@ -634,10 +663,13 @@ class TestResidueOrbitPolynomial:
             assert orbit_min_poly(G, a) == orbit_poly(G, orbit(G, a))
 
     def test_element_of_another_field_is_refused(self, corpus_groups):
-        # no automorphism is applied to it, so the coercion must refuse it
-        other = corpus_groups["x^2-2"].splitting.roots[0]
-        with pytest.raises(FieldMismatchError):
-            orbit_min_poly(corpus_groups["x^3-2"], other)
+        # the coercion refuses it before any residue or apply is taken
+        G, other = corpus_groups["x^3-2"], corpus_groups["x^2-2"].splitting.roots[0]
+        B = intermediate_field(corpus_groups["x^2-2"], [other])
+        for call in (orbit_min_poly, orbit, lambda G, r: subgroup_fixing(G, [r]),
+                     lambda G, r: subgroup_fixing(G, B), lambda G, r: intermediate_field(G, [r])):
+            with pytest.raises(FieldMismatchError):
+                call(G, other)
 
     def test_degree_one_field(self):
         E = splitting_field(P(-6, 1, 1))  # (x - 2)(x + 3)
@@ -685,6 +717,19 @@ class TestResidueOrbitPolynomial:
         # the corrupted candidate failed the exact test, and k doubled
         first = next(i for i, (_, ok) in enumerate(moduli) if ok)
         assert len(moduli) == first + 2 and moduli[-1][0] == moduli[first][0] ** 2
+
+    def test_no_residue_place_raises(self, monkeypatch, capsys):
+        # no place from the tower and no prime of the search: stabilizers
+        # have nothing to screen at, as orbit polynomials have nothing to lift
+        monkeypatch.setattr(modscreen, "find", lambda *args, **kwargs: None)
+        monkeypatch.setattr(modscreen, "primes", lambda: iter(()))
+        G = galois_group(splitting_field(P(-2, 0, 0, 1)))
+        for call in (orbit_min_poly, lambda G, r: subgroup_fixing(G, [r])):
+            with pytest.raises(SoundnessError) as err:
+                call(G, G.splitting.roots[0])
+            assert err.value.check_name == "galois.residue_place"
+        assert main(["fixed", "x^3-2", "--subgroup", "1"]) == EXIT_SOUNDNESS
+        assert "galois.residue_place" in capsys.readouterr().err
 
     def test_a_reconstruction_never_right_raises(self, monkeypatch, capsys):
         reconstruct = galois_module._rational_reconstruction
