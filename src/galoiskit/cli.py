@@ -376,10 +376,16 @@ def main(argv=None) -> int:
         if not primes:
             print("error: --primes lists no prime", file=sys.stderr)
             return EXIT_INPUT
-        for q in primes:
+        for i, q in enumerate(primes):
             if not is_prime(q):
                 print(f"error: --primes entry {q} is not a prime", file=sys.stderr)
                 return EXIT_INPUT
+            if q in primes[:i]:
+                print(f"error: --primes entry {q} is repeated", file=sys.stderr)
+                return EXIT_INPUT
+    if args.degree_cap < 1:
+        print(f"error: --degree-cap {args.degree_cap} is below 1", file=sys.stderr)
+        return EXIT_INPUT
     settings = {
         "degree_cap": args.degree_cap,
         "seed": args.seed,
@@ -398,12 +404,6 @@ def main(argv=None) -> int:
         with collect_checks() as log:
             result = fn(args, settings)
         assertions = _aggregate_checks(log)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except ChainFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
     except DegreeCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DEGREE_CAP

@@ -6,9 +6,12 @@ theta-images combine conjugates of the tower generators as theta combines
 the generators.  A scalar screen at the field's degree-one place
 (``modscreen``) discards most (a true zero survives it), a survivor that
 would enlarge the group is verified exactly on its integer action matrix,
-and the rest of the group is its closure under composition: a Galois
-extension E has at most [E:Q] automorphisms, so verified generators whose
-closure has [E:Q] elements give the whole group.
+and the group is ``permgroup.closure`` of the verified generators' root
+permutations, bounded by [E:Q]: a Galois extension E has at most [E:Q]
+automorphisms, so a closure of [E:Q] elements is the whole group.  The
+other automorphisms are read off their permutations, never applied: theta
+is sum c_i * g_i over tower generators g_i that are roots, so sigma(theta)
+is sum c_i * roots[sigma(g_i)].
 
 The correspondence runs on integers: each automorphism caches its action as
 ``numfield``'s substitution map theta -> theta', the integer matrix of the
@@ -45,16 +48,10 @@ from operator import mul
 from .checks import record_check
 from .errors import SoundnessError
 from .linalg import SpanSolver, nullspace
-from .numfield import (
-    _Substitution,
-    _clear_denominators,
-    element_sort_key,
-    minimal_polynomial,
-    roots_in_field,
-)
+from .numfield import _Substitution, element_sort_key, minimal_polynomial, roots_in_field
 from .permgroup import (PermGroup, Permutation, _small_generating_set, closure,
                         coset_representatives, is_normal)
-from .poly import Polynomial, poly_squarefree_part
+from .poly import Polynomial, _clear_denominators, poly_squarefree_part
 from .qfactor import _rational_reconstruction, factor_over_Q
 from .scalars import QQ
 from .splitting import SplittingField
@@ -121,8 +118,13 @@ class GaloisGroup:
         return self.automorphisms[i].root_permutation
 
     def perm_group(self) -> PermGroup:
-        perms = tuple(a.root_permutation for a in self.automorphisms)
-        return PermGroup(len(self.splitting.roots), tuple(sorted(perms)), perms)
+        return self.subgroup(range(self.order))
+
+    def subgroup(self, indices) -> PermGroup:
+        """The permutation group of the automorphisms at the given indices,
+        which form a subgroup; its elements generate it."""
+        perms = tuple(sorted(map(self.perm, indices)))
+        return PermGroup(len(self.splitting.roots), perms, perms)
 
     @cached_property
     def _lift(self):
@@ -197,9 +199,8 @@ def _enumerate_galois_group(E: SplittingField) -> GaloisGroup:
     field = E.field
     n = field.degree
     roots = E.roots
-    identity = Automorphism(field, field.theta, Permutation.identity(len(roots)))
     if n == 1:
-        return GaloisGroup(E, (identity,), 0)
+        return GaloisGroup(E, (Automorphism(field, field.theta, Permutation.identity(len(roots))),), 0)
 
     root_index = {r: i for i, r in enumerate(roots)}
     active = [(g, c) for g, c in zip(field.gen_images, field.theta_combo) if c]
@@ -216,11 +217,16 @@ def _enumerate_galois_group(E: SplittingField) -> GaloisGroup:
     # generator images (root indices) of its elements: a candidate among
     # them costs no arithmetic
     gen_pos = tuple(root_index[g] for g, _ in active)
-    closure = {identity.root_permutation: identity}
+
+    def theta_image(tup):
+        """sigma(theta) = sum c_i * sigma(g_i), for sigma(g_i) = roots[tup[i]]."""
+        return sum((roots[i] * c for c, i in zip(combo, tup)), field.ext.zero)
+
+    generators = {}
+    group = closure([], degree=len(roots))
     keys = {gen_pos}
-    generators = []
     for tup in itertools.product(*allowed):
-        if len(closure) == n:
+        if group.order == n:
             break
         if tup in keys or len(set(tup)) != len(tup):
             continue
@@ -228,10 +234,7 @@ def _enumerate_galois_group(E: SplittingField) -> GaloisGroup:
         if theta_screen is not None and None not in vs and modscreen.horner(
                 theta_screen, sum(map(mul, combo, vs)) % place.prime, place.prime):
             continue
-        value = field.ext.zero
-        for c, i in zip(combo, tup):
-            value = value + roots[i] * c
-        a = Automorphism(field, value)
+        a = Automorphism(field, theta_image(tup))
         if not _sends_theta_to_a_root(a):
             continue
         images = []
@@ -241,28 +244,21 @@ def _enumerate_galois_group(E: SplittingField) -> GaloisGroup:
                 raise SoundnessError("galois.root_permutation", "automorphism image is not a root")
             images.append(j)
         a.root_permutation = Permutation(images)
-        if a.root_permutation in closure:
+        if a.root_permutation in group:
             continue
-        # sigma o tau sends theta to sigma(tau(theta)): only generators'
-        # action matrices are built
-        generators.append(a)
-        closure[a.root_permutation] = a
-        queue = list(closure.values())
-        for tau in queue:  # grows as the walk goes
-            for sigma in generators:
-                perm = sigma.root_permutation * tau.root_permutation
-                if len(closure) < n and perm not in closure:
-                    closure[perm] = rho = Automorphism(
-                        field, sigma.apply(tau.theta_image), perm)
-                    queue.append(rho)
-        keys = {tuple(p.images[k] for k in gen_pos) for p in closure}
+        # only generators are applied exactly: every other sigma(theta) is
+        # read off its permutation
+        generators[a.root_permutation] = a
+        group = closure(generators, degree=len(roots), max_order=n)
+        keys = {tuple(p.images[k] for k in gen_pos) for p in group.elements}
 
     record_check(
         "galois.order_equals_degree",
-        len(closure) == n,
-        f"found {len(closure)} automorphisms in a degree-{n} field",
+        group.order == n,
+        f"found {group.order} automorphisms in a degree-{n} field",
     )
-    autos = sorted(closure.values(), key=lambda a: a.root_permutation.images)
+    autos = [generators.get(p) or Automorphism(field, theta_image(p.images[k] for k in gen_pos), p)
+             for p in group.elements]
 
     perms = [a.root_permutation for a in autos]
     record_check("galois.action_faithful", len(set(perms)) == len(perms))
@@ -304,8 +300,7 @@ def _orbit(G: GaloisGroup, a, stab):
 
 def _coset_representatives(G: GaloisGroup, stab):
     """The first index of each left coset g*stab, in index order."""
-    H = PermGroup(len(G.splitting.roots), tuple(map(G.perm, stab)))
-    return [G.index_of_perm(g) for g in coset_representatives(G.perm_group(), H)]
+    return [G.index_of_perm(g) for g in coset_representatives(G.perm_group(), G.subgroup(stab))]
 
 
 def orbit_min_poly(G: GaloisGroup, a) -> Polynomial:
@@ -443,9 +438,7 @@ def fixed_field(G: GaloisGroup, subgroup_indices) -> IntermediateField:
 def _subgroup_generators(G: GaloisGroup, idx):
     """A small generating subset of a subgroup given by indices, which
     follow the canonical order of the permutations."""
-    perms = tuple(G.perm(i) for i in sorted(idx))
-    H = PermGroup(len(G.splitting.roots), perms, perms)
-    return [G.index_of_perm(p) for p in _small_generating_set(H)]
+    return [G.index_of_perm(p) for p in _small_generating_set(G.subgroup(idx))]
 
 
 def _primitive_of_subspace(G: GaloisGroup, basis, idx):
@@ -579,9 +572,7 @@ def restriction_homomorphism(G: GaloisGroup, B: IntermediateField,
         image.order * len(kernel) == G.order,
         "image order times kernel order must equal #G",
     )
-    kernel_group = closure([G.perm(i) for i in kernel], degree=len(G.splitting.roots),
-                           max_order=max(64, G.order))
-    record_check("restriction.kernel_normal", is_normal(kernel_group, G.perm_group()))
+    record_check("restriction.kernel_normal", is_normal(G.subgroup(kernel), G.perm_group()))
     hom_ok = all(
         mapping[G.compose(i, j)] == position.get(perms[i] * perms[j])
         for i in range(G.order)

@@ -13,11 +13,12 @@ polynomial mod p, Newton iteration lifts it to a root mod p**k, and the
 place to a ring map onto the integers mod p**k.
 """
 
+import itertools
 import random
 from math import lcm
 
 from .qfactor import _zp_equal_degree, _zp_mod, _zp_powmod
-from .scalars import is_prime
+from .scalars import primes_below
 
 
 class Place:
@@ -94,12 +95,7 @@ def _splits(h, p):
 
 def primes():
     """The 2048 largest primes below 2**30, descending."""
-    p = 1 << 30
-    for _ in range(2048):
-        p -= 1
-        while not is_prime(p):
-            p -= 1
-        yield p
+    return itertools.islice(primes_below(30), 2048)
 
 
 def find(tower, factors):

@@ -34,13 +34,14 @@ from .errors import DegreeCapError, FieldMismatchError, PrimitiveSearchError
 from .linalg import SpanSolver
 from .poly import (
     Polynomial,
+    _clear_denominators,
     poly_gcd,
     poly_squarefree_decomposition,
     poly_squarefree_part,
 )
 from .qfactor import (Factorization, _crt_primes, _rational_reconstruction, _sorted_factors,
                       _trim, _zp_inverse, factor_over_Q)
-from .scalars import QQ
+from .scalars import QQ, power
 
 DEFAULT_DEGREE_CAP = 64
 PRIMITIVE_SEARCH_RANGE = 20
@@ -164,15 +165,7 @@ class ExtElement:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return power(self, k, self.field.one)
 
     def __eq__(self, other):
         if isinstance(other, ExtElement):
@@ -326,15 +319,6 @@ class ExtensionField:
 def q_coords(x):
     """Rational coordinates of x with respect to the power basis."""
     return x.coeffs
-
-
-def _clear_denominators(coeffs):
-    """(integers, d) with coeffs[i] == integers[i] / d and d the least
-    common denominator of the rational coefficients."""
-    d = 1
-    for c in coeffs:
-        d = lcm(d, c.denominator)
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def _norm_bits(ints):

@@ -64,6 +64,9 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Applies +, -, * and negation itself; the algebra supplies number,
+    name, pow and div, where evaluation into Q[x] and into a field differ."""
+
     def __init__(self, text, algebra):
         self.text = text
         self.tokens = _tokenize(text)
@@ -94,7 +97,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.take().text
             w = self.term()
-            v = self.alg.add(v, w) if op == "+" else self.alg.sub(v, w)
+            v = v + w if op == "+" else v - w
         return v
 
     def term(self):
@@ -102,10 +105,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.take()
             w = self.unary()
-            if op.text == "*":
-                v = self.alg.mul(v, w)
-            else:
-                v = self.alg.div(v, w, op.pos + 1)
+            v = v * w if op.text == "*" else self.alg.div(v, w, op.pos + 1)
         return v
 
     def unary(self):
@@ -113,7 +113,7 @@ class _Parser:
         if tok.kind == "op" and tok.text in "+-":
             self.take()
             v = self.unary()
-            return v if tok.text == "+" else self.alg.neg(v)
+            return v if tok.text == "+" else -v
         return self.power()
 
     def power(self):
@@ -158,18 +158,6 @@ class _PolyAlgebra:
             return Polynomial.x(QQ)
         raise ParseError(f"unknown symbol {text}", col)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def pow(self, a, k, col):
         if a.degree > 0:
             _check_limit("degree", a.degree * k, MAX_INPUT_DEGREE, col)
@@ -200,18 +188,6 @@ class _ElementAlgebra:
             return self.field.coerce(self.env[text])
         known = ", ".join(sorted(self.env)) or "none"
         raise ParseError(f"unknown symbol {text} (known names: {known})", col)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def pow(self, a, k, col):
         coeffs = getattr(a, "coeffs", (a,))

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .checks import record_check
 from .errors import GroupOrderLimitError
-from .scalars import is_prime
+from .scalars import is_prime, power
 
 
 class Permutation:
@@ -51,15 +51,8 @@ class Permutation:
         return Permutation(tuple(self.images[j] for j in other.images))
 
     def __pow__(self, k):
-        result = Permutation.identity(len(self.images))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        base = self if k >= 0 else self.inverse()
+        return power(base, abs(k), Permutation.identity(len(self.images)))
 
     def inverse(self):
         out = [0] * len(self.images)
@@ -622,7 +615,6 @@ def _extend_homomorphism(mapping, g, t, target):
     """Extend a partial injective hom by g -> t; None on any conflict."""
     new_map = dict(mapping)
     frontier = list(mapping.items())
-    gi, ti = g, t
     # close under multiplication by powers of g
     k = g.order()
     g_pows = [Permutation.identity(g.degree)]

@@ -7,9 +7,10 @@ are immutable and freely shareable.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import FieldMismatchError
-from .scalars import QQ
+from .scalars import QQ, power
 
 
 class Polynomial:
@@ -122,17 +123,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return power(self, k, Polynomial.one(self.field))
 
     def __divmod__(self, other):
         self._same_field(other)
@@ -318,22 +309,30 @@ def poly_content_and_primitive(p: Polynomial):
     """For a rational polynomial: content c and primitive integer coefficient
     list (ascending) with p = c * primitive, primitive having gcd 1 and
     positive leading coefficient."""
-    from math import gcd, lcm
-
     if p.field != QQ:
         raise ValueError("content extraction is for rational polynomials")
     if p.is_zero:
         return Fraction(0), [0]
-    den = 1
-    for c in p.coeffs:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if ints[-1] < 0:
+    ints, den = _clear_denominators(p.coeffs)
+    primitive = _zx_primitive(ints)
+    return Fraction(ints[-1] // primitive[-1], den), primitive
+
+
+def _clear_denominators(coeffs):
+    """(integers, d) with coeffs[i] == integers[i] / d and d the least
+    common denominator of the rational coefficients."""
+    d = lcm(1, *(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _zx_primitive(a):
+    """a over the gcd of its entries, leading entry positive; zeros as they are."""
+    g = gcd(*a)
+    if g == 0:
+        return list(a)
+    if a[-1] < 0:
         g = -g
-    return Fraction(g, den), [c // g for c in ints]
+    return [c // g for c in a]
 
 
 def poly_from_int_coeffs(field, ints):

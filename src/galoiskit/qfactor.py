@@ -19,7 +19,6 @@ products, packed reduction rows for a fixed modulus, and the CRT primes and
 rational reconstruction behind ``numfield``'s field inverse.
 """
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -28,11 +27,12 @@ from .errors import EngineLimitError
 from .linalg import lll, nullspace
 from .poly import (
     Polynomial,
+    _zx_primitive,
     poly_content_and_primitive,
     poly_from_int_coeffs,
     poly_squarefree_decomposition,
 )
-from .scalars import QQ, PrimeField, is_prime
+from .scalars import QQ, PrimeField, is_prime, power, primes_below
 
 # _zp_mul packs when schoolbook products outnumber output coefficients this much
 _PACK_RATIO = 6
@@ -200,15 +200,7 @@ def _zp_gcd(a, b, p):
 
 def _zp_powmod(a, e, f, p):
     """a**e mod (f, p)."""
-    mul = _zp_mulmod(f, p)
-    result, base = [1], _zp_mod(a, f, p)
-    while e:
-        if e & 1:
-            result = mul(result, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return result
+    return power(_zp_mod(a, f, p), e, [1], _zp_mulmod(f, p))
 
 
 def _zp_derivative(a, p):
@@ -339,16 +331,7 @@ def _zp_squarefree_image(f_int, p):
 
 def _crt_primes():
     """Primes below 2**60, descending; found on first use and cached."""
-    for i in itertools.count():
-        if i == len(_CRT_PRIMES):
-            p = (_CRT_PRIMES[-1] if _CRT_PRIMES else 1 << 60) - 1
-            while not is_prime(p):
-                p -= 1
-            _CRT_PRIMES.append(p)
-        yield _CRT_PRIMES[i]
-
-
-_CRT_PRIMES = []
+    return primes_below(60)
 
 
 def _rational_reconstruction(residues, m, den_bound=None):
@@ -402,17 +385,6 @@ def _zx_divide_exact(a, b):
             for j, bc in enumerate(b):
                 a[i - db + j] -= q * bc
     return quot if not _trim(a) else None
-
-
-def _zx_primitive(a):
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    if g == 0:
-        return list(a)
-    if a[-1] < 0:
-        g = -g
-    return [c // g for c in a]
 
 
 def _mignotte_bound(f):

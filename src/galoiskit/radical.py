@@ -45,7 +45,6 @@ from .permgroup import (
     ChainCertificate,
     CyclicGroupZ,
     DirectSumZ,
-    PermGroup,
     Permutation,
     UnitGroup,
     find_embedding,
@@ -388,8 +387,7 @@ def associated_group_chain(t: NormalRadicalTower):
     for j, level in enumerate(t.levels):
         gens = t.level_generators_in_top[j]
         idx = subgroup_fixing(g, tuple(gens))
-        perms = tuple(sorted(g.perm(i) for i in idx))
-        sub = PermGroup(len(top.roots), perms, perms)
+        sub = g.subgroup(idx)
         record_check(
             "associated_chain.step_normal",
             is_normal(sub, groups[-1]),
@@ -421,8 +419,7 @@ def abelian_layer_embeddings(t: NormalRadicalTower):
     for i, s in enumerate(t.stages, start=1):
         g_up = galois_group(s.level)
         idx = subgroup_fixing(g_up, s.base_gens_in_level)
-        perms = tuple(sorted(g_up.perm(j) for j in idx))
-        layer = PermGroup(len(s.level.roots), perms, perms)
+        layer = g_up.subgroup(idx)
         target = DirectSumZ(s.k, max(1, len(s.orbit)))
         emb = find_embedding(layer, target)
         record_check(

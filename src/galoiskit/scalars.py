@@ -4,8 +4,13 @@ Rationals are ``fractions.Fraction`` values (always reduced, positive
 denominator), wrapped by the singleton field object ``QQ``.  Prime fields
 carry their own element class so that mod-p values cannot silently mix
 with rationals or with a different modulus.
+
+Two helpers serve every layer: ``power``, the one square-and-multiply
+loop, and ``primes_below``, the one cached descending walk over primes.
 """
 
+import itertools
+import operator
 from fractions import Fraction
 
 Rational = Fraction
@@ -35,6 +40,38 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def power(base, k, one, mul=operator.mul):
+    """base**k for k >= 0 by square-and-multiply, starting from one."""
+    if k < 0:
+        raise ValueError("negative power")
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return result
+
+
+def primes_below(bits):
+    """The primes below 2**bits, descending; each found on first use and
+    cached."""
+    found = _PRIMES_BELOW.setdefault(bits, [])
+    for i in itertools.count():
+        if i == len(found):
+            p = (found[-1] if found else 1 << bits) - 1
+            while p > 1 and not is_prime(p):
+                p -= 1
+            if p < 2:
+                return
+            found.append(p)
+        yield found[i]
+
+
+_PRIMES_BELOW = {}
 
 
 class RationalField:

@@ -19,7 +19,7 @@ from galoiskit.galois import (
 )
 from galoiskit.linalg import nullspace
 from galoiskit.numfield import ExtensionField, minimal_polynomial
-from galoiskit.permgroup import all_subgroups
+from galoiskit.permgroup import PermGroup, all_subgroups
 from galoiskit.poly import Polynomial
 from galoiskit.qfactor import factor_degrees_mod_p, factor_mod_p, is_irreducible_over_Q
 from galoiskit.scalars import PrimeField
@@ -506,6 +506,38 @@ class TestGeneratorEnumeration:
         assert main(["group", "x^3-2"]) == EXIT_SOUNDNESS
         assert "galois.order_equals_degree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("poly", [P(1, 1, 0, 0, 1), P(-2, 0, 0, 1) * P(-3, 0, 0, 1)],
+                             ids=["x^4+x+1", "(x^3-2)(x^3-3)"])
+    def test_theta_images_read_off_permutations(self, poly):
+        # sigma(tau(theta)), applied exactly, is the image of theta under
+        # sigma o tau that enumeration reads off the permutation
+        G = galois_group(splitting_field(poly))
+        thetas = [a.theta_image for a in G.automorphisms]
+        for i in range(G.order):
+            for j in range(G.order):
+                assert G.apply(i, thetas[j]) == thetas[G.compose(i, j)]
+
+    def test_only_candidates_are_applied(self, monkeypatch):
+        # each candidate passing the root check is applied to every root
+        # once, to find its permutation; the closure applies nothing
+        e = splitting_field(P(-2, 0, 0, 0, 0, 0, 0, 0, 0, 1))
+        passed, applied = [], []
+        check, apply = galois_module._sends_theta_to_a_root, Automorphism.apply
+
+        def spy_check(a):
+            passed.append(check(a))
+            return passed[-1]
+
+        def spy_apply(a, x):
+            applied.append(a)
+            return apply(a, x)
+
+        monkeypatch.setattr(galois_module, "_sends_theta_to_a_root", spy_check)
+        monkeypatch.setattr(Automorphism, "apply", spy_apply)
+        g = galois_module._enumerate_galois_group(e)
+        assert g.order == 54
+        assert len(applied) == sum(passed) * len(e.roots) < g.order
+
 
 SCREENED = [("x^4+x+1", P(1, 1, 0, 0, 1)), ("x^5-2", P(-2, 0, 0, 0, 0, 1)),
             ("(x^3-2)(x^3-3)", P(-2, 0, 0, 1) * P(-3, 0, 0, 1))]
@@ -566,6 +598,17 @@ def screened_and_exact(request):
         expected = _correspondence(exact, _subgroups(exact))
     G = galois_group(splitting_field(poly))
     return G, _subgroups(G), expected, exact
+
+
+class TestSubgroupOfIndices:
+    def test_matches_the_hand_built_group(self, screened_and_exact):
+        G, subgroups, _, _ = screened_and_exact
+        for idx in subgroups:
+            perms = tuple(G.perm(i) for i in idx)
+            H = PermGroup(len(G.splitting.roots), perms, perms)
+            assert G.subgroup(idx) == H
+            assert G.subgroup(reversed(idx)) == H
+        assert G.subgroup(range(G.order)) == G.perm_group()
 
 
 @pytest.fixture(scope="module")

@@ -163,6 +163,14 @@ class TestCliExitCodes:
     def test_degree_cap_flag(self, capsys):
         assert run_cli("split", "x^3-2", "--degree-cap", "3") == EXIT_DEGREE_CAP
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_degree_cap_below_one_is_an_input_error(self, capsys, cap):
+        # no field has degree below 1, so such a cap is refused before any work
+        assert run_cli("split", "x^2-1", "--degree-cap", cap, "--json") == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"--degree-cap {cap} is below 1" in captured.err and captured.out == ""
+        assert run_cli("split", "x^2-1", "--degree-cap", "1") == EXIT_OK
+
     def test_bad_chain_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -370,6 +378,13 @@ class TestCycleTypeCertificatesCli:
     def test_primes_must_be_prime(self, capsys, bad):
         assert run_cli("solvable", "x^5-x-1", "--primes", f"3,{bad},7") == EXIT_INPUT
         assert f"--primes entry {bad} is not a prime" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("primes, repeated", [("3,3", 3), ("3,7,11,7", 7)])
+    def test_primes_must_not_repeat(self, capsys, primes, repeated):
+        # a repeated prime would be sampled twice
+        assert run_cli("solvable", "x^5-5*x+12", "--primes", primes, "--json") == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"--primes entry {repeated} is repeated" in captured.err and captured.out == ""
 
     def test_primes_only_on_solvable(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import signal
 
 import pytest
 
@@ -62,6 +63,29 @@ class TestClosure:
         g = s_n(4)
         again = closure(g.elements, degree=4)
         assert again.elements == g.elements
+
+
+class TestPower:
+    def test_negative_powers_are_powers_of_the_inverse(self):
+        # a guard: a negative power once looped forever
+        def hang(signum, frame):
+            raise TimeoutError("Permutation power did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            for p in (Permutation((1, 2, 0)), Permutation((2, 0, 3, 4, 1))):
+                inv = p.inverse()
+                for k in (0, 1, 2, 3, 7):
+                    expected = Permutation.identity(p.degree)
+                    for _ in range(k):
+                        expected = expected * inv
+                    assert p ** -k == expected
+                    assert p ** k * p ** -k == Permutation.identity(p.degree)
+                assert p ** -1 == inv and p ** -4 == inv * inv * inv * inv
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestNormality:

@@ -1,20 +1,23 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galoiskit import QQ, FieldMismatchError
+from galoiskit import QQ, FieldMismatchError, modscreen
 from galoiskit.poly import (
     Polynomial,
     poly_compose_power,
+    poly_content_and_primitive,
     poly_gcd,
     poly_squarefree_decomposition,
     poly_squarefree_part,
     render_poly,
 )
 from galoiskit.qfactor import _crt_primes
-from galoiskit.scalars import PrimeField
+from galoiskit.scalars import PrimeField, is_prime, power, primes_below
 
 from helpers import P, brute_force_monic_divisors, poly_resultant, sylvester_resultant
 
@@ -120,6 +123,60 @@ class TestGcd:
         assert poly_gcd(P(0, 1), P(prime, 1)) == P(1)
         assert poly_gcd(P(1, prime), P(0, 1)) == P(1)
         assert poly_gcd(P(prime, 1) * P(1, 1), P(0, 1) * P(1, 1)) == P(1, 1)
+
+
+class TestContent:
+    def test_zero(self):
+        assert poly_content_and_primitive(Polynomial.zero(QQ)) == (0, [0])
+
+    def test_negative_leading_coefficient(self):
+        # the content takes the sign, so the primitive part leads positive
+        assert poly_content_and_primitive(P(6, -4, -2)) == (-2, [-3, 2, 1])
+
+    def test_fractional_coefficients(self):
+        p = P(Fraction(3, 4), 0, Fraction(-9, 2), Fraction(3, 8))
+        c, prim = poly_content_and_primitive(p)
+        assert (c, prim) == (Fraction(3, 8), [2, 0, -12, 1])
+        assert P(*prim) * c == p
+
+    @given(nonzero_poly)
+    @settings(max_examples=60, deadline=None)
+    def test_content_times_primitive(self, p):
+        c, prim = poly_content_and_primitive(p)
+        assert P(*prim) * c == p and prim[-1] > 0
+        assert math.gcd(*prim) == 1
+
+
+class TestScalarHelpers:
+    def test_power_matches_builtin_and_repeated_products(self):
+        for base in (-3, 2, 7):
+            for k in range(12):
+                assert power(base, k, 1) == pow(base, k) == math.prod([base] * k)
+        assert power(5, 13, 1, lambda a, b: a * b % 11) == pow(5, 13, 11)
+        x = P(1, 1)
+        assert power(x, 0, P(1)) == P(1) and power(x, 1, P(1)) == x
+        assert power(x, 5, P(1)) == x * x * x * x * x
+
+    def test_power_refuses_a_negative_exponent(self):
+        with pytest.raises(ValueError):
+            power(2, -1, 1)
+        with pytest.raises(ValueError):
+            P(1, 1) ** -2
+
+    def test_primes_below_begin_like_a_fresh_scan(self):
+        scan = [p for p in range((1 << 60) - 1, (1 << 60) - 3000, -1) if is_prime(p)]
+        walk = primes_below(60)
+        assert [next(walk) for _ in scan] == scan
+        assert list(itertools.islice(_crt_primes(), len(scan))) == scan
+
+    def test_place_primes_are_the_same_on_every_call(self):
+        first, second = list(modscreen.primes()), list(modscreen.primes())
+        assert first == second and len(first) == 2048
+        assert first == [p for p in range((1 << 30) - 1, first[-1] - 1, -1) if is_prime(p)]
+
+    def test_primes_below_stop_at_two(self):
+        assert list(primes_below(4)) == [13, 11, 7, 5, 3, 2]
+        assert list(primes_below(1)) == []
 
 
 class TestSquarefree:
