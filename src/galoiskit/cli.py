@@ -9,6 +9,10 @@ Exit codes: 0 success, 2 parse/input error, 3 degree-cap refusal,
 4 engine failure (a failed internal assertion, an internal arithmetic error
 or an engine limit such as an exhausted primitive-element search or a group
 beyond the closure bound; never a user error).
+
+Only the argument parser is loaded at start-up: each command imports the
+layers it runs, so `factor` never loads the number-field layer and
+`--version` loads no layer at all.
 """
 
 import argparse
@@ -19,6 +23,7 @@ import time
 from . import __version__
 from .checks import collect_checks
 from .errors import (
+    DEFAULT_DEGREE_CAP,
     ChainFormatError,
     DegreeCapError,
     EngineLimitError,
@@ -26,21 +31,6 @@ from .errors import (
     ParseError,
     SoundnessError,
 )
-from .galois import _subgroup_generators, fixed_field, galois_group, orbit_min_poly, subgroup_fixing
-from .numfield import DEFAULT_DEGREE_CAP, minimal_polynomial
-from .parsing import evaluate_in_field, parse_poly
-from .poly import render_poly
-from .qfactor import factor_over_Q, is_irreducible_over_Q
-from .radical import (
-    abelian_layer_embeddings,
-    associated_group_chain,
-    necessary_condition_verdict,
-    normalize_chain,
-    realize_chain,
-    verify_nested_normal_radical,
-)
-from .scalars import is_prime
-from .splitting import splitting_field
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -82,6 +72,8 @@ REPORT_SCHEMA = {
 
 
 def _element_str(e):
+    from .poly import render_poly
+
     return render_poly(e.rep_poly(), e.field.gen_name)
 
 
@@ -126,6 +118,10 @@ def _load_chain_file(path):
 
 
 def _cmd_factor(args, settings):
+    from .parsing import parse_poly
+    from .poly import render_poly
+    from .qfactor import factor_over_Q
+
     p = parse_poly(args.polynomial)
     fac = factor_over_Q(p)
     return {
@@ -140,6 +136,8 @@ def _cmd_factor(args, settings):
 
 
 def _split_result(e):
+    from .poly import render_poly
+
     return {
         "degree": e.degree,
         "polynomial": render_poly(e.source),
@@ -153,13 +151,27 @@ def _split_result(e):
     }
 
 
+def _splitting_field(args, settings):
+    from .parsing import parse_poly
+    from .splitting import splitting_field
+
+    return splitting_field(parse_poly(args.polynomial), degree_cap=settings["degree_cap"])
+
+
+def _field_and_group(args, settings):
+    from .galois import galois_group
+
+    e = _splitting_field(args, settings)
+    return e, galois_group(e)
+
+
 def _cmd_split(args, settings):
-    p = parse_poly(args.polynomial)
-    e = splitting_field(p, degree_cap=settings["degree_cap"])
-    return _split_result(e)
+    return _split_result(_splitting_field(args, settings))
 
 
 def _group_data(g):
+    from .galois import _subgroup_generators
+
     perms = [a.root_permutation for a in g.automorphisms]
     gens = _subgroup_generators(g, range(g.order))
     return {
@@ -172,18 +184,20 @@ def _group_data(g):
 
 
 def _cmd_group(args, settings):
-    p = parse_poly(args.polynomial)
-    e = splitting_field(p, degree_cap=settings["degree_cap"])
-    g = galois_group(e)
+    e, g = _field_and_group(args, settings)
     result = _split_result(e)
     result.update(_group_data(g))
     return result
 
 
 def _cmd_minpoly(args, settings):
-    p = parse_poly(args.polynomial)
-    e = splitting_field(p, degree_cap=settings["degree_cap"])
-    g = galois_group(e)
+    from .galois import orbit_min_poly
+    from .numfield import minimal_polynomial
+    from .parsing import evaluate_in_field
+    from .poly import render_poly
+    from .qfactor import is_irreducible_over_Q
+
+    e, g = _field_and_group(args, settings)
     env = {f"r{i + 1}": r for i, r in enumerate(e.roots)}
     elt = evaluate_in_field(args.element, e.field.ext, env)
     via_orbit = orbit_min_poly(g, elt)
@@ -200,9 +214,10 @@ def _cmd_minpoly(args, settings):
 
 
 def _cmd_fixed(args, settings):
-    p = parse_poly(args.polynomial)
-    e = splitting_field(p, degree_cap=settings["degree_cap"])
-    g = galois_group(e)
+    from .galois import fixed_field, subgroup_fixing
+    from .poly import render_poly
+
+    _, g = _field_and_group(args, settings)
     try:
         indices = [int(t) for t in args.subgroup.split(",") if t.strip() != ""]
     except ValueError:
@@ -225,6 +240,9 @@ def _cmd_fixed(args, settings):
 
 
 def _cmd_solvable(args, settings):
+    from .parsing import parse_poly
+    from .radical import necessary_condition_verdict
+
     p = parse_poly(args.polynomial)
     verdict = necessary_condition_verdict(
         p, degree_cap=settings["degree_cap"], primes=settings["primes"])
@@ -232,6 +250,8 @@ def _cmd_solvable(args, settings):
 
 
 def _chain_tower(args, settings):
+    from .radical import normalize_chain, realize_chain
+
     description = _load_chain_file(args.chain)
     chain = realize_chain(description, degree_cap=settings["degree_cap"])
     tower = normalize_chain(chain, degree_cap=settings["degree_cap"])
@@ -239,6 +259,8 @@ def _chain_tower(args, settings):
 
 
 def _tower_result(description, chain, tower):
+    from .poly import render_poly
+
     return {
         "chain": [{"k": k, "radicand": text} for k, text in description],
         "chain_degree": chain.degree,
@@ -268,6 +290,8 @@ def _cmd_normalize(args, settings):
 
 
 def _cmd_verify_tower(args, settings):
+    from .radical import verify_nested_normal_radical
+
     description, chain, tower = _chain_tower(args, settings)
     report = verify_nested_normal_radical(tower)
     result = _tower_result(description, chain, tower)
@@ -276,12 +300,13 @@ def _cmd_verify_tower(args, settings):
 
 
 def _cmd_chain_groups(args, settings):
+    from .permgroup import solvable_via_abelian_chain
+    from .radical import abelian_layer_embeddings, associated_group_chain
+
     description, chain, tower = _chain_tower(args, settings)
     groups = associated_group_chain(tower)
     certificate = None
     if groups[-1].is_trivial:
-        from .permgroup import solvable_via_abelian_chain
-
         certificate = solvable_via_abelian_chain(groups).to_dict()
     layers = abelian_layer_embeddings(tower)
     result = _tower_result(description, chain, tower)
@@ -368,6 +393,8 @@ def main(argv=None) -> int:
     fn = _COMMANDS[args.command][0]
     primes = None
     if getattr(args, "primes", None) is not None:
+        from .scalars import is_prime
+
         try:
             primes = [int(t) for t in args.primes.split(",") if t.strip()]
         except ValueError:

@@ -1,4 +1,4 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the default degree cap."""
 
 
 class GaloisKitError(Exception):
@@ -7,6 +7,9 @@ class GaloisKitError(Exception):
 
 class FieldMismatchError(GaloisKitError):
     """Operands belong to different coefficient fields."""
+
+
+DEFAULT_DEGREE_CAP = 64  # field degree beyond which constructions are refused by default
 
 
 class DegreeCapError(GaloisKitError):

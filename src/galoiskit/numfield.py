@@ -30,7 +30,7 @@ from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 
 from .checks import record_check
-from .errors import DegreeCapError, FieldMismatchError, PrimitiveSearchError
+from .errors import DEFAULT_DEGREE_CAP, DegreeCapError, FieldMismatchError, PrimitiveSearchError
 from .linalg import SpanSolver
 from .poly import (
     Polynomial,
@@ -43,7 +43,6 @@ from .qfactor import (Factorization, _crt_primes, _rational_reconstruction, _sor
                       _trim, _zp_inverse, factor_over_Q)
 from .scalars import QQ, power
 
-DEFAULT_DEGREE_CAP = 64
 PRIMITIVE_SEARCH_RANGE = 20
 
 

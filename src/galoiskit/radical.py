@@ -32,14 +32,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .checks import record_check
-from .errors import ChainFormatError
+from .errors import DEFAULT_DEGREE_CAP, ChainFormatError
 from .galois import _orbit, _orbit_min_poly, _stabilizer, galois_group, orbit, subgroup_fixing
-from .numfield import (
-    DEFAULT_DEGREE_CAP,
-    FieldTower,
-    element_sort_key,
-    factor_over_number_field,
-)
+from .numfield import FieldTower, element_sort_key, factor_over_number_field
 from .parsing import evaluate_in_field
 from .permgroup import (
     ChainCertificate,

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .checks import record_check
-from .errors import DegreeCapError
+from .errors import DEFAULT_DEGREE_CAP, DegreeCapError
 from .numfield import (
-    DEFAULT_DEGREE_CAP,
     ExtElement,
     FieldTower,
     _Substitution,
