@@ -159,9 +159,10 @@ def _splitting_field(args, settings):
 
 
 def _field_and_group(args, settings):
+    e = _splitting_field(args, settings)
+    # imported after the field is built, so a cap refusal never loads it
     from .galois import galois_group
 
-    e = _splitting_field(args, settings)
     return e, galois_group(e)
 
 

@@ -40,7 +40,6 @@ that way.
 """
 
 import itertools
-from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from operator import mul
@@ -53,7 +52,7 @@ from .permgroup import (PermGroup, Permutation, _small_generating_set, closure,
                         coset_representatives, is_normal)
 from .poly import Polynomial, _clear_denominators, poly_squarefree_part
 from .qfactor import _rational_reconstruction, factor_over_Q
-from .scalars import QQ
+from .scalars import QQ, Record
 from .splitting import SplittingField
 from . import modscreen
 
@@ -98,8 +97,7 @@ class Automorphism:
         return f"Automorphism({perm})"
 
 
-@dataclass(frozen=True)
-class GaloisGroup:
+class GaloisGroup(Record):
     """All automorphisms of a splitting field over Q, in canonical order."""
 
     splitting: SplittingField
@@ -377,8 +375,7 @@ def _vanishes_at(f, a):
 # intermediate fields and the correspondence
 
 
-@dataclass(frozen=True)
-class IntermediateField:
+class IntermediateField(Record):
     """A subfield Q <= B <= E, presented inside E."""
 
     field: object  # the ambient AbsoluteField
@@ -505,11 +502,10 @@ def intermediate_field(G: GaloisGroup, elements) -> IntermediateField:
     B = fixed_field(G, _stabilizer(G, elems))
     for e in elems:
         record_check("intermediate_field.contains_generators", B.contains(e))
-    return replace(B, generators=elems or B.generators)
+    return B.replace(generators=elems or B.generators)
 
 
-@dataclass(frozen=True)
-class RestrictionHomomorphism:
+class RestrictionHomomorphism(Record):
     """The restriction map G(E,K) -> G(B,K) for a normal intermediate B."""
 
     mapping: tuple  # index in G -> index in image group

@@ -3,15 +3,20 @@
 Groups are fully enumerated (no stabilizer chains); the closure bound keeps
 everything honest.  Composition convention: (g * h)(i) = g(h(i)), so
 permutations act on the left.
+
+Frobenius cycle types, read off factor degrees mod small primes, live here
+too: they certify a group containing A_n and bound a splitting degree before
+any field is built, so the verdict and the cap refusal need no field layer.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .checks import record_check
 from .errors import GroupOrderLimitError
-from .scalars import is_prime, power
+from .qfactor import factor_degrees_mod_p
+from .scalars import Record, is_prime, power
 
 
 class Permutation:
@@ -112,14 +117,14 @@ class Permutation:
 MAX_CLOSURE_ORDER = 5040
 
 
-@dataclass(frozen=True)
-class PermGroup:
+class PermGroup(Record):
     """A fully enumerated permutation group, elements in canonical order."""
 
     degree: int
     elements: tuple
     generators: tuple = ()
-    element_set: frozenset = field(default=None, repr=False, compare=False)
+    element_set: frozenset = None
+    _hidden = ("element_set",)
 
     def __post_init__(self):
         if self.element_set is None:
@@ -240,8 +245,7 @@ def is_abelian(G: PermGroup) -> bool:
 # cycle-type certificates (Jordan)
 
 
-@dataclass(frozen=True)
-class CycleTypeCertificate:
+class CycleTypeCertificate(Record):
     """Proof that a transitive group of degree n contains A_n, read off the
     cycle types of elements it is known to contain.
 
@@ -311,11 +315,69 @@ def cycle_type_certificate(n, samples) -> Optional[CycleTypeCertificate]:
 
 
 # ---------------------------------------------------------------------------
+# Frobenius cycle types, and the provable lower bound for early degree-cap
+# refusal; both run before any field is built
+
+DEFAULT_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                          47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def scan_cycle_types(h, primes=None):
+    """Frobenius cycle types of an irreducible rational h, one per good prime
+    of the list (default ``DEFAULT_WITNESS_PRIMES``), until they certify
+    that the group of h is S_n; returns (samples, certificate or None).
+
+    Factor degrees mod a good prime are the cycle type of a Frobenius
+    element, so the group holds an element of every sampled type
+    (``cycle_type_certificate``).
+    """
+    return _scan_cycle_types(h, tuple(primes) if primes else DEFAULT_WITNESS_PRIMES)
+
+
+@functools.lru_cache(maxsize=32)
+def _scan_cycle_types(h, primes):
+    # one scan per (polynomial, prime list): a verdict's quintic
+    # witness and the splitting-degree bound ask for the same one
+    samples = []
+    certificate = None
+    for prime in primes:
+        degrees = factor_degrees_mod_p(h, prime)
+        if degrees is None:
+            continue
+        samples.append((prime, tuple(degrees)))
+        certificate = cycle_type_certificate(h.degree, samples)
+        if certificate is not None and certificate.group == "S_n":
+            break
+    return tuple(samples), certificate
+
+
+def _splitting_degree_lower_bound(factors) -> int:
+    """A divisor of the splitting-field degree, from Frobenius cycle types of
+    the irreducible rational factors of the source.
+
+    The order of a Frobenius element, the lcm of its cycle lengths, divides
+    the group order, which equals the splitting degree.  Each irreducible
+    rational factor's splitting field sits normally inside the full one, so
+    its bound divides too.  When the cycle types certify that a factor of
+    degree n has group S_n, or A_n or S_n, its bound is n! or n!/2.
+    """
+    bound = 1
+    for h in factors:
+        if h.degree < 2:
+            continue
+        samples, certificate = scan_cycle_types(h)
+        bound = math.lcm(bound, *(d for _, degrees in samples for d in degrees))
+        if certificate is not None:
+            order = math.factorial(h.degree)
+            bound = math.lcm(bound, order if certificate.group == "S_n" else order // 2)
+    return bound
+
+
+# ---------------------------------------------------------------------------
 # abelian-quotient chain certificates
 
 
-@dataclass(frozen=True)
-class ChainStepWitness:
+class ChainStepWitness(Record):
     group_order: int
     subgroup_order: int
     quotient_order: int
@@ -323,8 +385,7 @@ class ChainStepWitness:
     quotient_abelian: bool
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
+class ChainCertificate(Record):
     accepted: bool
     steps: tuple
     failure: str = ""
@@ -429,8 +490,7 @@ def all_subgroups(G: PermGroup):
 # cyclic and unit groups; embeddings of Galois layers
 
 
-@dataclass(frozen=True)
-class CyclicGroupZ:
+class CyclicGroupZ(Record):
     """The additive group Z_n."""
 
     modulus: int
@@ -459,8 +519,7 @@ class CyclicGroupZ:
         return f"Z_{self.modulus}"
 
 
-@dataclass(frozen=True)
-class UnitGroup:
+class UnitGroup(Record):
     """U(n): residues coprime to n under multiplication."""
 
     modulus: int
@@ -495,8 +554,7 @@ class UnitGroup:
         return f"U({self.modulus})"
 
 
-@dataclass(frozen=True)
-class DirectSumZ:
+class DirectSumZ(Record):
     """Direct sum of m copies of Z_n; elements are m-tuples."""
 
     modulus: int
@@ -558,8 +616,7 @@ def aut_cyclic(n: int):
     return U, witness
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """A verified injective homomorphism from a PermGroup into a target."""
 
     target: object

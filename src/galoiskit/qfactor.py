@@ -21,7 +21,6 @@ rational reconstruction behind ``numfield``'s field inverse.
 
 import math
 import random
-from dataclasses import dataclass
 
 from .errors import EngineLimitError
 from .linalg import lll, nullspace
@@ -32,7 +31,7 @@ from .poly import (
     poly_from_int_coeffs,
     poly_squarefree_decomposition,
 )
-from .scalars import QQ, PrimeField, is_prime, power, primes_below
+from .scalars import QQ, PrimeField, Record, is_prime, power, primes_below
 
 # _zp_mul packs when schoolbook products outnumber output coefficients this much
 _PACK_RATIO = 6
@@ -45,8 +44,7 @@ _PRIME_POOL = [
 ]
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """unit * prod(factor**multiplicity) reconstructs the input exactly."""
 
     unit: object

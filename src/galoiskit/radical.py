@@ -24,18 +24,19 @@ radical formula exists.  The group of f's splitting field is a quotient of
 the whole group, and a group with a non-solvable quotient is not solvable,
 so one certified factor decides a reducible input too.  A SOLVABLE verdict
 always comes from an enumerated group.
+
+The field layers (``splitting``, ``numfield``, ``galois``, ``modscreen``,
+``parsing``) are imported inside the functions that build fields, and by the
+verdict only once no certificate has decided, so a certified verdict loads
+none of them.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .checks import record_check
 from .errors import DEFAULT_DEGREE_CAP, ChainFormatError
-from .galois import _orbit, _orbit_min_poly, _stabilizer, galois_group, orbit, subgroup_fixing
-from .numfield import FieldTower, element_sort_key, factor_over_number_field
-from .parsing import evaluate_in_field
 from .permgroup import (
     ChainCertificate,
     CyclicGroupZ,
@@ -45,21 +46,19 @@ from .permgroup import (
     find_embedding,
     is_normal,
     is_solvable,
+    scan_cycle_types,
     solvable_via_abelian_chain,
 )
 from .poly import Polynomial, poly_compose_power, poly_squarefree_part, render_poly
 from .qfactor import factor_over_Q, is_irreducible_over_Q
-from .scalars import QQ
-from .splitting import SplittingField, scan_cycle_types, splitting_field
-from . import modscreen
+from .scalars import QQ, Record
 
 
 # ---------------------------------------------------------------------------
 # radical chains
 
 
-@dataclass(frozen=True)
-class ChainStage:
+class ChainStage(Record):
     k: int
     radicand_text: str
     radicand: object  # b_i as an element of the realized top field
@@ -67,11 +66,10 @@ class ChainStage:
     degree: int  # [R_i : R_{i-1}]
 
 
-@dataclass(frozen=True)
-class RadicalChain:
+class RadicalChain(Record):
     description: tuple  # of (k, radicand_text)
     stages: tuple  # of ChainStage
-    tower: FieldTower  # realization of R_n
+    tower: "FieldTower"  # realization of R_n
 
     @property
     def degree(self):
@@ -99,6 +97,9 @@ def realize_chain(description, degree_cap: int = DEFAULT_DEGREE_CAP) -> RadicalC
     canonical order; when that factor is linear the stage is realized by an
     element already present and the tower does not grow.
     """
+    from .numfield import FieldTower, factor_over_number_field
+    from .parsing import evaluate_in_field
+
     description = [(int(k), _normalize_radicand(b)) for k, b in description]
     if not description:
         raise ChainFormatError("empty radical chain (lcm of characteristic degrees undefined)")
@@ -146,8 +147,7 @@ def realize_chain(description, degree_cap: int = DEFAULT_DEGREE_CAP) -> RadicalC
 # normalization (nested normal radical towers)
 
 
-@dataclass(frozen=True)
-class TowerStage:
+class TowerStage(Record):
     """Data for the Kummer layer E_i -> E_{i+1} built from chain stage i."""
 
     k: int
@@ -155,19 +155,18 @@ class TowerStage:
     orbit: tuple  # O(b) under G(E_i, Q), elements of E_i
     orbit_poly: Polynomial  # Q_b over Q
     kummer_poly: Polynomial  # Q_b(x**k) over Q
-    level: SplittingField  # E_{i+1}
+    level: "SplittingField"  # E_{i+1}
     defining_poly: Polynomial  # rational polynomial whose splitting field is E_{i+1}
     a_images: tuple  # images of a_1..a_i in E_{i+1}
     base_gens_in_level: tuple  # generators of E_i as elements of E_{i+1}
 
 
-@dataclass(frozen=True)
-class NormalRadicalTower:
+class NormalRadicalTower(Record):
     """E_0 = Q < E_1 < ... < E_{n+1} with per-stage Kummer data."""
 
     chain: RadicalChain
     lcm_degree: int  # N
-    cyclotomic: SplittingField  # E_1, splitting field of x**N - 1
+    cyclotomic: "SplittingField"  # E_1, splitting field of x**N - 1
     stages: tuple  # of TowerStage
     level_generators_in_top: tuple  # per level, generator images in E_{n+1}
 
@@ -200,6 +199,11 @@ def normalize_chain(chain: RadicalChain,
     R_i < E_{i+1} are maintained constructively by choosing, at each level,
     the first k-th root of the radicand image in canonical order.
     """
+    from .galois import _orbit, _orbit_min_poly, _stabilizer, galois_group
+    from .numfield import element_sort_key
+    from .parsing import evaluate_in_field
+    from .splitting import splitting_field
+
     n_lcm = 1
     for s in chain.stages:
         n_lcm = math.lcm(n_lcm, s.k)
@@ -269,15 +273,13 @@ def normalize_chain(chain: RadicalChain,
 # independent verification of the defining conditions
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class TowerReport:
+class TowerReport(Record):
     conditions: tuple
 
     @property
@@ -298,6 +300,10 @@ def verify_nested_normal_radical(t: NormalRadicalTower) -> TowerReport:
     """Re-check the three defining conditions of a nested normal radical
     tower, independently of how it was built.  Failures are reported, not
     raised."""
+    from .galois import galois_group, orbit
+    from .splitting import splitting_field
+    from . import modscreen
+
     conditions = []
 
     # condition 1: E_1 is the splitting field of x**N - 1
@@ -360,8 +366,10 @@ def verify_nested_normal_radical(t: NormalRadicalTower) -> TowerReport:
     return TowerReport(tuple(conditions))
 
 
-def _generated_by_roots(level: SplittingField) -> bool:
+def _generated_by_roots(level) -> bool:
     """Only the identity automorphism fixes every root (so roots generate)."""
+    from .galois import _stabilizer, galois_group
+
     g = galois_group(level)
     return _stabilizer(g, level.roots) == (g.identity_index,)
 
@@ -375,6 +383,8 @@ def associated_group_chain(t: NormalRadicalTower):
     G_j fixes E_j pointwise inside G = G(E_top, Q).  Normality of each step
     and the index identity #(G_j)/#(G_{j+1}) = [E_{j+1} : E_j] are asserted.
     """
+    from .galois import galois_group, subgroup_fixing
+
     top = t.top
     g = galois_group(top)
     groups = [g.perm_group()]
@@ -404,6 +414,8 @@ def abelian_layer_embeddings(t: NormalRadicalTower):
     U(N), each Kummer layer G(E_{i+1}, E_i) into a direct sum of copies of
     Z_{k_i}.  Returns [(label, group order, target description, Embedding)].
     """
+    from .galois import galois_group, subgroup_fixing
+
     out = []
     g1 = galois_group(t.cyclotomic)
     target = UnitGroup(t.lcm_degree) if t.lcm_degree >= 2 else CyclicGroupZ(1)
@@ -430,8 +442,7 @@ def abelian_layer_embeddings(t: NormalRadicalTower):
 # the necessary-condition verdict
 
 
-@dataclass(frozen=True)
-class CycleTypeEvidence:
+class CycleTypeEvidence(Record):
     """Frobenius cycle types of an irreducible polynomial, sampled mod primes."""
 
     samples: tuple  # of (prime, cycle type tuple)
@@ -519,8 +530,7 @@ def _jordan_witness(h: Polynomial, primes) -> Optional[CycleTypeEvidence]:
     return CycleTypeEvidence(samples, group, "NOT_SOLVABLE", "; ".join(reasons))
 
 
-@dataclass(frozen=True)
-class SolvabilityVerdict:
+class SolvabilityVerdict(Record):
     verdict: str  # "SOLVABLE_GROUP" or "NOT_SOLVABLE_BY_RADICALS"
     group_order: Optional[int]
     derived_series_orders: tuple
@@ -577,6 +587,10 @@ def necessary_condition_verdict(p: Polynomial, degree_cap: int = DEFAULT_DEGREE_
             continue
         if witness is not None and witness.conclusion == "NOT_SOLVABLE":
             return _certified_verdict(h, witness, whole)
+    # no certificate decided: only now are the field layers loaded
+    from .galois import galois_group
+    from .splitting import splitting_field
+
     e = splitting_field(sq, degree_cap=degree_cap)
     g = galois_group(e)
     solvable, series = is_solvable(g.perm_group())

@@ -5,8 +5,9 @@ denominator), wrapped by the singleton field object ``QQ``.  Prime fields
 carry their own element class so that mod-p values cannot silently mix
 with rationals or with a different modulus.
 
-Two helpers serve every layer: ``power``, the one square-and-multiply
-loop, and ``primes_below``, the one cached descending walk over primes.
+Three helpers serve every layer: ``power``, the one square-and-multiply
+loop; ``primes_below``, the one cached descending walk over primes; and
+``Record``, the base of the engine's immutable value classes.
 """
 
 import itertools
@@ -72,6 +73,62 @@ def primes_below(bits):
 
 
 _PRIMES_BELOW = {}
+
+
+class Record:
+    """An immutable record, a frozen dataclass without the code generation.
+
+    A subclass lists its fields as class annotations, in constructor order,
+    and a class attribute gives a field its default.  Records of the same
+    class compare and hash as the tuple of their fields, except those named
+    in ``_hidden``, which ``repr`` leaves out too.  Assignment raises
+    AttributeError; ``__post_init__`` runs once the fields are set.
+    """
+
+    _hidden = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        # each field once: by position, by keyword or by default
+        if (len(args) > len(fields) or values.keys() != set(fields)
+                or not kwargs.keys().isdisjoint(fields[:len(args)])):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def replace(self, **changes):
+        """A copy with the given fields changed."""
+        return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
+
+    def _key(self):
+        return tuple(getattr(self, f) for f in self._shown)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class RationalField:

@@ -9,36 +9,29 @@ The hunt screens candidates by one scalar Horner evaluation each at a
 degree-one place (``modscreen``), found once per call and extended at each
 adjunction; the result carries it for ``galois`` and ``radical``.  A
 survivor is verified by dividing it out.
+
+An input whose splitting degree is provably beyond the cap (``permgroup``'s
+Frobenius bound) is refused before the number-field layer is loaded.
 """
 
-import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .checks import record_check
 from .errors import DEFAULT_DEGREE_CAP, DegreeCapError
-from .numfield import (
-    ExtElement,
-    FieldTower,
-    _Substitution,
-    element_sort_key,
-    factor_over_number_field,
-)
-from .permgroup import cycle_type_certificate
+from .permgroup import _splitting_degree_lower_bound
 from .poly import Polynomial, poly_squarefree_part
-from .qfactor import factor_degrees_mod_p, factor_over_Q
-from .scalars import QQ
+from .qfactor import factor_over_Q
+from .scalars import QQ, Record
 from . import modscreen
 
 
-@dataclass(frozen=True, eq=False)
-class SplittingField:
+class SplittingField(Record):
     """An absolute field containing, and generated by, all roots of a
-    rational polynomial."""
+    rational polynomial; equal only to itself."""
 
-    tower: FieldTower
+    tower: "FieldTower"
     roots: tuple  # all roots of the squarefree part, canonical order
     source: Polynomial  # full rational polynomial (base source included)
     squarefree_source: Polynomial
@@ -50,6 +43,9 @@ class SplittingField:
     # cache slot: the Galois group is unique per field, so repeated
     # correspondence work does not re-enumerate automorphisms
     _group_cache: list = None
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         if self._group_cache is None:
@@ -90,6 +86,8 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
             f"splitting degree is provably >= {provable} (Frobenius cycle types), "
             f"beyond the cap {degree_cap}",
             attempted=provable, cap=degree_cap)
+    # the number-field layer loads only once no refusal has come
+    from .numfield import FieldTower, _Substitution, element_sort_key, factor_over_number_field
 
     if base is None:
         tower = FieldTower.rationals()
@@ -199,64 +197,6 @@ def _add_root(roots, r):
 
 
 # ---------------------------------------------------------------------------
-# provable lower bound for early degree-cap refusal
-
-DEFAULT_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
-                          47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
-
-
-def scan_cycle_types(h: Polynomial, primes=None):
-    """Frobenius cycle types of an irreducible rational h, one per good prime
-    of the list (default ``DEFAULT_WITNESS_PRIMES``), until they certify
-    that the group of h is S_n; returns (samples, certificate or None).
-
-    Factor degrees mod a good prime are the cycle type of a Frobenius
-    element, so the group holds an element of every sampled type
-    (``permgroup.cycle_type_certificate``).
-    """
-    return _scan_cycle_types(h, tuple(primes) if primes else DEFAULT_WITNESS_PRIMES)
-
-
-@functools.lru_cache(maxsize=32)
-def _scan_cycle_types(h, primes):
-    # one scan per (polynomial, prime list): a verdict's quintic
-    # witness and the splitting-degree bound ask for the same one
-    samples = []
-    certificate = None
-    for prime in primes:
-        degrees = factor_degrees_mod_p(h, prime)
-        if degrees is None:
-            continue
-        samples.append((prime, tuple(degrees)))
-        certificate = cycle_type_certificate(h.degree, samples)
-        if certificate is not None and certificate.group == "S_n":
-            break
-    return tuple(samples), certificate
-
-
-def _splitting_degree_lower_bound(factors) -> int:
-    """A divisor of the splitting-field degree, from Frobenius cycle types of
-    the irreducible rational factors of the source.
-
-    The order of a Frobenius element, the lcm of its cycle lengths, divides
-    the group order, which equals the splitting degree.  Each irreducible
-    rational factor's splitting field sits normally inside the full one, so
-    its bound divides too.  When the cycle types certify that a factor of
-    degree n has group S_n, or A_n or S_n, its bound is n! or n!/2.
-    """
-    bound = 1
-    for h in factors:
-        if h.degree < 2:
-            continue
-        samples, certificate = scan_cycle_types(h)
-        bound = math.lcm(bound, *(d for _, degrees in samples for d in degrees))
-        if certificate is not None:
-            order = math.factorial(h.degree)
-            bound = math.lcm(bound, order if certificate.group == "S_n" else order // 2)
-    return bound
-
-
-# ---------------------------------------------------------------------------
 # monomial root hunt
 
 
@@ -275,6 +215,8 @@ def _hunt_root(q: Polynomial, roots, place, source):
     None: dividing by x - c is the exact test, since its partial sums are
     those of a Horner evaluation at c and its remainder is q(c).
     """
+    from .numfield import ExtElement
+
     F = q.field
     nonzero = [r for r in roots if r and isinstance(r, ExtElement) and r.field == F]
     if F.degree == 1 or not nonzero:

@@ -1,5 +1,6 @@
 """Start-up loads only what runs: each case starts a fresh interpreter and
-lists the galoiskit modules it has imported."""
+lists the galoiskit modules it has imported.  No case loads ``dataclasses``,
+whose import alone costs more than most layers."""
 
 import json
 import os
@@ -12,16 +13,18 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted(path.stem for path in (SRC / "galoiskit").glob("*.py") if path.stem != "__init__")
 
-# Runs the CLI on argv with its output discarded, then prints the loaded layers.
+# Runs the CLI on argv with its output discarded, then prints the exit code
+# and the loaded layers; "dataclasses" stands for that module if loaded.
 CLI_PROBE = """
 import contextlib, io, json, sys
 from galoiskit.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
-        main(sys.argv[1:])
-    except SystemExit:
-        pass
-print(json.dumps([m.split(".")[1] for m in sys.modules if m.startswith("galoiskit.")]))
+        code = main(sys.argv[1:])
+    except SystemExit as e:
+        code = e.code
+loaded = [m.split(".")[1] for m in sys.modules if m.startswith("galoiskit.")]
+print(json.dumps([code, loaded + ["dataclasses"] * ("dataclasses" in sys.modules)]))
 """
 
 
@@ -33,8 +36,13 @@ def run_python(code, *args):
     return proc.stdout
 
 
+def exit_and_loaded(*argv):
+    code, loaded = json.loads(run_python(CLI_PROBE, *argv))
+    return code, set(loaded)
+
+
 def loaded_by(*argv):
-    return set(json.loads(run_python(CLI_PROBE, *argv)))
+    return exit_and_loaded(*argv)[1]
 
 
 def test_modules_found():
@@ -56,7 +64,31 @@ def test_import_galoiskit_loads_no_layer():
 def test_command_loads_only_its_layers(argv, absent):
     loaded = loaded_by(*argv)
     assert "cli" in loaded
-    assert loaded & absent == set()
+    assert loaded & (absent | {"dataclasses"}) == set()
+
+
+# inputs whose verdict comes from Frobenius cycle types alone: S5 and S6
+@pytest.mark.parametrize("poly", ["x^5-x-1", "x^6+x+1"])
+def test_certified_verdict_loads_no_field_layer(poly):
+    code, loaded = exit_and_loaded("solvable", poly)
+    assert code == 0
+    assert {"radical", "permgroup", "qfactor"} <= loaded
+    assert loaded & {"numfield", "galois", "splitting", "modscreen", "dataclasses"} == set()
+
+
+def test_cap_refusal_loads_no_field_layer():
+    # x^5-x-1 has splitting degree 120, refused under the default cap of 64
+    code, loaded = exit_and_loaded("group", "x^5-x-1")
+    assert code == 3
+    assert loaded & {"numfield", "galois", "radical", "dataclasses"} == set()
+
+
+def test_verdict_without_certificate_loads_the_field_layers():
+    # x^4-2 (group D4) has no cycle-type certificate, so the group is built
+    code, loaded = exit_and_loaded("solvable", "x^4-2")
+    assert code == 0
+    assert {"numfield", "galois", "splitting"} <= loaded
+    assert "dataclasses" not in loaded
 
 
 def test_solvable_loads_radical():
@@ -68,4 +100,4 @@ def test_solvable_loads_radical():
 def test_each_module_imports_alone(module):
     # a fresh interpreter, so no earlier import can hide a circular one
     name = "galoiskit" if module == "__init__" else f"galoiskit.{module}"
-    run_python(f"import {name}")
+    assert run_python(f"import sys, {name}; print('dataclasses' in sys.modules)").strip() == "False"

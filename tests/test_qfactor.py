@@ -17,7 +17,8 @@ from galoiskit.qfactor import (
     is_irreducible_over_Q,
 )
 from galoiskit.scalars import PrimeField
-from galoiskit.splitting import DEFAULT_WITNESS_PRIMES, splitting_field
+from galoiskit.permgroup import DEFAULT_WITNESS_PRIMES
+from galoiskit.splitting import splitting_field
 
 from helpers import (
     P,

@@ -1,10 +1,9 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from galoiskit import ChainFormatError, DegreeCapError, radical, splitting
+from galoiskit import ChainFormatError, DegreeCapError, permgroup, splitting
 from galoiskit.galois import galois_group
 from galoiskit.numfield import minimal_polynomial
 from galoiskit.radical import (
@@ -143,7 +142,7 @@ class TestVerifyTower:
     def test_planted_violation_reported(self, tower_nested):
         # hand-built tower with k not dividing N: condition 3 must fail,
         # reported rather than raised
-        bad = replace(tower_nested, lcm_degree=3)
+        bad = tower_nested.replace(lcm_degree=3)
         report = verify_nested_normal_radical(bad)
         assert not report.all_passed
         failing = [c.name for c in report.conditions if not c.passed]
@@ -242,14 +241,14 @@ class TestVerdicts:
     def test_quintic_cycle_types_scanned_once(self, monkeypatch):
         # the quintic witness and the splitting-degree bound share one scan
         primes = []
-        scan = splitting.factor_degrees_mod_p
+        scan = permgroup.factor_degrees_mod_p
 
         def counting(h, prime):
             primes.append(prime)
             return scan(h, prime)
 
-        monkeypatch.setattr(splitting, "factor_degrees_mod_p", counting)
-        splitting._scan_cycle_types.cache_clear()
+        monkeypatch.setattr(permgroup, "factor_degrees_mod_p", counting)
+        permgroup._scan_cycle_types.cache_clear()
         assert necessary_condition_verdict(P(-2, 0, 0, 0, 0, 1)).verdict == "SOLVABLE_GROUP"
         assert len(primes) == 25
 
@@ -274,12 +273,10 @@ class TestVerdicts:
     def test_sextic_certified_without_building_a_field(self, monkeypatch):
         # x^6+x+1 has group S6 (order 720): the cycle-type certificate
         # decides it even under a cap of 20, and no field is built
-        from galoiskit import radical
-
         def no_field(*args, **kwargs):
             raise AssertionError("splitting field built")
 
-        monkeypatch.setattr(radical, "splitting_field", no_field)
+        monkeypatch.setattr(splitting, "splitting_field", no_field)
         v = necessary_condition_verdict(P(1, 1, 0, 0, 0, 0, 1), degree_cap=20)
         assert v.verdict == "NOT_SOLVABLE_BY_RADICALS"
         assert v.group_order == 720
@@ -316,7 +313,7 @@ class TestVerdicts:
         def no_field(*args, **kwargs):
             raise AssertionError("splitting field built")
 
-        monkeypatch.setattr(radical, "splitting_field", no_field)
+        monkeypatch.setattr(splitting, "splitting_field", no_field)
         p = factors[0] * factors[1]
         v = necessary_condition_verdict(p)
         assert v.verdict == "NOT_SOLVABLE_BY_RADICALS"

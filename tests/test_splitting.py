@@ -6,6 +6,7 @@ import pytest
 
 from galoiskit import DegreeCapError, FieldMismatchError, modscreen
 from galoiskit.numfield import FieldTower, minimal_polynomial
+from galoiskit.permgroup import _splitting_degree_lower_bound
 from galoiskit.poly import Polynomial
 from galoiskit.qfactor import factor_mod_p, factor_over_Q
 from galoiskit.scalars import PrimeField
@@ -13,7 +14,6 @@ from galoiskit.splitting import (
     _HUNT_PAIR_EXPS,
     _HUNT_SINGLE_EXPS,
     _hunt_root,
-    _splitting_degree_lower_bound,
     splitting_degree,
     splitting_field,
 )
