@@ -192,13 +192,14 @@ def _cmd_group(args, settings):
 
 
 def _cmd_minpoly(args, settings):
+    e, g = _field_and_group(args, settings)
+    # imported after the field is built, so a cap refusal never loads them
     from .galois import orbit_min_poly
     from .numfield import minimal_polynomial
     from .parsing import evaluate_in_field
     from .poly import render_poly
     from .qfactor import is_irreducible_over_Q
 
-    e, g = _field_and_group(args, settings)
     env = {f"r{i + 1}": r for i, r in enumerate(e.roots)}
     elt = evaluate_in_field(args.element, e.field.ext, env)
     via_orbit = orbit_min_poly(g, elt)
@@ -215,10 +216,11 @@ def _cmd_minpoly(args, settings):
 
 
 def _cmd_fixed(args, settings):
+    _, g = _field_and_group(args, settings)
+    # imported after the field is built, so a cap refusal never loads them
     from .galois import fixed_field, subgroup_fixing
     from .poly import render_poly
 
-    _, g = _field_and_group(args, settings)
     try:
         indices = [int(t) for t in args.subgroup.split(",") if t.strip() != ""]
     except ValueError:

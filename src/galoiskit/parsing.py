@@ -11,8 +11,8 @@ Polynomials use the single variable ``x``; radicands use the names bound in
 the caller's environment (previously adjoined radicals ``r1``, ``r2``, ...).
 Division is exact and only by nonzero constants.  An integer literal
 (number or exponent) above MAX_INPUT_BITS bits is refused before it is
-converted, and a power is refused before it is computed when its degree
-would exceed MAX_INPUT_DEGREE or a numeric power would exceed
+converted, and a power or product is refused before it is computed when
+its degree would exceed MAX_INPUT_DEGREE or a numeric power would exceed
 MAX_INPUT_BITS.  Errors carry a 1-based column.
 """
 
@@ -64,8 +64,8 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Applies +, -, * and negation itself; the algebra supplies number,
-    name, pow and div, where evaluation into Q[x] and into a field differ."""
+    """Applies +, - and negation itself; the algebra supplies number, name,
+    mul, pow and div, where evaluation into Q[x] and into a field differ."""
 
     def __init__(self, text, algebra):
         self.text = text
@@ -105,7 +105,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.take()
             w = self.unary()
-            v = v * w if op.text == "*" else self.alg.div(v, w, op.pos + 1)
+            v = (self.alg.mul if op.text == "*" else self.alg.div)(v, w, op.pos + 1)
         return v
 
     def unary(self):
@@ -158,9 +158,13 @@ class _PolyAlgebra:
             return Polynomial.x(QQ)
         raise ParseError(f"unknown symbol {text}", col)
 
+    def mul(self, a, b, col):
+        _check_limit("product of degree", a.degree + b.degree, MAX_INPUT_DEGREE, col)
+        return a * b
+
     def pow(self, a, k, col):
         if a.degree > 0:
-            _check_limit("degree", a.degree * k, MAX_INPUT_DEGREE, col)
+            _check_limit("power of degree", a.degree * k, MAX_INPUT_DEGREE, col)
         else:
             _check_numeric_power(a.coeff(0), k, col)
         return a ** k
@@ -189,11 +193,14 @@ class _ElementAlgebra:
         known = ", ".join(sorted(self.env)) or "none"
         raise ParseError(f"unknown symbol {text} (known names: {known})", col)
 
+    def mul(self, a, b, col):
+        return a * b
+
     def pow(self, a, k, col):
         coeffs = getattr(a, "coeffs", (a,))
         if any(coeffs[1:]):
             # a power of degree k in the adjoined radicals
-            _check_limit("degree", k, MAX_INPUT_DEGREE, col)
+            _check_limit("power of degree", k, MAX_INPUT_DEGREE, col)
         else:
             _check_numeric_power(coeffs[0], k, col)
         return a ** k
@@ -217,7 +224,7 @@ def _literal_value(tok):
 
 def _check_limit(what, size, limit, col):
     if size > limit:
-        raise ParseError(f"power of {what} {size} exceeds the input limit {limit}", col)
+        raise ParseError(f"{what} {size} exceeds the input limit {limit}", col)
 
 
 def _check_numeric_power(c, k, col):
@@ -225,7 +232,7 @@ def _check_numeric_power(c, k, col):
     MAX_INPUT_BITS bits."""
     c = Fraction(c)
     bits = math.ceil(k * math.log2(max(abs(c.numerator), c.denominator)))
-    _check_limit("bit size", bits, MAX_INPUT_BITS, col)
+    _check_limit("power of bit size", bits, MAX_INPUT_BITS, col)
 
 
 def parse_poly(text: str) -> Polynomial:

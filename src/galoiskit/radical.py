@@ -446,7 +446,7 @@ class CycleTypeEvidence(Record):
     """Frobenius cycle types of an irreducible polynomial, sampled mod primes."""
 
     samples: tuple  # of (prime, cycle type tuple)
-    certified_group: Optional[str]  # "Sn" or "An" (An or Sn) when forced
+    certified_group: Optional[str]  # when forced: "S5" for S5, "A6" for A6 or S6, ...
     conclusion: str  # "NOT_SOLVABLE" or "INCONCLUSIVE"
     detail: str = ""
 
@@ -478,37 +478,32 @@ def quintic_group_witness(p: Polynomial, primes=None) -> CycleTypeEvidence:
         raise ValueError("the quintic witness needs a squarefree quintic")
     if not is_irreducible_over_Q(sq):
         raise ValueError("the quintic witness needs an irreducible quintic")
-    return _quintic_witness(sq, primes)
+    return _witness(sq, primes)
 
 
-def _quintic_witness(h: Polynomial, primes) -> CycleTypeEvidence:
-    """The quintic witness of a monic quintic h already proved irreducible."""
-    samples, certificate = scan_cycle_types(h, primes)
-    if not samples:
-        return CycleTypeEvidence((), None, "INCONCLUSIVE", "no usable prime in the configured list")
-    if certificate is None:
-        return CycleTypeEvidence(
-            samples, None, "INCONCLUSIVE",
-            "all observed cycle types fit the solvable transitive subgroups of S5",
-        )
-    if certificate.group == "S_n":
-        detail = f"cycle type {samples[-1][1]} mod {samples[-1][0]} occurs only in S5"
-        return CycleTypeEvidence(samples, "S5", "NOT_SOLVABLE", detail)
-    detail = "a 3-cycle restricts the group to A5 or S5; both are non-solvable"
-    return CycleTypeEvidence(samples, "A5", "NOT_SOLVABLE", detail)
-
-
-def _jordan_witness(h: Polynomial, primes) -> Optional[CycleTypeEvidence]:
-    """NOT_SOLVABLE evidence for an irreducible h of degree n >= 6 whose
-    cycle types certify a group containing A_n, or None.
-
-    The power step is re-checked on an explicit permutation.
+def _witness(h: Polynomial, primes) -> CycleTypeEvidence:
+    """The cycle-type evidence of a monic h of degree n >= 5 already proved
+    irreducible: NOT_SOLVABLE when the types certify a group containing
+    A_n, else INCONCLUSIVE.  Only the wording is special at n = 5; above
+    it the power step is re-checked on an explicit permutation and the
+    detail gives Jordan's reasons.
     """
     n = h.degree
     samples, certificate = scan_cycle_types(h, primes)
     if certificate is None:
-        return None
+        if not samples:
+            detail = "no usable prime in the configured list"
+        elif n == 5:
+            detail = "all observed cycle types fit the solvable transitive subgroups of S5"
+        else:
+            detail = f"no observed cycle type certifies A{n}"
+        return CycleTypeEvidence(samples, None, "INCONCLUSIVE", detail)
     prime, ctype, exponent, p = certificate.power
+    group = f"S{n}" if p == 2 else f"A{n}"
+    if n == 5:
+        detail = (f"cycle type {ctype} mod {prime} occurs only in S5" if p == 2
+                  else "a 3-cycle restricts the group to A5 or S5; both are non-solvable")
+        return CycleTypeEvidence(samples, group, "NOT_SOLVABLE", detail)
     cycles = (Permutation.of_cycle_type(ctype) ** exponent).cycles()
     record_check("cycle_type_witness.power_is_single_cycle",
                  [len(c) for c in cycles] == [p],
@@ -518,15 +513,13 @@ def _jordan_witness(h: Polynomial, primes) -> Optional[CycleTypeEvidence]:
     else:
         reasons = [f"type {certificate.primitivity[1]} mod {certificate.primitivity[0]} "
                    "makes the group 2-transitive, hence primitive"]
+    kind = "transposition" if p == 2 else f"{p}-cycle"
+    reasons.append(f"type {ctype} mod {prime} to the power {exponent} is a {kind}")
     if p == 2:
-        reasons.append(f"type {ctype} mod {prime} to the power {exponent} is a transposition")
         reasons.append(f"a primitive group with a transposition is S{n} (Jordan)")
-        group = f"S{n}"
     else:
-        reasons.append(f"type {ctype} mod {prime} to the power {exponent} is a {p}-cycle")
         reasons.append(f"a primitive group with a {p}-cycle contains A{n} (Jordan); "
                        f"A{n} and S{n} are both non-solvable")
-        group = f"A{n}"
     return CycleTypeEvidence(samples, group, "NOT_SOLVABLE", "; ".join(reasons))
 
 
@@ -577,16 +570,13 @@ def necessary_condition_verdict(p: Polynomial, degree_cap: int = DEFAULT_DEGREE_
     # the group of each factor's splitting field is a quotient of the whole
     # group, and a quotient of a solvable group is solvable
     for h in factors:
-        if h.degree == 5:
-            witness = _quintic_witness(h, primes)
-            if whole:
-                evidence = witness
-        elif h.degree >= 6:
-            witness = _jordan_witness(h, primes)
-        else:
+        if h.degree < 5:
             continue
-        if witness is not None and witness.conclusion == "NOT_SOLVABLE":
+        witness = _witness(h, primes)
+        if witness.conclusion == "NOT_SOLVABLE":
             return _certified_verdict(h, witness, whole)
+        if whole and h.degree == 5:
+            evidence = witness
     # no certificate decided: only now are the field layers loaded
     from .galois import galois_group
     from .splitting import splitting_field
@@ -594,24 +584,14 @@ def necessary_condition_verdict(p: Polynomial, degree_cap: int = DEFAULT_DEGREE_
     e = splitting_field(sq, degree_cap=degree_cap)
     g = galois_group(e)
     solvable, series = is_solvable(g.perm_group())
-    orders = tuple(h.order for h in series)
-    if solvable:
-        certificate = solvable_via_abelian_chain(series)
-        return SolvabilityVerdict(
-            verdict="SOLVABLE_GROUP",
-            group_order=g.order,
-            derived_series_orders=orders,
-            certificate=certificate,
-            quintic_evidence=evidence,
-            note=_NECESSARY_NOTE,
-        )
     return SolvabilityVerdict(
-        verdict="NOT_SOLVABLE_BY_RADICALS",
+        verdict="SOLVABLE_GROUP" if solvable else "NOT_SOLVABLE_BY_RADICALS",
         group_order=g.order,
-        derived_series_orders=orders,
-        certificate=None,
+        derived_series_orders=tuple(s.order for s in series),
+        certificate=solvable_via_abelian_chain(series) if solvable else None,
         quintic_evidence=evidence,
-        note="the derived series stalls before reaching the trivial group",
+        note=(_NECESSARY_NOTE if solvable
+              else "the derived series stalls before reaching the trivial group"),
     )
 
 

@@ -76,9 +76,14 @@ def test_certified_verdict_loads_no_field_layer(poly):
     assert loaded & {"numfield", "galois", "splitting", "modscreen", "dataclasses"} == set()
 
 
-def test_cap_refusal_loads_no_field_layer():
-    # x^5-x-1 has splitting degree 120, refused under the default cap of 64
-    code, loaded = exit_and_loaded("group", "x^5-x-1")
+# x^5-x-1 has splitting degree 120, refused under the default cap of 64
+@pytest.mark.parametrize("argv", [
+    ["group", "x^5-x-1"],
+    ["minpoly", "x^5-x-1", "--element", "r1"],
+    ["fixed", "x^5-x-1", "--subgroup", "1"],
+], ids=lambda v: v[0])
+def test_cap_refusal_loads_no_field_layer(argv):
+    code, loaded = exit_and_loaded(*argv)
     assert code == 3
     assert loaded & {"numfield", "galois", "radical", "dataclasses"} == set()
 

@@ -69,6 +69,7 @@ class TestParsePoly:
         ("x^2 + (x^2+1)^129", 15),
         ("2^5000", 3),
         ("(1/3)^2600", 7),
+        ("(x+1)^200*(x+1)^57", 10),
     ])
     def test_power_beyond_input_limit_rejected(self, text, column):
         with pytest.raises(ParseError) as err:
@@ -97,6 +98,7 @@ class TestParsePoly:
         assert parse_poly(f"x^{MAX_INPUT_DEGREE}").degree == MAX_INPUT_DEGREE
         assert parse_poly(f"(x^2+1)^{MAX_INPUT_DEGREE // 2}").degree == MAX_INPUT_DEGREE
         assert parse_poly(f"2^{MAX_INPUT_BITS}").coeff(0) == 2 ** MAX_INPUT_BITS
+        assert parse_poly("(x^128)*(x^128)").degree == MAX_INPUT_DEGREE
         assert parse_poly("1^99999999 + 0^99999999 + (-1)^99999999").coeff(0) == 0
 
     def test_roundtrip_render(self):
@@ -154,6 +156,13 @@ class TestCliExitCodes:
         assert run_cli("factor", "1" * 5000 + "*x+1") == EXIT_INPUT
         err = capsys.readouterr().err
         assert "column 1" in err and "input limit" in err
+
+    def test_long_product_exit_2(self, capsys):
+        # degree 4096 in 159 characters, refused at the first '*' before
+        # any product is computed
+        assert run_cli("factor", "*".join(["(x+1)^256"] * 16)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "column 10" in err and "input limit" in err
 
     def test_degree_cap_exit_3(self, capsys):
         assert run_cli("split", "x^5-x-1") == EXIT_DEGREE_CAP

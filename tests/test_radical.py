@@ -337,6 +337,54 @@ class TestVerdicts:
             necessary_condition_verdict(P(3))
 
 
+def _samples(text):
+    # "2:23 7:113" -> [(2, (2, 3)), (7, (1, 1, 3))]
+    return [(int(p), tuple(map(int, t))) for p, t in (s.split(":") for s in text.split())]
+
+
+_A5_SAMPLES = ("3:5 7:113 11:113 13:5 17:113 19:5 23:122 29:113 31:5 37:122 41:113 "
+               "43:113 47:5 53:5 59:5 61:5 67:5 71:113 73:5 79:113 83:122 89:122 97:5")
+_F20_SAMPLES = ("3:14 7:14 11:5 13:14 17:14 19:122 23:14 29:122 31:5 37:14 41:5 43:14 "
+                "47:14 53:14 59:122 61:5 67:14 71:5 73:14 79:122 83:14 89:122 97:14")
+_A6_SAMPLES = ("7:15 11:15 13:15 17:15 19:15 23:1113 29:24 31:15 37:1122 41:24 43:15 "
+               "47:15 53:15 59:1113 61:24 67:24 71:1122 73:1122 79:1122 83:15 89:1122 97:15")
+
+
+@pytest.mark.parametrize("text, primes, samples, group, detail", [
+    ("x^5-x-1", None, "2:23", "S5", "cycle type (2, 3) mod 2 occurs only in S5"),
+    ("x^5+20*x+16", None, _A5_SAMPLES, "A5",
+     "a 3-cycle restricts the group to A5 or S5; both are non-solvable"),
+    ("x^5-2", None, _F20_SAMPLES, None,
+     "all observed cycle types fit the solvable transitive subgroups of S5"),
+    ("x^5-2", (2, 5), "", None, "no usable prime in the configured list"),
+    ("x^6+x+1", None, "2:6 3:123 5:33 7:15", "S6",
+     "type (1, 5) mod 7 makes the group 2-transitive, hence primitive; "
+     "type (1, 2, 3) mod 3 to the power 3 is a transposition; "
+     "a primitive group with a transposition is S6 (Jordan)"),
+    ("x^6+24*x-20", None, _A6_SAMPLES, "A6",
+     "type (1, 5) mod 7 makes the group 2-transitive, hence primitive; "
+     "type (1, 1, 1, 3) mod 23 to the power 1 is a 3-cycle; "
+     "a primitive group with a 3-cycle contains A6 (Jordan); A6 and S6 are both non-solvable"),
+    ("x^7-x-1", None, "2:7 3:25", "S7",
+     "degree 7 is prime, so the transitive group is primitive; "
+     "type (2, 5) mod 3 to the power 5 is a transposition; "
+     "a primitive group with a transposition is S7 (Jordan)"),
+])
+def test_witness_wording(text, primes, samples, group, detail):
+    # the reported evidence word for word, under quintic_witness at degree 5
+    # and under cycle_type_witness above it
+    from galoiskit.parsing import parse_poly
+
+    v = necessary_condition_verdict(parse_poly(text), primes=primes)
+    ev = v.quintic_evidence or v.cycle_type_evidence
+    assert ev.to_dict() == {
+        "samples": [{"prime": p, "factor_degrees": list(t)} for p, t in _samples(samples)],
+        "certified_group": group,
+        "conclusion": "INCONCLUSIVE" if group is None else "NOT_SOLVABLE",
+        "detail": detail,
+    }
+
+
 # sextics with their groups, as named by sympy (S6TransitiveSubgroups)
 SEXTICS = [
     ((1, 1, 0, 0, 0, 0, 1), "S6"),
