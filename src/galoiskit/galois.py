@@ -33,15 +33,16 @@ otherwise k doubles, up to a proven height bound.
 
 Whether sigma fixes a is screened with the same images mod p, where
 sigma(den * a) maps to a's numerators evaluated at sigma(theta)'s image,
-and only a survivor is checked exactly.  Stabilizers, primitive elements
-of fixed spaces (no sigma outside H fixes them) and orbits (one sigma per
-left coset of the stabilizer, by ``permgroup``'s coset walk) are found
-that way.
+and only a survivor is checked exactly: for a stabilizer, a group, only one
+outside the ``permgroup.closure`` of the fixers verified so far; for a
+primitive element of H's fixed space, every one outside H; and an orbit
+applies one sigma per left coset of the stabilizer (``permgroup``).
 """
 
 import itertools
 from functools import cached_property
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .checks import record_check
@@ -358,9 +359,9 @@ def _orbit_min_poly(G: GaloisGroup, a, stab) -> Polynomial:
 
 
 def _vanishes_at(f, a):
-    """f(a) == 0, by Horner on integer vectors: with f cleared to integers
-    F_j and a = num / den, sum F_j * den**(m-j) * num**j, each product
-    scaled by the reduction rows' denominator d, as each term added is."""
+    """f(a) == 0 by Horner on integer vectors, f cleared to integers F_j
+    and a = num / den: acc / scale is the value so far, each step takes it
+    to value * a + F_j, and both are divided by their gcd."""
     ext = a.field
     fi, _ = _clear_denominators(f.coeffs)
     acc, scale = [fi[-1]] + [0] * (ext.degree - 1), 1
@@ -368,6 +369,8 @@ def _vanishes_at(f, a):
         scale *= ext._int_rows[1] * a.den
         acc = ext._int_mul(acc, a.num)
         acc[0] += fi[j] * scale
+        g = gcd(scale, *acc)
+        acc, scale = [x // g for x in acc], scale // g
     return not any(acc)
 
 
@@ -449,31 +452,34 @@ def _primitive_of_subspace(G: GaloisGroup, basis, idx):
               for k in range(1, 40))
     for vec in itertools.chain(basis, combos):
         e = ext.from_rep(vec)
-        if next(_fixers(G, e, outside), None) is None:
+        if not any(G.automorphisms[i].apply(e) == e for i in _survivors(G, e, outside)):
             return e
     raise SoundnessError("fixed_field.primitive_search", "no primitive element found for subfield")
 
 
-def _fixers(G: GaloisGroup, e, among):
-    """The indices among those given whose automorphism fixes e, in order.
-    The group's place mod p, a ring map, sends sigma(den * e) to e's
-    numerators evaluated at b, sigma(theta)'s image: a value other than the
-    identity's proves sigma(e) != e.  Every other sigma but the identity is
-    checked exactly."""
-    p, ident = G._lift[1].prime, G.identity_index
+def _survivors(G: GaloisGroup, e, among):
+    """The indices among those given that may fix e, in order: the place mod
+    p, a ring map, sends sigma(den * e) to e's numerators at sigma(theta)'s
+    image, so a value other than the identity's proves sigma(e) != e."""
+    p = G._lift[1].prime
     thetas, num = G._theta_images(1), [c % p for c in e.num]
-    fixed = modscreen.horner(num, thetas[ident] % p, p)
-    for i in among:
-        if i == ident or (modscreen.horner(num, thetas[i] % p, p) == fixed
-                          and G.automorphisms[i].apply(e) == e):
-            yield i
+    fixed = modscreen.horner(num, thetas[G.identity_index] % p, p)
+    return [i for i in among if modscreen.horner(num, thetas[i] % p, p) == fixed]
 
 
 def _stabilizer(G: GaloisGroup, elements) -> tuple:
-    """Indices of the automorphisms fixing every element of the list."""
+    """Indices of the automorphisms fixing every element of the list.  The
+    fixers of e form a group, so a survivor is applied only outside the
+    closure of the fixers verified so far, and the stabilizer is that closure."""
     idx = range(G.order)
     for e in elements:
-        idx = tuple(_fixers(G, e, idx))
+        fixers, group = [], closure([], degree=len(G.splitting.roots))
+        survivors = _survivors(G, e, idx)
+        for i in survivors:
+            if G.perm(i) not in group and G.automorphisms[i].apply(e) == e:
+                fixers.append(G.perm(i))
+                group = closure(fixers, max_order=G.order)
+        idx = [i for i in survivors if G.perm(i) in group]
     return tuple(idx)
 
 

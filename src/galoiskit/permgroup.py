@@ -52,8 +52,12 @@ class Permutation:
         return self.images[i]
 
     def __mul__(self, other):
-        # (self * other)(i) = self(other(i))
-        return Permutation(tuple(self.images[j] for j in other.images))
+        # (self * other)(i) = self(other(i)), a bijection: no re-check
+        if len(self.images) != len(other.images):
+            raise ValueError(f"degrees differ: {self.degree} and {other.degree}")
+        product = object.__new__(Permutation)
+        product.images = tuple(map(self.images.__getitem__, other.images))
+        return product
 
     def __pow__(self, k):
         base = self if k >= 0 else self.inverse()
@@ -467,16 +471,19 @@ def solvable_via_abelian_chain(chain) -> ChainCertificate:
 
 
 def all_subgroups(G: PermGroup):
-    """Every subgroup, by breadth-first closure over added generators."""
+    """Every subgroup, by breadth-first closure over added generators: one g
+    per right coset Hg, the first in canonical order, since <H, hg> = <H, g>."""
     trivial = closure([], degree=G.degree)
     found = {trivial.element_set: trivial}
     frontier = [trivial]
     while frontier:
         nxt = []
         for H in frontier:
+            covered = set(H.element_set)
             for g in G.elements:
-                if g in H.element_set:
+                if g in covered:
                     continue
+                covered.update(h * g for h in H.elements)
                 K = closure(list(H.generators) + [g], degree=G.degree,
                             max_order=max(MAX_CLOSURE_ORDER, G.order))
                 if K.element_set not in found:

@@ -14,7 +14,7 @@ from galoiskit import QQ, modscreen
 from galoiskit.qfactor import _symmetric, _zp_mul, _zx_divide_exact, _zx_primitive
 from galoiskit.galois import Automorphism, GaloisGroup
 from galoiskit.numfield import element_sort_key, minimal_polynomial
-from galoiskit.permgroup import Permutation
+from galoiskit.permgroup import MAX_CLOSURE_ORDER, Permutation, closure
 from galoiskit.poly import Polynomial, poly_from_int_coeffs
 
 
@@ -295,6 +295,12 @@ def exhaustive_galois_group(E):
     return GaloisGroup(E, tuple(autos), identity_index)
 
 
+def exact_stabilizer(G, elements):
+    """The indices of the automorphisms fixing every given element, each
+    automorphism applied exactly to each element."""
+    return tuple(i for i, g in enumerate(G.automorphisms) if all(g.apply(e) == e for e in elements))
+
+
 def every_image_orbit(G, a):
     """The orbit of a field element: its image under every automorphism,
     duplicates dropped, in canonical order."""
@@ -410,3 +416,26 @@ def zassenhaus_recombine(f, pool, pk, bound, degrees):
     if len(f) > 1:
         result.append(f)
     return result
+
+
+def element_walk_subgroups(G):
+    """Every subgroup of a permutation group, by breadth-first closure of
+    each subgroup found with every element outside it added as a generator:
+    the oracle for ``permgroup.all_subgroups``, which adds one element per
+    right coset."""
+    trivial = closure([], degree=G.degree)
+    found = {trivial.element_set: trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            for g in G.elements:
+                if g in H.element_set:
+                    continue
+                K = closure(list(H.generators) + [g], degree=G.degree,
+                            max_order=max(MAX_CLOSURE_ORDER, G.order))
+                if K.element_set not in found:
+                    found[K.element_set] = K
+                    nxt.append(K)
+        frontier = nxt
+    return sorted(found.values(), key=lambda H: (H.order, tuple(p.images for p in H.elements)))

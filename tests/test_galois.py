@@ -19,14 +19,15 @@ from galoiskit.galois import (
 )
 from galoiskit.linalg import nullspace
 from galoiskit.numfield import ExtensionField, minimal_polynomial
+from galoiskit.parsing import evaluate_in_field
 from galoiskit.permgroup import PermGroup, all_subgroups
 from galoiskit.poly import Polynomial
 from galoiskit.qfactor import factor_degrees_mod_p, factor_mod_p, is_irreducible_over_Q
 from galoiskit.scalars import PrimeField
 from galoiskit.splitting import splitting_field
 
-from helpers import (P, every_image_orbit, exhaustive_galois_group, left_coset_representatives,
-                     orbit_poly, rref_nullspace)
+from helpers import (P, every_image_orbit, exact_stabilizer, exhaustive_galois_group,
+                     left_coset_representatives, orbit_poly, rref_nullspace)
 from test_goldens import GOLDEN, _poly
 
 
@@ -573,7 +574,8 @@ def _correspondence(G, subgroups):
 
 def _screen_lets_every_sigma_through(G, monkeypatch):
     """Give every automorphism the identity's theta-image at k = 1, so that
-    every sigma survives the stabilizer screen and is checked exactly."""
+    every sigma survives the stabilizer screen and is checked exactly unless
+    the closure of the fixers verified before it holds it."""
     theta_images = G._theta_images
 
     def images(k):
@@ -677,6 +679,43 @@ class TestPlaceScreen:
             assert len(orbit(G, B.primitive)) == B.degree
             assert len(calls) <= len(idx) + B.degree
 
+    # applying every survivor of the screen takes 136 and 113 applies
+    @pytest.mark.parametrize("name, bound", [("x^7-2", 34), ("x^4+x+1", 45)])
+    def test_stabilizers_apply_only_outside_the_verified_closure(self, request, monkeypatch,
+                                                                 name, bound):
+        if name == "x^7-2":
+            G = request.getfixturevalue("x7m2_group")
+        else:
+            G = request.getfixturevalue("corpus_groups")[name]
+        calls = []
+        apply = Automorphism.apply
+
+        def spy(self, a):
+            calls.append(self)
+            return apply(self, a)
+
+        def built():
+            return [a._action is not None for a in G.automorphisms]
+
+        monkeypatch.setattr(Automorphism, "apply", spy)
+        applies = 0
+        for idx in _subgroups(G):
+            B = fixed_field(G, idx)
+            before = built()
+            calls.clear()
+            assert subgroup_fixing(G, B) == idx
+            applies += len(calls)
+            # every sigma applied had its action matrix built by fixed_field
+            assert built() == before
+        assert applies <= bound
+
+    def test_stabilizers_match_the_exact_oracle(self, screened_and_exact):
+        G, _, _, exact = screened_and_exact
+        for group in (G, exact):
+            elements = _seeded_elements(group.splitting)
+            for some in [[a] for a in elements] + [elements[1:], elements[::-1], []]:
+                assert galois_module._stabilizer(group, some) == exact_stabilizer(group, some)
+
 
 def _p_integral_element(ext, rng):
     """Random coordinates over denominators far below any place's prime."""
@@ -695,6 +734,19 @@ class TestResidueOrbitPolynomial:
         for idx in _subgroups(G):
             B = fixed_field(G, idx)
             assert B.min_poly == orbit_poly(G, orbit(G, B.primitive))
+
+    def test_exact_vanishing_test_matches_evaluation(self, corpus_groups):
+        # the correspondence sessions' x^4+x+1 draws at seeds 1, 2 and 3:
+        # coordinates and denominators of about 136 bits
+        G = corpus_groups["x^4+x+1"]
+        env = {f"r{i + 1}": r for i, r in enumerate(G.splitting.roots)}
+        for text in ("-2*r2+1*r3", "2*r1+3*r2-2*r3", "-2*r1+2*r2", "-2*r1+1*r4", "1*r2-1*r3+3*r4",
+                     "-1*r1+2*r3", "3*r2-1*r3", "3*r2-2*r3+1*r4", "1*r1-1*r2"):
+            a = evaluate_in_field(text, G.field.ext, env)
+            f = orbit_min_poly(G, a)
+            assert galois_module._vanishes_at(f, a)
+            for b in (a, a + 1, a - 1):
+                assert galois_module._vanishes_at(f, b) == (f.evaluate(b) == 0)
 
     def test_denominator_divisible_by_the_prime(self, corpus_groups):
         # p cannot be inverted: the product is taken for den * a, rescaled

@@ -2,6 +2,7 @@ import math
 import signal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galoiskit.permgroup import (
     CyclicGroupZ,
@@ -23,6 +24,8 @@ from galoiskit.permgroup import (
     unit_group,
 )
 from galoiskit.errors import GroupOrderLimitError
+
+from helpers import element_walk_subgroups
 
 
 def s_n(n):
@@ -326,6 +329,47 @@ class TestSubgroupEnumeration:
 
     def test_s4_has_thirty_subgroups(self):
         assert len(all_subgroups(s_n(4))) == 30
+
+    @pytest.mark.parametrize("name, build, count", [
+        ("S3", lambda: s_n(3), 6),
+        ("S4", lambda: s_n(4), 30),
+        ("D4", lambda: closure([Permutation((1, 2, 3, 0)), Permutation((0, 3, 2, 1))]), 10),
+        ("F20", lambda: affine_line(5, 2), 14),
+        ("F42", lambda: affine_line(7, 3), 26),
+        # C3 x C3 on two blocks of three points, with the involution
+        # inverting both factors
+        ("(C3xC3):C2", lambda: closure([Permutation((1, 2, 0, 3, 4, 5)),
+                                        Permutation((0, 1, 2, 4, 5, 3)),
+                                        Permutation((0, 2, 1, 3, 5, 4))]), 28),
+    ], ids=["S3", "S4", "D4", "F20", "F42", "(C3xC3):C2"])
+    def test_coset_walk_matches_the_element_walk(self, name, build, count):
+        G = build()
+        found, expected = all_subgroups(G), element_walk_subgroups(G)
+        assert len(found) == count
+        # the same subgroups, in the same order, with the same generators
+        assert found == expected
+        assert [H.generators for H in found] == [H.generators for H in expected]
+
+
+def _permutations(n):
+    return st.permutations(range(n)).map(Permutation)
+
+
+class TestProducts:
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(_permutations(n), _permutations(n))))
+    @settings(max_examples=200, deadline=None)
+    def test_product_is_the_validated_composition(self, pair):
+        p, q = pair
+        expected = Permutation(tuple(p.images[j] for j in q.images))
+        assert p * q == expected
+        assert (p * q).images == expected.images and hash(p * q) == hash(expected)
+        assert type(p * q) is Permutation
+
+    def test_unequal_degrees_raise(self):
+        p, q = Permutation((1, 0)), Permutation((1, 2, 0))
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(ValueError):
+                a * b
 
 
 # ---------------------------------------------------------------------------

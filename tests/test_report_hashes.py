@@ -1,20 +1,30 @@
 """Byte identity of canonical ``--json`` reports on commands that hunt for
-roots.
+roots, and of whole subgroup lattices.
 
 The hunt, the group enumeration, the tower root filters and the
 correspondence's stabilizers, orbits and primitive elements screen at a
-degree-one place and verify every survivor exactly, so neither the prime
-nor the absence of a place may change a report.  ``bench/run.py`` prints
-the same digests for these jobs.
+degree-one place and verify exactly every survivor they cannot prove from
+what is already verified (a stabilizer holds the closure of its verified
+fixers), so neither the prime nor the absence of a place may change a
+report.  ``bench/run.py`` prints the same digests for these jobs.  A
+lattice digest covers, per subgroup from ``permgroup.all_subgroups``, what
+a correspondence session reports: its order, its fixed field's degree and
+rendered minimal polynomial, and whether ``subgroup_fixing`` returns it.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from galoiskit import modscreen
 from galoiskit.cli import EXIT_OK, main
+from galoiskit.galois import fixed_field, galois_group, subgroup_fixing
+from galoiskit.parsing import parse_poly
+from galoiskit.permgroup import all_subgroups
+from galoiskit.poly import render_poly
+from galoiskit.splitting import splitting_field
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,3 +66,22 @@ def test_report_is_byte_identical(monkeypatch, capsys, argv, digest, screened):
     assert main(list(argv) + ["--json"]) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+LATTICES = [("x^7-2", "f3a94283edc21c7f01d23d03b5e21e0f06e847e6028cfa8a8176bc7fd4076e13"),
+            ("x^4+x+1", "a1adc47dbd0f519626c518da023b4d20ea354bf4dfbfc84d1e4eaff0ced5ab75")]
+
+
+@pytest.mark.parametrize("screened", [True, False], ids=["place", "no-place"])
+@pytest.mark.parametrize("poly, digest", LATTICES, ids=[p for p, _ in LATTICES])
+def test_lattice_is_byte_identical(monkeypatch, poly, digest, screened):
+    if not screened:
+        monkeypatch.setattr(modscreen, "find", lambda *args, **kwargs: None)
+    G = galois_group(splitting_field(parse_poly(poly)))
+    assert (G.splitting.place is not None) == screened
+    rows = []
+    for H in all_subgroups(G.perm_group()):
+        idx = tuple(sorted(map(G.index_of_perm, H.elements)))
+        B = fixed_field(G, idx)
+        rows.append([len(idx), B.degree, render_poly(B.min_poly), subgroup_fixing(G, B) == idx])
+    assert hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest() == digest
