@@ -127,8 +127,8 @@ class GaloisGroup(Record):
 
     @cached_property
     def _lift(self):
-        """[k, the place lifted to p**k, the image there of each
-        sigma(theta)], the group's one residue table: the splitting field's
+        """[k, the place lifted to p**k, {index: the image there of
+        sigma(theta)}], the group's one residue table: the splitting field's
         place, else theta -> the least root of its minimal polynomial m at
         a prime of ``modscreen.primes`` where m splits into distinct linear
         factors; the first where theta's image is a simple root of m and
@@ -140,18 +140,21 @@ class GaloisGroup(Record):
             lifted = place and place.lift(m, 1)
             images = lifted and [lifted(a.theta_image) for a in self.automorphisms]
             if images and None not in images:
-                return [1, lifted, images]
+                return [1, lifted, dict(enumerate(images))]
         raise SoundnessError("galois.residue_place", "no prime splits theta's minimal polynomial")
 
-    def _theta_images(self, k):
-        """The image of each sigma(theta) at the place lifted to p**k or
-        beyond."""
-        j, place, _ = lift = self._lift
+    def _theta_images(self, k, indices=None):
+        """The images of sigma_i(theta), i in indices (default all), at the
+        place lifted to p**k or beyond, each evaluated once per precision."""
+        j, place, images = self._lift
         if j < k:
             j = max(k, 2 * j)
-            place = place.lift(self.field.min_poly, j)
-            lift[:] = j, place, [place(a.theta_image) for a in self.automorphisms]
-        return lift[2]
+            place, images = place.lift(self.field.min_poly, j), {}
+            self._lift[:] = j, place, images
+        indices = range(self.order) if indices is None else indices
+        for i in set(indices) - images.keys():
+            images[i] = place(self.automorphisms[i].theta_image)
+        return [images[i] for i in indices]
 
     @cached_property
     def _index_by_perm(self):
@@ -334,10 +337,9 @@ def _orbit_min_poly(G: GaloisGroup, a, stab) -> Polynomial:
     while True:
         pk = p ** k
         num, inv = [x % pk for x in a.num], pow(a.den // scale, -1, pk)
-        thetas = G._theta_images(k)
         acc = [1]
-        for i in reps:
-            w = modscreen.horner(num, thetas[i] % pk, pk) * inv % pk
+        for b in G._theta_images(k, reps):
+            w = modscreen.horner(num, b % pk, pk) * inv % pk
             acc = [(u - w * v) % pk for u, v in zip([0] + acc, acc + [0])]
         candidate = _rational_reconstruction(acc, pk, den_bound)
         if candidate is not None:

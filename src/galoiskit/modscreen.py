@@ -11,11 +11,16 @@ and theta to the combination of generator images that theta is of the
 generators.  Where theta's image is a simple root of its minimal
 polynomial mod p, Newton iteration lifts it to a root mod p**k, and the
 place to a ring map onto the integers mod p**k.
+
+A place found by ``find`` also carries every embedding of its field, so
+the [F:Q] roots of theta's minimal polynomial mod p, at which ``numfield``
+factors over the field.
 """
 
 import itertools
 import random
 from math import lcm
+from operator import mul
 
 from .qfactor import _zp_equal_degree, _zp_mod, _zp_powmod
 from .scalars import primes_below
@@ -23,11 +28,19 @@ from .scalars import primes_below
 
 class Place:
     """theta -> root mod modulus (the prime unless lifted), with the images
-    of the tower generators."""
+    of the tower generators; from ``find``, also the source (its rational
+    factors, their roots mod p) and the embeddings, (theta's image,
+    generator images) for each, or None.  ``numfield`` caches in ``lifts``."""
 
-    def __init__(self, prime, root=1, gens=(), modulus=None):
+    def __init__(self, prime, root=1, gens=(), modulus=None, source=None, embeddings=None):
         self.prime, self.root, self.gens = prime, root, gens
         self.modulus = modulus or prime
+        self.source, self.embeddings, self.lifts = source, embeddings, {}
+
+    @property
+    def conjugates(self):
+        """theta's image under every embedding, or None."""
+        return self.embeddings and [a for a, _ in self.embeddings]
 
     def __call__(self, e):
         """Image of a rational or a field element (integer coordinates num
@@ -42,30 +55,54 @@ class Place:
 
     def extend(self, q, combo, modulus):
         """The place after adjoining a root of the monic q, when the new
-        theta is sum combo_i * gen_i with minimal polynomial modulus."""
-        p, qbar = self.prime, self.images(q.coeffs)
-        if qbar is None or not _splits(qbar, p):
+        theta is sum combo_i * gen_i with minimal polynomial modulus.  Each
+        embedding extends by the source's roots where its image of q
+        vanishes, kept when theta's images are deg modulus distinct roots of
+        it; the new generator goes to the least root of q's image here."""
+        p, m = self.prime, Place(self.prime).images(modulus.coeffs)
+        if m is None:
             return None
-        factors = _zp_equal_degree(qbar, 1, p, random.Random(p))
-        gens = self.gens + (min(-g[0] % p for g in factors),)
-        place = Place(p, sum(c * g for c, g in zip(combo, gens)) % p, gens)
-        m = place.images(modulus.coeffs)
-        return place if m is not None and not horner(m, place.root, p) else None
+        out = []
+        for a, gens in self.embeddings or ():
+            qa = Place(p, a).images(q.coeffs)
+            out += [(sum(map(mul, combo, gens + (b,))) % p, gens + (b,))
+                    for b in self.source[1] if qa and not horner(qa, b, p)]
+        thetas = {a for a, _ in out}
+        if out and len(thetas) == len(out) == len(m) - 1 and not any(horner(m, a, p) for a in thetas):
+            gens = self.gens + (min(g[-1] for _, g in out if g[:-1] == self.gens),)
+        else:
+            qbar, out = self.images(q.coeffs), None
+            if qbar is None or not _splits(qbar, p):
+                return None
+            factors = _zp_equal_degree(qbar, 1, p, random.Random(p))
+            gens = self.gens + (min(-g[0] % p for g in factors),)
+        place = Place(p, sum(map(mul, combo, gens)) % p, gens, source=self.source, embeddings=out)
+        return None if horner(m, place.root, p) else place
 
     def lift(self, f, k):
-        """This place lifted to the root of the p-integral f mod p**k by
-        Newton iteration, each step doubling the precision; None when f has
-        no image or the root is not simple."""
-        p, pk = self.prime, self.prime ** k
-        fk = Place(p, modulus=pk).images(f.coeffs)
-        df = [i * c for i, c in enumerate(fk)][1:] if fk else None
-        if not df or not horner(df, self.root, p):
-            return None
-        a, q = self.root, self.modulus
-        while q < pk:
-            q = min(q * q, pk)
-            a = (a - horner(fk, a, q) * pow(horner(df, a, q), -1, q)) % q
-        return Place(p, a % pk, modulus=pk)
+        """This place lifted to the root of the p-integral f mod p**k
+        (``newton``); None when f has no image or the root is not simple."""
+        a = newton(f, [self.root], self.prime, k, self.modulus)
+        return a and Place(self.prime, a[0], modulus=self.prime ** k)
+
+
+def newton(f, roots, p, k, q=None):
+    """Roots mod q (p unless given) of the p-integral f, each simple mod p,
+    lifted to roots mod p**k by Newton iteration, each step doubling the
+    precision; None when f has no image or a root is not simple."""
+    pk = p ** k
+    fk = Place(p, modulus=pk).images(f.coeffs)
+    df = [i * c for i, c in enumerate(fk)][1:] if fk else None
+    if not df or not all(horner(df, a, p) for a in roots):
+        return None
+    out = []
+    for a in roots:
+        m = q or p
+        while m < pk:
+            m = min(m * m, pk)
+            a = (a - horner(fk, a, m) * pow(horner(df, a, m), -1, m)) % m
+        out.append(a % pk)
+    return out
 
 
 def horner(f, v, p):
@@ -104,15 +141,18 @@ def find(tower, factors):
     into distinct linear factors (tested in the order given, cheapest
     first); None after 2048 primes.  A binomial x**n - a has n distinct
     roots mod p only if n divides p - 1, so other primes are passed over
-    untested."""
+    untested.  The roots of the factors mod p are found once, at the prime
+    accepted, and every embedding follows them."""
     combo = tower.absolute.theta_combo
     moduli = [m.field.modulus for _, _, m in tower.stages[1:]] + [tower.absolute.min_poly]
     step = lcm(*(f.degree for f in factors if not any(f.coeffs[1:-1])))
     for p in primes():
-        place = Place(p)
-        if (p - 1) % step or any(h is None or not _splits(h, p)
-                                 for h in (place.images(f.coeffs) for f in factors)):
+        images = (p - 1) % step == 0 and [Place(p).images(f.coeffs) for f in factors]
+        if not images or any(h is None or not _splits(h, p) for h in images):
             continue
+        rng = random.Random(p)
+        roots = sorted({-g[0] % p for h in images for g in _zp_equal_degree(h, 1, p, rng)})
+        place = Place(p, source=(tuple(factors), roots), embeddings=[(1, ())])
         for i, ((_, _, m), modulus) in enumerate(zip(tower.stages, moduli)):
             place = place and place.extend(m, combo[:i + 1], modulus)
         if place is not None:

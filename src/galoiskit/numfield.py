@@ -14,9 +14,8 @@ product.
 One routine finds minimal polynomials over Q: the coordinate vectors of
 1, z, z**2, ... go into one ``SpanSolver`` until the first dependence.  It
 serves ``minimal_polynomial``, the primitive-element search of each
-adjunction, and the squarefree norm of Trager factorization, which is the
-minimal polynomial of x + s*theta in F[x]/(f) when that has full degree.
-The powers of z = w + u*y in F[y]/(m) are computed on integer
+adjunction, and Trager's norm over a field without places (below).  The
+powers of z = w + u*y in F[y]/(m) are computed on integer
 theta-coordinates over one rational scale, and the solver eliminates on
 integers, so the routine makes no ``Fraction`` product.
 
@@ -26,7 +25,8 @@ by one integer matrix-vector product.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from itertools import accumulate
+from math import ceil, gcd, isqrt, lcm
 from operator import add, mul, sub
 
 from .checks import record_check
@@ -39,9 +39,11 @@ from .poly import (
     poly_squarefree_decomposition,
     poly_squarefree_part,
 )
-from .qfactor import (Factorization, _crt_primes, _rational_reconstruction, _sorted_factors,
-                      _trim, _zp_inverse, factor_over_Q)
+from .qfactor import (MAX_LIFT_BITS, Factorization, _crt_primes, _hensel_lift_tree,
+                      _rational_reconstruction, _root_bound, _sorted_factors, _symmetric, _trim,
+                      _zp_gcd, _zp_inverse, _zp_mul, _zp_squarefree_image, factor_over_Q)
 from .scalars import QQ, power
+from . import modscreen
 
 PRIMITIVE_SEARCH_RANGE = 20
 
@@ -568,7 +570,13 @@ class _Substitution:
 # is the characteristic polynomial over Q of z = y + s*theta acting on
 # A = F[y]/(f).  A is a product of number fields, so the minimal polynomial
 # of z is squarefree; it has degree [F:Q] * deg f exactly when that norm is
-# squarefree, and it then equals the norm.
+# squarefree, and it then equals the norm.  An irreducible factor h of the
+# norm gives the factor gcd(f(x - s*theta), h) of f(x - s*theta) over F.
+# At the places of a splitting prime p (``modscreen.find``), theta goes to
+# the n roots a_i of its modulus in Z_p, the norm is prod f^(i)(x - s*a_i)
+# (Trager, SYMSAC 1976), that gcd has the image gcd(f^(i)(x - s*a_i), h),
+# and its coefficients are interpolated at the a_i (Encarnacion, JSC 20,
+# 1995).  The power-relation norm and Euclid over F serve other fields.
 
 
 def _center_sequence(k):
@@ -592,32 +600,131 @@ def _squarefree_norm(f: Polynomial):
     raise ArithmeticError("no squarefree norm found (internal)")
 
 
-def _trager_squarefree(f: Polynomial):
+def _trager_squarefree(f: Polynomial, place=None):
     """Irreducible factors of a monic squarefree f over an absolute field."""
     F = f.field
     if f.degree == 1:
         return [f]
-    theta = F.gen
-    x = Polynomial.x(F)
-    s, norm = _squarefree_norm(f)
-    shifted = f.compose(x - Polynomial.constant(F, theta * s)) if s else f
+    found = _norm_at_places(f, place)
+    s, norm, k = found or _squarefree_norm(f) + (None,)
     nf = factor_over_Q(norm)
     if len(nf.factors) == 1:
         return [f]
-    out = []
-    for h, _ in nf.factors:
-        hf = h.map_coefficients(F.coerce, F)
-        g = poly_gcd(shifted, hf)
-        if g.degree == 0:
-            continue
-        back = g.compose(x + Polynomial.constant(F, theta * s)) if s else g
-        out.append(back.monic())
-    record_check(
-        "trager.reconstruction",
-        _product(out, F) == f,
-        "product of Trager factors must reproduce the input",
-    )
+    hs, ok = [h for h, _ in nf.factors], False
+    for out in _factors_at_places(f, place, s, hs, k) if found else ():
+        if ok := _product(out, F) == f:
+            break
+    if not ok:
+        theta, x = F.gen, Polynomial.x(F)
+        shifted = f.compose(x - Polynomial.constant(F, theta * s)) if s else f
+        gs = [poly_gcd(shifted, h.map_coefficients(F.coerce, F)) for h in hs]
+        out = [(g.compose(x + Polynomial.constant(F, theta * s)) if s else g).monic()
+               for g in gs if g.degree]
+        ok = _product(out, F) == f
+    record_check("trager.reconstruction", ok, "product of Trager factors must reproduce the input")
     return out
+
+
+def _image_at(f, a, s, p, q):
+    """f^(a)(x - s*a) mod q, a power of p: f's coefficients at theta -> a,
+    shifted by Taylor's formula."""
+    return _taylor(modscreen.Place(p, a, modulus=q).images(f.coeffs), -s * a, q)
+
+
+def _taylor(c, t, q):
+    """c(x + t) mod q for ascending residues c."""
+    c = list(c)
+    for i in range(len(c) - 1 if t % q else 0):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] = (c[j] + t * c[j + 1]) % q
+    return c
+
+
+def _product_mod(polys, q):
+    while len(polys) > 1:
+        polys = [_zp_mul(a, b, q) for a, b in zip(polys[::2], polys[1::2])] + polys[len(polys) & ~1:]
+    return polys[0]
+
+
+def _lifted(place, m, k):
+    """[theta's conjugates lifted to roots of m mod p**k, the rows of the
+    inverse Vandermonde matrix at them or None], once per place and k."""
+    if k not in place.lifts:
+        place.lifts[k] = [modscreen.newton(m, place.conjugates, place.prime, k), None]
+    return place.lifts[k]
+
+
+def _norm_at_places(f, place):
+    """(s, norm, k) for the first shift s whose product of images
+    prod f^(i)(x - s*a_i) is squarefree mod p, so the norm is squarefree,
+    with the norm read from that product mod p**k; None without embeddings,
+    when p divides a denominator of f, or past the cap.  The roots of f, a
+    factor of the source, are at most the source's Fujiwara bound R, and
+    theta's conjugates at most R_t, that of the modulus.  With T the lcm of
+    their cleared leading coefficients, T**n * N(x/T) lies in Z[x] with
+    coefficients at most (1 + ceil(T*(R + |s|*R_t)))**n, n = deg N."""
+    F, p = f.field, place and place.prime
+    conj = place and place.conjugates
+    if not conj or len(conj) != F.degree or any(c.den % p == 0 for c in f.coeffs):
+        return None
+    n = F.degree * f.degree
+    s = next((s for s in map(_center_sequence, range(4 * n + 1)) if _zp_squarefree_image(
+        _product_mod([_image_at(f, a, s, p, p) for a in conj], p), p)), None)
+    if s is None:
+        return None
+    cleared = [_clear_denominators(h.coeffs)[0] for h in place.source[0] + (F.modulus,)]
+    R = max(Fraction(*_root_bound(c)) for c in cleared[:-1])
+    T, R_t = lcm(*(c[-1] for c in cleared)), Fraction(*_root_bound(cleared[-1]))
+    bound, k = 2 * (1 + ceil(T * (R + abs(s) * R_t))) ** n, 1
+    while p ** k <= bound:
+        k += 1
+    if (p ** k).bit_length() > MAX_LIFT_BITS:
+        return None
+    pk, roots = p ** k, _lifted(place, F.modulus, 1 << (k - 1).bit_length())[0]
+    prod = _product_mod([_image_at(f, a % pk, s, p, pk) for a in roots], pk)
+    scale = [T ** (n - j) for j in range(n + 1)]
+    return s, Polynomial(QQ, [Fraction(_symmetric(c * t, pk), t) for c, t in zip(prod, scale)]), k
+
+
+def _factors_at_places(f, place, s, hs, k):
+    """Candidate factors of f, one per factor h of its norm, at p**K for K
+    the least power of two from k on, then doubling up to the cap: the
+    factorization into gcds with the h of f(x - s*a_i) mod p, Hensel
+    lifted, each factor shifted back by s*a_i, and each coefficient read
+    from its images by interpolation at the a_i and reconstruction."""
+    F, p = f.field, place.prime
+    hp = [modscreen.Place(p).images(h.coeffs) for h in hs]
+    leaves = [[_zp_gcd(_image_at(f, a, s, p, p), h, p) for h in hp] for a in place.conjugates]
+    if any(len(h) - 1 != F.degree * (len(g) - 1) for lv in leaves for g, h in zip(lv, hp)):
+        return
+    K = 1 << (k - 1).bit_length()
+    while (p ** K).bit_length() <= MAX_LIFT_BITS:
+        pK, lift = p ** K, _lifted(place, F.modulus, K)
+        lift[1] = lift[1] or _inverse_vandermonde(
+            modscreen.Place(p, modulus=pK).images(F.modulus.coeffs), lift[0], pK)
+        images = [[_taylor(g, s * a, pK) for g in _hensel_lift_tree(
+            _image_at(f, a, s, p, pK), lv, p, pK)[0]] for a, lv in zip(lift[0], leaves)]
+        out = []
+        for j, leaf in enumerate(leaves[0]):
+            found = [_rational_reconstruction([sum(map(mul, row, (g[j][t] for g in images))) % pK
+                                               for row in lift[1]], pK) for t in range(len(leaf) - 1)]
+            if None not in found:
+                out.append(Polynomial(F, [_reduced(F, *c) for c in found] + [F.one]))
+        if len(out) == len(hs):
+            yield out
+        K *= 2
+
+
+def _inverse_vandermonde(m, roots, q):
+    """Row t holds the x**t coefficients of the Lagrange polynomials
+    (m / (x - a)) / m'(a) at the roots a of m mod q: row t times the values
+    of a polynomial of degree < deg m at the roots is its t-th coefficient."""
+    columns = []
+    for a in roots:
+        quo = list(accumulate(reversed(m[1:]), lambda acc, c: (acc * a + c) % q))[::-1]
+        inv = pow(modscreen.horner(quo, a, q), -1, q)
+        columns.append([c * inv % q for c in quo])
+    return list(zip(*columns))
 
 
 def _product(polys, field):
@@ -627,8 +734,9 @@ def _product(polys, field):
     return acc
 
 
-def factor_over_number_field(p: Polynomial) -> Factorization:
-    """Trager's method: squarefree split, shifted norms, factor over Q, pull back."""
+def factor_over_number_field(p: Polynomial, place=None) -> Factorization:
+    """Trager's method: squarefree split, shifted norms, factor over Q, pull
+    back; at the places of ``place``, found for a source that p divides."""
     F = p.field
     if not isinstance(F, ExtensionField):
         raise ValueError("factor_over_number_field expects an extension-field polynomial")
@@ -644,7 +752,7 @@ def factor_over_number_field(p: Polynomial) -> Factorization:
         return Factorization(unit, _sorted_factors(pairs))
     pairs = []
     for part, mult in poly_squarefree_decomposition(p):
-        for g in _trager_squarefree(part):
+        for g in _trager_squarefree(part, place):
             pairs.append((g, mult))
     return Factorization(unit, _sorted_factors(pairs))
 

@@ -135,7 +135,7 @@ def splitting_field(p: Polynomial, base: Optional[SplittingField] = None,
         entries.sort(key=lambda e: e[0].sort_key())
         q, known = entries[0]
         if not known:
-            fac = factor_over_number_field(q)
+            fac = factor_over_number_field(q, place)
             entries = [(g, True) for g, _ in fac.factors] + entries[1:]
             continue
         # adjoin a root of the first nonlinear irreducible factor

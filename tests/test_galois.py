@@ -578,9 +578,11 @@ def _screen_lets_every_sigma_through(G, monkeypatch):
     the closure of the fixers verified before it holds it."""
     theta_images = G._theta_images
 
-    def images(k):
+    def images(k, indices=None):
+        if k > 1:
+            return theta_images(k, indices)
         found = theta_images(k)
-        return [found[G.identity_index]] * G.order if k == 1 else found
+        return [found[G.identity_index]] * len(found if indices is None else indices)
 
     monkeypatch.setitem(vars(G), "_theta_images", images)
 
@@ -734,6 +736,27 @@ class TestResidueOrbitPolynomial:
         for idx in _subgroups(G):
             B = fixed_field(G, idx)
             assert B.min_poly == orbit_poly(G, orbit(G, B.primitive))
+
+    def test_one_theta_image_per_coset_at_each_doubling(self, corpus_fields, monkeypatch):
+        # a fresh group of x^4+x+1, its residue table at k = 1; the orbit of
+        # 97*(r1 + r2) - 55*r3 has 12 elements, one per coset of a
+        # stabilizer of order 2, and coefficients beyond p
+        G = galois_module._enumerate_galois_group(corpus_fields["x^4+x+1"])
+        p, r = G._lift[1].prime, G.splitting.roots
+        a = 97 * (r[0] + r[1]) - 55 * r[2]
+        cosets = len(galois_module._coset_representatives(G, galois_module._stabilizer(G, (a,))))
+        moduli, call = [], modscreen.Place.__call__
+
+        def spy(place, e):
+            if hasattr(e, "num"):
+                moduli.append(place.modulus)
+            return call(place, e)
+
+        monkeypatch.setattr(modscreen.Place, "__call__", spy)
+        f = orbit_min_poly(G, a)
+        doublings = sorted(set(moduli))
+        assert f.degree == cosets == 12 and doublings and doublings[0] > p
+        assert moduli == [q for q in doublings for _ in range(cosets)]
 
     def test_exact_vanishing_test_matches_evaluation(self, corpus_groups):
         # the correspondence sessions' x^4+x+1 draws at seeds 1, 2 and 3:

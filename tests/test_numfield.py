@@ -1,13 +1,18 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 from math import gcd
 from operator import add, sub
 
 import pytest
 
 from galoiskit import QQ, DegreeCapError, FieldMismatchError
-from galoiskit import numfield
+from galoiskit import modscreen, numfield
+from galoiskit.checks import collect_checks
+from galoiskit.cli import _load_chain_file
 from galoiskit.numfield import (
+    ExtElement,
     ExtensionField,
     FieldTower,
     _power_coords,
@@ -17,8 +22,10 @@ from galoiskit.numfield import (
     minimal_polynomial,
     roots_in_field,
 )
+from galoiskit.parsing import parse_poly
 from galoiskit.poly import Polynomial
-from galoiskit.qfactor import is_irreducible_over_Q
+from galoiskit.qfactor import factor_over_Q, is_irreducible_over_Q
+from galoiskit.radical import normalize_chain, realize_chain, verify_nested_normal_radical
 from galoiskit.linalg import SpanSolver
 from galoiskit.scalars import PrimeField
 from galoiskit.splitting import splitting_field
@@ -523,6 +530,89 @@ class TestIntegerPowers:
         s2_new, r = absolute.gen_images
         assert s2_new * s2_new == 2
         assert r == s2_new + 1
+
+
+# the sources the benchmark splits, and its radical chains
+CORPUS_SOURCES = ["(x^5-2)*(x^2+1)", "x^9-2", "x^7-2", "x^10-2", "x^4+x+1", "(x^3-2)*(x^3-3)",
+                  "x^5-2", "x^4-2", "x^5-5*x+12", "x^5+x^4-4*x^3-3*x^2+3*x+1"]
+CORPUS_CHAINS = ["sqrt2_then_sqrt_1_plus_r1", "cbrt2_then_cbrt3", "cbrt2_then_sqrt_r1",
+                 "sqrt3_then_cbrt_1_plus_r1"]
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def chain_tower(name):
+    description = _load_chain_file(ROOT / "bench" / "chains" / f"{name}.json")
+    return normalize_chain(realize_chain(description))
+
+
+class TestTragerAtPlaces:
+    """Splitting fields factor over each field of their tower at the places
+    of the splitting prime, which carries every embedding of the field."""
+
+    def test_place_norm_is_the_power_relation_norm(self, monkeypatch):
+        met = []
+        at_places = numfield._norm_at_places
+
+        def spy(f, place):
+            met.append((f, place, at_places(f, place)))
+            return met[-1][2]
+
+        monkeypatch.setattr(numfield, "_norm_at_places", spy)
+        for text in CORPUS_SOURCES:
+            splitting_field(parse_poly(text))
+        for name in CORPUS_CHAINS:
+            chain_tower(name)
+        placed = [(f, found) for f, place, found in met if place is not None]
+        # the norms of a radical chain's own stages have no place
+        assert len(placed) == 25 and len(met) == 29
+        for f, found in placed:
+            s, norm, k = found
+            assert numfield._squarefree_norm(f) == (s, norm)
+
+    @pytest.mark.parametrize("text", ["(x^5-2)*(x^2+1)", "x^10-2"])
+    def test_no_norm_by_power_relation(self, monkeypatch, text):
+        callers, relation = [], numfield._power_relation
+
+        def spy(powers, limit):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return relation(powers, limit)
+
+        monkeypatch.setattr(numfield, "_power_relation", spy)
+        splitting_field(parse_poly(text))
+        assert "_flatten" in callers and "_squarefree_norm" not in callers
+
+    def test_pull_back_takes_no_field_inverse(self, monkeypatch):
+        inverse, inverses = ExtElement.inverse, []
+
+        def spy(e):
+            frame = sys._getframe(1)
+            while frame and frame.f_code.co_name != "_trager_squarefree":
+                frame = frame.f_back
+            inverses.append(frame is not None)
+            return inverse(e)
+
+        monkeypatch.setattr(ExtElement, "inverse", spy)
+        with collect_checks() as log:
+            verify_nested_normal_radical(chain_tower("cbrt2_then_sqrt_r1"))
+        # every pull-back ends in the product check
+        assert any(name == "trager.reconstruction" for name, _, _ in log)
+        assert not any(inverses)
+
+    def test_pull_back_matches_the_exact_route(self, monkeypatch):
+        # x^4-2 over Q(sqrt2), and x^6+3 over Q(sqrt-3) and over the field
+        # of x^3-2, split into factors of several degrees; the same
+        # factorizations by Euclid over the field
+        for base_text, text in (("x^2-2", "x^4-2"), ("x^2+3", "x^6+3"), ("x^3-2", "x^6+3")):
+            base = splitting_field(parse_poly(base_text))
+            source = parse_poly(text)
+            place = modscreen.find(base.tower, [h for h, _ in factor_over_Q(source).factors]
+                                   + [base.squarefree_source])
+            f = source.map_coefficients(base.field.ext.coerce, base.field.ext)
+            found = factor_over_number_field(f, place)
+            with monkeypatch.context() as mp:
+                mp.setattr(numfield, "MAX_LIFT_BITS", 0)
+                assert factor_over_number_field(f, place) == found
+            assert len(found.factors) > 1
 
 
 def replayed_fields(ints):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from galoiskit import modscreen
+from galoiskit import modscreen, numfield
 from galoiskit.cli import EXIT_OK, main
 from galoiskit.galois import fixed_field, galois_group, subgroup_fixing
 from galoiskit.parsing import parse_poly
@@ -48,11 +48,19 @@ GROUP9 = (("group", "x^9-2"),
           "fe0c538a75dd20056e6ac10e187424b212e229b2ae93b3032fd7c8ccb0d69fb4")
 SPLIT10 = (("split", "x^10-2"),
            "ec0b2b9d722d73209613d7076acdcf9ce4a91d17abe493195d1396e6fe7d5a86")
+# both factor over a number field, so with a place they pull Trager factors
+# back at the places of the splitting prime, and without one by Euclid
+VERIFY = (("verify-tower", "--chain", "bench/chains/cbrt2_then_sqrt_r1.json"),
+          "db2d65e3993fd1ca71fff3cbd5486595a78d576c18d3aa605680581638c430c4")
+SOLVABLE_C5 = (("solvable", "x^5+x^4-4*x^3-3*x^2+3*x+1"),
+               "87e6c171021971321486ab4dc439b90f69608273494f0d8d3fc7782f515b5889")
 # without a place every test is exact; the splits are left out there, where
 # their exact hunts take seconds
 CASES = [SPLIT + (True,), CHAIN + (True,), GROUP + (True,), NORMALIZE + (True,), FIXED + (True,),
-         MINPOLY + (True,), GROUP9 + (True,), SPLIT10 + (True,),
-         CHAIN + (False,), GROUP + (False,), FIXED + (False,), MINPOLY + (False,)]
+         MINPOLY + (True,), GROUP9 + (True,), SPLIT10 + (True,), VERIFY + (True,),
+         SOLVABLE_C5 + (True,),
+         CHAIN + (False,), GROUP + (False,), FIXED + (False,), MINPOLY + (False,), VERIFY + (False,),
+         SOLVABLE_C5 + (False,)]
 
 
 @pytest.mark.parametrize("argv, digest, screened", CASES,
@@ -66,6 +74,28 @@ def test_report_is_byte_identical(monkeypatch, capsys, argv, digest, screened):
     assert main(list(argv) + ["--json"]) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# the split's norms are all irreducible over Q, so it pulls nothing back
+EXACT = [SPLIT + ({"_squarefree_norm"},), VERIFY + ({"_squarefree_norm", "poly_gcd"},),
+         SOLVABLE_C5 + ({"_squarefree_norm", "poly_gcd"},)]
+
+
+@pytest.mark.parametrize("argv, digest, routines", EXACT, ids=[" ".join(a[:2]) for a, _, _ in EXACT])
+def test_exact_route_report_is_byte_identical(monkeypatch, capsys, argv, digest, routines):
+    # with only the places' lift cap below every proven precision, each
+    # factorization over a number field takes the exact route: the
+    # power-relation norm and Euclid over the field
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(numfield, "MAX_LIFT_BITS", 0)
+    exact = []
+    for name in ("_squarefree_norm", "poly_gcd"):
+        monkeypatch.setattr(numfield, name, lambda *a, _f=getattr(numfield, name), _n=name:
+                            exact.append(_n) or _f(*a))
+    assert main(list(argv) + ["--json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert set(exact) == routines
 
 
 LATTICES = [("x^7-2", "f3a94283edc21c7f01d23d03b5e21e0f06e847e6028cfa8a8176bc7fd4076e13"),

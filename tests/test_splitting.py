@@ -202,6 +202,22 @@ class TestPlace:
         src = placed.place.images(source.coeffs)
         assert all(not modscreen.horner(src, v, p) for v in images)
 
+    @pytest.mark.parametrize("label, ints", [g[:2] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
+    def test_place_carries_every_embedding(self, label, ints):
+        # theta's images are the [F:Q] roots of its minimal polynomial mod p,
+        # the place's own among them, and each embedding sends the tower
+        # generators to roots of the source where its theta image says
+        e = splitting_field(_poly(label, ints))
+        place, field = e.place, e.field
+        p, conjugates = place.prime, place.conjugates
+        m, src = place.images(field.min_poly.coeffs), place.images(e.squarefree_source.coeffs)
+        assert len(set(conjugates)) == len(conjugates) == e.degree
+        assert all(modscreen.horner(m, a, p) == 0 for a in conjugates)
+        assert place.root in conjugates
+        for a, gens in place.embeddings:
+            assert [modscreen.Place(p, a)(g) for g in field.gen_images] == list(gens)
+            assert all(modscreen.horner(src, b, p) == 0 for b in gens)
+
     def test_hunt_returns_the_exact_scans_root(self, placed):
         ext = placed.field.ext
         r = placed.roots
