@@ -39,7 +39,7 @@ from .poly import (
     poly_squarefree_decomposition,
     poly_squarefree_part,
 )
-from .qfactor import (MAX_LIFT_BITS, Factorization, _crt_primes, _hensel_lift_tree,
+from .qfactor import (MAX_LIFT_BITS, Factorization, _crt_primes, _HenselTree,
                       _rational_reconstruction, _root_bound, _sorted_factors, _symmetric, _trim,
                       _zp_gcd, _zp_inverse, _zp_mul, _zp_squarefree_image, factor_over_Q)
 from .scalars import QQ, power
@@ -600,12 +600,13 @@ def _squarefree_norm(f: Polynomial):
     raise ArithmeticError("no squarefree norm found (internal)")
 
 
-def _trager_squarefree(f: Polynomial, place=None):
-    """Irreducible factors of a monic squarefree f over an absolute field."""
+def _trager_squarefree(f: Polynomial, place=None, found=None):
+    """Irreducible factors of a monic squarefree f over an absolute field;
+    found, when given, is ``_norm_at_places(f, place)``."""
     F = f.field
     if f.degree == 1:
         return [f]
-    found = _norm_at_places(f, place)
+    found = found or _norm_at_places(f, place)
     s, norm, k = found or _squarefree_norm(f) + (None,)
     nf = factor_over_Q(norm)
     if len(nf.factors) == 1:
@@ -690,20 +691,23 @@ def _factors_at_places(f, place, s, hs, k):
     """Candidate factors of f, one per factor h of its norm, at p**K for K
     the least power of two from k on, then doubling up to the cap: the
     factorization into gcds with the h of f(x - s*a_i) mod p, Hensel
-    lifted, each factor shifted back by s*a_i, and each coefficient read
-    from its images by interpolation at the a_i and reconstruction."""
+    lifted (each doubling of K continues the last lift), each factor
+    shifted back by s*a_i, and each coefficient read from its images by
+    interpolation at the a_i and reconstruction."""
     F, p = f.field, place.prime
     hp = [modscreen.Place(p).images(h.coeffs) for h in hs]
     leaves = [[_zp_gcd(_image_at(f, a, s, p, p), h, p) for h in hp] for a in place.conjugates]
     if any(len(h) - 1 != F.degree * (len(g) - 1) for lv in leaves for g, h in zip(lv, hp)):
         return
-    K = 1 << (k - 1).bit_length()
+    K, trees = 1 << (k - 1).bit_length(), None
     while (p ** K).bit_length() <= MAX_LIFT_BITS:
         pK, lift = p ** K, _lifted(place, F.modulus, K)
         lift[1] = lift[1] or _inverse_vandermonde(
             modscreen.Place(p, modulus=pK).images(F.modulus.coeffs), lift[0], pK)
-        images = [[_taylor(g, s * a, pK) for g in _hensel_lift_tree(
-            _image_at(f, a, s, p, pK), lv, p, pK)[0]] for a, lv in zip(lift[0], leaves)]
+        fs = [_image_at(f, a, s, p, pK) for a in lift[0]]
+        trees = trees or [_HenselTree(fa, lv, p) for fa, lv in zip(fs, leaves)]
+        images = [[_taylor(g, s * a, pK) for g in tree.lift(fa, pK)[0]]
+                  for a, fa, tree in zip(lift[0], fs, trees)]
         out = []
         for j, leaf in enumerate(leaves[0]):
             found = [_rational_reconstruction([sum(map(mul, row, (g[j][t] for g in images))) % pK
@@ -736,7 +740,8 @@ def _product(polys, field):
 
 def factor_over_number_field(p: Polynomial, place=None) -> Factorization:
     """Trager's method: squarefree split, shifted norms, factor over Q, pull
-    back; at the places of ``place``, found for a source that p divides."""
+    back; at the places of ``place``, found for a source that p divides,
+    where a norm found squarefree also spares the squarefree split."""
     F = p.field
     if not isinstance(F, ExtensionField):
         raise ValueError("factor_over_number_field expects an extension-field polynomial")
@@ -750,10 +755,11 @@ def factor_over_number_field(p: Polynomial, place=None) -> Factorization:
         qf = factor_over_Q(pq)
         pairs = [(g.map_coefficients(F.coerce, F), m) for g, m in qf.factors]
         return Factorization(unit, _sorted_factors(pairs))
-    pairs = []
-    for part, mult in poly_squarefree_decomposition(p):
-        for g in _trager_squarefree(part, place):
-            pairs.append((g, mult))
+    # a norm found at the places is squarefree, which proves p squarefree
+    f = p.monic()
+    found = place is not None and f.degree > 1 and _norm_at_places(f, place)
+    parts = [(f, 1)] if found else poly_squarefree_decomposition(p)
+    pairs = [(g, mult) for part, mult in parts for g in _trager_squarefree(part, place, found)]
     return Factorization(unit, _sorted_factors(pairs))
 
 

@@ -3,10 +3,13 @@
 The rational pipeline: content removal, Yun squarefree decomposition,
 reduction mod a good prime (chosen by distinct-degree factorization, whose
 degree sets across up to five primes may already prove irreducibility),
-Cantor-Zassenhaus factorization there, quadratic Hensel lifting to a
-Mignotte-style coefficient bound, and van Hoeij's knapsack recombination on
-power sums with an exact integer LLL (``linalg.lll``).  Exact division
-alone accepts a factor, and an exact dimension count proves it irreducible.
+Cantor-Zassenhaus factorization there (with a Frobenius table for factors
+of degree >= 2), and van Hoeij's knapsack recombination on power sums with
+an exact integer LLL (``linalg.lll``).  Quadratic Hensel lifting feeds it
+from the least p**k that fills its first power-sum column, and squares
+p**k, continuing the same lift, only when the lattice needs more.  Exact
+division alone accepts a factor, and an exact dimension count proves it
+irreducible.
 Cantor-Zassenhaus draws its random splitting polynomials from
 ``random.Random(p)`` for the prime p: the factors are unique and returned in
 canonical order, so the draws change only the path to them, and callers
@@ -15,12 +18,15 @@ pass no randomness in.
 Internally the hot kernels work on plain int lists (ascending coefficients)
 mod p or mod p**k; Polynomial objects appear only at the API boundary.
 All modular work of the engine runs on these lists: packed (Kronecker)
-products, packed reduction rows for a fixed modulus, and the CRT primes and
-rational reconstruction behind ``numfield``'s field inverse.
+products, whose slots of up to 8 bytes are machine words read in one
+memoryview cast, packed reduction rows for a fixed modulus, and the CRT
+primes and rational reconstruction behind ``numfield``'s field inverse.
 """
 
 import math
 import random
+import struct
+import sys
 
 from .errors import EngineLimitError
 from .linalg import lll, nullspace
@@ -35,6 +41,10 @@ from .scalars import QQ, PrimeField, Record, is_prime, power, primes_below
 
 # _zp_mul packs when schoolbook products outnumber output coefficients this much
 _PACK_RATIO = 6
+
+# memoryview codes of the machine-word slot widths, whose slots are read in
+# one cast on a little-endian machine
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 _PRIME_POOL = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -104,18 +114,31 @@ def _zp_mul(a, b, m):
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return _trim([c % m for c in out])
-    w = (min(len(a), len(b)) * max(a) * max(b)).bit_length() // 8 + 1
+    w = _slot_bytes(min(len(a), len(b)) * max(a) * max(b))
     return _trim(_zp_unpack(_zp_pack(a, w) * _zp_pack(b, w), w, size, m))
+
+
+def _slot_bytes(bound):
+    """Bytes per Kronecker slot for entries at most bound, rounded up to a
+    machine word of 1, 2, 4 or 8 bytes when one holds them."""
+    w = max(1, -(-bound.bit_length() // 8))
+    return w if w > 8 else 1 << (w - 1).bit_length()
 
 
 def _zp_pack(a, w):
     """One integer holding a's entries, each below 256**w, in w-byte slots."""
+    code = _WORDS.get(w)
+    if code:
+        return int.from_bytes(struct.pack(f"<{len(a)}{code}", *a), "little")
     return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
 
 
 def _zp_unpack(x, w, count, m):
     """The first count w-byte slots of x, each reduced mod m."""
     data = x.to_bytes(w * count, "little")
+    code = _WORDS.get(w)
+    if code:
+        return [c % m for c in memoryview(data).cast(code)]
     return [int.from_bytes(data[i:i + w], "little") % m for i in range(0, w * count, w)]
 
 
@@ -137,7 +160,7 @@ def _zp_mulmod(f, m):
             return c if len(c) <= n else _trim([(x + c[n] * r) % m for x, r in zip(c, xn)])
 
         return fold
-    w = (n * n * m ** 3).bit_length() // 8 + 1
+    w = _slot_bytes(n * n * m ** 3)
     rows = [_zp_pack(xn, w)]
     low, top = (1 << 8 * w * n) - 1, 8 * w * (n - 1)
     for _ in range(n - 2):
@@ -250,12 +273,39 @@ def _zp_distinct_degree(f, p):
     return out
 
 
+def _zp_frobenius(f, p, mul):
+    """h -> h**p mod (f, p) for residues h, by one table: row i packs
+    x**(i*p) mod f, and h**p = sum(h_i * x**(i*p)) since h_i**p = h_i."""
+    n = len(f) - 1
+    xp = _zp_powmod([0, 1], p, f, p)
+    powers = [[1], xp]
+    for _ in range(n - 2):
+        powers.append(mul(powers[-1], xp))
+    w = _slot_bytes(n * p * p)
+    rows = [_zp_pack(row, w) for row in powers]
+
+    def frobenius(h):
+        acc = 0
+        for c, row in zip(h, rows):
+            if c:
+                acc += c * row
+        return _trim(_zp_unpack(acc, w, n, p))
+
+    return frobenius
+
+
 def _zp_equal_degree(f, d, p, rng):
-    """Cantor-Zassenhaus split of a monic product of degree-d irreducibles."""
+    """Cantor-Zassenhaus split of a monic product of degree-d irreducibles.
+
+    For odd p and d >= 2, a**((p**d - 1)/2) is (a * a**p * ... *
+    a**(p**(d-1)))**((p - 1)/2), the conjugates taken from a Frobenius
+    table; at d = 1 the table would cost more than the one power it saves.
+    """
     n = len(f) - 1
     if n == d:
         return [f]
     mul = _zp_mulmod(f, p)
+    frobenius = _zp_frobenius(f, p, mul) if d > 1 and p > 2 else None
     while True:
         a = _trim([rng.randrange(p) for _ in range(n)])
         if len(a) <= 1:
@@ -268,7 +318,14 @@ def _zp_equal_degree(f, d, p, rng):
                 t = _zp_add(t, b, p)
             g = _zp_gcd(t, f, p)
         else:
-            b = _zp_powmod(a, (p ** d - 1) // 2, f, p)
+            if frobenius:
+                b = c = a
+                for _ in range(d - 1):
+                    c = frobenius(c)
+                    b = mul(b, c)
+                b = power(b, (p - 1) // 2, [1], mul)
+            else:
+                b = _zp_powmod(a, (p ** d - 1) // 2, f, p)
             g = _zp_gcd(_zp_sub(b, [1], p), f, p)
         if 1 < len(g) < len(f):
             rest = _zp_divmod(f, g, p)[0]
@@ -402,20 +459,19 @@ def _symmetric(c, m):
 
 
 def _hensel_step(f, g, h, s, t, m):
-    """One quadratic lift: from f = g*h, s*g + t*h = 1 (mod m) to mod m**2.
+    """Lift f = g*h mod q to mod m, for q | m | q**2, given s*g + t*h = 1
+    mod m/q.  h must be monic and stays monic; g absorbs lc(f)."""
+    e = _zp_sub(f, _zp_mul(g, h, m), m)
+    q, r = _zp_divmod(_zp_mul(s, e, m), h, m)
+    return _zp_add(_zp_add(g, _zp_mul(t, e, m), m), _zp_mul(q, g, m), m), _zp_add(h, r, m)
 
-    h must be monic and stays monic; g absorbs the leading coefficient of f.
-    """
-    mm = m * m
-    e = [c % mm for c in _zp_sub(f, _zp_mul(g, h, mm), mm)]
-    q, r = _zp_divmod(_zp_mul(s, e, mm), h, mm)
-    g1 = _zp_add(_zp_add(g, _zp_mul(t, e, mm), mm), _zp_mul(q, g, mm), mm)
-    h1 = _zp_add(h, r, mm)
-    b = _zp_sub(_zp_add(_zp_mul(s, g1, mm), _zp_mul(t, h1, mm), mm), [1], mm)
-    c, d = _zp_divmod(_zp_mul(s, b, mm), h1, mm)
-    s1 = _zp_sub(s, d, mm)
-    t1 = _zp_sub(_zp_sub(t, _zp_mul(t, b, mm), mm), _zp_mul(c, g1, mm), mm)
-    return g1, h1, s1, t1
+
+def _bezout_step(g, h, s, t, m):
+    """Lift s*g + t*h = 1 from mod q to mod m, for q | m | q**2, with g and
+    h known mod m and h monic."""
+    b = _zp_sub(_zp_add(_zp_mul(s, g, m), _zp_mul(t, h, m), m), [1], m)
+    c, d = _zp_divmod(_zp_mul(s, b, m), h, m)
+    return _zp_sub(s, d, m), _zp_sub(_zp_sub(t, _zp_mul(t, b, m), m), _zp_mul(c, g, m), m)
 
 
 def _zp_inverse(a, f, p):
@@ -440,36 +496,62 @@ def _zp_ext_gcd(a, b, p):
     return s, _zp_divmod(_zp_sub([1], _zp_mul(s, a, p), p), b, p)[0]
 
 
-def _hensel_lift_tree(f, factors, p, target):
-    """Lift f = lc(f) * prod(factors) from mod p to mod p**(2**j) >= target.
+class _HenselTree:
+    """f = lc(f) * prod(factors) mod p, for monic pairwise coprime factors,
+    lifted on request to the least p**k at or above a target.
 
-    factors are monic mod p and pairwise coprime; returns (lifted monic
-    factors, modulus).
+    Each node halves its leaves and keeps g = lc * (product of the first
+    half) and the monic h (product of the rest) mod p**k, with s*g + t*h = 1
+    mod p**kb.  A lift runs through p**ceil(k/2**i) (each step at most
+    squares the modulus), lifts s and t only when a step needs them, and
+    continues from the last p**k, never from p.
     """
-    k = 1
-    m = p
-    while m < target:
-        m *= m
-        k *= 2
 
-    def build(f_node, leaves, modulus):
+    __slots__ = ("p", "k", "root")
+
+    def __init__(self, f, factors, p):
+        self.p, self.k = p, 1
+        self.root = self._build(factors, f[-1] % p)[0]
+
+    def _build(self, leaves, lc):
+        # (node, lc * product of leaves mod p): a node is [g, h, s, t, kb,
+        # left, right], a leaf None; each node multiplies two products
+        p = self.p
         if len(leaves) == 1:
-            return [_zp_monic([c % modulus for c in f_node], modulus)]
+            return None, _zp_mul([lc], leaves[0], p)
         half = len(leaves) // 2
-        g = [f_node[-1] % p]
-        for leaf in leaves[:half]:
-            g = _zp_mul(g, leaf, p)
-        h = [1]
-        for leaf in leaves[half:]:
-            h = _zp_mul(h, leaf, p)
+        left, g = self._build(leaves[:half], lc)
+        right, h = self._build(leaves[half:], 1)
         s, t = _zp_ext_gcd(g, h, p)
-        m_cur = p
-        while m_cur < modulus:
-            g, h, s, t = _hensel_step(f_node, g, h, s, t, m_cur)
-            m_cur *= m_cur
-        return build(g, leaves[:half], modulus) + build(h, leaves[half:], modulus)
+        return [g, h, s, t, 1, left, right], _zp_mul(g, h, p)
 
-    return build([c % m for c in f], factors, m), m
+    def lift(self, f, target):
+        """(the factors lifted to monic factors mod p**k, p**k) for the least
+        p**k >= target, and at least the last p**k; f may be given exactly
+        or mod any multiple of p**k."""
+        p, k, pk = self.p, self.k, self.p ** self.k
+        while pk < target:
+            pk *= p
+            k += 1
+        chain = []
+        while k > self.k:
+            chain.append(k)
+            k = (k + 1) // 2
+        chain = [(j, p ** j) for j in [self.k] + chain[::-1]]
+        self.k = chain[-1][0]
+        return self._lift(self.root, [c % pk for c in f], chain), pk
+
+    def _lift(self, node, f, chain):
+        if node is None:
+            return [_zp_monic(f, chain[-1][1])]
+        g, h, s, t, kb, left, right = node
+        for (a, _), (b, pb) in zip(chain, chain[1:]):
+            while kb < b - a:
+                kb = min(2 * kb, a)
+                s, t = _bezout_step(g, h, s, t, self.p ** kb)
+            g, h = _hensel_step(f, g, h, s, t, pb)
+        node[:5] = g, h, s, t, kb
+        return self._lift(left, g, chain) + self._lift(right, h, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +608,15 @@ def _factor_squarefree_int(f_int):
     return _knapsack(f_int, sorted(mod_factors), p)
 
 
-# Recombination lifts p**k beyond twice the coefficient bound only while it
-# stays below 2**MAX_LIFT_BITS; past that it stops with an engine limit.
-# Every factorization in the benchmark corpus, and S(2,3,5,7,11,13), ends
-# at its first lift (at most 272 bits); tiny inputs such as x^2 - x need one
-# more, because B_1 leaves p**k too few bits.  The cost of a lift grows
-# about threefold per doubling: lifting the 23 factors of the degree-90 norm
-# met in splitting x^10 - 2 to 3790 bits takes 1.7 s, to 7579 bits 5.5 s.
+# Recombination squares p**k past its first lift only while the square has
+# at most MAX_LIFT_BITS bits; past that it stops with an engine limit.  Of the
+# 55 recombinations in the seed-1 benchmark corpus, 52 end at their first
+# lift (5 to 73 bits) and three need a second, to 11 or 32 bits;
+# S(2,3,5,7,11,13) ends at 73 bits.  Tiny inputs such as x^2 - x need a
+# second lift, because B_1 leaves p**k too few bits.  The cost of a lift
+# grows about threefold per doubling: lifting the 23 factors of the degree-90
+# norm met in splitting x^10 - 2 to 3790 bits takes 0.9 s, to 7579 bits
+# 2.1 s (one Xeon vCPU).
 MAX_LIFT_BITS = 1 << 12
 
 # Bits of each power-sum column fed to one lattice reduction: enough to cut
@@ -569,15 +653,24 @@ def _knapsack(f, mod_factors, p):
     which are therefore irreducible.
     A weak lattice only costs columns, more precision or time, never a
     wrong answer.
+
+    The argument holds at any precision p**k: rows are dropped only by the
+    exact Gram-Schmidt test, a split is accepted only by exact division,
+    and irreducibility comes from the dimension count.  So the lift starts
+    at the least p**k giving column 1 all _COLUMN_BITS bits (or at twice
+    the coefficient bound, if lower), and a candidate that fails exact
+    division, or columns that run out, continue the lift to p**(2k).
     """
     n, lc, r = len(f) - 1, f[-1], len(mod_factors)
-    target = 2 * _mignotte_bound(f)
     num, den = _root_bound(f)
+    # 2**_COLUMN_BITS * B_1, B_1 = n * |lc| * R
+    target = min(2 * _mignotte_bound(f), -(-(n * abs(lc) * num << _COLUMN_BITS) // den))
+    tree = _HenselTree(f, mod_factors, p)
     rows = [[int(i == j) for j in range(r)] for i in range(r)]
     norm4 = 4 * r  # 4 * squared norm bound of a factor vector
     fresh = True  # rows not yet checked for a partition
     while True:
-        pool, pk = _hensel_lift_tree(f, mod_factors, p, target)
+        pool, pk = tree.lift(f, target)
         sums = [_power_sums(g, n, pk) for g in pool]
         for j in range(1, n + 1):
             # the largest a with 2**a * B_j <= p**k, at most _COLUMN_BITS

@@ -2,6 +2,7 @@
 lists the galoiskit modules it has imported.  No case loads ``dataclasses``,
 whose import alone costs more than most layers."""
 
+import ast
 import json
 import os
 import subprocess
@@ -106,3 +107,42 @@ def test_each_module_imports_alone(module):
     # a fresh interpreter, so no earlier import can hide a circular one
     name = "galoiskit" if module == "__init__" else f"galoiskit.{module}"
     assert run_python(f"import sys, {name}; print('dataclasses' in sys.modules)").strip() == "False"
+
+
+# Prints the stdlib extension modules (shared libraries under lib-dynload)
+# loaded after start-up, and after the CLI ran on argv when one is given; it
+# imports nothing that could load one itself.
+EXTENSION_PROBE = """
+import sys
+if sys.argv[1:]:
+    import contextlib, io
+    from galoiskit.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main(sys.argv[1:])
+        except SystemExit:
+            pass
+print(sorted(name for name, module in sys.modules.items()
+             if "lib-dynload" in (getattr(module, "__file__", None) or "")))
+"""
+
+
+def extensions_loaded(*argv):
+    return set(ast.literal_eval(run_python(EXTENSION_PROBE, *argv)))
+
+
+# Beyond start-up, every command loads only the accelerators of json (the
+# CLI) and of decimal with its contextvars (fractions imports decimal).  The
+# modular kernel reads packed slots through memoryview and packs them with
+# struct, which start-up already loads; a kernel that pulled in another
+# module, such as array, would show here before it moved peak memory.
+@pytest.mark.parametrize("argv", [
+    ["factor", "x^4-1"],
+    ["factor", "x^12-3*x^6+5*x^4-1"],
+    ["split", "x^3-2"],
+    ["split", "x^4+x+1"],
+    ["solvable", "x^5-x-1"],
+    ["solvable", "x^4-2"],
+], ids=" ".join)
+def test_command_extension_modules(argv):
+    assert extensions_loaded(*argv) - extensions_loaded() == {"_contextvars", "_decimal", "_json"}

@@ -206,7 +206,7 @@ def _knapsack_and_oracle(f, seed=1):
     rng = random.Random(seed ^ p)
     mod_factors = sorted(g for block, d in blocks for g in qfactor._zp_equal_degree(block, d, p, rng))
     bound = qfactor._mignotte_bound(f)
-    pool, pk = qfactor._hensel_lift_tree(f, mod_factors, p, 2 * bound)
+    pool, pk = qfactor._HenselTree(f, mod_factors, p).lift(f, 2 * bound)
     want = zassenhaus_recombine(f, pool, pk, bound, degrees)
     got = qfactor._knapsack(f, mod_factors, p)
     return sorted(map(qfactor._zx_primitive, got)), sorted(map(qfactor._zx_primitive, want))
@@ -311,6 +311,92 @@ class TestRecombination:
                 ints = [int(c) for c in reversed(g.all_coeffs())]
                 want.append((tuple(P(*ints).monic().coeffs), m))
             assert got == sorted(want)
+
+
+def _scaled(q, c):
+    """c**deg(q) * q(x/c), an integer polynomial whose roots are c times q's."""
+    return P(*[int(a * c ** (q.degree - i)) for i, a in enumerate(q.coeffs)])
+
+
+def _recorded_lifts(monkeypatch):
+    """The moduli p**k of every later _HenselTree lift, in order."""
+    seen = []
+    lift = qfactor._HenselTree.lift
+
+    def recording(self, f, target):
+        out = lift(self, f, target)
+        seen.append(out[1])
+        return out
+
+    monkeypatch.setattr(qfactor._HenselTree, "lift", recording)
+    return seen
+
+
+def _lift_setup(f):
+    p, blocks, _ = qfactor._choose_prime(f)
+    rng = random.Random(p)
+    return p, sorted(g for block, d in blocks for g in qfactor._zp_equal_degree(block, d, p, rng))
+
+
+class TestGradualLift:
+    """The knapsack lifts from the precision of its first full power-sum
+    column, and each further lift continues the last one."""
+
+    def test_matches_zassenhaus_above_the_start_precision(self, monkeypatch):
+        # every factor has a coefficient past the first p**k, so no factor
+        # is reconstructed until a continued lift: constants 2*10^45 and
+        # 10^60, and Swinnerton-Dyer roots scaled by about 10^9 (two more lifts)
+        cases = [[P(2 * 10**45, 0, 0, 1), P(10**60, 0, 0, 0, 1)],
+                 [_scaled(swinnerton_dyer(2, 3, 5), 10**9), _scaled(swinnerton_dyer(3, 7), 10**9 + 7)]]
+        for pieces in cases:
+            _, f = poly_content_and_primitive(_product(pieces))
+            seen = _recorded_lifts(monkeypatch)
+            got, want = _knapsack_and_oracle(f)
+            assert got == want
+            assert len(got) == len(pieces)
+            start = seen[1]  # seen[0] is the oracle's lift to twice the bound
+            assert all(max(abs(c) for c in g) > start for g in got)
+            assert len(seen) > 2 and seen[2:] == sorted(seen[2:])
+
+    def test_large_coefficients_match_zassenhaus(self):
+        pieces = [P(7, 10**30, 0, 1), P(1, 0, -3 * 10**25, 0, 1)]
+        _, f = poly_content_and_primitive(_product(pieces))
+        got, want = _knapsack_and_oracle(f)
+        assert got == want
+        assert sorted(len(g) - 1 for g in got) == [3, 4]
+
+    def test_continued_lift_equals_a_lift_from_scratch(self, monkeypatch):
+        _, f = poly_content_and_primitive(swinnerton_dyer(2, 3, 5) * P(-7, 2))
+        p, factors = _lift_setup(f)
+        tree = qfactor._HenselTree(f, factors, p)
+        steps = []
+        hensel_step = qfactor._hensel_step
+
+        def recording(f, g, h, s, t, m):
+            steps.append(m)
+            return hensel_step(f, g, h, s, t, m)
+
+        for k in (5, 13, 26, 27, 60):
+            fresh = qfactor._HenselTree(f, factors, p).lift(f, p ** k)
+            last = tree.k
+            monkeypatch.setattr(qfactor, "_hensel_step", recording)
+            steps.clear()
+            assert tree.lift(f, p ** k) == fresh
+            monkeypatch.setattr(qfactor, "_hensel_step", hensel_step)
+            # never again from p: every step ends past the last modulus
+            assert steps and min(steps) > p ** last
+
+    def test_modulus_is_the_least_power_at_or_above_the_target(self):
+        _, f = poly_content_and_primitive(swinnerton_dyer(2, 3) * P(1, 1, 1))
+        p, factors = _lift_setup(f)
+        for target in (2, p, p + 1, p ** 7 - 1, p ** 7, 10**40, 3**200 + 1):
+            pool, pk = qfactor._HenselTree(f, factors, p).lift(f, target)
+            k = round(math.log(pk, p))
+            assert pk == p ** k and p ** (k - 1) < target <= pk
+            prod = [f[-1] % pk]
+            for g in pool:
+                prod = qfactor._zp_mul(prod, g, pk)
+            assert prod == [c % pk for c in f]
 
 
 class TestHelpers:
@@ -471,6 +557,62 @@ class TestModularKernel:
         rest = schoolbook_powmod(a, 9, f, m)
         square = schoolbook_divmod(schoolbook_mul(half, half, m), f, m)[1]
         assert big == schoolbook_divmod(schoolbook_mul(square, rest, m), f, m)[1]
+
+
+def _irreducible_mod(f, p):
+    """Brute force: monic f has no monic divisor of degree 1 .. deg(f)/2."""
+    for e in range(1, (len(f) - 1) // 2 + 1):
+        for tail in itertools.product(range(p), repeat=e):
+            if not schoolbook_divmod(f, list(tail) + [1], p)[1]:
+                return False
+    return True
+
+
+class TestEqualDegreeAndPacking:
+    """Cantor-Zassenhaus with the Frobenius table (odd p, d >= 2) and the
+    trace map (p = 2), and Kronecker slots of machine-word and wider widths."""
+
+    # (p, d, number of irreducibles); mod 2 there are 2 of degree 3, 3 of degree 4
+    @pytest.mark.parametrize("p, d, count", [(3, 2, 3), (3, 3, 4), (3, 4, 3), (13, 2, 4),
+                                             (13, 3, 3), (2, 3, 2), (2, 4, 3)])
+    def test_equal_degree_split(self, p, d, count):
+        rng = random.Random(100 * p + d)
+        irreducibles = set()
+        while len(irreducibles) < count:
+            g = [rng.randrange(p) for _ in range(d)] + [1]
+            if _irreducible_mod(g, p):
+                irreducibles.add(tuple(g))
+        f = [1]
+        for g in irreducibles:
+            f = schoolbook_mul(f, list(g), p)
+        got = qfactor._zp_equal_degree(f, d, p, random.Random(p))
+        assert sorted(map(tuple, got)) == sorted(irreducibles)
+        prod = [1]
+        for g in got:
+            assert len(g) - 1 == d and _irreducible_mod(g, p)
+            prod = schoolbook_mul(prod, g, p)
+        assert prod == f
+
+    @pytest.mark.parametrize("p", [3, 13, 313])
+    def test_frobenius_table_is_the_pth_power(self, p):
+        rng = random.Random(p)
+        f = _operand(rng, 9, p) + [1]
+        frobenius = qfactor._zp_frobenius(f, p, qfactor._zp_mulmod(f, p))
+        for h in ([], [1], [0, 1], _operand(rng, 5, p), _operand(rng, 9, p, 0.5)):
+            assert frobenius(h) == schoolbook_powmod(h, p, f, p)
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 8, 11])
+    def test_pack_round_trip_at_full_slots(self, w):
+        top = 256 ** w - 1
+        for a in ([top], [top] * 7, [0, top, 1, top]):
+            x = qfactor._zp_pack(a, w)
+            assert x == sum(c << 8 * w * i for i, c in enumerate(a))
+            assert qfactor._zp_unpack(x, w, len(a), 256 ** w) == a
+            assert qfactor._zp_unpack(x, w, len(a) + 2, 7) == [c % 7 for c in a] + [0, 0]
+
+    def test_slots_round_up_to_machine_words(self):
+        assert [qfactor._slot_bytes(2 ** b - 1) for b in (1, 8, 9, 16, 17, 32, 33, 64, 65, 80)] == [
+            1, 1, 2, 2, 4, 4, 8, 8, 9, 10]
 
 
 class TestFactorModPFrozen:
