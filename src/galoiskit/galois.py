@@ -1,17 +1,18 @@
 """Galois groups of splitting fields and the Galois correspondence.
 
 Automorphisms are defined by where they send the primitive element theta,
-and the induced root permutation is derived, never searched.  Candidate
-theta-images combine conjugates of the tower generators as theta combines
-the generators.  A scalar screen at the field's degree-one place
-(``modscreen``) discards most (a true zero survives it), a survivor that
-would enlarge the group is verified exactly on its integer action matrix,
-and the group is ``permgroup.closure`` of the verified generators' root
-permutations, bounded by [E:Q]: a Galois extension E has at most [E:Q]
-automorphisms, so a closure of [E:Q] elements is the whole group.  The
-other automorphisms are read off their permutations, never applied: theta
-is sum c_i * g_i over tower generators g_i that are roots, so sigma(theta)
-is sum c_i * roots[sigma(g_i)].
+and the induced root permutation is derived, never searched.  E is normal,
+so at a degree-one place (``modscreen``) where theta's minimal polynomial
+splits, its roots mod p are the images of the sigma(theta), one for each
+automorphism sigma (Stauduhar's residues), and sigma(g_i), g_i a tower
+generator, is the root with g_i's image at theta -> that conjugate.  In
+sorted order of these generator images, a candidate outside the closure so
+far is verified exactly on its integer action matrix, and the group is
+``permgroup.closure`` of the verified generators' root permutations, bounded
+by [E:Q]: a Galois extension E has at most [E:Q] automorphisms, so a closure
+of [E:Q] elements is the whole group.  The other automorphisms are read off
+their permutations, never applied: theta is sum c_i * g_i over tower
+generators g_i that are roots, so sigma(theta) is sum c_i * roots[sigma(g_i)].
 
 The correspondence runs on integers: each automorphism caches its action as
 ``numfield``'s substitution map theta -> theta', the integer matrix of the
@@ -48,7 +49,7 @@ from operator import mul
 from .checks import record_check
 from .errors import SoundnessError
 from .linalg import SpanSolver, nullspace
-from .numfield import _Substitution, element_sort_key, minimal_polynomial, roots_in_field
+from .numfield import _Substitution, element_sort_key, roots_in_field
 from .permgroup import (PermGroup, Permutation, _small_generating_set, closure,
                         coset_representatives, is_normal)
 from .poly import Polynomial, _clear_denominators, poly_squarefree_part
@@ -104,6 +105,7 @@ class GaloisGroup(Record):
     splitting: SplittingField
     automorphisms: tuple
     identity_index: int
+    residues: tuple = None  # (enumeration's place, each sigma_i(theta)'s image there)
 
     @property
     def order(self):
@@ -128,20 +130,10 @@ class GaloisGroup(Record):
     @cached_property
     def _lift(self):
         """[k, the place lifted to p**k, {index: the image there of
-        sigma(theta)}], the group's one residue table: the splitting field's
-        place, else theta -> the least root of its minimal polynomial m at
-        a prime of ``modscreen.primes`` where m splits into distinct linear
-        factors; the first where theta's image is a simple root of m and
-        each sigma(theta) has an image.  Stabilizers screen at k = 1 and
-        orbit polynomials at any k; ``_theta_images`` raises k."""
-        m = self.field.min_poly
-        own = (modscreen.Place(p).extend(m, (1,), m) for p in modscreen.primes())
-        for place in itertools.chain([self.splitting.place], own):
-            lifted = place and place.lift(m, 1)
-            images = lifted and [lifted(a.theta_image) for a in self.automorphisms]
-            if images and None not in images:
-                return [1, lifted, dict(enumerate(images))]
-        raise SoundnessError("galois.residue_place", "no prime splits theta's minimal polynomial")
+        sigma(theta)}], the group's one residue table: at k = 1, the
+        conjugates enumeration read.  Stabilizers screen at k = 1 and orbit
+        polynomials at any k; ``_theta_images`` raises k."""
+        return [1, self.residues[0], dict(enumerate(self.residues[1]))]
 
     def _theta_images(self, k, indices=None):
         """The images of sigma_i(theta), i in indices (default all), at the
@@ -198,58 +190,41 @@ def galois_group(E: SplittingField) -> GaloisGroup:
 
 
 def _enumerate_galois_group(E: SplittingField) -> GaloisGroup:
-    field = E.field
-    n = field.degree
-    roots = E.roots
+    field, roots, n = E.field, E.roots, E.field.degree
+    place, root_images = _residue_place(E)
     if n == 1:
-        return GaloisGroup(E, (Automorphism(field, field.theta, Permutation.identity(len(roots))),), 0)
+        identity = Automorphism(field, field.theta, Permutation.identity(len(roots)))
+        return GaloisGroup(E, (identity,), 0, (place, (place.root,)))
 
     root_index = {r: i for i, r in enumerate(roots)}
     active = [(g, c) for g, c in zip(field.gen_images, field.theta_combo) if c]
-    combo = [c for _, c in active]
-    # screens at the field's place keep every true conjugate (a zero maps
-    # to zero); a root or polynomial with no image is tested exactly
-    place = E.place
-    root_images = [place(r) if place else None for r in roots]
-    theta_screen = place.images(field.min_poly.coeffs) if place else None
-    allowed = [[i for i, r in enumerate(roots) if vanishes(r)]
-               for vanishes in (modscreen.vanishes(place, minimal_polynomial(g)) for g, _ in active)]
-
-    # the closure of the verified generators, by root permutation, and the
-    # generator images (root indices) of its elements: a candidate among
-    # them costs no arithmetic
-    gen_pos = tuple(root_index[g] for g, _ in active)
+    combo, gen_pos = [c for _, c in active], tuple(root_index[g] for g, _ in active)
+    # E is normal, so the place's conjugates are the images a of the
+    # sigma(theta), and sigma(g_i) is the root whose image is g_i's at
+    # theta -> a: each conjugate's generator images, as root indices
+    at = {v: i for i, v in enumerate(root_images)}
+    conjugates = {tuple(at[modscreen.Place(place.prime, a)(g)] for g, _ in active): a
+                  for a in place.conjugates}
 
     def theta_image(tup):
         """sigma(theta) = sum c_i * sigma(g_i), for sigma(g_i) = roots[tup[i]]."""
         return sum((roots[i] * c for c, i in zip(combo, tup)), field.ext.zero)
 
-    generators = {}
-    group = closure([], degree=len(roots))
-    keys = {gen_pos}
-    for tup in itertools.product(*allowed):
+    # a candidate in the closure of the verified generators costs no
+    # arithmetic; only generators are applied exactly
+    generators, group, keys = {}, closure([], degree=len(roots)), {gen_pos}
+    for tup in sorted(conjugates):
         if group.order == n:
             break
-        if tup in keys or len(set(tup)) != len(tup):
-            continue
-        vs = [root_images[i] for i in tup]
-        if theta_screen is not None and None not in vs and modscreen.horner(
-                theta_screen, sum(map(mul, combo, vs)) % place.prime, place.prime):
+        if tup in keys:
             continue
         a = Automorphism(field, theta_image(tup))
         if not _sends_theta_to_a_root(a):
             continue
-        images = []
-        for r in roots:
-            j = root_index.get(a.apply(r))
-            if j is None:
-                raise SoundnessError("galois.root_permutation", "automorphism image is not a root")
-            images.append(j)
+        images = [root_index.get(a.apply(r)) for r in roots]
+        if None in images:
+            raise SoundnessError("galois.root_permutation", "automorphism image is not a root")
         a.root_permutation = Permutation(images)
-        if a.root_permutation in group:
-            continue
-        # only generators are applied exactly: every other sigma(theta) is
-        # read off its permutation
         generators[a.root_permutation] = a
         group = closure(generators, degree=len(roots), max_order=n)
         keys = {tuple(p.images[k] for k in gen_pos) for p in group.elements}
@@ -259,8 +234,10 @@ def _enumerate_galois_group(E: SplittingField) -> GaloisGroup:
         group.order == n,
         f"found {group.order} automorphisms in a degree-{n} field",
     )
-    autos = [generators.get(p) or Automorphism(field, theta_image(p.images[k] for k in gen_pos), p)
-             for p in group.elements]
+    # every other sigma(theta) is read off its permutation
+    tuples = [tuple(p.images[k] for k in gen_pos) for p in group.elements]
+    autos = [generators.get(p) or Automorphism(field, theta_image(t), p)
+             for p, t in zip(group.elements, tuples)]
 
     perms = [a.root_permutation for a in autos]
     record_check("galois.action_faithful", len(set(perms)) == len(perms))
@@ -271,7 +248,20 @@ def _enumerate_galois_group(E: SplittingField) -> GaloisGroup:
         closed = all((p * q) in perm_set for p in perms for q in perms)
         record_check("galois.multiplication_table_closed", closed)
         record_check("galois.inverses_present", all(p.inverse() in perm_set for p in perms))
-    return GaloisGroup(E, tuple(autos), identity_index)
+    return GaloisGroup(E, tuple(autos), identity_index, (place, tuple(map(conjugates.get, tuples))))
+
+
+def _residue_place(E: SplittingField):
+    """(place, the roots' images there), at the first place that carries
+    every embedding and gives the roots distinct images: the splitting
+    field's, else one of ``modscreen.split`` at a prime of ``modscreen.primes``."""
+    m = E.field.min_poly.coeffs
+    own = (modscreen.split(modscreen.Place(p).images(m), p) for p in modscreen.primes())
+    for place in itertools.chain([E.place], own):
+        images = place and place.conjugates and [place(r) for r in E.roots]
+        if images and None not in images and len(set(images)) == len(images):
+            return place, images
+    raise SoundnessError("galois.residue_place", "no prime gives theta's conjugates and distinct root images")
 
 
 def _sends_theta_to_a_root(a: Automorphism) -> bool:

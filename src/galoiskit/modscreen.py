@@ -12,9 +12,9 @@ generators.  Where theta's image is a simple root of its minimal
 polynomial mod p, Newton iteration lifts it to a root mod p**k, and the
 place to a ring map onto the integers mod p**k.
 
-A place found by ``find`` also carries every embedding of its field, so
-the [F:Q] roots of theta's minimal polynomial mod p, at which ``numfield``
-factors over the field.
+A place found by ``find`` or ``split`` also carries every embedding of its
+field, so the [F:Q] roots of theta's minimal polynomial mod p: ``numfield``
+factors over the field at them, and ``galois`` reads the group off them.
 """
 
 import itertools
@@ -71,11 +71,10 @@ class Place:
         if out and len(thetas) == len(out) == len(m) - 1 and not any(horner(m, a, p) for a in thetas):
             gens = self.gens + (min(g[-1] for _, g in out if g[:-1] == self.gens),)
         else:
-            qbar, out = self.images(q.coeffs), None
-            if qbar is None or not _splits(qbar, p):
+            own, out = split(self.images(q.coeffs), p), None
+            if own is None:
                 return None
-            factors = _zp_equal_degree(qbar, 1, p, random.Random(p))
-            gens = self.gens + (min(-g[0] % p for g in factors),)
+            gens = self.gens + (own.root,)
         place = Place(p, sum(map(mul, combo, gens)) % p, gens, source=self.source, embeddings=out)
         return None if horner(m, place.root, p) else place
 
@@ -128,6 +127,15 @@ def vanishes(place, f):
 def _splits(h, p):
     """x**p == x mod (h, p): the monic h splits into distinct linear factors."""
     return _zp_powmod([0, 1], p, h, p) == _zp_mod([0, 1], h, p)
+
+
+def split(h, p):
+    """theta -> the least root of h, residues mod p of a monic polynomial,
+    with every root an embedding; None unless h splits into distinct linear
+    factors."""
+    if h is not None and _splits(h, p):
+        roots = sorted(-g[0] % p for g in _zp_equal_degree(h, 1, p, random.Random(p)))
+        return Place(p, roots[0], embeddings=[(a, ()) for a in roots])
 
 
 def primes():

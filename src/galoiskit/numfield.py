@@ -602,11 +602,10 @@ def _squarefree_norm(f: Polynomial):
 
 def _trager_squarefree(f: Polynomial, place=None, found=None):
     """Irreducible factors of a monic squarefree f over an absolute field;
-    found, when given, is ``_norm_at_places(f, place)``."""
+    found is ``_norm_at_places(f, place)``, or falsy if it gave none."""
     F = f.field
     if f.degree == 1:
         return [f]
-    found = found or _norm_at_places(f, place)
     s, norm, k = found or _squarefree_norm(f) + (None,)
     nf = factor_over_Q(norm)
     if len(nf.factors) == 1:
@@ -755,11 +754,14 @@ def factor_over_number_field(p: Polynomial, place=None) -> Factorization:
         qf = factor_over_Q(pq)
         pairs = [(g.map_coefficients(F.coerce, F), m) for g, m in qf.factors]
         return Factorization(unit, _sorted_factors(pairs))
-    # a norm found at the places is squarefree, which proves p squarefree
-    f = p.monic()
-    found = place is not None and f.degree > 1 and _norm_at_places(f, place)
-    parts = [(f, 1)] if found else poly_squarefree_decomposition(p)
-    pairs = [(g, mult) for part, mult in parts for g in _trager_squarefree(part, place, found)]
+    # a norm found at the places is squarefree, which proves p squarefree;
+    # a part other than p is scanned at the places in its turn
+    f, pairs = p.monic(), []
+    found = f.degree > 1 and _norm_at_places(f, place)
+    for part, mult in [(f, 1)] if found else poly_squarefree_decomposition(p):
+        if part != f:
+            found = part.degree > 1 and _norm_at_places(part, place)
+        pairs += [(g, mult) for g in _trager_squarefree(part, place, found)]
     return Factorization(unit, _sorted_factors(pairs))
 
 

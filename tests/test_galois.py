@@ -6,7 +6,8 @@ import pytest
 
 from galoiskit import QQ, FieldMismatchError, SoundnessError, modscreen
 from galoiskit import galois as galois_module
-from galoiskit.cli import EXIT_SOUNDNESS, main
+from galoiskit import numfield
+from galoiskit.cli import EXIT_OK, EXIT_SOUNDNESS, main
 from galoiskit.galois import (
     Automorphism,
     fixed_field,
@@ -449,19 +450,25 @@ class TestGeneratorEnumeration:
         assert _listing(galois_group(e)) == _listing(exhaustive_galois_group(e))
 
     def test_exact_work_only_for_generators(self, monkeypatch):
+        # candidates are read off the place's conjugates: each one checked
+        # is a generator, and no minimal polynomial is computed
         e = splitting_field(P(-2, 0, 0, 0, 0, 0, 0, 1))
-        exact = []
-        check = galois_module._sends_theta_to_a_root
+        exact, minpolys = [], []
+        check, minpoly = galois_module._sends_theta_to_a_root, numfield.minimal_polynomial
 
         def spy(a):
             exact.append(a)
             return check(a)
 
         monkeypatch.setattr(galois_module, "_sends_theta_to_a_root", spy)
+        for module in (numfield, galois_module):
+            monkeypatch.setattr(module, "minimal_polynomial", lambda a: minpolys.append(a) or minpoly(a),
+                                raising=False)
         g = galois_group(e)
-        assert g.order == 42
-        built = sum(a._action is not None for a in g.automorphisms)
-        assert built <= len(exact) <= 6
+        assert g.order == 42 and not minpolys
+        generators = [a for a in g.automorphisms if a._action is not None]
+        assert 0 < len(exact) <= 6
+        assert all(any(a is b for b in generators) for a in exact)
 
     @pytest.mark.parametrize("ints", [(-2, 0, 0, 1), (1, 1, 0, 0, 1), (-2, 0, 0, 0, 0, 1)],
                              ids=["x^3-2", "x^4+x+1", "x^5-2"])
@@ -481,8 +488,8 @@ class TestGeneratorEnumeration:
     @pytest.mark.parametrize("ints", [(1, 1, 0, 0, 1), (-2, 0, 0, 0, 0, 1)],
                              ids=["x^4+x+1", "x^5-2"])
     def test_same_group_without_a_screening_image(self, monkeypatch, ints):
-        # with no place every test is exact over the same candidates in the
-        # same order, so the field, its roots and its group are the same
+        # with no place from the tower the group is read at a prime of its
+        # own search, and the field, its roots and its group are the same
         screened = splitting_field(P(*ints))
         assert screened.place is not None
         expected = _listing(galois_group(screened))
@@ -837,17 +844,29 @@ class TestResidueOrbitPolynomial:
         assert len(moduli) == first + 2 and moduli[-1][0] == moduli[first][0] ** 2
 
     def test_no_residue_place_raises(self, monkeypatch, capsys):
-        # no place from the tower and no prime of the search: stabilizers
-        # have nothing to screen at, as orbit polynomials have nothing to lift
+        # no place from the tower and no prime of the search: the group has
+        # no conjugates to be read from
         monkeypatch.setattr(modscreen, "find", lambda *args, **kwargs: None)
         monkeypatch.setattr(modscreen, "primes", lambda: iter(()))
-        G = galois_group(splitting_field(P(-2, 0, 0, 1)))
-        for call in (orbit_min_poly, lambda G, r: subgroup_fixing(G, [r])):
-            with pytest.raises(SoundnessError) as err:
-                call(G, G.splitting.roots[0])
-            assert err.value.check_name == "galois.residue_place"
-        assert main(["fixed", "x^3-2", "--subgroup", "1"]) == EXIT_SOUNDNESS
+        with pytest.raises(SoundnessError) as err:
+            galois_group(splitting_field(P(-2, 0, 0, 1)))
+        assert err.value.check_name == "galois.residue_place"
+        assert main(["group", "x^3-2"]) == EXIT_SOUNDNESS
         assert "galois.residue_place" in capsys.readouterr().err
+
+    def test_roots_sharing_a_residue_pass_over_the_prime(self, monkeypatch, capsys):
+        # at p = 11 the roots of (x^2-5)(x^2-x-1) map to 7, 4, 4, 8: the
+        # group is read at a later prime, and the report is the same
+        argv = ["group", "(x^2-5)*(x^2-x-1)", "--json"]
+        assert main(argv) == EXIT_OK
+        expected = capsys.readouterr().out
+        primes = modscreen.primes
+        monkeypatch.setattr(modscreen, "primes", lambda: itertools.chain([11], primes()))
+        E = splitting_field(P(-5, 0, 1) * P(-1, -1, 1))
+        assert E.place.prime == 11 and [E.place(r) for r in E.roots] == [7, 4, 4, 8]
+        assert galois_group(E)._lift[1].prime != 11
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == expected
 
     def test_a_reconstruction_never_right_raises(self, monkeypatch, capsys):
         reconstruct = galois_module._rational_reconstruction

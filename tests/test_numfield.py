@@ -614,6 +614,20 @@ class TestTragerAtPlaces:
                 assert factor_over_number_field(f, place) == found
             assert len(found.factors) > 1
 
+    def test_one_shift_scan_past_the_cap(self, monkeypatch):
+        # past the lift cap the places give no norm for the squarefree
+        # x^6+3 over the field of x^3-2, and the scan is not repeated
+        base = splitting_field(parse_poly("x^3-2"))
+        source = parse_poly("x^6+3")
+        place = modscreen.find(base.tower, [h for h, _ in factor_over_Q(source).factors]
+                               + [base.squarefree_source])
+        f = source.map_coefficients(base.field.ext.coerce, base.field.ext)
+        calls, at_places = [], numfield._norm_at_places
+        monkeypatch.setattr(numfield, "MAX_LIFT_BITS", 0)
+        monkeypatch.setattr(numfield, "_norm_at_places", lambda *a: calls.append(at_places(*a)) or calls[-1])
+        assert len(factor_over_number_field(f, place).factors) > 1
+        assert calls == [None]
+
 
 def replayed_fields(ints):
     """The absolute field after each stage of the splitting tower of the
