@@ -19,9 +19,9 @@ The correspondence runs on integers: each automorphism caches its action as
 powers theta'**j, j <= n, over a common denominator, so applying it is one
 matrix-vector product and the root check m(theta') = 0 is that matrix times
 the coefficients of m; and fixed fields are the nullspace of the integer
-rows d*(M - I) on the first n columns, found by one fraction-free
-``SpanSolver`` pass over their columns.  Rationals appear only in the
-results.
+rows d*(M - I) on the first n columns, a fraction-free row echelon that
+stops once it reaches the rank n - [G:H] and its kernel vanishes on the
+rows left.  Rationals appear only in the results.
 
 Orbit polynomials come from residues.  The place is lifted to p**k by
 Newton iteration, the group permutes the p-adic roots of m there, and
@@ -406,7 +406,7 @@ def fixed_field(G: GaloisGroup, subgroup_indices) -> IntermediateField:
             row = list(row[:n])
             row[r] -= d
             rows.append(row)
-    basis = nullspace(rows)
+    basis = nullspace(rows, rank=n - n // len(idx))
     dim = len(basis)
     record_check(
         "fixed_field.degree_equals_index",

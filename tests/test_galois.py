@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from galoiskit import QQ, FieldMismatchError, SoundnessError, modscreen
 from galoiskit import galois as galois_module
 from galoiskit import numfield
+from galoiskit.checks import collect_checks
 from galoiskit.cli import EXIT_OK, EXIT_SOUNDNESS, main
 from galoiskit.galois import (
     Automorphism,
@@ -439,6 +441,34 @@ class TestIntegerKernel:
             expected = [[Fraction(int(v.p), int(v.q)) for v in vec]
                         for vec in sympy.Matrix(rows).nullspace()]
             assert nullspace(rows) == expected
+
+    def test_a_wrong_generator_matrix_still_fails_the_degree_check(self, corpus_groups,
+                                                                   monkeypatch):
+        # the echelon stops at the rank [G:H] predicts only if the kernel so
+        # far vanishes on every later row, so a transposition given a
+        # 3-cycle's matrix yields the 3-cycle's fixed space, of dimension 8
+        G = corpus_groups["x^4+x+1"]
+        swap = next(i for i in range(G.order) if G.perm(i).order() == 2)
+        three = next(i for i in range(G.order) if G.perm(i).order() == 3)
+        action_matrix = Automorphism.action_matrix.fget
+        wrong = {id(G.automorphisms[swap]): G.automorphisms[three]}
+        monkeypatch.setattr(Automorphism, "action_matrix",
+                            property(lambda a: action_matrix(wrong.get(id(a), a))))
+        with pytest.raises(SoundnessError) as err:
+            fixed_field(G, (G.identity_index, swap))
+        assert err.value.check_name == "fixed_field.degree_equals_index"
+        assert err.value.detail == "dim 8 * |H| 2 != [E:Q] 24"
+
+    def test_lattice_runs_every_check(self, corpus_groups):
+        G = corpus_groups["x^4+x+1"]
+        with collect_checks() as log:
+            for idx in _subgroups(G):
+                subgroup_fixing(G, fixed_field(G, idx))
+        assert len(log) == 384 and all(ok for _, ok, _ in log)
+        assert Counter(name for name, _, _ in log) == {
+            "fixed_field.degree_equals_index": 30, "fixed_field.primitive_degree": 30,
+            "orbit_min_poly.coefficients_rational": 264, "subgroup_fixing.is_subgroup": 30,
+            "subgroup_fixing.order_equals_index": 30}
 
 
 class TestGeneratorEnumeration:

@@ -4,7 +4,8 @@ from math import lcm
 
 import pytest
 
-from galoiskit.linalg import SpanSolver, lll
+from galoiskit import linalg
+from galoiskit.linalg import SpanSolver, lll, nullspace
 
 from helpers import FractionSpanSolver, _det, rref_nullspace
 
@@ -78,6 +79,70 @@ class TestSpanSolverMatchesFractionOracle:
         assert solver.insert(basis[1]) == [0, 1, 0]
         assert solver.insert([0, 0, 0, 1]) is None
         assert solver.count == 4
+
+
+def _integer_matrix(rng, nrows, ncols, rank, density):
+    """A seeded nrows x ncols integer matrix of rank at most rank (left
+    times right factor; density thins the right one), with a zero row, a
+    repeated row and a rescaled repeat inserted."""
+    left = [[rng.randint(-9, 9) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(ncols)]
+             for _ in range(rank)]
+    rows = [[sum(a * r[j] for a, r in zip(lrow, right)) for j in range(ncols)] for lrow in left]
+    for extra in ([0] * ncols, list(rng.choice(rows)), [-3 * x for x in rng.choice(rows)]):
+        rows.insert(rng.randrange(len(rows) + 1), extra)
+    return rows
+
+
+# (rows, columns, rank of the factors, density of the right factor)
+NULLSPACE_SHAPES = [
+    (6, 6, 3, 1.0),  # square, rank-deficient, dense
+    (6, 6, 3, 0.3),  # square, sparse
+    (12, 4, 4, 1.0),  # tall, full column rank
+    (12, 5, 2, 0.5),  # tall, rank-deficient
+    (3, 9, 3, 1.0),  # wide
+    (4, 8, 1, 0.6),  # wide, rank one
+    (5, 5, 0, 1.0),  # rank 0: every row zero
+    (9, 9, 9, 0.4),  # square, full rank if the factors allow
+]
+
+
+class TestNullspaceMatchesFractionOracle:
+    @pytest.mark.parametrize("shape", NULLSPACE_SHAPES, ids=str)
+    def test_every_hint(self, shape):
+        nrows, ncols, rank, density = shape
+        rng = random.Random(str(shape))
+        for _ in range(6):
+            rows = _integer_matrix(rng, nrows, ncols, rank, density)
+            expected = rref_nullspace(rows)
+            true_rank = ncols - len(expected)
+            assert true_rank <= rank
+            for hint in (None, true_rank, true_rank - 1, true_rank + 1):
+                got = nullspace(rows, rank=hint)
+                assert got == expected
+                assert all(type(x) is Fraction for v in got for x in v)
+
+    def test_a_right_hint_reads_no_row_past_it(self, monkeypatch):
+        # rank 2 is reached at the third row; the rows after it are only
+        # checked against the kernel, never reduced
+        rows = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 1], [1, 3, 4, 5], [3, 7, 10, 13]]
+        reduced = []
+        primitive = linalg._primitive
+        monkeypatch.setattr(linalg, "_primitive", lambda r: reduced.append(r) or primitive(r))
+        assert nullspace(rows, rank=2) == rref_nullspace(rows)
+        assert not any(r is rows[3] or r is rows[4] for r in reduced)
+
+    def test_a_later_row_that_cuts_the_kernel_is_read(self, monkeypatch):
+        # the first two rows reach the hinted rank 2, with kernel spanned by
+        # e3 and e4; the fourth row cuts it, so the check fails and
+        # elimination goes on to rank 3
+        rows = [[1, 0, 0, 0], [0, 1, 0, 0], [2, 3, 0, 0], [0, 0, 1, 5], [1, 1, 2, 10]]
+        calls = []
+        back_substitute = linalg._back_substitute
+        monkeypatch.setattr(linalg, "_back_substitute",
+                            lambda *args: calls.append(len(args[0])) or back_substitute(*args))
+        assert nullspace(rows, rank=2) == rref_nullspace(rows) == [[0, 0, -5, 1]]
+        assert calls == [2, 3]
 
 
 def _gram_schmidt(rows):
