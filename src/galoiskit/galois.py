@@ -23,37 +23,38 @@ rows d*(M - I) on the first n columns, a fraction-free row echelon that
 stops once it reaches the rank n - [G:H] and its kernel vanishes on the
 rows left.  Rationals appear only in the results.
 
-Orbit polynomials come from residues.  The place is lifted to p**k by
-Newton iteration, the group permutes the p-adic roots of m there, and
-sigma(a) maps to a's coordinates evaluated at sigma(theta)'s image, so the
-product over one sigma per coset of the stabilizer is expanded on scalars
-and reconstructed over one denominator; no automorphism is applied and no
-product is taken in E.  A candidate is accepted only when it has the
-orbit's degree and vanishes at a exactly, by Horner on integer vectors;
-otherwise k doubles, up to a proven height bound.
+Orbit polynomials come from exact power sums.  E is Galois, so each of
+the [G:H] conjugates of a, H its stabilizer, is sigma(a) for |H| of the
+n automorphisms, and Tr(a**k) / |H| is the k-th power sum of the orbit.
+The traces are read off a's powers and the trace form Tr(theta**j), and
+Newton's identities turn the power sums into the coefficients on integers
+(Cohen, GTM 138): no prime, no lift, no reconstruction and no apply.  The
+result is accepted only when it vanishes at a exactly, on the same power
+vectors.
 
-Whether sigma fixes a is screened with the same images mod p, where
-sigma(den * a) maps to a's numerators evaluated at sigma(theta)'s image,
-and only a survivor is checked exactly: for a stabilizer, a group, only one
-outside the ``permgroup.closure`` of the fixers verified so far; for a
-primitive element of H's fixed space, every one outside H; and an orbit
-applies one sigma per left coset of the stabilizer (``permgroup``).
+Whether sigma fixes a is screened mod p at the place the group was read
+at, where sigma(den * a) maps to a's numerators evaluated at
+sigma(theta)'s image, and only a survivor is checked exactly: for a
+stabilizer, a group, only one outside the ``permgroup.closure`` of the
+fixers verified so far; for a primitive element of H's fixed space, every
+one outside H; and an orbit applies one sigma per left coset of the
+stabilizer (``permgroup``).
 """
 
 import itertools
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from operator import mul
 
 from .checks import record_check
 from .errors import SoundnessError
 from .linalg import SpanSolver, nullspace
-from .numfield import _Substitution, element_sort_key, roots_in_field
+from .numfield import _power_coords, _Substitution, element_sort_key, roots_in_field
 from .permgroup import (PermGroup, Permutation, _small_generating_set, closure,
                         coset_representatives, is_normal)
 from .poly import Polynomial, _clear_denominators, poly_squarefree_part
-from .qfactor import _rational_reconstruction, factor_over_Q
+from .qfactor import factor_over_Q
 from .scalars import QQ, Record
 from .splitting import SplittingField
 from . import modscreen
@@ -128,25 +129,19 @@ class GaloisGroup(Record):
         return PermGroup(len(self.splitting.roots), perms, perms)
 
     @cached_property
-    def _lift(self):
-        """[k, the place lifted to p**k, {index: the image there of
-        sigma(theta)}], the group's one residue table: at k = 1, the
-        conjugates enumeration read.  Stabilizers screen at k = 1 and orbit
-        polynomials at any k; ``_theta_images`` raises k."""
-        return [1, self.residues[0], dict(enumerate(self.residues[1]))]
-
-    def _theta_images(self, k, indices=None):
-        """The images of sigma_i(theta), i in indices (default all), at the
-        place lifted to p**k or beyond, each evaluated once per precision."""
-        j, place, images = self._lift
-        if j < k:
-            j = max(k, 2 * j)
-            place, images = place.lift(self.field.min_poly, j), {}
-            self._lift[:] = j, place, images
-        indices = range(self.order) if indices is None else indices
-        for i in set(indices) - images.keys():
-            images[i] = place(self.automorphisms[i].theta_image)
-        return [images[i] for i in indices]
+    def _trace_form(self):
+        """(T, D): Tr(theta**j) = T[j] / D for j < n, with D = c**(n-1) for
+        c the leading coefficient of theta's minimal polynomial m cleared
+        to integers.  c * theta is a root of the monic integer
+        M(y) = c**(n-1) * m(y / c), whose power sums S_j are integers by
+        Newton's identities, and T[j] = S_j * c**(n-1-j)."""
+        mi, c = _clear_denominators(self.field.min_poly.coeffs)
+        n = len(mi) - 1
+        M = [v * c ** (n - 1 - j) for j, v in enumerate(mi[:n])]
+        S = [n]
+        for k in range(1, n):
+            S.append(-k * M[n - k] - sum(M[n - i] * S[k - i] for i in range(1, k)))
+        return [s * c ** (n - 1 - j) for j, s in enumerate(S)], c ** (n - 1)
 
     @cached_property
     def _index_by_perm(self):
@@ -302,67 +297,53 @@ def orbit_min_poly(G: GaloisGroup, a) -> Polynomial:
 
 
 def _orbit_min_poly(G: GaloisGroup, a, stab) -> Polynomial:
-    """prod (x - w) over the orbit of a, given its stabilizer, from residues.
+    """prod (x - w) over the orbit of a, given its stabilizer, from power sums.
 
-    sigma(a) maps to num(b) / den, b sigma(theta)'s image mod p**k; the
-    product over one sigma per coset is reconstructed over one denominator
-    (for den * a, rescaled, when p divides den).  With theta's minimal
-    polynomial cleared to integers (leading c, the others below r in size),
-    delta = den * c**(n-1) makes delta * a integral and its conjugates at
-    most s = c**(n-1) * sum |num_j| r**j (Cauchy), so the denominator
-    divides delta**m and it and each numerator are at most
-    H = (delta * (1 + s))**m.  A candidate of degree m vanishing at a is
-    a's minimal polynomial; until one does, k doubles, and once p**k / 2
-    passes H**2 the reconstruction cannot miss it.
+    With delta = den * D, D = c**(n-1) from the trace form, delta * a is
+    integral (c * theta is), so the orbit power sums P_k of delta * a are
+    the integers delta**k * Tr(a**k) / |stab|; Tr(a**k) is a**k's
+    coordinates against the trace form.  Newton's identities
+    k * e_k = sum (-1)**(i-1) * e_(k-i) * P_i, divided exactly by k, give
+    the monic integer F = prod (y - delta * w), and the orbit polynomial is
+    f(x) = F(delta * x) / delta**m, monic of degree m.  A power sum or e_k
+    that is not an integer is an engine fault; f is accepted only when
+    F(delta * a) = 0 exactly, on the same powers of a.
     """
-    reps, n = _coset_representatives(G, stab), G.field.degree
-    m, p = len(reps), G._lift[1].prime
-    mi, c = _clear_denominators(G.field.min_poly.coeffs)
-    r, delta = 1 + max(map(abs, mi)), a.den * c ** (n - 1)
-    s = c ** (n - 1) * sum(abs(v) * r ** j for j, v in enumerate(a.num))
-    height = (delta * (1 + s)) ** (2 * m)
-    scale = a.den if a.den % p == 0 else 1
-    # at least p: a random residue then passes as a numerator one time in p
-    den_bound, k = max((delta // scale) ** m, p), 1
-    while True:
-        pk = p ** k
-        num, inv = [x % pk for x in a.num], pow(a.den // scale, -1, pk)
-        acc = [1]
-        for b in G._theta_images(k, reps):
-            w = modscreen.horner(num, b % pk, pk) * inv % pk
-            acc = [(u - w * v) % pk for u, v in zip([0] + acc, acc + [0])]
-        candidate = _rational_reconstruction(acc, pk, den_bound)
-        if candidate is not None:
-            nums, den = candidate
-            f = Polynomial(QQ, [Fraction(x, den * scale ** (m - j)) for j, x in enumerate(nums)])
-            if f.degree == m and _vanishes_at(f, a):
-                break
-        if pk >> 1 >= height:
-            f = None
+    m = G.order // len(stab)
+    T, D = G._trace_form
+    delta = a.den * D
+    powers = list(itertools.islice(_power_coords(a, 0, Polynomial.x(a.field)), m + 1))
+    e, sums, f = [1], [], None
+    for k, (w, s) in enumerate(powers[1:], 1):
+        P, r = divmod(delta ** k * s.numerator * sum(map(mul, w, T)),
+                      s.denominator * D * len(stab))
+        sums.append(P)
+        ek, q = divmod(sum((-1) ** i * e[k - 1 - i] * v for i, v in enumerate(sums)), k)
+        if r or q:
             break
-        k *= 2
+        e.append(ek)
+    else:
+        F = [(-1) ** (m - j) * e[m - j] * delta ** j for j in range(m + 1)]
+        if _vanishes(F, powers):
+            f = Polynomial(QQ, [Fraction(v, delta ** m) for v in F])
     for _ in range(m + 1):
         record_check(
             "orbit_min_poly.coefficients_rational",
             f is not None,
-            "no reconstructed orbit polynomial vanished at the element within the height bound",
+            "the orbit's power sums are not integers, or their polynomial does not vanish at the element",
         )
     return f
 
 
-def _vanishes_at(f, a):
-    """f(a) == 0 by Horner on integer vectors, f cleared to integers F_j
-    and a = num / den: acc / scale is the value so far, each step takes it
-    to value * a + F_j, and both are divided by their gcd."""
-    ext = a.field
-    fi, _ = _clear_denominators(f.coeffs)
-    acc, scale = [fi[-1]] + [0] * (ext.degree - 1), 1
-    for j in range(len(fi) - 2, -1, -1):
-        scale *= ext._int_rows[1] * a.den
-        acc = ext._int_mul(acc, a.num)
-        acc[0] += fi[j] * scale
-        g = gcd(scale, *acc)
-        acc, scale = [x // g for x in acc], scale // g
+def _vanishes(F, powers):
+    """sum F_j * z**j == 0 for integers F_j, given z's powers j <= deg as
+    (integer vector, rational scale) pairs from ``_power_coords``."""
+    L = lcm(*(s.denominator for _, s in powers))
+    acc = [0] * len(powers[0][0])
+    for v, (w, s) in zip(F, powers):
+        u = v * s.numerator * (L // s.denominator)
+        if u:
+            acc = [x + u * y for x, y in zip(acc, w)]
     return not any(acc)
 
 
@@ -444,6 +425,9 @@ def _primitive_of_subspace(G: GaloisGroup, basis, idx):
               for k in range(1, 40))
     for vec in itertools.chain(basis, combos):
         e = ext.from_rep(vec)
+        # every automorphism fixes a rational
+        if outside and not any(e.num[1:]):
+            continue
         if not any(G.automorphisms[i].apply(e) == e for i in _survivors(G, e, outside)):
             return e
     raise SoundnessError("fixed_field.primitive_search", "no primitive element found for subfield")
@@ -453,10 +437,11 @@ def _survivors(G: GaloisGroup, e, among):
     """The indices among those given that may fix e, in order: the place mod
     p, a ring map, sends sigma(den * e) to e's numerators at sigma(theta)'s
     image, so a value other than the identity's proves sigma(e) != e."""
-    p = G._lift[1].prime
-    thetas, num = G._theta_images(1), [c % p for c in e.num]
-    fixed = modscreen.horner(num, thetas[G.identity_index] % p, p)
-    return [i for i in among if modscreen.horner(num, thetas[i] % p, p) == fixed]
+    place, thetas = G.residues
+    p = place.prime
+    num = [c % p for c in e.num]
+    fixed = modscreen.horner(num, thetas[G.identity_index], p)
+    return [i for i in among if modscreen.horner(num, thetas[i], p) == fixed]
 
 
 def _stabilizer(G: GaloisGroup, elements) -> tuple:

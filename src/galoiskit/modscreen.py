@@ -8,9 +8,8 @@ exactly.  The prime splits each irreducible factor of the rational source
 into distinct linear factors, so it splits completely in every field of
 the tower; a new generator goes to a root of the adjoined factor's image,
 and theta to the combination of generator images that theta is of the
-generators.  Where theta's image is a simple root of its minimal
-polynomial mod p, Newton iteration lifts it to a root mod p**k, and the
-place to a ring map onto the integers mod p**k.
+generators.  Newton iteration lifts simple roots mod p to roots mod p**k
+for ``numfield``'s factorization at the places.
 
 A place found by ``find`` or ``split`` also carries every embedding of its
 field, so the [F:Q] roots of theta's minimal polynomial mod p: ``numfield``
@@ -27,7 +26,7 @@ from .scalars import primes_below
 
 
 class Place:
-    """theta -> root mod modulus (the prime unless lifted), with the images
+    """theta -> root mod modulus (the prime unless given), with the images
     of the tower generators; from ``find``, also the source (its rational
     factors, their roots mod p) and the embeddings, (theta's image,
     generator images) for each, or None.  ``numfield`` caches in ``lifts``."""
@@ -78,17 +77,11 @@ class Place:
         place = Place(p, sum(map(mul, combo, gens)) % p, gens, source=self.source, embeddings=out)
         return None if horner(m, place.root, p) else place
 
-    def lift(self, f, k):
-        """This place lifted to the root of the p-integral f mod p**k
-        (``newton``); None when f has no image or the root is not simple."""
-        a = newton(f, [self.root], self.prime, k, self.modulus)
-        return a and Place(self.prime, a[0], modulus=self.prime ** k)
 
-
-def newton(f, roots, p, k, q=None):
-    """Roots mod q (p unless given) of the p-integral f, each simple mod p,
-    lifted to roots mod p**k by Newton iteration, each step doubling the
-    precision; None when f has no image or a root is not simple."""
+def newton(f, roots, p, k):
+    """Roots mod p of the p-integral f, each simple, lifted to roots mod
+    p**k by Newton iteration, each step doubling the precision; None when
+    f has no image or a root is not simple."""
     pk = p ** k
     fk = Place(p, modulus=pk).images(f.coeffs)
     df = [i * c for i, c in enumerate(fk)][1:] if fk else None
@@ -96,7 +89,7 @@ def newton(f, roots, p, k, q=None):
         return None
     out = []
     for a in roots:
-        m = q or p
+        m = p
         while m < pk:
             m = min(m * m, pk)
             a = (a - horner(fk, a, m) * pow(horner(df, a, m), -1, m)) % m

@@ -321,8 +321,9 @@ def left_coset_representatives(G, stab):
 def orbit_poly(G, orb):
     """prod (x - w) over the given orbit, expanded in E on integer
     coefficient vectors over one running denominator, with each coefficient
-    asserted rational: the oracle for the residue route of
-    ``galois.orbit_min_poly``, about m**2 / 2 products in E for m elements."""
+    asserted rational: the oracle for the power-sum route of
+    ``galois.orbit_min_poly``, independent of its powers and traces, about
+    m**2 / 2 products in E for m elements."""
     ext = G.field.ext
     n = ext.degree
     d_rows = ext._int_rows[1]

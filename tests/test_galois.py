@@ -24,7 +24,7 @@ from galoiskit.linalg import nullspace
 from galoiskit.numfield import ExtensionField, minimal_polynomial
 from galoiskit.parsing import evaluate_in_field
 from galoiskit.permgroup import PermGroup, all_subgroups
-from galoiskit.poly import Polynomial
+from galoiskit.poly import Polynomial, _clear_denominators
 from galoiskit.qfactor import factor_degrees_mod_p, factor_mod_p, is_irreducible_over_Q
 from galoiskit.scalars import PrimeField
 from galoiskit.splitting import splitting_field
@@ -459,12 +459,17 @@ class TestIntegerKernel:
         assert err.value.check_name == "fixed_field.degree_equals_index"
         assert err.value.detail == "dim 8 * |H| 2 != [E:Q] 24"
 
-    def test_lattice_runs_every_check(self, corpus_groups):
+    def test_lattice_runs_every_check(self, corpus_groups, monkeypatch):
         G = corpus_groups["x^4+x+1"]
+        calls, apply = [], Automorphism.apply
+        monkeypatch.setattr(Automorphism, "apply", lambda a, x: calls.append(a) or apply(a, x))
         with collect_checks() as log:
             for idx in _subgroups(G):
                 subgroup_fixing(G, fixed_field(G, idx))
         assert len(log) == 384 and all(ok for _, ok, _ in log)
+        # 74 exact applies when rational candidates of the primitive search
+        # were applied too: every automorphism fixes them
+        assert len(calls) == 45
         assert Counter(name for name, _, _ in log) == {
             "fixed_field.degree_equals_index": 30, "fixed_field.primitive_degree": 30,
             "orbit_min_poly.coefficients_rational": 264, "subgroup_fixing.is_subgroup": 30,
@@ -610,18 +615,11 @@ def _correspondence(G, subgroups):
 
 
 def _screen_lets_every_sigma_through(G, monkeypatch):
-    """Give every automorphism the identity's theta-image at k = 1, so that
-    every sigma survives the stabilizer screen and is checked exactly unless
-    the closure of the fixers verified before it holds it."""
-    theta_images = G._theta_images
-
-    def images(k, indices=None):
-        if k > 1:
-            return theta_images(k, indices)
-        found = theta_images(k)
-        return [found[G.identity_index]] * len(found if indices is None else indices)
-
-    monkeypatch.setitem(vars(G), "_theta_images", images)
+    """Give every automorphism the identity's theta-image in the residue
+    table, so that every sigma survives the stabilizer screen and is checked
+    exactly unless the closure of the fixers verified before it holds it."""
+    place, thetas = G.residues
+    monkeypatch.setitem(vars(G), "residues", (place, (thetas[G.identity_index],) * G.order))
 
 
 @pytest.fixture(scope="module", params=SCREENED, ids=[s[0] for s in SCREENED])
@@ -681,7 +679,7 @@ class TestPlaceScreen:
         p = next(q for q in modscreen.primes() if factor_degrees_mod_p(m, q) == [1] * m.degree)
         gf = PrimeField(p)
         roots = [-g.coeff(0).value % p for g, _ in factor_mod_p(m.map_coefficients(gf.coerce, gf))]
-        assert (exact._lift[1].prime, exact._lift[1].root % p) == (p, min(roots))
+        assert (exact.residues[0].prime, exact.residues[0].root) == (p, min(roots))
 
     def test_every_survivor_is_checked_exactly(self, screened_and_exact, monkeypatch):
         G, subgroups, expected, _ = screened_and_exact
@@ -706,7 +704,7 @@ class TestPlaceScreen:
         monkeypatch.setattr(Automorphism, "apply", spy)
         primitive = galois_module._primitive_of_subspace
         # the primitive element's stabilizer is H by construction: after it
-        # is chosen, its orbit polynomial comes from residues, with no apply
+        # is chosen, its orbit polynomial comes from power sums, with no apply
         monkeypatch.setattr(galois_module, "_primitive_of_subspace",
                             lambda *args: (primitive(*args), calls.clear())[0])
         for idx in _subgroups(G):
@@ -763,8 +761,8 @@ def _p_integral_element(ext, rng):
 
 
 class TestResidueOrbitPolynomial:
-    """Orbit polynomials reconstructed from residues at a lifted place,
-    against the exact expansion in E."""
+    """Orbit polynomials from exact power sums, against the exact expansion
+    in E, and the residue table the group is read off."""
 
     def test_matches_the_exact_expansion(self, x7m2_group):
         # the fields of SCREENED, and their seeded elements, are checked so
@@ -774,26 +772,41 @@ class TestResidueOrbitPolynomial:
             B = fixed_field(G, idx)
             assert B.min_poly == orbit_poly(G, orbit(G, B.primitive))
 
-    def test_one_theta_image_per_coset_at_each_doubling(self, corpus_fields, monkeypatch):
-        # a fresh group of x^4+x+1, its residue table at k = 1; the orbit of
-        # 97*(r1 + r2) - 55*r3 has 12 elements, one per coset of a
-        # stabilizer of order 2, and coefficients beyond p
-        G = galois_module._enumerate_galois_group(corpus_fields["x^4+x+1"])
-        p, r = G._lift[1].prime, G.splitting.roots
+    @pytest.mark.parametrize("name", ["x^4+x+1", "(x^4-2)(x^4-3)"])
+    def test_lattices_match_the_exact_expansion(self, corpus_groups, name):
+        if name == "x^4+x+1":
+            G = corpus_groups[name]
+        else:
+            G = galois_group(splitting_field(P(-2, 0, 0, 0, 1) * P(-3, 0, 0, 0, 1)))
+        subgroups = _subgroups(G)
+        assert len(subgroups) == {"x^4+x+1": 30, "(x^4-2)(x^4-3)": 90}[name]
+        for idx in subgroups:
+            B = fixed_field(G, idx)
+            assert B.min_poly == orbit_poly(G, orbit(G, B.primitive))
+
+    def test_reads_powers_not_residues(self, corpus_groups, monkeypatch):
+        # the orbit of 97*(r1 + r2) - 55*r3 in the field of x^4+x+1 has 12
+        # elements, one per coset of a stabilizer of order 2: its
+        # polynomial reads the 13 powers a**0 .. a**12, and no place and no
+        # automorphism
+        G = corpus_groups["x^4+x+1"]
+        r = G.splitting.roots
         a = 97 * (r[0] + r[1]) - 55 * r[2]
-        cosets = len(galois_module._coset_representatives(G, galois_module._stabilizer(G, (a,))))
-        moduli, call = [], modscreen.Place.__call__
+        stab = galois_module._stabilizer(G, (a,))
+        drawn, used = [], []
+        power_coords = numfield._power_coords
 
-        def spy(place, e):
-            if hasattr(e, "num"):
-                moduli.append(place.modulus)
-            return call(place, e)
+        def spy(*args):
+            for v in power_coords(*args):
+                drawn.append(v)
+                yield v
 
-        monkeypatch.setattr(modscreen.Place, "__call__", spy)
-        f = orbit_min_poly(G, a)
-        doublings = sorted(set(moduli))
-        assert f.degree == cosets == 12 and doublings and doublings[0] > p
-        assert moduli == [q for q in doublings for _ in range(cosets)]
+        monkeypatch.setattr(galois_module, "_power_coords", spy)
+        monkeypatch.setattr(modscreen.Place, "__call__", lambda *args: used.append(args))
+        monkeypatch.setattr(Automorphism, "apply", lambda *args: used.append(args))
+        f = galois_module._orbit_min_poly(G, a, stab)
+        assert len(stab) == 2 and f.degree == 12 and len(drawn) == 13 and used == []
+        assert f == minimal_polynomial(a)
 
     def test_exact_vanishing_test_matches_evaluation(self, corpus_groups):
         # the correspondence sessions' x^4+x+1 draws at seeds 1, 2 and 3:
@@ -804,14 +817,17 @@ class TestResidueOrbitPolynomial:
                      "-1*r1+2*r3", "3*r2-1*r3", "3*r2-2*r3+1*r4", "1*r1-1*r2"):
             a = evaluate_in_field(text, G.field.ext, env)
             f = orbit_min_poly(G, a)
-            assert galois_module._vanishes_at(f, a)
+            fi, _ = _clear_denominators(f.coeffs)
             for b in (a, a + 1, a - 1):
-                assert galois_module._vanishes_at(f, b) == (f.evaluate(b) == 0)
+                powers = numfield._power_coords(b, 0, Polynomial.x(b.field))
+                powers = list(itertools.islice(powers, f.degree + 1))
+                assert galois_module._vanishes(fi, powers) == (f.evaluate(b) == 0) == (b == a)
 
     def test_denominator_divisible_by_the_prime(self, corpus_groups):
-        # p cannot be inverted: the product is taken for den * a, rescaled
+        # no prime is inverted: a denominator divisible by the place's prime
+        # only enters delta
         G = corpus_groups["x^3-2"]
-        p, ext, roots = G._lift[1].prime, G.field.ext, G.splitting.roots
+        p, ext, roots = G.residues[0].prime, G.field.ext, G.splitting.roots
         for a in (ext.gen * Fraction(1, p), roots[0] * Fraction(3, p * p) + roots[1],
                   ext.from_rep([Fraction(1, p), 2, Fraction(-5, 7 * p)])):
             assert a.den % p == 0
@@ -830,48 +846,43 @@ class TestResidueOrbitPolynomial:
         E = splitting_field(P(-6, 1, 1))  # (x - 2)(x + 3)
         G = galois_group(E)
         assert G.field.degree == 1 and G.order == 1
-        for c in (Fraction(3, 7), Fraction(-2), Fraction(5, G._lift[1].prime)):
+        for c in (Fraction(3, 7), Fraction(-2), Fraction(5, G.residues[0].prime)):
             assert orbit_min_poly(G, c) == P(0, 1) - Polynomial.constant(QQ, c)
         assert fixed_field(G, (0,)).min_poly.degree == 1
 
     @pytest.mark.parametrize("name", ["x^4+x+1", "x^5-2"])
-    def test_lifted_place_is_a_ring_map(self, corpus_groups, name):
+    def test_place_is_a_ring_map(self, corpus_groups, name):
+        # the residue table the stabilizer screen reads: each sigma(theta)'s
+        # image at the place, a root of m mod p
         G = corpus_groups[name]
-        place, m, ext = G.splitting.place, G.field.min_poly, G.field.ext
+        place, thetas = G.residues
+        m, ext = G.field.min_poly, G.field.ext
         p, rng = place.prime, random.Random(len(name))
-        for k in (1, 2, 3, 8):
-            pk = p ** k
-            lifted = place.lift(m, k)
-            assert lifted.modulus == pk and lifted.root % p == place.root
-            assert modscreen.horner(lifted.images(m.coeffs), lifted.root, pk) == 0
-            assert place.lift(m, 2).lift(m, k).root == lifted.root
-            for _ in range(4):
-                a, b = (_p_integral_element(ext, rng) for _ in range(2))
-                assert lifted(a * b) == lifted(a) * lifted(b) % pk
-                assert lifted(a + b) == (lifted(a) + lifted(b)) % pk
-            # every sigma(theta) goes to a root of m mod p**k
-            for b in G._theta_images(k):
-                assert modscreen.horner(lifted.images(m.coeffs), b % pk, pk) == 0
+        assert place.modulus == p and modscreen.horner(place.images(m.coeffs), place.root, p) == 0
+        for _ in range(4):
+            a, b = (_p_integral_element(ext, rng) for _ in range(2))
+            assert place(a * b) == place(a) * place(b) % p
+            assert place(a + b) == (place(a) + place(b)) % p
+        for g, b in zip(G.automorphisms, thetas):
+            assert place(g.theta_image) == b
+            assert modscreen.horner(place.images(m.coeffs), b, p) == 0
 
-    def test_a_corrupted_reconstruction_is_rejected(self, corpus_groups, monkeypatch):
+    def test_a_corrupted_trace_form_is_rejected(self, corpus_groups, monkeypatch):
+        # a wrong trace gives power sums that are not integers, and a
+        # polynomial that does not vanish at the element is refused
         G = corpus_groups["x^4+x+1"]
         a = G.splitting.roots[0] + 2 * G.splitting.roots[1]
-        expected = orbit_poly(G, orbit(G, a))
-        reconstruct, moduli = galois_module._rational_reconstruction, []
-
-        def corrupt_first(residues, m, den_bound):
-            found = reconstruct(residues, m, den_bound)
-            moduli.append((m, found is not None))
-            if found is not None and sum(ok for _, ok in moduli) == 1:
-                nums, den = found
-                return [nums[0] + den] + nums[1:], den
-            return found
-
-        monkeypatch.setattr(galois_module, "_rational_reconstruction", corrupt_first)
-        assert orbit_min_poly(G, a) == expected
-        # the corrupted candidate failed the exact test, and k doubled
-        first = next(i for i, (_, ok) in enumerate(moduli) if ok)
-        assert len(moduli) == first + 2 and moduli[-1][0] == moduli[first][0] ** 2
+        assert orbit_min_poly(G, a) == orbit_poly(G, orbit(G, a))
+        T, D = G._trace_form
+        monkeypatch.setitem(vars(G), "_trace_form", ([T[0], T[1] + 1] + T[2:], D))
+        with pytest.raises(SoundnessError) as err:
+            orbit_min_poly(G, a)
+        assert err.value.check_name == "orbit_min_poly.coefficients_rational"
+        monkeypatch.setitem(vars(G), "_trace_form", (T, D))
+        monkeypatch.setattr(galois_module, "_vanishes", lambda F, powers: False)
+        with pytest.raises(SoundnessError) as err:
+            orbit_min_poly(G, a)
+        assert err.value.check_name == "orbit_min_poly.coefficients_rational"
 
     def test_no_residue_place_raises(self, monkeypatch, capsys):
         # no place from the tower and no prime of the search: the group has
@@ -894,18 +905,20 @@ class TestResidueOrbitPolynomial:
         monkeypatch.setattr(modscreen, "primes", lambda: itertools.chain([11], primes()))
         E = splitting_field(P(-5, 0, 1) * P(-1, -1, 1))
         assert E.place.prime == 11 and [E.place(r) for r in E.roots] == [7, 4, 4, 8]
-        assert galois_group(E)._lift[1].prime != 11
+        assert galois_group(E).residues[0].prime != 11
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == expected
 
-    def test_a_reconstruction_never_right_raises(self, monkeypatch, capsys):
-        reconstruct = galois_module._rational_reconstruction
+    def test_a_corrupted_power_sum_raises(self, monkeypatch, capsys):
+        # a**1 read as a + 1 * scale: its power sums no longer belong to
+        # one orbit
+        power_coords = numfield._power_coords
 
-        def corrupt(residues, m, den_bound):
-            nums, den = reconstruct(residues, m, den_bound) or ([0] * len(residues), 1)
-            return [nums[0] + den] + nums[1:], den
+        def corrupt(*args):
+            for k, (w, scale) in enumerate(power_coords(*args)):
+                yield ([w[0] + 1] + w[1:] if k == 1 else w), scale
 
-        monkeypatch.setattr(galois_module, "_rational_reconstruction", corrupt)
+        monkeypatch.setattr(galois_module, "_power_coords", corrupt)
         G = galois_group(splitting_field(P(-2, 0, 1)))
         with pytest.raises(SoundnessError) as err:
             orbit_min_poly(G, G.splitting.roots[0])

@@ -170,6 +170,6 @@ def test_splitting_field_is_equal_only_to_itself():
 
 
 def test_cached_property_on_a_record():
-    # GaloisGroup._lift is computed once and stored past the frozen setattr
+    # GaloisGroup._trace_form is computed once and stored past the frozen setattr
     g = galois_group(E)
-    assert g._lift is g._lift
+    assert g._trace_form is g._trace_form
