@@ -391,6 +391,19 @@ def _print_human(report, elapsed):
 
 
 def main(argv=None) -> int:
+    # reports print exact integers of any size, past CPython's default
+    # limit on int-to-text conversion; the parser bounds the input itself
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit to lift
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv):
     parser = _build_parser()
     args = parser.parse_args(argv)
     fn = _COMMANDS[args.command][0]

@@ -49,7 +49,7 @@ from operator import mul
 
 from .checks import record_check
 from .errors import SoundnessError
-from .linalg import SpanSolver, nullspace
+from .linalg import nullspace
 from .numfield import _power_coords, _Substitution, element_sort_key, roots_in_field
 from .permgroup import (PermGroup, Permutation, _small_generating_set, closure,
                         coset_representatives, is_normal)
@@ -362,10 +362,10 @@ class IntermediateField(Record):
     basis: tuple  # rational coordinate vectors spanning B as a Q-subspace
 
     def contains(self, element) -> bool:
-        span = SpanSolver()
-        for b in self.basis:
-            span.insert(b)
-        return span.insert(element.coeffs) is not None
+        # the basis is independent, so element lies in B exactly when the
+        # columns [basis | element] have a kernel
+        columns = [_clear_denominators(b)[0] for b in self.basis] + [element.num]
+        return bool(nullspace(list(zip(*columns)), rank=len(self.basis)))
 
     def __repr__(self):
         return f"IntermediateField(degree={self.degree})"

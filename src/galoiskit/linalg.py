@@ -1,18 +1,18 @@
 """Exact linear algebra over Q, and lattice reduction over Z.
 
-``SpanSolver`` grows a fraction-free echelon basis one vector at a time,
-each an integer vector times a rational scale, and expresses each dependent
-vector in the ones before it.  ``nullspace`` reads a kernel off its own
-fraction-free row echelon by back-substitution; tracking no expressions
-makes it 1.7x faster than ``SpanSolver``.  Fractions appear only in the
-results; pivots are chosen first-nonzero so results are canonical for a
-given input, and equal to elimination over Q.  ``lll`` reduces a lattice
-basis on integers alone and returns its exact Gram determinants.
-Everything here is pure and deterministic.
+``nullspace`` is the one exact echelon.  It reduces integer rows
+fraction-free and reads a canonical kernel basis off the echelon by
+back-substitution.  Minimal polynomials and coordinates in a power basis
+(``numfield``), subfield membership and fixed fields (``galois``) are all
+read from its kernels.  Fractions appear only in the results; pivots are
+chosen first-nonzero so results are canonical for a given input, and equal
+to elimination over Q.  ``lll``
+reduces a lattice basis on integers alone and returns its exact Gram
+determinants.  Everything here is pure and deterministic.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def nullspace(rows, rank=None):
@@ -20,13 +20,14 @@ def nullspace(rows, rank=None):
     integer matrix: per free column c of its reduced row echelon form, the
     kernel vector with 1 at c and 0 at the other free columns.
 
-    Each row is reduced by the stored rows with ``SpanSolver``'s rule, made
-    primitive after every step, and stored if not zero, its first nonzero
-    column the pivot.  No expressions are tracked, hence this loop: it is
-    1.7x faster than ``SpanSolver`` on the fixed-field matrices.  When the
-    echelon reaches n or ``rank``, the rank the caller expects, the kernel
-    so far is returned if it vanishes exactly on every row not yet read; a
-    wrong hint changes only the cost.
+    Each row r is reduced by the stored rows in turn: a row R with pivot p
+    (its first nonzero column) clears column p by r <- a*r - c*R, with
+    a/c = R[p]/r[p] in lowest terms, and r is made primitive after every
+    step.  A nonzero result is stored; it is a nonzero multiple of the row
+    that dividing by pivots over Q would give.  When the echelon reaches n
+    or ``rank``, the rank the caller expects, the kernel so far is returned
+    if it vanishes exactly on every row not yet read; a wrong hint changes
+    only the cost.
     """
     if not rows:
         return []
@@ -70,64 +71,6 @@ def _back_substitute(echelon, n):
                     v[p] = -s // g
             kernel.append((c, v))
     return kernel
-
-
-class SpanSolver:
-    """Incremental echelon span that can express dependent vectors.
-
-    ``insert`` returns None when the vector was independent (and absorbed),
-    otherwise the coefficients writing it as a combination of the vectors
-    inserted before it.
-
-    Elimination is fraction-free.  The j-th inserted vector is kept as
-    s[j] * w[j] with w[j] an integer vector, and each stored row is an
-    integer vector R with an integer expression E, R = sum E[j] * w[j].  A
-    new w is reduced by r <- a*r - c*R with a/c = R[pivot]/r[pivot] in
-    lowest terms, e the same way, and (r, e) is kept primitive.  Each
-    integer row is a nonzero multiple of the rational row that dividing by
-    pivots would give, so pivots (first nonzero) and coefficients agree with
-    elimination over Q.  Fractions appear only in a returned dependence.
-    """
-
-    def __init__(self):
-        self.count = 0
-        self._rows = []  # (integer row R, pivot index, integer expression E)
-        self._scales = []  # (numerator, denominator) of each s[j]
-
-    def insert(self, vec):
-        """Insert a rational vector (Fractions or ints)."""
-        d = lcm(*(v.denominator for v in vec))
-        w = [v.numerator * (d // v.denominator) for v in vec]
-        g = gcd(*w) or 1
-        return self.insert_int([v // g for v in w] if g > 1 else w, Fraction(g, d))
-
-    def insert_int(self, w, scale):
-        """Insert the vector scale * w, for an integer vector w and a nonzero
-        rational scale."""
-        r, e, e_new = list(w), [0] * self.count, 1
-        for row, pivot, row_expr in self._rows:
-            c = r[pivot]
-            if c:
-                a = row[pivot]
-                g = gcd(a, c)
-                a, c = a // g, c // g
-                r = [a * x - c * y for x, y in zip(r, row)]
-                # e[k] is still 0 for every k past this row's expression
-                e = [a * x - c * y for x, y in zip(e, row_expr)] + e[len(row_expr):]
-                e_new *= a
-                g = gcd(e_new, *r, *e)
-                if g > 1:
-                    r, e, e_new = [x // g for x in r], [x // g for x in e], e_new // g
-        num, den = scale.numerator, scale.denominator
-        pivot = next((i for i, v in enumerate(r) if v), None)
-        if pivot is None:
-            # 0 = sum e[j] * w[j] + e_new * w
-            return [Fraction(-x * num * sd, e_new * den * sn)
-                    for x, (sn, sd) in zip(e, self._scales)]
-        self._rows.append((r, pivot, e + [e_new]))
-        self._scales.append((num, den))
-        self.count += 1
-        return None
 
 
 def lll(rows):

@@ -12,12 +12,16 @@ on integers with one gcd each; ``Fraction`` is only the rational view
 product.
 
 One routine finds minimal polynomials over Q: the coordinate vectors of
-1, z, z**2, ... go into one ``SpanSolver`` until the first dependence.  It
-serves ``minimal_polynomial``, the primitive-element search of each
-adjunction, and Trager's norm over a field without places (below).  The
-powers of z = w + u*y in F[y]/(m) are computed on integer
-theta-coordinates over one rational scale, and the solver eliminates on
-integers, so the routine makes no ``Fraction`` product.
+1, z, ..., z**limit are the columns of one ``linalg.nullspace``, whose
+first free column is the first dependent power and whose kernel vector
+there is the relation (Cohen, GTM 138, Alg. 2.3.1).  Further columns are
+targets, read off as coordinates in the power basis when the relation has
+full degree.  It serves ``minimal_polynomial``, the primitive-element
+search of each adjunction with the old generators as targets, and Trager's
+norm over a field without places (below).  The powers of z = w + u*y in
+F[y]/(m) are computed on integer theta-coordinates over one rational
+scale, and the kernel is read on integers, so only the results are
+``Fraction``.
 
 One substitution map a(theta) -> a(t), an integer matrix of the powers of t
 over one denominator, moves elements up the tower and through automorphisms
@@ -25,13 +29,13 @@ by one integer matrix-vector product.
 """
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import ceil, gcd, isqrt, lcm
 from operator import add, mul, sub
 
 from .checks import record_check
 from .errors import DEFAULT_DEGREE_CAP, DegreeCapError, FieldMismatchError, PrimitiveSearchError
-from .linalg import SpanSolver
+from .linalg import nullspace
 from .poly import (
     Polynomial,
     _clear_denominators,
@@ -443,26 +447,20 @@ def _flatten(cur: AbsoluteField, m: Polynomial, name: str) -> AbsoluteField:
             theta_prev_image=theta_prev,
             prev_ext=cur.ext,
         )
+    # the targets: each old generator, y (y mod m when d = 1) and theta_old,
+    # as coordinates in cur.ext[y]/(m)
+    pad = (0,) * (n - base_deg)
+    y = tuple(int(i == base_deg) for i in range(n)) if d > 1 else (-m.coeffs[0]).coeffs
+    targets = [img.coeffs + pad for img in cur.gen_images] + [y, cur.theta.coeffs + pad]
     # powers of theta_old + c*y live in cur.ext[y]/(m)
     for c in map(_center_sequence, range(1, 2 * PRIMITIVE_SEARCH_RANGE + 1)):
-        span, min_poly = _power_relation(_power_coords(cur.theta, c, m), n)
+        min_poly, coords = _power_relation(_power_coords(cur.theta, c, m), n, targets)
         if min_poly.degree < n:
             continue
+        if None in coords:
+            raise PrimitiveSearchError("generator image escaped the power basis (internal)")
         new_ext = ExtensionField(QQ, min_poly, "a")
-        # the n powers span the whole space, so each target has one
-        # expression; y's coordinates are those of y mod m
-        pad = (Fraction(0),) * (n - base_deg)
-        if d > 1:
-            y = tuple(Fraction(i == base_deg) for i in range(n))
-        else:
-            y = (-m.coeffs[0]).coeffs
-        targets = [img.coeffs + pad for img in cur.gen_images] + [y, cur.theta.coeffs + pad]
-        images = []
-        for t in targets:
-            x = span.insert(t)
-            if x is None:
-                raise PrimitiveSearchError("generator image escaped the power basis (internal)")
-            images.append(new_ext.from_rep(x))
+        images = [new_ext.from_rep(x) for x in coords]
         return AbsoluteField(
             new_ext,
             cur.gen_names + (name,),
@@ -478,29 +476,49 @@ def _flatten(cur: AbsoluteField, m: Polynomial, name: str) -> AbsoluteField:
 def minimal_polynomial(a) -> Polynomial:
     """Monic minimal polynomial of a over Q by linear algebra on powers.
 
-    Independent of any Galois-group machinery: powers 1, a, a**2, ... are
-    accumulated until the first rational linear dependence.
+    Independent of any Galois-group machinery: the first rational linear
+    dependence among the powers 1, a, ..., a**n, n = [E:Q].
     """
     if isinstance(a, (int, Fraction)):
         return Polynomial(QQ, [-Fraction(a), Fraction(1)])
     if not isinstance(a, ExtElement):
         raise TypeError(f"cannot take a minimal polynomial of {a!r}")
-    return _power_relation(_power_coords(a, 0, Polynomial.x(a.field)), a.field.degree)[1]
+    return _power_relation(_power_coords(a, 0, Polynomial.x(a.field)), a.field.degree)[0]
 
 
-def _power_relation(powers, limit):
-    """(solver, monic minimal polynomial over Q) from the first rational
-    linear dependence among the vectors scale * w of 1, z, z**2, ...
+def _power_relation(powers, limit, targets=()):
+    """(monic minimal polynomial over Q, coordinates) from the first
+    rational linear dependence among the vectors s_j * w_j of 1, z, z**2, ...
 
-    The solver then holds the independent powers, so it can express any
-    vector in their span.  At most limit + 1 vectors are read.
+    The first limit + 1 integer vectors w_j and each rational target with
+    its denominators cleared, D * t, are the columns of one ``nullspace``.
+    Its first free column d is the first dependent power, and the kernel
+    vector v there gives the relation z**d + sum v_j * s_d / s_j * z**j.
+    When d == limit, the j-th coordinate of t in the basis z**j, j < limit,
+    is -v_j / (D * s_j) for v the kernel vector at t's column; it is None
+    for a target outside that span, and coordinates is None when d < limit.
     """
-    span = SpanSolver()
-    for _, (w, scale) in zip(range(limit + 1), powers):
-        x = span.insert_int(w, scale)
-        if x is not None:
-            return span, Polynomial(QQ, [-c for c in x] + [Fraction(1)])
-    raise ArithmeticError(f"no linear dependence among {limit + 1} powers (internal)")
+    powers = list(islice(powers, limit + 1))
+    cleared = [_clear_denominators(t) for t in targets]
+    columns = [w for w, _ in powers] + [t for t, _ in cleared]
+    # each kernel vector is 1 at its free column, its last nonzero entry
+    kernel = {max(k for k, x in enumerate(v) if x): v
+              for v in nullspace(list(zip(*columns)))}
+    d = min(kernel, default=limit + 1)
+    if d > limit:
+        raise ArithmeticError(f"no linear dependence among {limit + 1} powers (internal)")
+    v, s_d = kernel[d], powers[d][1]
+    relation = Polynomial(QQ, [v[j] * s_d / s for j, (_, s) in enumerate(powers[:d])]
+                          + [Fraction(1)])
+    if d < limit:
+        return relation, None
+    coords = []
+    for c, (_, D) in enumerate(cleared, limit + 1):
+        v = kernel.get(c)
+        # a target outside the span leans on an earlier target's pivot
+        coords.append(None if v is None or any(v[limit + 1:c]) else
+                      [-v[j] / (D * s) for j, (_, s) in enumerate(powers[:limit])])
+    return relation, coords
 
 
 def _power_coords(w: ExtElement, u, m: Polynomial):
@@ -594,7 +612,7 @@ def _squarefree_norm(f: Polynomial):
     n = F.degree * f.degree
     for k in range(0, 4 * n + 1):
         s = _center_sequence(k)
-        _, norm = _power_relation(_power_coords(F.gen * s, 1, f), n)
+        norm = _power_relation(_power_coords(F.gen * s, 1, f), n)[0]
         if norm.degree == n:
             return s, norm
     raise ArithmeticError("no squarefree norm found (internal)")

@@ -164,10 +164,36 @@ def rref_nullspace(rows):
     return basis
 
 
+def random_rational(rng):
+    return Fraction(rng.randint(-20, 20), rng.choice((1, 1, 2, 3, 7, 12)))
+
+
+def rational_sequence(rng, dim, length):
+    """Rational vectors of Q^dim: random ones, planted combinations of
+    earlier ones, zero vectors, repeats and rescaled repeats."""
+    out = []
+    for _ in range(length):
+        kind = rng.random()
+        if out and kind < 0.3:
+            picks = rng.sample(out, min(len(out), rng.randint(1, 3)))
+            coeffs = [random_rational(rng) for _ in picks]
+            out.append([sum(c * v[i] for c, v in zip(coeffs, picks)) for i in range(dim)])
+        elif kind < 0.35:
+            out.append([Fraction(0)] * dim)
+        elif out and kind < 0.45:
+            scale = random_rational(rng) or Fraction(1)
+            out.append([scale * x for x in rng.choice(out)])
+        else:
+            density = rng.choice((0.3, 0.7, 1.0))
+            out.append([random_rational(rng) if rng.random() < density else Fraction(0)
+                        for _ in range(dim)])
+    return out
+
+
 class FractionSpanSolver:
     """Incremental echelon span over Fractions: each reduced row is divided
     by its pivot, and each dependent vector is written in the vectors
-    inserted before it.  The oracle for ``linalg.SpanSolver``."""
+    inserted before it.  The oracle for ``numfield._power_relation``."""
 
     def __init__(self):
         self.count = 0

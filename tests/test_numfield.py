@@ -1,8 +1,9 @@
 import random
 import sys
+from copy import deepcopy
 from fractions import Fraction
 from pathlib import Path
-from math import gcd
+from math import gcd, lcm
 from operator import add, sub
 
 import pytest
@@ -26,11 +27,11 @@ from galoiskit.parsing import parse_poly
 from galoiskit.poly import Polynomial
 from galoiskit.qfactor import factor_over_Q, is_irreducible_over_Q
 from galoiskit.radical import normalize_chain, realize_chain, verify_nested_normal_radical
-from galoiskit.linalg import SpanSolver
 from galoiskit.scalars import PrimeField
 from galoiskit.splitting import splitting_field
 
-from helpers import FractionSpanSolver, P, fraction_mul, poly_extended_gcd, poly_resultant
+from helpers import (FractionSpanSolver, P, fraction_mul, poly_extended_gcd, poly_resultant,
+                     random_rational, rational_sequence)
 
 
 def tower_q_sqrt2():
@@ -48,7 +49,7 @@ def tower_q_sqrt2_sqrt3():
 def shifted_relation(f, s):
     """Minimal polynomial over Q of z = y + s*theta in F[y]/(f)."""
     F = f.field
-    return _power_relation(_power_coords(F.gen * s, 1, f), F.degree * f.degree)[1]
+    return _power_relation(_power_coords(F.gen * s, 1, f), F.degree * f.degree)[0]
 
 
 def assert_norm_by_resultants(g, norm):
@@ -449,10 +450,10 @@ class TestTrager:
 
         seen = []
 
-        def spy(powers, limit):
-            span, relation = _power_relation(powers, limit)
+        def spy(powers, limit, targets=()):
+            relation, coords = _power_relation(powers, limit, targets)
             seen.append(relation)
-            return span, relation
+            return relation, coords
 
         monkeypatch.setattr(numfield, "_power_relation", spy)
         fac = factor_over_number_field(f)
@@ -461,18 +462,103 @@ class TestTrager:
             [x - Polynomial.constant(ext, s2), x + Polynomial.constant(ext, s2)],
             key=lambda g: g.sort_key())
 
-    def test_power_relation_limit(self, monkeypatch):
+    def test_power_relation_limit(self):
         # three independent vectors of Q^3 and no dependence within the
-        # limit, on the library solver and on the Fraction oracle
+        # limit; a fourth vector is the dependence, and writes the target
         basis = [((1, 0, 0), Fraction(1)), ((0, 2, 0), Fraction(1, 2)), ((0, 0, 1), Fraction(1))]
-        for solver in (SpanSolver, FractionSpanSolver):
-            monkeypatch.setattr(numfield, "SpanSolver", solver)
-            with pytest.raises(ArithmeticError):
-                _power_relation(iter(basis), 2)
-            span, relation = _power_relation(iter(basis + [((4, 6, 10), Fraction(1, 2))]), 3)
-            assert isinstance(span, solver)
-            assert relation == P(-2, -3, -5, 1)
-            assert span.insert((1, 1, 1)) == [1, 1, 1]
+        with pytest.raises(ArithmeticError):
+            _power_relation(iter(basis), 2)
+        relation, coords = _power_relation(
+            iter(basis + [((4, 6, 10), Fraction(1, 2))]), 3, [(1, 1, 1)])
+        assert relation == P(-2, -3, -5, 1)
+        assert coords == [[1, 1, 1]]
+
+
+def _as_power(vec, k=1):
+    """A rational vector as (integer vector w, rational scale s), s * w ==
+    vec, with w k times the cleared vector."""
+    d = lcm(*(x.denominator for x in vec))
+    return [k * x.numerator * (d // x.denominator) for x in vec], Fraction(1, k * d)
+
+
+def _oracle_relation(powers, limit, targets=()):
+    """``_power_relation`` by ``FractionSpanSolver``: the powers are inserted
+    until the first dependence, and a copy of the span writes each target."""
+    span = FractionSpanSolver()
+    for j, (w, s) in enumerate(powers[:limit + 1]):
+        if (x := span.insert_int(w, s)) is not None:
+            coords = [deepcopy(span).insert(t) for t in targets] if j == limit else None
+            return Polynomial(QQ, [-c for c in x] + [Fraction(1)]), coords
+    raise ArithmeticError
+
+
+def _outcome(relation, *args):
+    try:
+        return relation(*args)
+    except ArithmeticError:
+        return ArithmeticError
+
+
+class TestPowerRelationMatchesFractionOracle:
+    """The relation and every target's coordinates equal the Fraction
+    oracle's on seeded power sequences."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 9])
+    def test_random_sequences(self, dim):
+        rng = random.Random(900 + dim)
+        kinds = []
+        for trial in range(40):
+            limit = max(0, dim - rng.choice((0, 0, 1, 2)))
+            # dense vectors are independent with high probability, and one
+            # in two trials of them plants a dependence at the limit; the
+            # sequences plant zeros, repeats and combinations anywhere
+            if trial % 2:
+                vecs = [[random_rational(rng) for _ in range(dim)] for _ in range(dim + 1)]
+                if trial % 4 == 1:
+                    coeffs = [random_rational(rng) for _ in range(limit)]
+                    vecs[limit] = [sum(c * v[i] for c, v in zip(coeffs, vecs)) for i in range(dim)]
+            else:
+                vecs = rational_sequence(rng, dim, dim + 1)
+            powers = [_as_power(v, rng.choice((1, 1, 6))) for v in vecs]
+            targets = rational_sequence(rng, dim, 3) + [vecs[0], [0] * dim]
+            got = _outcome(_power_relation, iter(powers), limit, targets)
+            assert got == _outcome(_oracle_relation, powers, limit, targets)
+            kinds.append("none" if got is ArithmeticError else
+                         "early" if got[1] is None else "outside" if None in got[1] else "full")
+        assert {"early", "full"} <= set(kinds)
+        if dim > 1:
+            assert {"none", "outside"} <= set(kinds)
+
+    def test_scaled_integer_vectors(self):
+        # (w, s) and (k*w, s/k) are the same power
+        rng = random.Random(7)
+        for _ in range(20):
+            vecs = rational_sequence(rng, 6, 7)
+            targets = rational_sequence(rng, 6, 3)
+            want = _outcome(_power_relation, (_as_power(v) for v in vecs), 6, targets)
+            powers = [_as_power(v, rng.choice((1, -3, 5))) for v in vecs]
+            assert _outcome(_power_relation, iter(powers), 6, targets) == want
+            assert _outcome(_oracle_relation, powers, 6, targets) == want
+
+    def test_planted_dependence(self):
+        basis = [[Fraction(1, 2), 3, 0, Fraction(-5, 3)],
+                 [0, Fraction(2, 7), 1, 4],
+                 [Fraction(9), 0, Fraction(-1, 4), 0]]
+        coeffs = [Fraction(3, 5), Fraction(-7), Fraction(1, 11)]
+        planted = [sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(4)]
+        powers = [_as_power([Fraction(x) for x in v]) for v in basis + [planted]]
+        targets = [planted, [0, 0, 0, 0], basis[1], [0, 0, 0, 1]]
+        relation, coords = _power_relation(iter(powers), 3, targets)
+        assert relation == Polynomial(QQ, [-c for c in coeffs] + [Fraction(1)])
+        # the last target lies outside the span of the three powers
+        assert coords == [coeffs, [0, 0, 0], [0, 1, 0], None]
+
+    def test_early_dependence_has_no_coordinates(self):
+        # z**2 == z**0 in Q^3: the relation x^2 - 1 before the limit
+        powers = [((1, 0, 2), Fraction(1, 3)), ((0, 1, 0), Fraction(1)), ((2, 0, 4), Fraction(1, 6))]
+        relation, coords = _power_relation(iter(powers), 3, [(1, 1, 1)])
+        assert relation == P(-1, 0, 1) and coords is None
+        assert _oracle_relation(powers, 3, [(1, 1, 1)]) == (relation, None)
 
 
 class TestIntegerPowers:
@@ -573,9 +659,9 @@ class TestTragerAtPlaces:
     def test_no_norm_by_power_relation(self, monkeypatch, text):
         callers, relation = [], numfield._power_relation
 
-        def spy(powers, limit):
+        def spy(powers, limit, targets=()):
             callers.append(sys._getframe(1).f_code.co_name)
-            return relation(powers, limit)
+            return relation(powers, limit, targets)
 
         monkeypatch.setattr(numfield, "_power_relation", spy)
         splitting_field(parse_poly(text))

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 
 import jsonschema
 import pytest
@@ -156,6 +157,26 @@ class TestCliExitCodes:
         assert run_cli("factor", "1" * 5000 + "*x+1") == EXIT_INPUT
         err = capsys.readouterr().err
         assert "column 1" in err and "input limit" in err
+
+    def test_report_prints_integers_of_any_size(self, capsys):
+        # (x + 2^4000)^5 has coefficients of up to 6021 digits, past
+        # CPython's default limit of 4300 on int-to-text conversion
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        assert run_cli("factor", "(x+2^4000)^5", "--json") == EXIT_OK
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        a = 2 ** 4000
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            terms = [f"{comb(5, k) * a ** (5 - k)}*x^{k}" for k in (4, 3, 2)]
+            expected = " + ".join(["x^5"] + terms + [f"{5 * a ** 4}*x", str(a ** 5)])
+            factor = {"polynomial": f"x + {a}", "degree": 1, "multiplicity": 5}
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert result["polynomial"] == expected
+        assert result["factors"] == [factor]
 
     def test_long_product_exit_2(self, capsys):
         # degree 4096 in 159 characters, refused at the first '*' before

@@ -54,11 +54,14 @@ VERIFY = (("verify-tower", "--chain", "bench/chains/cbrt2_then_sqrt_r1.json"),
           "db2d65e3993fd1ca71fff3cbd5486595a78d576c18d3aa605680581638c430c4")
 SOLVABLE_C5 = (("solvable", "x^5+x^4-4*x^3-3*x^2+3*x+1"),
                "87e6c171021971321486ab4dc439b90f69608273494f0d8d3fc7782f515b5889")
+# the A5 field of degree 60: the largest primitive element any test flattens
+SPLIT_A5 = (("split", "x^5+20*x+16"),
+            "e6098089becbabbcc49fc3aaf743f63ec918d1f84306256bd0dc4be7386ceefc")
 # without a place every test is exact; the splits are left out there, where
 # their exact hunts take seconds
 CASES = [SPLIT + (True,), CHAIN + (True,), GROUP + (True,), NORMALIZE + (True,), FIXED + (True,),
          MINPOLY + (True,), GROUP9 + (True,), SPLIT10 + (True,), VERIFY + (True,),
-         SOLVABLE_C5 + (True,),
+         SOLVABLE_C5 + (True,), SPLIT_A5 + (True,),
          CHAIN + (False,), GROUP + (False,), FIXED + (False,), MINPOLY + (False,), VERIFY + (False,),
          SOLVABLE_C5 + (False,)]
 
