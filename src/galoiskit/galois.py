@@ -18,10 +18,18 @@ The correspondence runs on integers: each automorphism caches its action as
 ``numfield``'s substitution map theta -> theta', the integer matrix of the
 powers theta'**j, j <= n, over a common denominator, so applying it is one
 matrix-vector product and the root check m(theta') = 0 is that matrix times
-the coefficients of m; and fixed fields are the nullspace of the integer
-rows d*(M - I) on the first n columns, a fraction-free row echelon that
-stops once it reaches the rank n - [G:H] and its kernel vanishes on the
-rows left.  Rationals appear only in the results.
+the coefficients of m.  Rationals appear only in the results.
+
+Fixed fields are solved along a chain (Neubuser's cyclic extension method):
+for H's greedy generators g1, ..., gm and K = <g1, ..., g(m-1)>, Fix(H) is
+the kernel of the integer matrix d*(M_gm - I)*W, W an integer basis of
+Fix(K) (W = I for K = 1), mapped back through W, by a row echelon that
+stops at the rank dim K - [G:H] once the kernel vanishes on the rows left.
+The group's cache supplies K, solved and checked if missing, never the H
+asked for.  Fix(K)'s canonical vector at a free column f is 1 at f and 0
+at K's other free columns, so an element of Fix(K) has its last nonzero
+entry at one of them: the kernel's canonical vector at f, mapped through W
+and divided by its entry at f, is Fix(H)'s, with no second echelon.
 
 Orbit polynomials come from exact power sums.  E is Galois, so each of
 the [G:H] conjugates of a, H its stabilizer, is sigma(a) for |H| of the
@@ -35,8 +43,8 @@ vectors.
 Whether sigma fixes a is screened mod p at the place the group was read
 at, where sigma(den * a) maps to a's numerators evaluated at
 sigma(theta)'s image, and only a survivor is checked exactly: for a
-stabilizer, a group, only one outside the ``permgroup.closure`` of the
-fixers verified so far; for a primitive element of H's fixed space, every
+stabilizer, a group, only one outside the closure of the fixers verified
+so far; for a primitive element of H's fixed space, every
 one outside H; and an orbit applies one sigma per left coset of the
 stabilizer (``permgroup``).
 """
@@ -49,11 +57,11 @@ from operator import mul
 
 from .checks import record_check
 from .errors import SoundnessError
-from .linalg import nullspace
+from .linalg import integer_kernel, nullspace
 from .numfield import _power_coords, _Substitution, element_sort_key, roots_in_field
-from .permgroup import (PermGroup, Permutation, _small_generating_set, closure,
+from .permgroup import (PermGroup, Permutation, _small_generating_set, close_under, closure,
                         coset_representatives, is_normal)
-from .poly import Polynomial, _clear_denominators, poly_squarefree_part
+from .poly import Polynomial, _clear_denominators, _zx_primitive, poly_squarefree_part
 from .qfactor import factor_over_Q
 from .scalars import QQ, Record
 from .splitting import SplittingField
@@ -112,6 +120,11 @@ class GaloisGroup(Record):
     def order(self):
         return len(self.automorphisms)
 
+    def __post_init__(self):
+        # permutation -> index, and the tables of compose and _fixed_space
+        self.__dict__.update(_index_by_perm={a.root_permutation: i for i, a in enumerate(self.automorphisms)},
+                             _products={}, _fixed_spaces={})
+
     @property
     def field(self):
         return self.splitting.field
@@ -143,10 +156,6 @@ class GaloisGroup(Record):
             S.append(-k * M[n - k] - sum(M[n - i] * S[k - i] for i in range(1, k)))
         return [s * c ** (n - 1 - j) for j, s in enumerate(S)], c ** (n - 1)
 
-    @cached_property
-    def _index_by_perm(self):
-        return {a.root_permutation: i for i, a in enumerate(self.automorphisms)}
-
     def index_of_perm(self, perm) -> int:
         try:
             return self._index_by_perm[perm]
@@ -154,17 +163,17 @@ class GaloisGroup(Record):
             raise KeyError(f"permutation {perm} is not induced by any automorphism") from None
 
     def compose(self, i, j) -> int:
-        """Index of automorphism i applied after j."""
-        return self.index_of_perm(self.perm(i) * self.perm(j))
+        """Index of automorphism i applied after j, computed on first use."""
+        if (k := self._products.get((i, j))) is None:
+            k = self._products[i, j] = self.index_of_perm(self.perm(i) * self.perm(j))
+        return k
 
     def apply(self, i, a):
         return self.automorphisms[i].apply(a)
 
     def subgroup_indices_closure(self, indices):
         """Indices of the subgroup generated by the given automorphisms."""
-        group = closure([self.perm(i) for i in indices], degree=len(self.splitting.roots),
-                        max_order=self.order)
-        return tuple(sorted(map(self.index_of_perm, group.elements)))
+        return close_under(self.compose, indices, self.identity_index)
 
     def is_subgroup(self, indices) -> bool:
         idx = set(indices)
@@ -339,12 +348,8 @@ def _vanishes(F, powers):
     """sum F_j * z**j == 0 for integers F_j, given z's powers j <= deg as
     (integer vector, rational scale) pairs from ``_power_coords``."""
     L = lcm(*(s.denominator for _, s in powers))
-    acc = [0] * len(powers[0][0])
-    for v, (w, s) in zip(F, powers):
-        u = v * s.numerator * (L // s.denominator)
-        if u:
-            acc = [x + u * y for x, y in zip(acc, w)]
-    return not any(acc)
+    us = [v * s.numerator * (L // s.denominator) for v, (_, s) in zip(F, powers)]
+    return not any(_combination(us, (w for w, _ in powers), [0] * len(powers[0][0])))
 
 
 # ---------------------------------------------------------------------------
@@ -378,22 +383,17 @@ def fixed_field(G: GaloisGroup, subgroup_indices) -> IntermediateField:
     if not G.is_subgroup(idx):
         raise ValueError("indices do not form a subgroup (closure or inverses missing)")
     n = G.field.degree
-    # a zero row moves no pivot, and leaves the whole space for H = 1
-    rows = [[0] * n]
-    for i in _subgroup_generators(G, idx):
-        matrix, d = G.automorphisms[i].action_matrix
-        # rows of d * (M - I) on the first n columns
-        for r, row in enumerate(matrix):
-            row = list(row[:n])
-            row[r] -= d
-            rows.append(row)
-    basis = nullspace(rows, rank=n - n // len(idx))
-    dim = len(basis)
+    space = _fixed_space(G, _subgroup_generators(G, idx), len(idx))
+    dim = len(space)
     record_check(
         "fixed_field.degree_equals_index",
         dim * len(idx) == n,
         f"dim {dim} * |H| {len(idx)} != [E:Q] {n}",
     )
+    G._fixed_spaces[idx] = space
+    # each canonical vector is 1 at the last nonzero entry of its multiple
+    zero, tops = Fraction(0), [next(v for v in reversed(w) if v) for w in space]
+    basis = [[Fraction(v, t) if v else zero for v in w] for w, t in zip(space, tops)]
     # no automorphism outside H fixes the primitive element: H is its stabilizer
     primitive = _primitive_of_subspace(G, basis, idx)
     mp = _orbit_min_poly(G, primitive, idx)
@@ -406,6 +406,35 @@ def fixed_field(G: GaloisGroup, subgroup_indices) -> IntermediateField:
         degree=dim,
         basis=tuple(tuple(b) for b in basis),
     )
+
+
+def _fixed_space(G: GaloisGroup, gens, order):
+    """Integer multiples of the canonical basis of the space fixed by
+    <gens>, of the given order, solved inside the space of <gens[:-1]>."""
+    n = G.field.degree
+    if not gens:
+        return [[int(i == j) for i in range(n)] for j in range(n)]
+    K = G.subgroup_indices_closure(gens[:-1])
+    if (W := G._fixed_spaces.get(K)) is None:
+        W = _fixed_space(G, gens[:-1], len(K))
+        if len(W) * len(K) != n:
+            raise SoundnessError("fixed_field.degree_equals_index",
+                                 f"dim {len(W)} * |K| {len(K)} != [E:Q] {n}")
+        G._fixed_spaces[K] = W
+    matrix, d = G.automorphisms[gens[-1]].action_matrix
+    # column j of d*(M - I)*W is M*w_j, a combination of M's columns, less d*w_j
+    columns = list(zip(*matrix))
+    rows = zip(*(_combination(w, columns, [-d * v for v in w]) for w in W))
+    return [_zx_primitive(_combination(u.values(), map(W.__getitem__, u), [0] * n))
+            for _, u in integer_kernel(list(rows), rank=len(W) - n // order)]
+
+
+def _combination(coeffs, vectors, start):
+    """start + sum c * v over the coefficients c and integer vectors v."""
+    for c, v in zip(coeffs, vectors):
+        if c:
+            start = [a + c * b for a, b in zip(start, v)]
+    return start
 
 
 def _subgroup_generators(G: GaloisGroup, idx):
@@ -450,13 +479,13 @@ def _stabilizer(G: GaloisGroup, elements) -> tuple:
     closure of the fixers verified so far, and the stabilizer is that closure."""
     idx = range(G.order)
     for e in elements:
-        fixers, group = [], closure([], degree=len(G.splitting.roots))
+        fixers, group = [], {G.identity_index}
         survivors = _survivors(G, e, idx)
         for i in survivors:
-            if G.perm(i) not in group and G.automorphisms[i].apply(e) == e:
-                fixers.append(G.perm(i))
-                group = closure(fixers, max_order=G.order)
-        idx = [i for i in survivors if G.perm(i) in group]
+            if i not in group and G.automorphisms[i].apply(e) == e:
+                fixers.append(i)
+                group = set(G.subgroup_indices_closure(fixers))
+        idx = [i for i in survivors if i in group]
     return tuple(idx)
 
 

@@ -1,14 +1,14 @@
 """Exact linear algebra over Q, and lattice reduction over Z.
 
-``nullspace`` is the one exact echelon.  It reduces integer rows
-fraction-free and reads a canonical kernel basis off the echelon by
-back-substitution.  Minimal polynomials and coordinates in a power basis
-(``numfield``), subfield membership and fixed fields (``galois``) are all
-read from its kernels.  Fractions appear only in the results; pivots are
-chosen first-nonzero so results are canonical for a given input, and equal
-to elimination over Q.  ``lll``
-reduces a lattice basis on integers alone and returns its exact Gram
-determinants.  Everything here is pure and deterministic.
+``integer_kernel`` is the one exact echelon.  It reduces integer rows
+fraction-free and reads the kernel off the echelon by back-substitution,
+one integer vector per free column as the caller reads it; ``nullspace``
+scales them to the canonical basis.  Power relations (``numfield``),
+subfield membership and fixed fields (``galois``) are read from its
+kernels.  Pivots are chosen first-nonzero so results are canonical for a
+given input, and equal to elimination over Q.  ``lll`` reduces a lattice
+basis on integers alone and returns its exact Gram determinants.
+Everything here is pure and deterministic.
 """
 
 from fractions import Fraction
@@ -18,20 +18,28 @@ from math import gcd
 def nullspace(rows, rank=None):
     """Canonical basis (rational vectors) of the right nullspace of an
     integer matrix: per free column c of its reduced row echelon form, the
-    kernel vector with 1 at c and 0 at the other free columns.
+    kernel vector with 1 at c and 0 at the other free columns."""
+    n, zero = len(rows[0]) if rows else 0, Fraction(0)
+    return [[Fraction(v[k], v[c]) if k in v else zero for k in range(n)]
+            for c, v in integer_kernel(rows, rank)]
+
+
+def integer_kernel(rows, rank=None):
+    """Iterator over (c, v) per free column c of the reduced row echelon form
+    of an integer matrix, in turn; v holds the nonzero entries of an integer
+    multiple of the canonical kernel vector at c.
 
     Each row r is reduced by the stored rows in turn: a row R with pivot p
     (its first nonzero column) clears column p by r <- a*r - c*R, with
     a/c = R[p]/r[p] in lowest terms, and r is made primitive after every
     step.  A nonzero result is stored; it is a nonzero multiple of the row
     that dividing by pivots over Q would give.  When the echelon reaches n
-    or ``rank``, the rank the caller expects, the kernel so far is returned
-    if it vanishes exactly on every row not yet read; a wrong hint changes
-    only the cost.
+    or ``rank``, the rank the caller expects, with rows left, the kernel so
+    far is returned if it vanishes exactly on every one of them; a wrong
+    hint changes only the cost.  Otherwise each vector is back-substituted
+    as it is read.
     """
-    if not rows:
-        return []
-    n, echelon = len(rows[0]), {}  # pivot column -> primitive integer row
+    n, echelon = len(rows[0]) if rows else 0, {}  # pivot column -> primitive integer row
     for i, row in enumerate(rows):
         r = _primitive(row)
         for p, R in echelon.items():
@@ -41,13 +49,12 @@ def nullspace(rows, rank=None):
                 r = _primitive([a * x - c * y for x, y in zip(r, R)])
         if r:
             echelon[next(k for k, x in enumerate(r) if x)] = r
-        if (r and len(echelon) in (rank, n)) or i == len(rows) - 1:
-            kernel = _back_substitute(echelon, n)
-            if all(not sum(row[k] * x for k, x in v.items())
-                   for _, v in kernel for row in rows[i + 1:]):
-                break
-    zero = Fraction(0)
-    return [[Fraction(v[k], v[c]) if k in v else zero for k in range(n)] for c, v in kernel]
+            if len(echelon) in (rank, n) and i < len(rows) - 1:
+                kernel = list(_back_substitute(echelon, n))
+                if all(not sum(row[k] * x for k, x in v.items())
+                       for _, v in kernel for row in rows[i + 1:]):
+                    return iter(kernel)
+    return _back_substitute(echelon, n)
 
 
 def _primitive(r):
@@ -57,9 +64,9 @@ def _primitive(r):
 
 
 def _back_substitute(echelon, n):
-    """(c, v) per free column c, v the nonzero entries of an integer kernel
-    vector, found at each pivot p < c, in decreasing order, from row p."""
-    kernel, pivots = [], sorted(echelon.items(), reverse=True)
+    """(c, v) per free column c in turn, v the nonzero entries of an integer
+    kernel vector, found at each pivot p < c, in decreasing order, from row p."""
+    pivots = sorted(echelon.items(), reverse=True)
     for c in range(n):
         if c not in echelon:
             v = {c: 1}
@@ -69,8 +76,7 @@ def _back_substitute(echelon, n):
                     if R[p] != g:
                         v = {k: R[p] // g * x for k, x in v.items()}
                     v[p] = -s // g
-            kernel.append((c, v))
-    return kernel
+            yield c, v
 
 
 def lll(rows):

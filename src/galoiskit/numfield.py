@@ -12,7 +12,7 @@ on integers with one gcd each; ``Fraction`` is only the rational view
 product.
 
 One routine finds minimal polynomials over Q: the coordinate vectors of
-1, z, ..., z**limit are the columns of one ``linalg.nullspace``, whose
+1, z, ..., z**limit are the columns of one ``linalg.integer_kernel``, whose
 first free column is the first dependent power and whose kernel vector
 there is the relation (Cohen, GTM 138, Alg. 2.3.1).  Further columns are
 targets, read off as coordinates in the power basis when the relation has
@@ -35,7 +35,7 @@ from operator import add, mul, sub
 
 from .checks import record_check
 from .errors import DEFAULT_DEGREE_CAP, DegreeCapError, FieldMismatchError, PrimitiveSearchError
-from .linalg import nullspace
+from .linalg import integer_kernel
 from .poly import (
     Polynomial,
     _clear_denominators,
@@ -491,33 +491,32 @@ def _power_relation(powers, limit, targets=()):
     rational linear dependence among the vectors s_j * w_j of 1, z, z**2, ...
 
     The first limit + 1 integer vectors w_j and each rational target with
-    its denominators cleared, D * t, are the columns of one ``nullspace``.
-    Its first free column d is the first dependent power, and the kernel
-    vector v there gives the relation z**d + sum v_j * s_d / s_j * z**j.
+    its denominators cleared, D * t, are the columns of one kernel.  Its
+    first free column d is the first dependent power, and the kernel vector
+    v there gives the relation z**d + sum v_j * s_d / (v_d * s_j) * z**j.
     When d == limit, the j-th coordinate of t in the basis z**j, j < limit,
-    is -v_j / (D * s_j) for v the kernel vector at t's column; it is None
-    for a target outside that span, and coordinates is None when d < limit.
+    is -v_j / (v_c * D * s_j) for v the kernel vector at t's column c; it
+    is None for a target outside that span, and coordinates is None when
+    d < limit.  Only d's vector and then the targets' are back-substituted.
     """
     powers = list(islice(powers, limit + 1))
     cleared = [_clear_denominators(t) for t in targets]
     columns = [w for w, _ in powers] + [t for t, _ in cleared]
-    # each kernel vector is 1 at its free column, its last nonzero entry
-    kernel = {max(k for k, x in enumerate(v) if x): v
-              for v in nullspace(list(zip(*columns)))}
-    d = min(kernel, default=limit + 1)
+    kernel = integer_kernel(list(zip(*columns)))
+    d, v = next(kernel, (limit + 1, None))
     if d > limit:
         raise ArithmeticError(f"no linear dependence among {limit + 1} powers (internal)")
-    v, s_d = kernel[d], powers[d][1]
-    relation = Polynomial(QQ, [v[j] * s_d / s for j, (_, s) in enumerate(powers[:d])]
+    s_d = powers[d][1]
+    relation = Polynomial(QQ, [v.get(j, 0) * s_d / (v[d] * s) for j, (_, s) in enumerate(powers[:d])]
                           + [Fraction(1)])
     if d < limit:
         return relation, None
-    coords = []
+    coords, kernel = [], dict(kernel)
     for c, (_, D) in enumerate(cleared, limit + 1):
         v = kernel.get(c)
         # a target outside the span leans on an earlier target's pivot
-        coords.append(None if v is None or any(v[limit + 1:c]) else
-                      [-v[j] / (D * s) for j, (_, s) in enumerate(powers[:limit])])
+        coords.append(None if v is None or any(limit < k < c for k in v) else
+                      [-v.get(j, 0) / (v[c] * D * s) for j, (_, s) in enumerate(powers[:limit])])
     return relation, coords
 
 

@@ -4,6 +4,10 @@ Groups are fully enumerated (no stabilizer chains); the closure bound keeps
 everything honest.  Composition convention: (g * h)(i) = g(h(i)), so
 permutations act on the left.
 
+Subgroups of a known group close on element indices (``close_under``): the
+lattice reads one Cayley table, and a Galois group computes each product
+when a closure first asks for it.
+
 Frobenius cycle types, read off factor degrees mod small primes, live here
 too: they certify a group containing A_n and bound a splitting degree before
 any field is built, so the verdict and the cap refusal need no field layer.
@@ -148,21 +152,27 @@ class PermGroup(Record):
     def is_trivial(self):
         return len(self.elements) == 1
 
-    def index(self, p):
-        return self.elements.index(p)
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
-def closure(generators, degree=None, max_order=None) -> PermGroup:
-    """Full element enumeration by breadth-first products of the generators.
+def close_under(product, generators, identity, max_order=None):
+    """Sorted elements of the group generated under product(g, p), the
+    element g * p, closed breadth-first from the identity.  Raises
+    GroupOrderLimitError past max_order elements."""
+    seen, frontier = {identity}, {identity}
+    while frontier:
+        frontier = {product(g, p) for p in frontier for g in generators} - seen
+        seen |= frontier
+        if max_order is not None and len(seen) > max_order:
+            raise GroupOrderLimitError(f"group order exceeds the bound {max_order}")
+    return tuple(sorted(seen))
 
-    Raises GroupOrderLimitError past max_order elements (default
-    MAX_CLOSURE_ORDER).
-    """
-    if max_order is None:
-        max_order = MAX_CLOSURE_ORDER
+
+def closure(generators, degree=None, max_order=None) -> PermGroup:
+    """Full element enumeration by breadth-first products of the generators
+    (``close_under``), past max_order elements (default MAX_CLOSURE_ORDER)
+    a GroupOrderLimitError."""
     gens = list(generators)
     if degree is None:
         if not gens:
@@ -171,21 +181,9 @@ def closure(generators, degree=None, max_order=None) -> PermGroup:
     for g in gens:
         if g.degree != degree:
             raise ValueError("generators act on different numbers of points")
-    ident = Permutation.identity(degree)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = g * p
-                if q not in seen:
-                    if len(seen) >= max_order:
-                        raise GroupOrderLimitError(f"group order exceeds the bound {max_order}")
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return PermGroup(degree, tuple(sorted(seen)), tuple(gens))
+    elements = close_under(Permutation.__mul__, gens, Permutation.identity(degree),
+                           MAX_CLOSURE_ORDER if max_order is None else max_order)
+    return PermGroup(degree, elements, tuple(gens))
 
 
 def _verify_subgroup(H: PermGroup, G: PermGroup):
@@ -472,25 +470,28 @@ def solvable_via_abelian_chain(chain) -> ChainCertificate:
 
 def all_subgroups(G: PermGroup):
     """Every subgroup, by breadth-first closure over added generators: one g
-    per right coset Hg, the first in canonical order, since <H, hg> = <H, g>."""
-    trivial = closure([], degree=G.degree)
-    found = {trivial.element_set: trivial}
-    frontier = [trivial]
+    per right coset Hg, the first in canonical order, since <H, hg> = <H, g>;
+    on indices into G.elements, with one Cayley table."""
+    position = {g: i for i, g in enumerate(G.elements)}
+    table = [[position[g * h] for h in G.elements] for g in G.elements]
+    identity = position[Permutation.identity(G.degree)]
+    found = {(identity,): ()}  # member indices -> generator indices
+    frontier = list(found)
     while frontier:
         nxt = []
         for H in frontier:
-            covered = set(H.element_set)
-            for g in G.elements:
-                if g in covered:
-                    continue
-                covered.update(h * g for h in H.elements)
-                K = closure(list(H.generators) + [g], degree=G.degree,
-                            max_order=max(MAX_CLOSURE_ORDER, G.order))
-                if K.element_set not in found:
-                    found[K.element_set] = K
-                    nxt.append(K)
+            covered = set(H)
+            for g in range(len(G.elements)):
+                if g not in covered:
+                    covered.update(table[h][g] for h in H)
+                    K = close_under(lambda a, b: table[a][b], found[H] + (g,), identity)
+                    if K not in found:
+                        found[K] = found[H] + (g,)
+                        nxt.append(K)
         frontier = nxt
-    return sorted(found.values(), key=lambda H: (H.order, tuple(p.images for p in H.elements)))
+    groups = [PermGroup(G.degree, tuple(sorted(G.elements[i] for i in K)),
+                        tuple(G.elements[i] for i in gens)) for K, gens in found.items()]
+    return sorted(groups, key=lambda H: (H.order, tuple(p.images for p in H.elements)))
 
 
 # ---------------------------------------------------------------------------

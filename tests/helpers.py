@@ -466,3 +466,28 @@ def element_walk_subgroups(G):
                     nxt.append(K)
         frontier = nxt
     return sorted(found.values(), key=lambda H: (H.order, tuple(p.images for p in H.elements)))
+
+
+def coset_walk_subgroups(G):
+    """Every subgroup of a permutation group, by breadth-first closure over
+    added generators, one g per right coset Hg, all on ``Permutation``
+    products: the oracle for the generators ``permgroup.all_subgroups``
+    finds on element indices."""
+    trivial = closure([], degree=G.degree)
+    found = {trivial.element_set: trivial}
+    frontier = [trivial]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            covered = set(H.element_set)
+            for g in G.elements:
+                if g in covered:
+                    continue
+                covered.update(h * g for h in H.elements)
+                K = closure(list(H.generators) + [g], degree=G.degree,
+                            max_order=max(MAX_CLOSURE_ORDER, G.order))
+                if K.element_set not in found:
+                    found[K.element_set] = K
+                    nxt.append(K)
+        frontier = nxt
+    return sorted(found.values(), key=lambda H: (H.order, tuple(p.images for p in H.elements)))

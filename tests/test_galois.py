@@ -23,7 +23,7 @@ from galoiskit.galois import (
 from galoiskit.linalg import nullspace
 from galoiskit.numfield import ExtensionField, minimal_polynomial
 from galoiskit.parsing import evaluate_in_field
-from galoiskit.permgroup import PermGroup, all_subgroups
+from galoiskit.permgroup import PermGroup, all_subgroups, closure
 from galoiskit.poly import Polynomial, _clear_denominators
 from galoiskit.qfactor import factor_degrees_mod_p, factor_mod_p, is_irreducible_over_Q
 from galoiskit.scalars import PrimeField
@@ -476,6 +476,114 @@ class TestIntegerKernel:
             "subgroup_fixing.order_equals_index": 30}
 
 
+def _act_as_identity(monkeypatch, corrupt):
+    """Give each automorphism that corrupt(a) picks the identity's action
+    d*I on the first n columns of its matrix, the ones fixed fields read."""
+    action_matrix = Automorphism.action_matrix.fget
+
+    def patched(a):
+        rows, d = action_matrix(a)
+        if not corrupt(a):
+            return rows, d
+        return [[d * (i == j) for j in range(len(row))] for i, row in enumerate(rows)], d
+
+    monkeypatch.setattr(Automorphism, "action_matrix", property(patched))
+
+
+@pytest.fixture(scope="module")
+def x4m2_x4m3_group():
+    return galois_group(splitting_field(P(-2, 0, 0, 0, 1) * P(-3, 0, 0, 0, 1)))
+
+
+def _lattice_group(request, name):
+    fixture = {"x^7-2": "x7m2_group", "(x^4-2)(x^4-3)": "x4m2_x4m3_group"}.get(name)
+    if fixture:
+        return request.getfixturevalue(fixture)
+    return request.getfixturevalue("corpus_groups")[name]
+
+
+def _two_generator_subgroup(G):
+    """The first subgroup with two generators, and those generators."""
+    return next((idx, gens) for idx in _subgroups(G)
+                if len(gens := galois_module._subgroup_generators(G, idx)) == 2)
+
+
+class TestFixedSpaceChain:
+    """Each fixed space is solved inside the one of its chain predecessor
+    <g1, ..., g(m-1)>, read from the group's cache or solved on the way."""
+
+    @pytest.mark.parametrize("name", ["x^4+x+1", "x^7-2", "(x^4-2)(x^4-3)"])
+    def test_bases_match_the_stacked_rows_in_any_order(self, request, name):
+        # oracle: Gauss-Jordan over Fractions on the rows d*(M_g - I) of
+        # every generator; a fresh copy of the group has nothing cached
+        G = _lattice_group(request, name)
+        n = G.field.degree
+        subgroups = _subgroups(G)
+        expected = {}
+        for idx in subgroups:
+            rows = [[0] * n]
+            for i in galois_module._subgroup_generators(G, idx):
+                matrix, d = G.automorphisms[i].action_matrix
+                rows += [[v - d * (r == j) for j, v in enumerate(row[:n])]
+                         for r, row in enumerate(matrix)]
+            expected[idx] = tuple(map(tuple, rref_nullspace(rows)))
+        shuffled = list(subgroups)
+        random.Random(name).shuffle(shuffled)
+        for order in (subgroups, shuffled):
+            fresh = G.replace()
+            for idx in order:
+                assert fixed_field(fresh, idx).basis == expected[idx]
+
+    def test_a_wrong_last_generator_over_a_cached_space_fails_the_degree_check(
+            self, corpus_groups, monkeypatch):
+        # the cache supplies K = <g1>, never H itself, though H was solved
+        # before, so H's own last generator is read: acting as the
+        # identity, it leaves K's space
+        G = corpus_groups["x^4+x+1"].replace()
+        n = G.field.degree
+        idx, (first, last) = _two_generator_subgroup(G)
+        K = G.subgroup_indices_closure([first])
+        fixed_field(G, K)
+        fixed_field(G, idx)
+        assert K in G._fixed_spaces and idx in G._fixed_spaces
+        _act_as_identity(monkeypatch, lambda a: a is G.automorphisms[last])
+        with collect_checks() as log, pytest.raises(SoundnessError) as err:
+            fixed_field(G, idx)
+        assert err.value.check_name == "fixed_field.degree_equals_index"
+        assert err.value.detail == f"dim {n // len(K)} * |H| {len(idx)} != [E:Q] {n}"
+        assert [(name, ok) for name, ok, _ in log] == [("fixed_field.degree_equals_index", False)]
+
+    def test_a_wrong_matrix_inside_a_solved_chain_raises(self, corpus_groups, monkeypatch, capsys):
+        # K = <g1> is solved on the way to H and checked against [G:K]
+        # without a record_check entry; the CLI builds its own group, whose
+        # automorphism with the same permutation is corrupted too
+        G = corpus_groups["x^4+x+1"].replace()
+        n = G.field.degree
+        idx, (first, _) = _two_generator_subgroup(G)
+        K = G.subgroup_indices_closure([first])
+        _act_as_identity(monkeypatch, lambda a: a.root_permutation == G.perm(first))
+        with collect_checks() as log, pytest.raises(SoundnessError) as err:
+            fixed_field(G, idx)
+        assert err.value.check_name == "fixed_field.degree_equals_index"
+        assert err.value.detail == f"dim {n} * |K| {len(K)} != [E:Q] {n}"
+        assert log == [] and K not in G._fixed_spaces
+        assert main(["fixed", "x^4+x+1", "--subgroup", ",".join(map(str, idx))]) == EXIT_SOUNDNESS
+        assert "fixed_field.degree_equals_index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, checks, applies", [("x^7-2", 478, 40),
+                                                       ("(x^4-2)(x^4-3)", 1173, 169)])
+    def test_lattice_check_and_apply_counts(self, request, monkeypatch, name, checks, applies):
+        # x^4+x+1's are pinned in test_lattice_runs_every_check
+        G = _lattice_group(request, name).replace()
+        calls, apply = [], Automorphism.apply
+        monkeypatch.setattr(Automorphism, "apply", lambda a, x: calls.append(a) or apply(a, x))
+        with collect_checks() as log:
+            for idx in _subgroups(G):
+                subgroup_fixing(G, fixed_field(G, idx))
+        assert len(log) == checks and all(ok for _, ok, _ in log)
+        assert len(calls) == applies
+
+
 class TestGeneratorEnumeration:
     """The group is the closure of exactly verified generators."""
 
@@ -640,6 +748,26 @@ def screened_and_exact(request):
 
 
 class TestSubgroupOfIndices:
+    @pytest.mark.parametrize("name", ["x^3-2", "x^4+x+1", "x^5-2"])
+    def test_index_closure_matches_the_permutation_closure(self, corpus_groups, name):
+        G = corpus_groups[name]
+        rng = random.Random(name)
+        sets = [rng.sample(range(G.order), rng.randint(1, 4)) for _ in range(30)]
+        sets += [[G.identity_index] + s for s in sets[:10]] + [list(h) for h in _subgroups(G)]
+        outcomes = set()
+        for idx in sets:
+            group = closure([G.perm(i) for i in idx], degree=len(G.splitting.roots))
+            closed = tuple(sorted(map(G.index_of_perm, group.elements)))
+            assert G.subgroup_indices_closure(idx) == closed
+            assert G.is_subgroup(idx) == (set(idx) == set(closed))
+            outcomes.add(set(idx) == set(closed))
+        assert outcomes == {True, False}
+        # products are computed as the closure needs them: one per element
+        # of a cyclic subgroup, and no table
+        fresh = G.replace()
+        g = max(range(G.order), key=lambda i: G.perm(i).order())
+        assert len(fresh.subgroup_indices_closure([g])) == len(fresh._products) == G.perm(g).order()
+
     def test_matches_the_hand_built_group(self, screened_and_exact):
         G, subgroups, _, _ = screened_and_exact
         for idx in subgroups:

@@ -9,7 +9,7 @@ from operator import add, sub
 import pytest
 
 from galoiskit import QQ, DegreeCapError, FieldMismatchError
-from galoiskit import modscreen, numfield
+from galoiskit import linalg, modscreen, numfield
 from galoiskit.checks import collect_checks
 from galoiskit.cli import _load_chain_file
 from galoiskit.numfield import (
@@ -313,6 +313,21 @@ class TestMinimalPolynomial:
         t = tower_q_sqrt2_sqrt3()
         s2 = t.absolute.gen_images[0]
         assert minimal_polynomial(s2) == P(-2, 0, 1)
+
+    def test_reads_one_kernel_vector_below_full_degree(self, monkeypatch):
+        # sqrt2 has degree 2 in a degree-4 field: z**2, z**3 and z**4 are
+        # all dependent, and only the first of them is back-substituted
+        t = tower_q_sqrt2_sqrt3()
+        read, back_substitute = [], linalg._back_substitute
+
+        def spy(*args):
+            for c, v in back_substitute(*args):
+                read.append(c)
+                yield c, v
+
+        monkeypatch.setattr(linalg, "_back_substitute", spy)
+        assert minimal_polynomial(t.absolute.gen_images[0]) == P(-2, 0, 1)
+        assert read == [2]
 
     def test_degree_divides_field_degree(self):
         t = tower_q_sqrt2_sqrt3()

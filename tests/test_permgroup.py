@@ -25,12 +25,22 @@ from galoiskit.permgroup import (
 )
 from galoiskit.errors import GroupOrderLimitError
 
-from helpers import element_walk_subgroups
+from helpers import coset_walk_subgroups, element_walk_subgroups
 
 
 def s_n(n):
     return closure([Permutation([1, 0] + list(range(2, n))),
                     Permutation(list(range(1, n)) + [0])])
+
+
+BUILT = {
+    "S5": lambda: s_n(5),
+    "A5": lambda: closure([Permutation((1, 2, 0, 3, 4)), Permutation((1, 2, 3, 4, 0))]),
+    # the symmetries of a hexagon
+    "D6": lambda: closure([Permutation((1, 2, 3, 4, 5, 0)), Permutation((0, 5, 4, 3, 2, 1))]),
+    "C2^3": lambda: closure([Permutation((1, 0, 2, 3, 4, 5)), Permutation((0, 1, 3, 2, 4, 5)),
+                             Permutation((0, 1, 2, 3, 5, 4))]),
+}
 
 
 class TestClosure:
@@ -349,6 +359,20 @@ class TestSubgroupEnumeration:
         # the same subgroups, in the same order, with the same generators
         assert found == expected
         assert [H.generators for H in found] == [H.generators for H in expected]
+
+    @pytest.mark.parametrize("name, count", [
+        ("x^2-2", 2), ("x^2+x+1", 2), ("x^3-2", 6), ("x^3-3x-1", 2), ("x^4-1", 2),
+        ("x^4+1", 5), ("x^4+x+1", 30), ("x^5-2", 14),
+        ("S5", 156), ("A5", 59), ("D6", 16), ("C2^3", 16),
+    ])
+    def test_index_walk_matches_the_permutation_walks(self, corpus_groups, name, count):
+        # the elements against the element walk, the generators against
+        # the same coset walk on Permutation products
+        G = BUILT[name]() if name in BUILT else corpus_groups[name].perm_group()
+        found = all_subgroups(G)
+        assert len(found) == count
+        assert [H.elements for H in found] == [H.elements for H in element_walk_subgroups(G)]
+        assert [H.generators for H in found] == [H.generators for H in coset_walk_subgroups(G)]
 
 
 def _permutations(n):

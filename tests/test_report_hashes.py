@@ -101,8 +101,10 @@ def test_exact_route_report_is_byte_identical(monkeypatch, capsys, argv, digest,
     assert set(exact) == routines
 
 
+# the last has the deepest generator chains: order 32 and 90 subgroups
 LATTICES = [("x^7-2", "f3a94283edc21c7f01d23d03b5e21e0f06e847e6028cfa8a8176bc7fd4076e13"),
-            ("x^4+x+1", "a1adc47dbd0f519626c518da023b4d20ea354bf4dfbfc84d1e4eaff0ced5ab75")]
+            ("x^4+x+1", "a1adc47dbd0f519626c518da023b4d20ea354bf4dfbfc84d1e4eaff0ced5ab75"),
+            ("(x^4-2)*(x^4-3)", "4a4cc0b29e0dd6ad9be071926ce13894a4da2abf1b803001c9e78a502c6ebbf3")]
 
 
 @pytest.mark.parametrize("screened", [True, False], ids=["place", "no-place"])
