@@ -296,7 +296,7 @@ def _orbit(G: GaloisGroup, a, stab):
 
 def _coset_representatives(G: GaloisGroup, stab):
     """The first index of each left coset g*stab, in index order."""
-    return [G.index_of_perm(g) for g in coset_representatives(G.perm_group(), G.subgroup(stab))]
+    return coset_representatives(G.compose, range(G.order), stab)
 
 
 def orbit_min_poly(G: GaloisGroup, a) -> Polynomial:
@@ -440,7 +440,7 @@ def _combination(coeffs, vectors, start):
 def _subgroup_generators(G: GaloisGroup, idx):
     """A small generating subset of a subgroup given by indices, which
     follow the canonical order of the permutations."""
-    return [G.index_of_perm(p) for p in _small_generating_set(G.subgroup(idx))]
+    return _small_generating_set(G.compose, sorted(idx), G.identity_index)
 
 
 def _primitive_of_subspace(G: GaloisGroup, basis, idx):

@@ -3,11 +3,11 @@
 ``integer_kernel`` is the one exact echelon.  It reduces integer rows
 fraction-free and reads the kernel off the echelon by back-substitution,
 one integer vector per free column as the caller reads it; ``nullspace``
-scales them to the canonical basis.  Power relations (``numfield``),
-subfield membership and fixed fields (``galois``) are read from its
-kernels.  Pivots are chosen first-nonzero so results are canonical for a
-given input, and equal to elimination over Q.  ``lll`` reduces a lattice
-basis on integers alone and returns its exact Gram determinants.
+scales them to the canonical basis.  Power relations and field inverses
+(``numfield``), subfield membership and fixed fields (``galois``) are read
+from its kernels.  Pivots are chosen first-nonzero so results are canonical
+for a given input, and equal to elimination over Q.  ``lll`` reduces a
+lattice basis on integers alone and returns its exact Gram determinants.
 Everything here is pure and deterministic.
 """
 

@@ -8,8 +8,8 @@ construction device that remembers where each generator went.
 An element is stored as integer coordinates over one positive denominator
 in lowest terms (Cohen, GTM 138, 4.2.2), so sums, scalings and products run
 on integers with one gcd each; ``Fraction`` is only the rational view
-``coeffs``.  Inverses come from images mod primes, checked by one exact
-product.
+``coeffs``.  Inverses are read off one ``linalg.integer_kernel`` and
+checked by one exact product.
 
 One routine finds minimal polynomials over Q: the coordinate vectors of
 1, z, ..., z**limit are the columns of one ``linalg.integer_kernel``, whose
@@ -30,7 +30,7 @@ by one integer matrix-vector product.
 
 from fractions import Fraction
 from itertools import accumulate, islice
-from math import ceil, gcd, isqrt, lcm
+from math import ceil, gcd, lcm
 from operator import add, mul, sub
 
 from .checks import record_check
@@ -43,9 +43,9 @@ from .poly import (
     poly_squarefree_decomposition,
     poly_squarefree_part,
 )
-from .qfactor import (MAX_LIFT_BITS, Factorization, _crt_primes, _HenselTree,
-                      _rational_reconstruction, _root_bound, _sorted_factors, _symmetric, _trim,
-                      _zp_gcd, _zp_inverse, _zp_mul, _zp_squarefree_image, factor_over_Q)
+from .qfactor import (MAX_LIFT_BITS, Factorization, _HenselTree, _rational_reconstruction,
+                      _root_bound, _sorted_factors, _symmetric, _zp_gcd, _zp_mul,
+                      _zp_squarefree_image, factor_over_Q)
 from .scalars import QQ, power
 from . import modscreen
 
@@ -116,47 +116,30 @@ class ExtElement:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Inverses mod primes below 2**60 by CRT and rational reconstruction,
-        accepted only when a*b == 1 exactly.  With A = den*a, M = dm*m
-        integral, s*A + t*M = Res(A, M): the coefficients are quotients of
-        Sylvester minors below 2**bits (Hadamard), so reconstruction cannot
-        miss past 2**(2*bits + 1).  A prime where A is no unit divides
-        Res(A, M); more than bits/59 of them prove it 0, a zero divisor."""
+        """One ``linalg.integer_kernel`` on the columns A*theta**j, j < n,
+        A = den*a (each an integer vector over its own denominator d_j), and
+        the constant 1, accepted only when a*b == 1 exactly.  For a unit the
+        first free column is the last: its vector v gives
+        sum v_j*d_j*theta**j = -v_n / A.  An earlier free column is a
+        dependence among the A*theta**j, so a is a zero divisor."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         f, n = self.field, self.field.degree
         if not any(self.num[1:]):
             c = self.num[0]
             return ExtElement(f, (self.den if c > 0 else -self.den,) + f._zeros, abs(c))
-        a = _trim(list(self.num))
-        m, dm = _clear_denominators(f.modulus.coeffs)
-        bits = n * _norm_bits(a) + (len(a) - 1) * _norm_bits(m)
-        images, modulus, failures, pending = [0] * n, 1, 0, 0
-        for p in _crt_primes():
-            if dm % p == 0:
-                continue
-            try:
-                s = _zp_inverse(_trim([c % p for c in a]), [c % p for c in m], p)
-            except ZeroDivisionError:
-                failures += 1
-                if failures * 59 >= bits:
-                    raise ArithmeticError("modulus is reducible: gcd with element is nonconstant")
-                continue
-            k = pow(modulus, -1, p)
-            images = [x + (c - x) * k % p * modulus for x, c in zip(images, s + [0] * n)]
-            modulus *= p
-            pending += 1
-            final = modulus.bit_length() > 2 * bits + 1
-            # reconstructing costs about 1 us per bit of the modulus, an
-            # image about 2 * (n*n + 4) us: try when the two balance
-            if final or 2 * pending * (n * n + 4) >= modulus.bit_length():
-                pending, found = 0, _rational_reconstruction(images, modulus)
-                if found is not None:
-                    b = _reduced(f, [x * self.den for x in found[0]], found[1])
-                    if self * b == f.one:
-                        return b
-            if final:
-                raise ArithmeticError("inverse escaped its resultant bound (internal)")
+        columns = [ExtElement(f, self.num)]
+        for _ in range(n - 1):
+            columns.append(columns[-1] * f.gen)
+        rows = [[x.num[i] for x in columns] + [int(i == 0)] for i in range(n)]
+        c, v = next(integer_kernel(rows))
+        if c < n:
+            raise ArithmeticError("modulus is reducible: gcd with element is nonconstant")
+        s = -self.den if v[n] > 0 else self.den
+        b = _reduced(f, [s * v.get(j, 0) * x.den for j, x in enumerate(columns)], abs(v[n]))
+        if self * b != f.one:
+            raise ArithmeticError("inverse failed its exact check (internal)")
+        return b
 
     def __truediv__(self, other):
         o = self._other(other)
@@ -324,11 +307,6 @@ class ExtensionField:
 def q_coords(x):
     """Rational coordinates of x with respect to the power basis."""
     return x.coeffs
-
-
-def _norm_bits(ints):
-    """Bits of an integer above the Euclidean norm of the vector."""
-    return (isqrt(sum(c * c for c in ints)) + 1).bit_length()
 
 
 def element_sort_key(x):

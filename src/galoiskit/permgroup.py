@@ -4,9 +4,10 @@ Groups are fully enumerated (no stabilizer chains); the closure bound keeps
 everything honest.  Composition convention: (g * h)(i) = g(h(i)), so
 permutations act on the left.
 
-Subgroups of a known group close on element indices (``close_under``): the
-lattice reads one Cayley table, and a Galois group computes each product
-when a closure first asks for it.
+Subgroups of a known group close on element indices (``close_under``), and
+greedy generators and coset representatives take the group's product as an
+argument: the lattice reads one Cayley table, and a Galois group computes
+each product when a closure first asks for it.
 
 Frobenius cycle types, read off factor degrees mod small primes, live here
 too: they certify a group containing A_n and bound a splitting degree before
@@ -409,22 +410,20 @@ class ChainCertificate(Record):
         }
 
 
-def coset_representatives(G: PermGroup, H: PermGroup):
-    """Left coset representatives of H in G, canonical order."""
-    reps = []
-    covered = set()
-    hset = H.element_set
-    for g in G.elements:
-        if g in covered:
-            continue
-        reps.append(g)
-        covered.update(g * h for h in hset)
+def coset_representatives(product, elements, subgroup):
+    """The first of the elements in each left coset g * subgroup, in the
+    order of the elements, for the group product(g, h) = g * h."""
+    reps, covered = [], set()
+    for g in elements:
+        if g not in covered:
+            reps.append(g)
+            covered.update(product(g, h) for h in subgroup)
     return reps
 
 
 def _quotient_abelian(G: PermGroup, H: PermGroup) -> bool:
     """Abelianness of G/H checked on coset representatives."""
-    reps = coset_representatives(G, H)
+    reps = coset_representatives(Permutation.__mul__, G.elements, H.elements)
     hset = H.element_set
 
     def same_coset(a, b):
@@ -642,7 +641,7 @@ def find_embedding(G: PermGroup, target):
         return None
     if G.order > 1 and not is_abelian(G):
         return None
-    gens = _small_generating_set(G)
+    gens = _small_generating_set(Permutation.__mul__, G.elements, Permutation.identity(G.degree))
     tgt_elements = target.elements()
 
     def backtrack(mapping, idx):
@@ -702,13 +701,12 @@ def _extend_homomorphism(mapping, g, t, target):
     return new_map
 
 
-def _small_generating_set(G: PermGroup):
-    gens = []
-    span = closure([], degree=G.degree)
-    for g in G.elements:
-        if g not in span.element_set:
+def _small_generating_set(product, elements, identity):
+    """Greedy generators of a group: each of its elements, in the given
+    order, that lies outside the closure (``close_under``) of those before."""
+    gens, span = [], {identity}
+    for g in elements:
+        if g not in span:
             gens.append(g)
-            span = closure(gens, degree=G.degree, max_order=G.order)
-            if span.order == G.order:
-                break
+            span = set(close_under(product, gens, identity))
     return gens

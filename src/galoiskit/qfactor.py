@@ -19,8 +19,9 @@ Internally the hot kernels work on plain int lists (ascending coefficients)
 mod p or mod p**k; Polynomial objects appear only at the API boundary.
 All modular work of the engine runs on these lists: packed (Kronecker)
 products, whose slots of up to 8 bytes are machine words read in one
-memoryview cast, packed reduction rows for a fixed modulus, and the CRT
-primes and rational reconstruction behind ``numfield``'s field inverse.
+memoryview cast, packed reduction rows for a fixed modulus, the word-sized
+primes behind ``poly``'s coprimality screen, and the rational reconstruction
+that reads ``numfield``'s Trager factors back from their p-adic images.
 """
 
 import math

@@ -39,7 +39,6 @@ from .checks import record_check
 from .errors import DEFAULT_DEGREE_CAP, ChainFormatError
 from .permgroup import (
     ChainCertificate,
-    CyclicGroupZ,
     DirectSumZ,
     Permutation,
     UnitGroup,
@@ -418,7 +417,7 @@ def abelian_layer_embeddings(t: NormalRadicalTower):
 
     out = []
     g1 = galois_group(t.cyclotomic)
-    target = UnitGroup(t.lcm_degree) if t.lcm_degree >= 2 else CyclicGroupZ(1)
+    target = UnitGroup(t.lcm_degree)
     emb = find_embedding(g1.perm_group(), target)
     record_check("abelian_layers.cyclotomic_embeds_in_units",
                  emb is not None, f"G(E_1,Q) must embed into U({t.lcm_degree})")
@@ -427,7 +426,7 @@ def abelian_layer_embeddings(t: NormalRadicalTower):
         g_up = galois_group(s.level)
         idx = subgroup_fixing(g_up, s.base_gens_in_level)
         layer = g_up.subgroup(idx)
-        target = DirectSumZ(s.k, max(1, len(s.orbit)))
+        target = DirectSumZ(s.k, len(s.orbit))
         emb = find_embedding(layer, target)
         record_check(
             "abelian_layers.kummer_embeds_in_cyclic_sum",

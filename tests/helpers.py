@@ -230,7 +230,7 @@ class FractionSpanSolver:
 
 def poly_extended_gcd(p, q):
     """(g, s, t) with g = gcd(p, q) monic and s*p + t*q = g, by Euclid over
-    the coefficient field: the oracle for the modular field inverse."""
+    the coefficient field: the oracle for the field inverse."""
     f = p.field
     a, b = p, q
     sa, sb = Polynomial.one(f), Polynomial.zero(f)

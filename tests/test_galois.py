@@ -7,11 +7,12 @@ import pytest
 
 from galoiskit import QQ, FieldMismatchError, SoundnessError, modscreen
 from galoiskit import galois as galois_module
-from galoiskit import numfield
+from galoiskit import numfield, permgroup
 from galoiskit.checks import collect_checks
 from galoiskit.cli import EXIT_OK, EXIT_SOUNDNESS, main
 from galoiskit.galois import (
     Automorphism,
+    GaloisGroup,
     fixed_field,
     galois_group,
     intermediate_field,
@@ -767,6 +768,25 @@ class TestSubgroupOfIndices:
         fresh = G.replace()
         g = max(range(G.order), key=lambda i: G.perm(i).order())
         assert len(fresh.subgroup_indices_closure([g])) == len(fresh._products) == G.perm(g).order()
+
+    @pytest.mark.parametrize("name", ["x^4+x+1", "x^7-2"])
+    def test_the_correspondence_builds_no_permutation_group(self, request, monkeypatch, name):
+        # generators, cosets and closures are read on indices: a fresh copy
+        # of the group builds no PermGroup over the whole lattice
+        G = _lattice_group(request, name)
+        subgroups, fresh, built = _subgroups(G), G.replace(), []
+        post_init = PermGroup.__post_init__
+        monkeypatch.setattr(PermGroup, "__post_init__", lambda H: built.append(H) or post_init(H))
+        for module in (permgroup, galois_module):
+            monkeypatch.setattr(module, "closure", lambda *args, **kwargs: built.append(args))
+        monkeypatch.setattr(GaloisGroup, "subgroup", lambda *args: built.append(args))
+        for idx in subgroups:
+            B = fixed_field(fresh, idx)
+            assert subgroup_fixing(fresh, B) == idx
+            assert len(orbit(fresh, B.primitive)) == B.degree
+        for a in _seeded_elements(fresh.splitting):
+            orbit(fresh, a)
+        assert built == []
 
     def test_matches_the_hand_built_group(self, screened_and_exact):
         G, subgroups, _, _ = screened_and_exact

@@ -220,7 +220,7 @@ class TestAbelianChain:
     def test_coset_representatives_cover(self):
         s3 = s_n(3)
         a3 = derived_subgroup(s3)
-        reps = coset_representatives(s3, a3)
+        reps = coset_representatives(Permutation.__mul__, s3.elements, a3.elements)
         assert len(reps) == 2
 
 
