@@ -62,7 +62,7 @@ from .numfield import _power_coords, _Substitution, element_sort_key, roots_in_f
 from .permgroup import (PermGroup, Permutation, _small_generating_set, close_under, closure,
                         coset_representatives, is_normal)
 from .poly import Polynomial, _clear_denominators, _zx_primitive, poly_squarefree_part
-from .qfactor import factor_over_Q
+from .qfactor import _power_sums, factor_over_Q
 from .scalars import QQ, Record
 from .splitting import SplittingField
 from . import modscreen
@@ -150,10 +150,8 @@ class GaloisGroup(Record):
         Newton's identities, and T[j] = S_j * c**(n-1-j)."""
         mi, c = _clear_denominators(self.field.min_poly.coeffs)
         n = len(mi) - 1
-        M = [v * c ** (n - 1 - j) for j, v in enumerate(mi[:n])]
-        S = [n]
-        for k in range(1, n):
-            S.append(-k * M[n - k] - sum(M[n - i] * S[k - i] for i in range(1, k)))
+        M = [v * c ** (n - 1 - j) for j, v in enumerate(mi[:n])] + [1]
+        S = [n] + _power_sums(M, n - 1)
         return [s * c ** (n - 1 - j) for j, s in enumerate(S)], c ** (n - 1)
 
     def index_of_perm(self, perm) -> int:

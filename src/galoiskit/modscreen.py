@@ -8,12 +8,14 @@ exactly.  The prime splits each irreducible factor of the rational source
 into distinct linear factors, so it splits completely in every field of
 the tower; a new generator goes to a root of the adjoined factor's image,
 and theta to the combination of generator images that theta is of the
-generators.  Newton iteration lifts simple roots mod p to roots mod p**k
-for ``numfield``'s factorization at the places.
+generators.
 
 A place found by ``find`` or ``split`` also carries every embedding of its
 field, so the [F:Q] roots of theta's minimal polynomial mod p: ``numfield``
 factors over the field at them, and ``galois`` reads the group off them.
+The place lifts them to roots mod p**k, with the inverse Vandermonde rows
+that interpolate at them, by one Hensel tree of the linear factors
+x - a, each lift continuing the last (``qfactor._HenselTree``).
 """
 
 import itertools
@@ -21,7 +23,7 @@ import random
 from math import lcm
 from operator import mul
 
-from .qfactor import _zp_equal_degree, _zp_mod, _zp_powmod
+from .qfactor import _HenselTree, _zp_equal_degree, _zp_mod, _zp_powmod
 from .scalars import primes_below
 
 
@@ -29,12 +31,13 @@ class Place:
     """theta -> root mod modulus (the prime unless given), with the images
     of the tower generators; from ``find``, also the source (its rational
     factors, their roots mod p) and the embeddings, (theta's image,
-    generator images) for each, or None.  ``numfield`` caches in ``lifts``."""
+    generator images) for each, or None."""
 
     def __init__(self, prime, root=1, gens=(), modulus=None, source=None, embeddings=None):
         self.prime, self.root, self.gens = prime, root, gens
         self.modulus = modulus or prime
-        self.source, self.embeddings, self.lifts = source, embeddings, {}
+        self.source, self.embeddings = source, embeddings
+        self._tree, self._lifts = None, {}
 
     @property
     def conjugates(self):
@@ -47,6 +50,21 @@ class Place:
         q = self.modulus
         num, den = (e.num, e.den) if hasattr(e, "num") else ((e.numerator,), e.denominator)
         return horner(num, self.root, q) * pow(den, -1, q) % q if den % self.prime else None
+
+    def lift(self, m, k):
+        """(theta's conjugates lifted to roots of its minimal polynomial m
+        mod p**k, the rows of the inverse Vandermonde matrix at them), once
+        per k.  One Hensel tree of the linear factors x - a serves every k;
+        a lift continues from the tree's last precision, and a k below it
+        reads the roots there mod p**k."""
+        if k not in self._lifts:
+            p, pk = self.prime, self.prime ** k
+            # m is monic: the tree's leading coefficient is 1
+            self._tree = self._tree or _HenselTree([1], [[-a % p, 1] for a in self.conjugates], p)
+            mk = Place(p, modulus=p ** max(k, self._tree.k)).images(m.coeffs)
+            roots = [-g[0] % pk for g in self._tree.lift(mk, pk)[0]]
+            self._lifts[k] = roots, _inverse_vandermonde(mk, roots, pk)
+        return self._lifts[k]
 
     def images(self, coeffs):
         out = [self(c) for c in coeffs]
@@ -78,23 +96,16 @@ class Place:
         return None if horner(m, place.root, p) else place
 
 
-def newton(f, roots, p, k):
-    """Roots mod p of the p-integral f, each simple, lifted to roots mod
-    p**k by Newton iteration, each step doubling the precision; None when
-    f has no image or a root is not simple."""
-    pk = p ** k
-    fk = Place(p, modulus=pk).images(f.coeffs)
-    df = [i * c for i, c in enumerate(fk)][1:] if fk else None
-    if not df or not all(horner(df, a, p) for a in roots):
-        return None
-    out = []
+def _inverse_vandermonde(m, roots, q):
+    """Row t holds the x**t coefficients of the Lagrange polynomials
+    (m / (x - a)) / m'(a) at the roots a of m mod q: row t times the values
+    of a polynomial of degree < deg m at the roots is its t-th coefficient."""
+    columns = []
     for a in roots:
-        m = p
-        while m < pk:
-            m = min(m * m, pk)
-            a = (a - horner(fk, a, m) * pow(horner(df, a, m), -1, m)) % m
-        out.append(a % pk)
-    return out
+        quo = list(itertools.accumulate(reversed(m[1:]), lambda acc, c: (acc * a + c) % q))[::-1]
+        inv = pow(horner(quo, a, q), -1, q)
+        columns.append([c * inv % q for c in quo])
+    return list(zip(*columns))
 
 
 def horner(f, v, p):

@@ -29,7 +29,7 @@ by one integer matrix-vector product.
 """
 
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
 from math import ceil, gcd, lcm
 from operator import add, mul, sub
 
@@ -44,7 +44,7 @@ from .poly import (
     poly_squarefree_part,
 )
 from .qfactor import (MAX_LIFT_BITS, Factorization, _HenselTree, _rational_reconstruction,
-                      _root_bound, _sorted_factors, _symmetric, _zp_gcd, _zp_mul,
+                      _root_bound, _sorted_factors, _symmetric, _zp_gcd, _zp_product,
                       _zp_squarefree_image, factor_over_Q)
 from .scalars import QQ, power
 from . import modscreen
@@ -635,20 +635,6 @@ def _taylor(c, t, q):
     return c
 
 
-def _product_mod(polys, q):
-    while len(polys) > 1:
-        polys = [_zp_mul(a, b, q) for a, b in zip(polys[::2], polys[1::2])] + polys[len(polys) & ~1:]
-    return polys[0]
-
-
-def _lifted(place, m, k):
-    """[theta's conjugates lifted to roots of m mod p**k, the rows of the
-    inverse Vandermonde matrix at them or None], once per place and k."""
-    if k not in place.lifts:
-        place.lifts[k] = [modscreen.newton(m, place.conjugates, place.prime, k), None]
-    return place.lifts[k]
-
-
 def _norm_at_places(f, place):
     """(s, norm, k) for the first shift s whose product of images
     prod f^(i)(x - s*a_i) is squarefree mod p, so the norm is squarefree,
@@ -664,7 +650,7 @@ def _norm_at_places(f, place):
         return None
     n = F.degree * f.degree
     s = next((s for s in map(_center_sequence, range(4 * n + 1)) if _zp_squarefree_image(
-        _product_mod([_image_at(f, a, s, p, p) for a in conj], p), p)), None)
+        _zp_product([_image_at(f, a, s, p, p) for a in conj], p), p)), None)
     if s is None:
         return None
     cleared = [_clear_denominators(h.coeffs)[0] for h in place.source[0] + (F.modulus,)]
@@ -675,8 +661,8 @@ def _norm_at_places(f, place):
         k += 1
     if (p ** k).bit_length() > MAX_LIFT_BITS:
         return None
-    pk, roots = p ** k, _lifted(place, F.modulus, 1 << (k - 1).bit_length())[0]
-    prod = _product_mod([_image_at(f, a % pk, s, p, pk) for a in roots], pk)
+    pk, roots = p ** k, place.lift(F.modulus, 1 << (k - 1).bit_length())[0]
+    prod = _zp_product([_image_at(f, a % pk, s, p, pk) for a in roots], pk)
     scale = [T ** (n - j) for j in range(n + 1)]
     return s, Polynomial(QQ, [Fraction(_symmetric(c * t, pk), t) for c, t in zip(prod, scale)]), k
 
@@ -695,34 +681,20 @@ def _factors_at_places(f, place, s, hs, k):
         return
     K, trees = 1 << (k - 1).bit_length(), None
     while (p ** K).bit_length() <= MAX_LIFT_BITS:
-        pK, lift = p ** K, _lifted(place, F.modulus, K)
-        lift[1] = lift[1] or _inverse_vandermonde(
-            modscreen.Place(p, modulus=pK).images(F.modulus.coeffs), lift[0], pK)
-        fs = [_image_at(f, a, s, p, pK) for a in lift[0]]
+        pK, (roots, rows) = p ** K, place.lift(F.modulus, K)
+        fs = [_image_at(f, a, s, p, pK) for a in roots]
         trees = trees or [_HenselTree(fa, lv, p) for fa, lv in zip(fs, leaves)]
         images = [[_taylor(g, s * a, pK) for g in tree.lift(fa, pK)[0]]
-                  for a, fa, tree in zip(lift[0], fs, trees)]
+                  for a, fa, tree in zip(roots, fs, trees)]
         out = []
         for j, leaf in enumerate(leaves[0]):
             found = [_rational_reconstruction([sum(map(mul, row, (g[j][t] for g in images))) % pK
-                                               for row in lift[1]], pK) for t in range(len(leaf) - 1)]
+                                               for row in rows], pK) for t in range(len(leaf) - 1)]
             if None not in found:
                 out.append(Polynomial(F, [_reduced(F, *c) for c in found] + [F.one]))
         if len(out) == len(hs):
             yield out
         K *= 2
-
-
-def _inverse_vandermonde(m, roots, q):
-    """Row t holds the x**t coefficients of the Lagrange polynomials
-    (m / (x - a)) / m'(a) at the roots a of m mod q: row t times the values
-    of a polynomial of degree < deg m at the roots is its t-th coefficient."""
-    columns = []
-    for a in roots:
-        quo = list(accumulate(reversed(m[1:]), lambda acc, c: (acc * a + c) % q))[::-1]
-        inv = pow(modscreen.horner(quo, a, q), -1, q)
-        columns.append([c * inv % q for c in quo])
-    return list(zip(*columns))
 
 
 def _product(polys, field):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import FieldMismatchError
-from .scalars import QQ, power
+from .scalars import QQ, power, primes_below
 
 
 class Polynomial:
@@ -229,8 +229,9 @@ def _invert(c):
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Monic greatest common divisor via the Euclidean algorithm.
 
-    Over Q, coprime inputs return 1 at once: at a prime dividing neither
-    leading coefficient of their primitive integer parts, the gcd mod p has
+    Over Q, coprime inputs return 1 at once: at the first prime below
+    2**30 (the walk of ``modscreen``'s places) dividing neither leading
+    coefficient of their primitive integer parts, the gcd mod p has
     at least the degree of the gcd over Q, so a unit gcd mod p proves it.
     """
     if p.is_zero and q.is_zero:
@@ -245,11 +246,11 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def _coprime_mod_prime(p: Polynomial, q: Polynomial) -> bool:
-    from .qfactor import _crt_primes, _trim, _zp_gcd
+    from .qfactor import _trim, _zp_gcd
 
     a = poly_content_and_primitive(p)[1]
     b = poly_content_and_primitive(q)[1]
-    prime = next(x for x in _crt_primes() if a[-1] % x and b[-1] % x)
+    prime = next(x for x in primes_below(30) if a[-1] % x and b[-1] % x)
     return len(_zp_gcd(_trim([c % prime for c in a]), _trim([c % prime for c in b]), prime)) == 1
 
 

@@ -19,9 +19,9 @@ Internally the hot kernels work on plain int lists (ascending coefficients)
 mod p or mod p**k; Polynomial objects appear only at the API boundary.
 All modular work of the engine runs on these lists: packed (Kronecker)
 products, whose slots of up to 8 bytes are machine words read in one
-memoryview cast, packed reduction rows for a fixed modulus, the word-sized
-primes behind ``poly``'s coprimality screen, and the rational reconstruction
-that reads ``numfield``'s Trager factors back from their p-adic images.
+memoryview cast, packed reduction rows for a fixed modulus, balanced
+products, and the rational reconstruction that reads ``numfield``'s Trager
+factors back from their p-adic images.
 """
 
 import math
@@ -38,7 +38,7 @@ from .poly import (
     poly_from_int_coeffs,
     poly_squarefree_decomposition,
 )
-from .scalars import QQ, PrimeField, Record, is_prime, power, primes_below
+from .scalars import QQ, PrimeField, Record, is_prime, power
 
 # _zp_mul packs when schoolbook products outnumber output coefficients this much
 _PACK_RATIO = 6
@@ -143,6 +143,13 @@ def _zp_unpack(x, w, count, m):
     return [int.from_bytes(data[i:i + w], "little") % m for i in range(0, w * count, w)]
 
 
+def _zp_product(polys, m):
+    """The product mod m of a nonempty list, multiplied in balanced pairs."""
+    while len(polys) > 1:
+        polys = [_zp_mul(a, b, m) for a, b in zip(polys[::2], polys[1::2])] + polys[len(polys) & ~1:]
+    return polys[0]
+
+
 def _zp_mulmod(f, m):
     """The product of residues mod a fixed f of degree n over Z/m.
 
@@ -169,19 +176,24 @@ def _zp_mulmod(f, m):
 
     def mul(a, b):
         c = _zp_mul(a, b, m)
-        if len(c) <= n:
-            return c
-        acc = _zp_pack(c[:n], w)
-        for cj, row in zip(c[n:], rows):
-            if cj:
-                acc += cj * row
-        return _trim(_zp_unpack(acc, w, n, m))
+        return c if len(c) <= n else _zp_fold(c[n:], rows, _zp_pack(c[:n], w), w, n, m)
 
     return mul
 
 
+def _zp_fold(coeffs, rows, acc, w, n, m):
+    """acc + sum(coeffs[j] * rows[j]) for rows packed in w-byte slots,
+    unpacked to n residues mod m."""
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc += c * row
+    return _trim(_zp_unpack(acc, w, n, m))
+
+
 def _zp_divmod(a, b, m):
-    """Division mod m; the leading coefficient of b must be invertible."""
+    """Division mod m; the leading coefficient of b must be invertible.
+    Only the digit the quotient reads is reduced in the loop, and the
+    remainder once at the end."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     a = list(a)
@@ -191,15 +203,12 @@ def _zp_divmod(a, b, m):
         return [], _trim(a)
     quot = [0] * (len(a) - db)
     for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % m
-        if c:
-            q = c * inv % m
+        q = a[i] * inv % m
+        if q:
             quot[i - db] = q
             for j, bc in enumerate(b):
-                a[i - db + j] = (a[i - db + j] - q * bc) % m
-        else:
-            a[i] = 0
-    return _trim(quot), _trim([c % m for c in a])
+                a[i - db + j] -= q * bc
+    return _trim(quot), _trim([c % m for c in a[:db]])
 
 
 def _zp_mod(a, b, m):
@@ -285,14 +294,7 @@ def _zp_frobenius(f, p, mul):
     w = _slot_bytes(n * p * p)
     rows = [_zp_pack(row, w) for row in powers]
 
-    def frobenius(h):
-        acc = 0
-        for c, row in zip(h, rows):
-            if c:
-                acc += c * row
-        return _trim(_zp_unpack(acc, w, n, p))
-
-    return frobenius
+    return lambda h: _zp_fold(h, rows, 0, w, n, p)
 
 
 def _zp_equal_degree(f, d, p, rng):
@@ -383,11 +385,6 @@ def _zp_squarefree_image(f_int, p):
         return None
     fp = _trim([c % p for c in f_int])
     return fp if len(_zp_gcd(fp, _zp_derivative(fp, p), p)) == 1 else None
-
-
-def _crt_primes():
-    """Primes below 2**60, descending; found on first use and cached."""
-    return primes_below(60)
 
 
 def _rational_reconstruction(residues, m, den_bound=None):
@@ -714,9 +711,7 @@ def _split_by_blocks(f, rows, pool, pk):
         return None  # the block columns are dependent, so V is smaller
     lc, out = f[-1], []
     for block in list(blocks.values())[:-1]:
-        cand = [lc % pk]
-        for i in block:
-            cand = _zp_mul(cand, pool[i], pk)
+        cand = _zp_product([[lc % pk]] + [pool[i] for i in block], pk)
         cand = _zx_primitive([_symmetric(c, pk) for c in cand])
         quo = _zx_divide_exact(f, cand)
         if quo is None:
@@ -726,8 +721,9 @@ def _split_by_blocks(f, rows, pool, pk):
     return out + [_zx_primitive(f)]
 
 
-def _power_sums(g, count, m):
-    """Tr_1 .. Tr_count of the roots of monic g, mod m (Newton's identities)."""
+def _power_sums(g, count, m=None):
+    """Tr_1 .. Tr_count of the roots of monic g, mod m, or exactly when no
+    m is given (Newton's identities)."""
     d = len(g) - 1
     e = g[-2::-1]  # e[i - 1] is the coefficient of x**(d - i)
     out = []
@@ -735,7 +731,7 @@ def _power_sums(g, count, m):
         s = j * e[j - 1] if j <= d else 0
         for i in range(1, min(j - 1, d) + 1):
             s += e[i - 1] * out[j - i - 1]
-        out.append(-s % m)
+        out.append(-s % m if m else -s)
     return out
 
 

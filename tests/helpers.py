@@ -11,11 +11,11 @@ from fractions import Fraction
 from math import gcd
 
 from galoiskit import QQ, modscreen
-from galoiskit.qfactor import _symmetric, _zp_mul, _zx_divide_exact, _zx_primitive
+from galoiskit.qfactor import _symmetric, _trim, _zp_mul, _zx_divide_exact, _zx_primitive
 from galoiskit.galois import Automorphism, GaloisGroup
 from galoiskit.numfield import element_sort_key, minimal_polynomial
 from galoiskit.permgroup import MAX_CLOSURE_ORDER, Permutation, closure
-from galoiskit.poly import Polynomial, poly_from_int_coeffs
+from galoiskit.poly import Polynomial, _clear_denominators, poly_from_int_coeffs
 
 
 def P(*ints):
@@ -287,6 +287,61 @@ def schoolbook_powmod(a, e, f, m):
     for _ in range(e):
         acc = schoolbook_divmod(schoolbook_mul(acc, a, m), f, m)[1]
     return acc
+
+
+def reducing_divmod(a, b, m):
+    """``qfactor._zp_divmod`` as it was, reducing every entry it touches
+    mod m: the oracle for the routine that reduces only the digit its
+    quotient reads.  A dividend shorter than b is returned unreduced."""
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    if len(a) - 1 < db:
+        return [], _trim(a)
+    quot = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] % m
+        if c:
+            q = c * inv % m
+            quot[i - db] = q
+            for j, bc in enumerate(b):
+                a[i - db + j] = (a[i - db + j] - q * bc) % m
+        else:
+            a[i] = 0
+    return _trim(quot), _trim([c % m for c in a])
+
+
+def newton_roots(f, roots, p, k):
+    """Roots mod p of the p-integral f, each simple, lifted to roots mod
+    p**k by Newton iteration, each step squaring the precision: the oracle
+    for the Hensel tree of ``modscreen.Place.lift``; None when f has no
+    image or a root is not simple."""
+    pk = p ** k
+    fk = modscreen.Place(p, modulus=pk).images(f.coeffs)
+    df = [i * c for i, c in enumerate(fk)][1:] if fk else None
+    if not df or not all(modscreen.horner(df, a, p) for a in roots):
+        return None
+    out = []
+    for a in roots:
+        m = p
+        while m < pk:
+            m = min(m * m, pk)
+            a = (a - modscreen.horner(fk, a, m) * pow(modscreen.horner(df, a, m), -1, m)) % m
+        out.append(a % pk)
+    return out
+
+
+def trace_form_recurrence(G):
+    """``GaloisGroup._trace_form`` by its own integer recurrence: the
+    power sums S_k of c * theta from Newton's identities on the monic
+    M(y) = c**(n-1) * m(y / c), then T[j] = S_j * c**(n-1-j)."""
+    mi, c = _clear_denominators(G.field.min_poly.coeffs)
+    n = len(mi) - 1
+    M = [v * c ** (n - 1 - j) for j, v in enumerate(mi[:n])]
+    S = [n]
+    for k in range(1, n):
+        S.append(-k * M[n - k] - sum(M[n - i] * S[k - i] for i in range(1, k)))
+    return [s * c ** (n - 1 - j) for j, s in enumerate(S)], c ** (n - 1)
 
 
 def exhaustive_galois_group(E):

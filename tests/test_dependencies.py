@@ -1,6 +1,7 @@
 """The engine has no third-party runtime dependency: every import in
-src/galoiskit is relative or names a standard-library module.  And every
-name a module imports is used in that module."""
+src/galoiskit is relative or names a standard-library module.  Every name
+a module imports is used in that module, and every private module-level
+name is used somewhere in the package outside its own definition."""
 
 import ast
 import sys
@@ -60,3 +61,55 @@ def test_checker_flags_unused_imports():
     source = ("import os.path\nimport math as m\nfrom .poly import P, Q\n"
               "def f():\n    from .linalg import lll\n    return m.pi, P, os.sep\n")
     assert unused_imports(source) == ["Q", "lll"]
+
+
+def dead_helpers(sources):
+    """(module, name) for each private module-level name, defined by a def,
+    a class or an assignment in one of the sources (module -> text), that
+    no statement of the package reads except its own definition."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    readers = {}  # name -> the top-level statements that read it
+    for tree in trees.values():
+        for stmt in tree.body:
+            for name in _read_names(stmt):
+                readers.setdefault(name, set()).add(id(stmt))
+    out = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            out += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")
+                    and not readers.get(n, set()) - {id(top)}]
+    return out
+
+
+def _read_names(node):
+    """Names a statement reads: loaded names, attributes and imported names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def test_every_private_helper_is_used():
+    assert dead_helpers({path.stem: path.read_text() for path in SOURCES}) == []
+
+
+def test_checker_flags_a_dead_helper():
+    sources = {
+        "a": ("from .b import _shared\n_LIMIT = 3\n_UNUSED = 4\n"
+              "def _recursive(n):\n    return _recursive(n - 1) if n else _LIMIT\n"
+              "def public():\n    return _shared()\n"),
+        "b": "def _shared():\n    return 1\nclass _Dead:\n    pass\n",
+    }
+    assert dead_helpers(sources) == [("a", "_UNUSED"), ("a", "_recursive"), ("b", "_Dead")]

@@ -31,7 +31,8 @@ from galoiskit.scalars import PrimeField
 from galoiskit.splitting import splitting_field
 
 from helpers import (P, every_image_orbit, exact_stabilizer, exhaustive_galois_group,
-                     left_coset_representatives, orbit_poly, rref_nullspace)
+                     left_coset_representatives, orbit_poly, rref_nullspace,
+                     trace_form_recurrence)
 from test_goldens import GOLDEN, _poly
 
 
@@ -1014,6 +1015,11 @@ class TestResidueOrbitPolynomial:
         for g, b in zip(G.automorphisms, thetas):
             assert place(g.theta_image) == b
             assert modscreen.horner(place.images(m.coeffs), b, p) == 0
+
+    def test_trace_form_matches_the_integer_recurrence(self, corpus_groups):
+        # the power sums come from qfactor's Newton identities without a modulus
+        for G in corpus_groups.values():
+            assert G._trace_form == trace_form_recurrence(G)
 
     def test_a_corrupted_trace_form_is_rejected(self, corpus_groups, monkeypatch):
         # a wrong trace gives power sums that are not integers, and a

@@ -16,7 +16,6 @@ from galoiskit.poly import (
     poly_squarefree_part,
     render_poly,
 )
-from galoiskit.qfactor import _crt_primes
 from galoiskit.scalars import PrimeField, is_prime, power, primes_below
 
 from helpers import P, brute_force_monic_divisors, poly_resultant, sylvester_resultant
@@ -119,7 +118,7 @@ class TestGcd:
         # coprime over Q, yet equal mod the first prime tried: the gcd falls
         # back to Euclid; a leading coefficient divisible by it moves the test
         # to the next prime
-        prime = next(_crt_primes())
+        prime = next(primes_below(30))
         assert poly_gcd(P(0, 1), P(prime, 1)) == P(1)
         assert poly_gcd(P(1, prime), P(0, 1)) == P(1)
         assert poly_gcd(P(prime, 1) * P(1, 1), P(0, 1) * P(1, 1)) == P(1, 1)
@@ -167,7 +166,7 @@ class TestScalarHelpers:
         scan = [p for p in range((1 << 60) - 1, (1 << 60) - 3000, -1) if is_prime(p)]
         walk = primes_below(60)
         assert [next(walk) for _ in scan] == scan
-        assert list(itertools.islice(_crt_primes(), len(scan))) == scan
+        assert list(itertools.islice(primes_below(60), len(scan))) == scan
 
     def test_place_primes_are_the_same_on_every_call(self):
         first, second = list(modscreen.primes()), list(modscreen.primes())

@@ -23,6 +23,7 @@ from galoiskit.splitting import splitting_field
 from helpers import (
     P,
     PF,
+    reducing_divmod,
     schoolbook_divmod,
     schoolbook_mul,
     schoolbook_powmod,
@@ -400,6 +401,15 @@ class TestGradualLift:
 
 
 class TestHelpers:
+    def test_power_sums_exact_and_mod_m(self):
+        roots = [1, 2, -3, 5, 5, -7]
+        g = [1]
+        for r in roots:
+            g = [a - r * b for a, b in zip([0] + g, g + [0])]
+        exact = [sum(r ** j for r in roots) for j in range(1, 10)]
+        assert qfactor._power_sums(g, 9) == exact
+        assert qfactor._power_sums([c % 101 for c in g], 9, 101) == [s % 101 for s in exact]
+
     def test_is_squarefree_q(self):
         assert poly_squarefree_decomposition(P(-2, 0, 1)) == [(P(-2, 0, 1), 1)]
         assert poly_squarefree_decomposition(P(-2, 0, 1) ** 2) == [(P(-2, 0, 1), 2)]
@@ -533,6 +543,19 @@ class TestModularKernel:
                     a = _operand(rng, la, m, density)
                     b = _operand(rng, lb - 1, m, density) + [_unit(rng, m)]
                     assert qfactor._zp_divmod(a, b, m) == schoolbook_divmod(a, b, m)
+
+    @pytest.mark.parametrize("m", (3, 313, 1048583, 2**61 - 1, 3**40, 313**25), ids=_modulus_id)
+    def test_divmod_matches_the_reducing_routine(self, m):
+        # reducing only the digit the quotient reads changes neither output,
+        # for primes and prime powers, constant divisors, dividends shorter
+        # than the divisor and dividends with entries outside [0, m)
+        rng = random.Random(m % 1003)
+        for lb in (1, 2, 7, 30):
+            for la in (0, 1, lb - 1, lb, 3 * lb):
+                for spread in (0, m):
+                    a = [rng.randrange(-spread * m, m + spread * m) for _ in range(la)]
+                    b = _operand(rng, lb - 1, m, 0.5) + [_unit(rng, m)]
+                    assert qfactor._zp_divmod(a, b, m) == reducing_divmod(a, b, m)
 
     @pytest.mark.parametrize("m", KERNEL_MODULI, ids=_modulus_id)
     def test_powmod(self, m):

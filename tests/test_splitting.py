@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from galoiskit import DegreeCapError, FieldMismatchError, modscreen
+from galoiskit import DegreeCapError, FieldMismatchError, modscreen, qfactor
 from galoiskit.numfield import FieldTower, minimal_polynomial
 from galoiskit.permgroup import _splitting_degree_lower_bound
 from galoiskit.poly import Polynomial
@@ -18,7 +18,7 @@ from galoiskit.splitting import (
     splitting_field,
 )
 
-from helpers import P, unsieved_find
+from helpers import P, newton_roots, unsieved_find
 from test_goldens import GOLDEN, _poly
 
 
@@ -246,6 +246,83 @@ class TestPlace:
             if want is not None:  # the full scan without a place is the slow case
                 assert hunted(q, None) == want
         assert want is None
+
+
+LIFTED = {
+    "x^4+x+1": P(1, 1, 0, 0, 1),
+    "x^7-2": P(-2, 0, 0, 0, 0, 0, 0, 1),
+    "(x^3-2)(x^3-3)": P(-2, 0, 0, 1) * P(-3, 0, 0, 1),
+    "(x^5-2)(x^2+1)": P(-2, 0, 0, 0, 0, 1) * P(1, 0, 1),
+}
+
+
+def _fresh(place):
+    """The same place without its lifts."""
+    return modscreen.Place(place.prime, place.root, place.gens, source=place.source,
+                           embeddings=place.embeddings)
+
+
+class TestPlaceLift:
+    """``Place.lift`` lifts theta's conjugates by one Hensel tree of linear
+    factors; Newton iteration from each conjugate is the oracle."""
+
+    @pytest.mark.parametrize("label", LIFTED)
+    def test_lifted_conjugates_are_newtons_in_any_order(self, label):
+        e = splitting_field(LIFTED[label])
+        m, place = e.field.min_poly, e.place
+        p, conjugates = place.prime, place.conjugates
+        want = {k: newton_roots(m, conjugates, p, k) for k in (1, 2, 4, 8, 16)}
+        assert want[1] == conjugates
+        shuffled = list(want)
+        random.Random(len(label)).shuffle(shuffled)
+        assert shuffled != sorted(shuffled)
+        for order in (sorted(want), shuffled):
+            fresh = _fresh(place)
+            for k in order:
+                roots, rows = fresh.lift(m, k)
+                assert roots == want[k]
+                # the rows interpolate: the values of x**t at the roots give e_t
+                pk, n = p ** k, len(roots)
+                for t in (0, n // 2, n - 1):
+                    assert [sum(r * pow(a, t, pk) for r, a in zip(row, roots)) % pk
+                            for row in rows] == [int(i == t) for i in range(n)]
+
+    def test_each_place_builds_one_tree_and_continues_it(self, monkeypatch):
+        # the places met while splitting, then lifted again out of order
+        built, lifts, seen = [], [], {}
+
+        class Spy(qfactor._HenselTree):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+            def lift(self, f, target):
+                before = self.k
+                out = super().lift(f, target)
+                lifts.append((self, before, self.k))
+                return out
+
+        def lift(place, m, k):
+            seen.setdefault(id(place), (place, m))
+            return plain(place, m, k)
+
+        plain = modscreen.Place.lift
+        monkeypatch.setattr(modscreen, "_HenselTree", Spy)
+        monkeypatch.setattr(modscreen.Place, "lift", lift)
+        for f in LIFTED.values():
+            splitting_field(f)
+        assert len(seen) >= len(LIFTED)
+        for place, m in list(seen.values()):
+            for k in (3, 16, 2, 9):
+                place.lift(m, k)
+        assert len(built) == len(seen)
+        assert all(sum(tree is place._tree for tree in built) == 1 for place, _ in seen.values())
+        for tree in built:
+            ks = [(before, after) for t, before, after in lifts if t is tree]
+            assert ks[0][0] == 1 and ks[-1][1] >= 16
+            assert all(after == later for (_, after), (later, _) in zip(ks, ks[1:]))
 
 
 @pytest.fixture(scope="module", params=[((-2, 0, 1), (-3, 0, 1)), ((-229, 0, 1), (1, 1, 0, 0, 1)),
