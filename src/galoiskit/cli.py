@@ -126,7 +126,7 @@ def _cmd_factor(args, settings):
     fac = factor_over_Q(p)
     return {
         "polynomial": render_poly(p),
-        "unit": str(fac.unit) if fac.unit.denominator == 1 else f"{fac.unit.numerator}/{fac.unit.denominator}",
+        "unit": str(fac.unit),
         "factors": [
             {"polynomial": render_poly(g), "degree": g.degree, "multiplicity": m}
             for g, m in fac.factors

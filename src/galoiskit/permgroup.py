@@ -7,7 +7,9 @@ permutations act on the left.
 Subgroups of a known group close on element indices (``close_under``), and
 greedy generators and coset representatives take the group's product as an
 argument: the lattice reads one Cayley table, and a Galois group computes
-each product when a closure first asks for it.
+each product when a closure first asks for it.  An embedding into an
+abelian target (Z_n, U(n), a sum of copies of Z_n) is a graph in
+G x target closed by the same ``close_under``.
 
 Frobenius cycle types, read off factor degrees mod small primes, live here
 too: they certify a group containing A_n and bound a splitting degree before
@@ -15,12 +17,13 @@ any field is built, so the verdict and the cap refusal need no field layer.
 """
 
 import functools
+import itertools
 import math
 from typing import Optional
 
 from .checks import record_check
 from .errors import GroupOrderLimitError
-from .qfactor import factor_degrees_mod_p
+from .qfactor import _PRIME_POOL, factor_degrees_mod_p
 from .scalars import Record, is_prime, power
 
 
@@ -321,8 +324,7 @@ def cycle_type_certificate(n, samples) -> Optional[CycleTypeCertificate]:
 # Frobenius cycle types, and the provable lower bound for early degree-cap
 # refusal; both run before any field is built
 
-DEFAULT_WITNESS_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
-                          47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+DEFAULT_WITNESS_PRIMES = tuple(_PRIME_POOL[:25])  # the primes up to 97
 
 
 def scan_cycle_types(h, primes=None):
@@ -497,7 +499,15 @@ def all_subgroups(G: PermGroup):
 # cyclic and unit groups; embeddings of Galois layers
 
 
-class CyclicGroupZ(Record):
+class _AbelianTarget:
+    """An embedding target listed by ``elements``: its order is their count."""
+
+    @property
+    def order(self):
+        return len(self.elements())
+
+
+class CyclicGroupZ(_AbelianTarget, Record):
     """The additive group Z_n."""
 
     modulus: int
@@ -505,10 +515,6 @@ class CyclicGroupZ(Record):
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
-
-    @property
-    def order(self):
-        return self.modulus
 
     def elements(self):
         return tuple(range(self.modulus))
@@ -519,14 +525,11 @@ class CyclicGroupZ(Record):
     def op(self, a, b):
         return (a + b) % self.modulus
 
-    def element_order(self, a):
-        return self.modulus // math.gcd(self.modulus, a) if a else 1
-
     def describe(self):
         return f"Z_{self.modulus}"
 
 
-class UnitGroup(Record):
+class UnitGroup(_AbelianTarget, Record):
     """U(n): residues coprime to n under multiplication."""
 
     modulus: int
@@ -534,10 +537,6 @@ class UnitGroup(Record):
     def __post_init__(self):
         if self.modulus < 2:
             raise ValueError("unit groups need n >= 2")
-
-    @property
-    def order(self):
-        return len(self.elements())
 
     def elements(self):
         n = self.modulus
@@ -549,19 +548,11 @@ class UnitGroup(Record):
     def op(self, a, b):
         return a * b % self.modulus
 
-    def element_order(self, a):
-        k = 1
-        x = a
-        while x != 1:
-            x = x * a % self.modulus
-            k += 1
-        return k
-
     def describe(self):
         return f"U({self.modulus})"
 
 
-class DirectSumZ(Record):
+class DirectSumZ(_AbelianTarget, Record):
     """Direct sum of m copies of Z_n; elements are m-tuples."""
 
     modulus: int
@@ -571,13 +562,7 @@ class DirectSumZ(Record):
         if self.modulus < 1 or self.copies < 1:
             raise ValueError("need modulus >= 1 and copies >= 1")
 
-    @property
-    def order(self):
-        return self.modulus ** self.copies
-
     def elements(self):
-        import itertools
-
         return tuple(itertools.product(range(self.modulus), repeat=self.copies))
 
     def identity(self):
@@ -585,10 +570,6 @@ class DirectSumZ(Record):
 
     def op(self, a, b):
         return tuple((x + y) % self.modulus for x, y in zip(a, b))
-
-    def element_order(self, a):
-        n = self.modulus
-        return math.lcm(*(n // math.gcd(n, x) if x else 1 for x in a))
 
     def describe(self):
         return f"Z_{self.modulus}^{self.copies}"
@@ -635,70 +616,46 @@ def find_embedding(G: PermGroup, target):
     at desk scale.
 
     The target is one of CyclicGroupZ, UnitGroup, DirectSumZ.  Since all
-    targets are abelian, non-abelian G fails immediately.
+    targets are abelian, non-abelian G fails immediately.  The greedy
+    generators g_i of G take images t_i in the target's element order, each
+    t_i with t_i**order(g_i) = e; the pairs (g_i, t_i) close
+    (``close_under``) to a subgroup of G x target, the graph of an injective
+    homomorphism on <g_i> exactly when both projections are one to one.
     """
-    if G.order > target.order:
+    if G.order > target.order or (G.order > 1 and not is_abelian(G)):
         return None
-    if G.order > 1 and not is_abelian(G):
-        return None
-    gens = _small_generating_set(Permutation.__mul__, G.elements, Permutation.identity(G.degree))
-    tgt_elements = target.elements()
+    unit = (Permutation.identity(G.degree), target.identity())
+    gens = _small_generating_set(Permutation.__mul__, G.elements, unit[0])
+    images = target.elements()
 
-    def backtrack(mapping, idx):
-        if idx == len(gens):
-            return mapping
-        g = gens[idx]
-        need = g.order()
-        for t in tgt_elements:
-            if target.element_order(t) != need:
-                continue
-            new_map = _extend_homomorphism(mapping, g, t, target)
-            if new_map is None:
-                continue
-            result = backtrack(new_map, idx + 1)
-            if result is not None:
-                return result
-        return None
+    def product(a, b):
+        return a[0] * b[0], target.op(a[1], b[1])
 
-    identity = Permutation.identity(G.degree)
-    mapping = backtrack({identity: target.identity()}, 0)
-    if mapping is None or len(mapping) != G.order:
+    def graphs(pairs):
+        # graphs of injective homomorphisms on <gens> extending the pairs,
+        # in the order the images are tried
+        graph = close_under(product, pairs, unit)
+        if any(len(set(side)) < len(graph) for side in zip(*graph)):
+            return
+        if len(pairs) == len(gens):
+            yield graph
+            return
+        g = gens[len(pairs)]
+        k = g.order()
+        for t in images:
+            if power(t, k, unit[1], target.op) == unit[1]:
+                yield from graphs(pairs + [(g, t)])
+
+    graph = next(graphs([]), None)
+    if graph is None:
         return None
+    mapping = dict(graph)
     # final verification: homomorphism on all pairs, injective
     record_check("embedding.injective", len(set(mapping.values())) == len(mapping))
-    ok = all(
-        mapping[a * b] == target.op(mapping[a], mapping[b])
-        for a in mapping
-        for b in mapping
-    )
-    record_check("embedding.homomorphism", ok)
-    return Embedding(target, tuple(sorted(mapping.items(), key=lambda kv: kv[0].images)))
-
-
-def _extend_homomorphism(mapping, g, t, target):
-    """Extend a partial injective hom by g -> t; None on any conflict."""
-    new_map = dict(mapping)
-    frontier = list(mapping.items())
-    # close under multiplication by powers of g
-    k = g.order()
-    g_pows = [Permutation.identity(g.degree)]
-    t_pows = [target.identity()]
-    for _ in range(k - 1):
-        g_pows.append(g_pows[-1] * g)
-        t_pows.append(target.op(t_pows[-1], t))
-    for h, s in frontier:
-        for j in range(1, k):
-            key = h * g_pows[j]
-            val = target.op(s, t_pows[j])
-            if key in new_map:
-                if new_map[key] != val:
-                    return None
-            else:
-                new_map[key] = val
-    values = list(new_map.values())
-    if len(set(values)) != len(values):
-        return None
-    return new_map
+    record_check("embedding.homomorphism", all(mapping[a * b] == target.op(mapping[a], mapping[b])
+                                                for a in mapping for b in mapping))
+    # close_under sorted the graph by permutation images
+    return Embedding(target, graph)
 
 
 def _small_generating_set(product, elements, identity):

@@ -344,12 +344,6 @@ def poly_from_int_coeffs(field, ints):
 # rendering (shared by reports and the parser round-trip)
 
 
-def render_coeff(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-    return str(c)
-
-
 def render_poly(p: Polynomial, var: str = "x") -> str:
     """Render with descending powers, parseable by the expression parser."""
     if p.is_zero:
@@ -366,10 +360,10 @@ def render_poly(p: Polynomial, var: str = "x") -> str:
             neg = False
             mag = c
         if i == 0:
-            body = render_coeff(mag)
+            body = str(mag)
         else:
             xpow = var if i == 1 else f"{var}^{i}"
-            body = xpow if mag == p.field.one else f"{render_coeff(mag)}*{xpow}"
+            body = xpow if mag == p.field.one else f"{mag}*{xpow}"
         if not parts:
             parts.append(f"-{body}" if neg else body)
         else:

@@ -47,12 +47,7 @@ _PACK_RATIO = 6
 # one cast on a little-endian machine
 _WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
-_PRIME_POOL = [
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-    151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
-    233, 239, 241, 251, 257, 263, 269, 271, 277, 281, 283, 293, 307, 311, 313,
-]
+_PRIME_POOL = [p for p in range(2, 314) if is_prime(p)]
 
 
 class Factorization(Record):
@@ -387,14 +382,14 @@ def _zp_squarefree_image(f_int, p):
     return fp if len(_zp_gcd(fp, _zp_derivative(fp, p), p)) == 1 else None
 
 
-def _rational_reconstruction(residues, m, den_bound=None):
+def _rational_reconstruction(residues, m):
     """(nums, den) with nums[i] = residues[i] * den mod m, den at most
-    D = min(den_bound, sqrt(m/2)) and |nums[i]| at most (m/2) / D, or None;
-    bounds whose product is at most m/2 make the answer unique.  A residue
-    not small once scaled by the denominator so far runs Wang's
-    half-extended Euclid for the rest."""
+    D = isqrt(m/2) and |nums[i]| at most (m/2) / D, or None; bounds whose
+    product is at most m/2 make the answer unique.  A residue not small once
+    scaled by the denominator so far runs Wang's half-extended Euclid for
+    the rest."""
     half = m >> 1
-    dbound = math.isqrt(half) if den_bound is None else min(den_bound, math.isqrt(half))
+    dbound = math.isqrt(half)
     bound = half // dbound
     den, nums = 1, []
     for r in residues:

@@ -14,7 +14,8 @@ from galoiskit import QQ, modscreen
 from galoiskit.qfactor import _symmetric, _trim, _zp_mul, _zx_divide_exact, _zx_primitive
 from galoiskit.galois import Automorphism, GaloisGroup
 from galoiskit.numfield import element_sort_key, minimal_polynomial
-from galoiskit.permgroup import MAX_CLOSURE_ORDER, Permutation, closure
+from galoiskit.permgroup import (MAX_CLOSURE_ORDER, Embedding, Permutation, _small_generating_set,
+                                 closure, is_abelian)
 from galoiskit.poly import Polynomial, _clear_denominators, poly_from_int_coeffs
 
 
@@ -546,3 +547,51 @@ def coset_walk_subgroups(G):
                     nxt.append(K)
         frontier = nxt
     return sorted(found.values(), key=lambda H: (H.order, tuple(p.images for p in H.elements)))
+
+
+def backtrack_embedding(G, target):
+    """The first injective homomorphism from a permutation group into an
+    abelian target, or None: backtracking over images of the greedy
+    generators, each image of exactly its generator's order, and each
+    partial map extended by the powers of the next generator.  The oracle
+    for ``permgroup.find_embedding``, which closes graphs in G x target."""
+    elements, e = target.elements(), target.identity()
+    if G.order > len(elements) or (G.order > 1 and not is_abelian(G)):
+        return None
+    identity = Permutation.identity(G.degree)
+    gens = _small_generating_set(Permutation.__mul__, G.elements, identity)
+
+    def order(t):
+        k, x = 1, t
+        while x != e:
+            k, x = k + 1, target.op(x, t)
+        return k
+
+    def extend(mapping, g, t):
+        new_map = dict(mapping)
+        g_pow, t_pow = [identity], [e]
+        for _ in range(g.order() - 1):
+            g_pow.append(g_pow[-1] * g)
+            t_pow.append(target.op(t_pow[-1], t))
+        for h, s in mapping.items():
+            for j in range(1, len(g_pow)):
+                key, val = h * g_pow[j], target.op(s, t_pow[j])
+                if new_map.setdefault(key, val) != val:
+                    return None
+        return new_map if len(set(new_map.values())) == len(new_map) else None
+
+    def backtrack(mapping, idx):
+        if idx == len(gens):
+            return mapping
+        for t in elements:
+            if order(t) == gens[idx].order():
+                new_map = extend(mapping, gens[idx], t)
+                result = None if new_map is None else backtrack(new_map, idx + 1)
+                if result is not None:
+                    return result
+        return None
+
+    mapping = backtrack({identity: e}, 0)
+    if mapping is None or len(mapping) != G.order:
+        return None
+    return Embedding(target, tuple(sorted(mapping.items(), key=lambda kv: kv[0].images)))

@@ -25,7 +25,7 @@ from galoiskit.permgroup import (
 )
 from galoiskit.errors import GroupOrderLimitError
 
-from helpers import coset_walk_subgroups, element_walk_subgroups
+from helpers import backtrack_embedding, coset_walk_subgroups, element_walk_subgroups
 
 
 def s_n(n):
@@ -331,6 +331,28 @@ class TestEmbeddings:
         for a in mapping:
             for b in mapping:
                 assert mapping[a * b] == emb.target.op(mapping[a], mapping[b])
+
+    def test_matches_the_backtracking_oracle(self):
+        # every abelian subgroup of S4 and S5, and C2^3, into cyclic, unit
+        # and direct-sum targets: too small, of the wrong exponent, or not
+        # embedding for want of elements of the right orders
+        c2_cubed = closure([Permutation((1, 0, 2, 3, 4, 5)), Permutation((0, 1, 3, 2, 4, 5)),
+                            Permutation((0, 1, 2, 3, 5, 4))])
+        groups = [H for n in (4, 5) for H in all_subgroups(s_n(n)) if is_abelian(H)] + [c2_cubed]
+        targets = ([CyclicGroupZ(n) for n in range(1, 9)] + [UnitGroup(n) for n in range(2, 25)]
+                   + [DirectSumZ(k, c) for k in (2, 3, 4, 6) for c in (1, 2, 3)])
+        found = 0
+        for H in groups:
+            for target in targets:
+                emb = find_embedding(H, target)
+                assert emb == backtrack_embedding(H, target), (H, target)
+                found += emb is not None
+        assert (len(groups), len(targets), found) == (109, 43, 2146)
+
+    def test_target_order_counts_elements(self):
+        assert [CyclicGroupZ(n).order for n in (1, 6, 8)] == [1, 6, 8]
+        assert [UnitGroup(n).order for n in (2, 8, 15, 24)] == [1, 4, 8, 8]
+        assert [DirectSumZ(k, c).order for k, c in ((2, 3), (6, 2))] == [2 ** 3, 6 ** 2]
 
 
 class TestSubgroupEnumeration:

@@ -410,6 +410,11 @@ class TestHelpers:
         assert qfactor._power_sums(g, 9) == exact
         assert qfactor._power_sums([c % 101 for c in g], 9, 101) == [s % 101 for s in exact]
 
+    def test_small_prime_tables_are_a_trial_division_scan(self):
+        scan = [n for n in range(2, 314) if all(n % d for d in range(2, n))]
+        assert (qfactor._PRIME_POOL, DEFAULT_WITNESS_PRIMES) == (scan, tuple(scan[:25])) \
+            and scan[24] == 97
+
     def test_is_squarefree_q(self):
         assert poly_squarefree_decomposition(P(-2, 0, 1)) == [(P(-2, 0, 1), 1)]
         assert poly_squarefree_decomposition(P(-2, 0, 1) ** 2) == [(P(-2, 0, 1), 2)]
