@@ -104,10 +104,10 @@ def _load_chain_file(path):
         if not isinstance(stage, dict) or "k" not in stage or "radicand" not in stage:
             raise ChainFormatError(f'stage {i} must be an object with "k" and "radicand"')
         k = stage["k"]
-        if not isinstance(k, int):
+        if not isinstance(k, int) or isinstance(k, bool):
             raise ChainFormatError(f"stage {i}: k must be an integer")
         radicand = stage["radicand"]
-        if not isinstance(radicand, (str, int)):
+        if not isinstance(radicand, (str, int)) or isinstance(radicand, bool):
             raise ChainFormatError(f"stage {i}: radicand must be a string or integer")
         description.append((k, str(radicand)))
     return description

@@ -14,18 +14,19 @@ checked by one exact product.
 One routine finds minimal polynomials over Q: the coordinate vectors of
 1, z, ..., z**limit are the columns of one ``linalg.integer_kernel``, whose
 first free column is the first dependent power and whose kernel vector
-there is the relation (Cohen, GTM 138, Alg. 2.3.1).  Further columns are
-targets, read off as coordinates in the power basis when the relation has
-full degree.  It serves ``minimal_polynomial``, the primitive-element
-search of each adjunction with the old generators as targets, and Trager's
-norm over a field without places (below).  The powers of z = w + u*y in
-F[y]/(m) are computed on integer theta-coordinates over one rational
-scale, and the kernel is read on integers, so only the results are
-``Fraction``.
+there is the relation (Cohen, GTM 138, Alg. 2.3.1).  One further column
+may be a target, read off as coordinates in the power basis when the
+relation has full degree.  It serves ``minimal_polynomial``, the
+primitive-element search of each adjunction with theta_old as its one
+target, and Trager's norm over a field without places (below).  The
+powers of z = w + u*y in F[y]/(m) are computed on integer
+theta-coordinates over one rational scale, and the kernel is read on
+integers, so only the results are ``Fraction``.
 
 One substitution map a(theta) -> a(t), an integer matrix of the powers of t
 over one denominator, moves elements up the tower and through automorphisms
-by one integer matrix-vector product.
+by one integer matrix-vector product.  Each adjunction builds one, from
+theta_old's image, and it also gives the old generators' images.
 """
 
 from fractions import Fraction
@@ -319,17 +320,17 @@ def element_sort_key(x):
 
 
 class AbsoluteField:
-    """Q(theta) together with images of the tower generators in theta."""
+    """Q(theta) together with images of the tower generators in theta, and
+    ``lift_from_prev``, the adjunction's map from the previous absolute
+    field (None over Q)."""
 
-    def __init__(self, ext, gen_names=(), gen_images=(), theta_combo=(), theta_prev_image=None, prev_ext=None):
+    def __init__(self, ext, gen_names=(), gen_images=(), theta_combo=(), lift_from_prev=None):
         self.ext = ext
         self.min_poly = ext.modulus
         self.gen_names = tuple(gen_names)
         self.gen_images = tuple(gen_images)
         self.theta_combo = tuple(theta_combo)  # theta = sum combo_i * gen_i
-        self._theta_prev_image = theta_prev_image
-        self._prev_ext = prev_ext
-        self._lift = None
+        self.lift_from_prev = lift_from_prev
 
     @property
     def degree(self):
@@ -338,14 +339,6 @@ class AbsoluteField:
     @property
     def theta(self):
         return self.ext.gen
-
-    def lift_from_prev(self, elt):
-        """Map an element of the previous absolute field into this one."""
-        if self._theta_prev_image is None:
-            raise ValueError("this absolute field has no recorded predecessor")
-        if self._lift is None:
-            self._lift = _Substitution(self._theta_prev_image, self._prev_ext)
-        return self._lift(elt)
 
     def __repr__(self):
         return f"AbsoluteField(degree={self.degree}, generators={list(self.gen_names)})"
@@ -405,50 +398,36 @@ class FieldTower:
 def _flatten(cur: AbsoluteField, m: Polynomial, name: str) -> AbsoluteField:
     """Flatten (current absolute field) + one stage to a new primitive element.
 
-    theta_new = theta_old + c * (new generator) for the first c in
+    theta_new = theta_old + c * y, y the new generator, for the first c in
     1, -1, 2, -2, ... whose minimal polynomial has full degree; the classical
-    primitive element theorem guarantees all but finitely many c work.
+    primitive element theorem guarantees all but finitely many c work.  Its
+    kernel reads one target, theta_old, whose image theta_old' gives the
+    adjunction's one substitution map; that map lifts the old generators,
+    and y' = (theta_new - theta_old') / c.  Over Q, theta_new = y.
     """
-    base_deg = cur.degree
-    d = m.degree
-    n = base_deg * d
-    if base_deg == 1:
-        mq = m.map_coefficients(lambda c: c.coeffs[0], QQ)
-        new_ext = ExtensionField(QQ, mq, "a")
-        gen_images = tuple(new_ext.coerce(img.coeffs[0]) for img in cur.gen_images)
+    n = cur.degree * m.degree
+    if cur.degree == 1:
+        new_ext = ExtensionField(QQ, m.map_coefficients(lambda c: c.coeffs[0], QQ), "a")
         theta_prev = new_ext.coerce(cur.theta.coeffs[0])
-        return AbsoluteField(
-            new_ext,
-            cur.gen_names + (name,),
-            gen_images + (new_ext.gen,),
-            (0,) * len(cur.gen_names) + (1,),
-            theta_prev_image=theta_prev,
-            prev_ext=cur.ext,
-        )
-    # the targets: each old generator, y (y mod m when d = 1) and theta_old,
-    # as coordinates in cur.ext[y]/(m)
-    pad = (0,) * (n - base_deg)
-    y = tuple(int(i == base_deg) for i in range(n)) if d > 1 else (-m.coeffs[0]).coeffs
-    targets = [img.coeffs + pad for img in cur.gen_images] + [y, cur.theta.coeffs + pad]
-    # powers of theta_old + c*y live in cur.ext[y]/(m)
-    for c in map(_center_sequence, range(1, 2 * PRIMITIVE_SEARCH_RANGE + 1)):
-        min_poly, coords = _power_relation(_power_coords(cur.theta, c, m), n, targets)
-        if min_poly.degree < n:
-            continue
-        if None in coords:
-            raise PrimitiveSearchError("generator image escaped the power basis (internal)")
+        y, combo = new_ext.gen, (0,) * len(cur.gen_names) + (1,)
+    else:
+        # powers of theta_old + c*y live in cur.ext[y]/(m)
+        target = cur.theta.coeffs + (0,) * (n - cur.degree)
+        for c in map(_center_sequence, range(1, 2 * PRIMITIVE_SEARCH_RANGE + 1)):
+            min_poly, coords = _power_relation(_power_coords(cur.theta, c, m), n, target)
+            if min_poly.degree == n:
+                break
+        else:
+            raise PrimitiveSearchError(
+                f"no primitive element of the form theta + c*gen with |c| <= {PRIMITIVE_SEARCH_RANGE}")
+        if coords is None:
+            raise PrimitiveSearchError("theta escaped the power basis (internal)")
         new_ext = ExtensionField(QQ, min_poly, "a")
-        images = [new_ext.from_rep(x) for x in coords]
-        return AbsoluteField(
-            new_ext,
-            cur.gen_names + (name,),
-            tuple(images[:-1]),
-            cur.theta_combo + (c,),
-            theta_prev_image=images[-1],
-            prev_ext=cur.ext,
-        )
-    raise PrimitiveSearchError(
-        f"no primitive element of the form theta + c*gen with |c| <= {PRIMITIVE_SEARCH_RANGE}")
+        theta_prev = new_ext.from_rep(coords)
+        y, combo = (new_ext.gen - theta_prev) * Fraction(1, c), cur.theta_combo + (c,)
+    lift = _Substitution(theta_prev, cur.ext)
+    return AbsoluteField(new_ext, cur.gen_names + (name,), tuple(map(lift, cur.gen_images)) + (y,),
+                         combo, lift)
 
 
 def minimal_polynomial(a) -> Polynomial:
@@ -464,22 +443,24 @@ def minimal_polynomial(a) -> Polynomial:
     return _power_relation(_power_coords(a, 0, Polynomial.x(a.field)), a.field.degree)[0]
 
 
-def _power_relation(powers, limit, targets=()):
+def _power_relation(powers, limit, target=None):
     """(monic minimal polynomial over Q, coordinates) from the first
     rational linear dependence among the vectors s_j * w_j of 1, z, z**2, ...
 
-    The first limit + 1 integer vectors w_j and each rational target with
-    its denominators cleared, D * t, are the columns of one kernel.  Its
-    first free column d is the first dependent power, and the kernel vector
-    v there gives the relation z**d + sum v_j * s_d / (v_d * s_j) * z**j.
+    The first limit + 1 integer vectors w_j and an optional rational target
+    with its denominators cleared, D * t, are the columns of one kernel.
+    Its first free column d is the first dependent power, and the kernel
+    vector v there gives the relation z**d + sum v_j * s_d / (v_d * s_j) * z**j.
     When d == limit, the j-th coordinate of t in the basis z**j, j < limit,
-    is -v_j / (v_c * D * s_j) for v the kernel vector at t's column c; it
-    is None for a target outside that span, and coordinates is None when
-    d < limit.  Only d's vector and then the targets' are back-substituted.
+    is -v_j / (v_t * D * s_j) for v the kernel vector at t's column.  The
+    coordinates are None without a target, for a target outside that span
+    and when d < limit.  Only d's vector and then t's are back-substituted.
     """
     powers = list(islice(powers, limit + 1))
-    cleared = [_clear_denominators(t) for t in targets]
-    columns = [w for w, _ in powers] + [t for t, _ in cleared]
+    columns = [w for w, _ in powers]
+    if target is not None:
+        t, D = _clear_denominators(target)
+        columns.append(t)
     kernel = integer_kernel(list(zip(*columns)))
     d, v = next(kernel, (limit + 1, None))
     if d > limit:
@@ -487,15 +468,9 @@ def _power_relation(powers, limit, targets=()):
     s_d = powers[d][1]
     relation = Polynomial(QQ, [v.get(j, 0) * s_d / (v[d] * s) for j, (_, s) in enumerate(powers[:d])]
                           + [Fraction(1)])
-    if d < limit:
+    if d < limit or (v := next(kernel, (None, None))[1]) is None:
         return relation, None
-    coords, kernel = [], dict(kernel)
-    for c, (_, D) in enumerate(cleared, limit + 1):
-        v = kernel.get(c)
-        # a target outside the span leans on an earlier target's pivot
-        coords.append(None if v is None or any(limit < k < c for k in v) else
-                      [-v.get(j, 0) / (v[c] * D * s) for j, (_, s) in enumerate(powers[:limit])])
-    return relation, coords
+    return relation, [-v.get(j, 0) / (v[limit + 1] * D * s) for j, (_, s) in enumerate(powers[:limit])]
 
 
 def _power_coords(w: ExtElement, u, m: Polynomial):

@@ -13,7 +13,9 @@ from math import gcd
 from galoiskit import QQ, modscreen
 from galoiskit.qfactor import _symmetric, _trim, _zp_mul, _zx_divide_exact, _zx_primitive
 from galoiskit.galois import Automorphism, GaloisGroup
-from galoiskit.numfield import element_sort_key, minimal_polynomial
+from galoiskit.linalg import integer_kernel
+from galoiskit.numfield import (PRIMITIVE_SEARCH_RANGE, ExtensionField, _center_sequence, _power_coords,
+                                element_sort_key, minimal_polynomial)
 from galoiskit.permgroup import (MAX_CLOSURE_ORDER, Embedding, Permutation, _small_generating_set,
                                  closure, is_abelian)
 from galoiskit.poly import Polynomial, _clear_denominators, poly_from_int_coeffs
@@ -227,6 +229,40 @@ class FractionSpanSolver:
         self._rows.append((row, pivot, row_expr))
         self.count += 1
         return None
+
+
+def multi_target_flatten(cur, m):
+    """(ext, c, images) for adjoining a root y of m to the absolute field
+    cur, cur.degree > 1, by reading every image off one kernel: the powers
+    of theta_old + c*y in cur.ext[y]/(m), for the first c in 1, -1, 2, ...
+    with a full-degree relation, then each old generator, y and theta_old
+    as further columns.  images holds those targets' images in
+    ext = Q[x]/(relation), in that order: the oracle for the generator
+    images that the adjunction's lift map gives."""
+    base_deg, d = cur.degree, m.degree
+    n = base_deg * d
+    pad = (0,) * (n - base_deg)
+    y = tuple(int(i == base_deg) for i in range(n)) if d > 1 else (-m.coeffs[0]).coeffs
+    targets = [img.coeffs + pad for img in cur.gen_images] + [y, cur.theta.coeffs + pad]
+    for c in map(_center_sequence, range(1, 2 * PRIMITIVE_SEARCH_RANGE + 1)):
+        powers = list(itertools.islice(_power_coords(cur.theta, c, m), n + 1))
+        cleared = [_clear_denominators(t) for t in targets]
+        kernel = integer_kernel(list(zip(*[w for w, _ in powers], *[t for t, _ in cleared])))
+        d0, v = next(kernel)
+        if d0 < n:
+            continue
+        s_n = powers[n][1]
+        relation = Polynomial(QQ, [v.get(j, 0) * s_n / (v[n] * s) for j, (_, s) in enumerate(powers[:n])]
+                              + [Fraction(1)])
+        ext, kernel = ExtensionField(QQ, relation, "a"), dict(kernel)
+        images = []
+        for col, (_, D) in enumerate(cleared, n + 1):
+            v = kernel[col]
+            assert not any(n < k < col for k in v), "a target escaped the power basis"
+            images.append(ext.from_rep([-v.get(j, 0) / (v[col] * D * s)
+                                        for j, (_, s) in enumerate(powers[:n])]))
+        return ext, c, images
+    raise ArithmeticError("no primitive element in the search range")
 
 
 def poly_extended_gcd(p, q):

@@ -1,10 +1,13 @@
 """The engine has no third-party runtime dependency: every import in
 src/galoiskit is relative or names a standard-library module.  Every name
-a module imports is used in that module, and every private module-level
-name is used somewhere in the package outside its own definition."""
+a module imports is used in that module, every private module-level name
+is used somewhere in the package outside its own definition, every private
+method is read outside its own body, and every private attribute stored on
+self is loaded somewhere."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -113,3 +116,63 @@ def test_checker_flags_a_dead_helper():
         "b": "def _shared():\n    return 1\nclass _Dead:\n    pass\n",
     }
     assert dead_helpers(sources) == [("a", "_UNUSED"), ("a", "_recursive"), ("b", "_Dead")]
+
+
+def dead_members(sources):
+    """(module, name) for each private method of a class body that no
+    statement of the package reads outside the method's own body, named
+    Class.method, and for each private attribute stored on self that no
+    expression of the package loads, named self.attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    loads = Counter()
+    for tree in trees.values():
+        loads += _loaded_members(tree)
+    out = []
+    for module, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            out += [(module, f"{cls.name}.{f.name}") for f in cls.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and _private(f.name)
+                    and loads[f.name] == _loaded_members(f)[f.name]]
+        stored = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                  and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name)
+                  and n.value.id == "self" and _private(n.attr)}
+        out += [(module, f"self.{name}") for name in sorted(stored) if not loads[name]]
+    return out
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _loaded_members(node):
+    """Counts of the names a node reads: loaded names and attributes, and
+    the attributes an augmented assignment updates."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out[n.attr] += 1
+        elif isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Attribute):
+            out[n.target.attr] += 1
+    return out
+
+
+def test_every_private_member_is_used():
+    assert dead_members({path.stem: path.read_text() for path in SOURCES}) == []
+
+
+def test_checker_flags_a_dead_member():
+    sources = {
+        "a": ("class A:\n"
+              "    def __init__(self):\n        self._kept, self._dead, self._count = 1, 2, 0\n"
+              "    def _used(self):\n        self._count += 1\n        return self._kept\n"
+              "    def _recursive(self, n):\n        return self._recursive(n - 1) if n else 0\n"
+              "    def _unread(self):\n        return 0\n"
+              "    def public(self):\n        return self._used()\n"),
+        "b": ("from .a import A\n"
+              "class B(A):\n    def _aliased(self):\n        return 1\n    run = _aliased\n"
+              "    def _read_elsewhere(self):\n        return 2\n"
+              "def f(b):\n    b._late = 3\n    return b._read_elsewhere()\n"),
+    }
+    assert dead_members(sources) == [("a", "A._recursive"), ("a", "A._unread"), ("a", "self._dead")]

@@ -30,8 +30,8 @@ from galoiskit.radical import normalize_chain, realize_chain, verify_nested_norm
 from galoiskit.scalars import PrimeField
 from galoiskit.splitting import splitting_field
 
-from helpers import (FractionSpanSolver, P, fraction_mul, poly_extended_gcd, poly_resultant,
-                     random_rational, rational_sequence)
+from helpers import (FractionSpanSolver, P, fraction_mul, multi_target_flatten, poly_extended_gcd,
+                     poly_resultant, random_rational, rational_sequence)
 
 
 def tower_q_sqrt2():
@@ -501,8 +501,8 @@ class TestTrager:
 
         seen = []
 
-        def spy(powers, limit, targets=()):
-            relation, coords = _power_relation(powers, limit, targets)
+        def spy(powers, limit, target=None):
+            relation, coords = _power_relation(powers, limit, target)
             seen.append(relation)
             return relation, coords
 
@@ -520,9 +520,9 @@ class TestTrager:
         with pytest.raises(ArithmeticError):
             _power_relation(iter(basis), 2)
         relation, coords = _power_relation(
-            iter(basis + [((4, 6, 10), Fraction(1, 2))]), 3, [(1, 1, 1)])
+            iter(basis + [((4, 6, 10), Fraction(1, 2))]), 3, (1, 1, 1))
         assert relation == P(-2, -3, -5, 1)
-        assert coords == [[1, 1, 1]]
+        assert coords == [1, 1, 1]
 
 
 def _as_power(vec, k=1):
@@ -532,13 +532,13 @@ def _as_power(vec, k=1):
     return [k * x.numerator * (d // x.denominator) for x in vec], Fraction(1, k * d)
 
 
-def _oracle_relation(powers, limit, targets=()):
+def _oracle_relation(powers, limit, target=None):
     """``_power_relation`` by ``FractionSpanSolver``: the powers are inserted
-    until the first dependence, and a copy of the span writes each target."""
+    until the first dependence, and a copy of the span writes the target."""
     span = FractionSpanSolver()
     for j, (w, s) in enumerate(powers[:limit + 1]):
         if (x := span.insert_int(w, s)) is not None:
-            coords = [deepcopy(span).insert(t) for t in targets] if j == limit else None
+            coords = deepcopy(span).insert(target) if j == limit and target is not None else None
             return Polynomial(QQ, [-c for c in x] + [Fraction(1)]), coords
     raise ArithmeticError
 
@@ -551,8 +551,8 @@ def _outcome(relation, *args):
 
 
 class TestPowerRelationMatchesFractionOracle:
-    """The relation and every target's coordinates equal the Fraction
-    oracle's on seeded power sequences."""
+    """The relation and each target's coordinates, one target per call,
+    equal the Fraction oracle's on seeded power sequences."""
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 9])
     def test_random_sequences(self, dim):
@@ -572,10 +572,11 @@ class TestPowerRelationMatchesFractionOracle:
                 vecs = rational_sequence(rng, dim, dim + 1)
             powers = [_as_power(v, rng.choice((1, 1, 6))) for v in vecs]
             targets = rational_sequence(rng, dim, 3) + [vecs[0], [0] * dim]
-            got = _outcome(_power_relation, iter(powers), limit, targets)
-            assert got == _outcome(_oracle_relation, powers, limit, targets)
-            kinds.append("none" if got is ArithmeticError else
-                         "early" if got[1] is None else "outside" if None in got[1] else "full")
+            for target in targets:
+                got = _outcome(_power_relation, iter(powers), limit, target)
+                assert got == _outcome(_oracle_relation, powers, limit, target)
+                kinds.append("none" if got is ArithmeticError else "early" if got[0].degree < limit
+                             else "outside" if got[1] is None else "full")
         assert {"early", "full"} <= set(kinds)
         if dim > 1:
             assert {"none", "outside"} <= set(kinds)
@@ -585,11 +586,11 @@ class TestPowerRelationMatchesFractionOracle:
         rng = random.Random(7)
         for _ in range(20):
             vecs = rational_sequence(rng, 6, 7)
-            targets = rational_sequence(rng, 6, 3)
-            want = _outcome(_power_relation, (_as_power(v) for v in vecs), 6, targets)
             powers = [_as_power(v, rng.choice((1, -3, 5))) for v in vecs]
-            assert _outcome(_power_relation, iter(powers), 6, targets) == want
-            assert _outcome(_oracle_relation, powers, 6, targets) == want
+            for target in rational_sequence(rng, 6, 3):
+                want = _outcome(_power_relation, (_as_power(v) for v in vecs), 6, target)
+                assert _outcome(_power_relation, iter(powers), 6, target) == want
+                assert _outcome(_oracle_relation, powers, 6, target) == want
 
     def test_planted_dependence(self):
         basis = [[Fraction(1, 2), 3, 0, Fraction(-5, 3)],
@@ -599,17 +600,19 @@ class TestPowerRelationMatchesFractionOracle:
         planted = [sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(4)]
         powers = [_as_power([Fraction(x) for x in v]) for v in basis + [planted]]
         targets = [planted, [0, 0, 0, 0], basis[1], [0, 0, 0, 1]]
-        relation, coords = _power_relation(iter(powers), 3, targets)
-        assert relation == Polynomial(QQ, [-c for c in coeffs] + [Fraction(1)])
         # the last target lies outside the span of the three powers
-        assert coords == [coeffs, [0, 0, 0], [0, 1, 0], None]
+        for target, want in zip(targets, [coeffs, [0, 0, 0], [0, 1, 0], None]):
+            relation, coords = _power_relation(iter(powers), 3, target)
+            assert relation == Polynomial(QQ, [-c for c in coeffs] + [Fraction(1)])
+            assert coords == want
+        assert _power_relation(iter(powers), 3) == (relation, None)
 
     def test_early_dependence_has_no_coordinates(self):
         # z**2 == z**0 in Q^3: the relation x^2 - 1 before the limit
         powers = [((1, 0, 2), Fraction(1, 3)), ((0, 1, 0), Fraction(1)), ((2, 0, 4), Fraction(1, 6))]
-        relation, coords = _power_relation(iter(powers), 3, [(1, 1, 1)])
+        relation, coords = _power_relation(iter(powers), 3, (1, 1, 1))
         assert relation == P(-1, 0, 1) and coords is None
-        assert _oracle_relation(powers, 3, [(1, 1, 1)]) == (relation, None)
+        assert _oracle_relation(powers, 3, (1, 1, 1)) == (relation, None)
 
 
 class TestIntegerPowers:
@@ -710,9 +713,9 @@ class TestTragerAtPlaces:
     def test_no_norm_by_power_relation(self, monkeypatch, text):
         callers, relation = [], numfield._power_relation
 
-        def spy(powers, limit, targets=()):
+        def spy(powers, limit, target=None):
             callers.append(sys._getframe(1).f_code.co_name)
-            return relation(powers, limit, targets)
+            return relation(powers, limit, target)
 
         monkeypatch.setattr(numfield, "_power_relation", spy)
         splitting_field(parse_poly(text))
@@ -766,15 +769,20 @@ class TestTragerAtPlaces:
         assert calls == [None]
 
 
+def replayed_adjunctions(tower):
+    """(previous absolute field, stage polynomial, new absolute field) for
+    each stage of a tower, replayed from Q."""
+    t = FieldTower.rationals()
+    for name, _, m in tower.stages:
+        prev, t = t.absolute, t.adjoin(m, name, verify=False)
+        yield prev, m, t.absolute
+
+
 def replayed_fields(ints):
     """The absolute field after each stage of the splitting tower of the
     polynomial with these coefficients, from Q up."""
-    t = FieldTower.rationals()
-    fields = [t.absolute]
-    for name, _, m in splitting_field(P(*ints)).tower.stages:
-        t = t.adjoin(m, name, verify=False)
-        fields.append(t.absolute)
-    return fields
+    adjunctions = list(replayed_adjunctions(splitting_field(P(*ints)).tower))
+    return [adjunctions[0][0]] + [cur for _, _, cur in adjunctions]
 
 
 def random_elements(ext, rng, count=12):
@@ -833,3 +841,43 @@ class TestSubstitution:
         assert Fraction(-5, 6) * a == want
         assert a * 3 == a + a + a
         assert not calls
+
+
+def tower_with_linear_stage():
+    # a root of y - (1 + sqrt2) over Q(sqrt2): d = 1
+    t = tower_q_sqrt2()
+    ext = t.absolute.ext
+    return t.adjoin(Polynomial(ext, [-(t.absolute.gen_images[0] + 1), ext.one]), "r")
+
+
+class TestAdjunctionLift:
+    """Each adjunction reads only theta_old's image off its kernel; its one
+    lift map gives the old generators, and y' = (theta_new - theta_old')/c.
+    These equal the images that one kernel with every generator as a target
+    writes, and theta is the combination of the generators, exactly."""
+
+    TOWERS = {
+        "sqrt2_sqrt3": tower_q_sqrt2_sqrt3,
+        "linear_stage": tower_with_linear_stage,
+        "x^9-2": lambda: splitting_field(parse_poly("x^9-2")).tower,
+        "(x^5-2)*(x^2+1)": lambda: splitting_field(parse_poly("(x^5-2)*(x^2+1)")).tower,
+        "cbrt2_then_sqrt_r1": lambda: realize_chain(_load_chain_file(
+            ROOT / "bench" / "chains" / "cbrt2_then_sqrt_r1.json")).tower,
+    }
+
+    @pytest.mark.parametrize("name", TOWERS)
+    def test_images_match_the_multi_target_reading(self, name):
+        tower, read = self.TOWERS[name](), 0
+        for prev, m, cur in replayed_adjunctions(tower):
+            combo = zip(cur.gen_images, cur.theta_combo)
+            assert sum((g * c for g, c in combo), cur.ext.zero) == cur.theta
+            if prev.degree == 1:
+                # over Q, theta_new = y and the old generators are rationals
+                assert cur.gen_images == tuple(cur.ext.coerce(g.coeffs[0]) for g in prev.gen_images) \
+                    + (cur.theta,)
+                continue
+            ext, c, images = multi_target_flatten(prev, m)
+            assert ext == cur.ext and cur.theta_combo == prev.theta_combo + (c,)
+            assert list(cur.gen_images) + [cur.lift_from_prev(prev.theta)] == images
+            read += 1
+        assert read == len(tower.stages) - 1

@@ -211,6 +211,17 @@ class TestCliExitCodes:
         f.write_text(json.dumps({"stages": [{"k": 2, "radicand": 0}]}))
         assert run_cli("normalize", "--chain", str(f)) == EXIT_INPUT
 
+    @pytest.mark.parametrize("stage, message", [
+        ({"k": True, "radicand": 2}, "k must be an integer"),
+        ({"k": 2, "radicand": True}, "radicand must be a string or integer"),
+    ])
+    def test_boolean_k_or_radicand_exit_2(self, tmp_path, capsys, stage, message):
+        # a JSON boolean is a Python bool, which is an int
+        f = tmp_path / "chain.json"
+        f.write_text(json.dumps({"stages": [stage]}))
+        assert run_cli("normalize", "--chain", str(f)) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("error, code", [
         (ArithmeticError("no usable prime found for factorization"), EXIT_SOUNDNESS),
         (ZeroDivisionError("division by zero polynomial"), EXIT_INPUT),

@@ -57,11 +57,17 @@ SOLVABLE_C5 = (("solvable", "x^5+x^4-4*x^3-3*x^2+3*x+1"),
 # the A5 field of degree 60: the largest primitive element any test flattens
 SPLIT_A5 = (("split", "x^5+20*x+16"),
             "e6098089becbabbcc49fc3aaf743f63ec918d1f84306256bd0dc4be7386ceefc")
+# a degree-60 tower of four stages over two sources, and the A5
+# group, which reads every old generator image through the enumeration
+SPLIT_TWO = (("split", "(x^3-2)*(x^5-5*x+12)"),
+             "2d0fd93ee05382bde4812f131bb12c242d501c7c6f2f016654c512021bd18336")
+GROUP_A5 = (("group", "x^5+20*x+16"),
+            "e8bb725e333f3cdf5f7d91122a81c7b5b8523de4b7c3eacd026cc9db042b9890")
 # without a place every test is exact; the splits are left out there, where
 # their exact hunts take seconds
 CASES = [SPLIT + (True,), CHAIN + (True,), GROUP + (True,), NORMALIZE + (True,), FIXED + (True,),
          MINPOLY + (True,), GROUP9 + (True,), SPLIT10 + (True,), VERIFY + (True,),
-         SOLVABLE_C5 + (True,), SPLIT_A5 + (True,),
+         SOLVABLE_C5 + (True,), SPLIT_A5 + (True,), SPLIT_TWO + (True,), GROUP_A5 + (True,),
          CHAIN + (False,), GROUP + (False,), FIXED + (False,), MINPOLY + (False,), VERIFY + (False,),
          SOLVABLE_C5 + (False,)]
 
